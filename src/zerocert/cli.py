@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,13 +34,6 @@ from .measures import Region
 from .errors import PreconditionViolation
 from .scenario import load_scenario
 from .testfam import TruncatedLogFamily
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("ZEROCERT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(x):
@@ -112,16 +104,21 @@ def _run_stage(report, name, fn):
 # stages
 
 
-def _margin_stage(sc, args, outdir):
+def _sweep(sc, args):
+    """The margin curve for the scenario's family (load_scenario has
+    applied --tau-max to it), or for a default truncated-log family."""
     family = sc.family
-    if family is None or args.tau_max is not None:
-        t_max = args.tau_max if args.tau_max is not None else (
-            family.t_max if family is not None else 200.0)
-        base = family or TruncatedLogFamily()
-        family = type(base)(**{**base.__dict__, "t_max": t_max})
+    if family is None:
+        family = TruncatedLogFamily(
+            t_max=200.0 if args.tau_max is None else args.tau_max)
     tol = args.tol if args.tol is not None else sc.tol("margin")
-    curve = margin_sweep(sc.zeros, sc.majorant, family, tol=tol,
-                         threads=_threads())
+    return margin_sweep(sc.zeros, sc.majorant, family, tol=tol)
+
+
+def _margin_stage(sc, args, outdir, keep=None):
+    curve = _sweep(sc, args)
+    if keep is not None:
+        keep["curve"] = curve
     path = _write_csv(
         outdir / "margin.csv",
         ["tau", "lhs", "rhs", "margin", "rhs_budget", "note"],
@@ -164,7 +161,7 @@ def _m0_stage(sc, args, outdir):
             "outputs": [path]}
 
 
-def _sufficiency_stage(sc, args, outdir):
+def _sufficiency_stage(sc, args, outdir, curve=None):
     grid = sc.sufficiency_grid
     if grid is None:
         rng = np.random.default_rng(args.seed or 0)
@@ -173,8 +170,14 @@ def _sufficiency_stage(sc, args, outdir):
         grid = r * np.exp(1j * theta)
     profile = sc.profile or PlanePowerProfile(1.0)
     tol = args.tol if args.tol is not None else sc.tol("sufficiency")
+    # the construction defers to the margin verdict of the scenario's
+    # family: the necessary stage's curve when it ran, else a fresh sweep
+    verdict, margin_source = None, "none"
+    if sc.family is not None:
+        margin_source = "reused" if curve is not None else "recomputed"
+        verdict = (curve or _sweep(sc, args)).verdict
     rep = verify_sufficiency(sc.zeros, sc.majorant, profile, grid,
-                             tol=max(tol, 1e-9), family=sc.family)
+                             tol=max(tol, 1e-9), margin_verdict=verdict)
     path = _write_csv(
         outdir / "sufficiency.csv",
         ["z_re", "z_im", "log_abs", "tail", "bound", "excess", "ok"],
@@ -187,6 +190,7 @@ def _sufficiency_stage(sc, args, outdir):
     return {"certified": rep.certified,
             "reason": rep.reason,
             "margin_verdict": rep.margin_verdict,
+            "margin_source": margin_source,
             "genus": rep.genus,
             "retained": rep.retained,
             "checked": rep.checked,
@@ -376,14 +380,16 @@ def main(argv=None):
                 _run_stage(report, "lemma1",
                            lambda: _lemma1_stage(sc, args, outdir))
             elif args.command == "all":
+                kept = {}
                 _run_stage(report, "necessary",
-                           lambda: _margin_stage(sc, args, outdir))
+                           lambda: _margin_stage(sc, args, outdir, kept))
                 if sc.m0_grid is not None:
                     _run_stage(report, "m0",
                                lambda: _m0_stage(sc, args, outdir))
                 if sc.sufficiency_grid is not None:
                     _run_stage(report, "sufficiency",
-                               lambda: _sufficiency_stage(sc, args, outdir))
+                               lambda: _sufficiency_stage(
+                                   sc, args, outdir, kept["curve"]))
                 if sc.lemma1 is not None:
                     _run_stage(report, "lemma1",
                                lambda: _lemma1_stage(sc, args, outdir))

@@ -3,16 +3,19 @@
 margin_sweep integrates a family of origin spikes against both the
 candidate zeros and the majorant's charge and watches the gap; a gap
 that grows like a power of the cutoff rules out any admissible function
-vanishing on the candidate set.  check_m0 probes the regularity of the
-upper envelope by comparing it to its own circle means at profile radii.
-lemma1_constants extracts the comparison constants of the disk-regime
-necessity bound from a Green function and the majorant's charge.
+vanishing on the candidate set.  Its zero-side sum is taken from
+sorted prefix sums of mult and mult * ln|z| over each spike's
+closed-form logarithmic core, with direct profile evaluation only over
+the blend band between that core and the support.  check_m0 probes
+the regularity of the upper envelope by comparing it to its own circle
+means at profile radii.  lemma1_constants extracts the comparison
+constants of the disk-regime necessity bound from a Green function and
+the majorant's charge.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,44 +54,88 @@ class MarginCurve:
     details: dict
 
 
-def margin_sweep(Z, M, family, *, tol=1e-9, threads=1):
+def _sorted_zeros(Z, reach):
+    """Radii |z_j| <= reach in increasing order, with their multiplicities.
+
+    The points and the sort order are dropped on return, so they are not
+    held while the sweep runs.
+    """
+    pts, ml = Z.points_up_to(reach)
+    radii = np.abs(pts)
+    order = np.argsort(radii, kind="stable")
+    return radii[order], np.asarray(ml)[order]
+
+
+def _sweep_lhs(r, m, tests):
+    """sum of m * profile(r) over sorted radii r, for every test.
+
+    Within a test's log_core the profile is
+    log_constant - pole_coefficient * ln d, so that part is
+    c * M(a) - g * L(a) with M and L the prefix sums of mult and
+    mult * ln r up to the core edge a.  The band out to support_radius
+    is evaluated directly, and nothing beyond it contributes.  Prefix
+    sums are formed only at the core edges: pairwise segment sums, then
+    an exact running total.
+    """
+    core = np.searchsorted(r, [t.log_core for t in tests], side="right")
+    band = np.searchsorted(r, [t.support_radius for t in tests],
+                           side="right")
+    edges = sorted(set(core[core > 0].tolist()))
+    prefix = {}
+    if edges:
+        top = edges[-1]
+        starts = [0] + edges[:-1]
+        seg_m = np.add.reduceat(m[:top], starts)
+        log_r = np.log(r[:top])
+        log_r *= m[:top]
+        seg_l = np.add.reduceat(log_r, starts)
+        for k, e in enumerate(edges):
+            prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
+    out = []
+    for test, a, b in zip(tests, core, band):
+        lhs = 0.0
+        if a:
+            mass, log_mass = prefix[int(a)]
+            lhs = test.log_constant * mass - test.pole_coefficient * log_mass
+        if b > a:
+            lhs += float(np.sum(m[a:b] * np.asarray(
+                test.radial_profile(r[a:b]), dtype=float)))
+        out.append(lhs)
+    return out
+
+
+def margin_sweep(Z, M, family, *, tol=1e-9):
     """Sweep the family, comparing zero mass against majorant charge.
 
     Each cutoff tau yields lhs = sum of mult * spike(z_j) and
     rhs = integral of the spike against the majorant charge; verdicts
-    look at how lhs - rhs behaves as tau grows.
+    look at how lhs - rhs behaves as tau grows.  The lhs of all cutoffs
+    comes from one sorted pass over the zeros.
     """
     if not Z.enumerable:
         raise DomainError("margin sweep needs point data, not a radial rule")
     if Z.has_point_at_origin():
         raise DomainError("candidate zeros must avoid the origin")
-    taus = family.taus()
-    tests = [family.applied(t) for t in taus]
+    tests = [family.applied(t) for t in family.taus()]
     reach = 1.05 * max(t.support_radius for t in tests)
-    pts, ml = Z.points_up_to(reach)
-    radii = np.abs(pts)
+    lhs_all = _sweep_lhs(*_sorted_zeros(Z, reach), tests)
     charge = M.charge
 
-    def one(test):
-        lhs = float(np.sum(ml * np.asarray(
-            test.radial_profile(radii), dtype=float))) if pts.size else 0.0
+    samples = []
+    for test, lhs in zip(tests, lhs_all):
         try:
             rhs, err = charge.integrate_radial(
                 test.radial_profile, center=0j, tol=tol,
                 g_support=test.support_radius,
                 singular_radii=test.kink_radii)
         except (NotSummable, ToleranceFailure) as exc:
-            return MarginSample(tau=test.params["t"], lhs=lhs, rhs=math.nan,
-                                margin=math.nan, rhs_budget=math.nan,
-                                note=type(exc).__name__)
-        return MarginSample(tau=test.params["t"], lhs=lhs, rhs=rhs,
-                            margin=lhs - rhs, rhs_budget=err)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(one, tests))
-    else:
-        samples = [one(t) for t in tests]
+            samples.append(MarginSample(
+                tau=test.params["t"], lhs=lhs, rhs=math.nan,
+                margin=math.nan, rhs_budget=math.nan,
+                note=type(exc).__name__))
+            continue
+        samples.append(MarginSample(tau=test.params["t"], lhs=lhs, rhs=rhs,
+                                    margin=lhs - rhs, rhs_budget=err))
 
     kept = [s for s in samples if not s.note]
     dropped = len(samples) - len(kept)

@@ -306,7 +306,7 @@ class ZeroDistribution:
         if not self.enumerable:
             try:
                 return float(self._backend.counting(tol)) > 0
-            except Exception:
+            except EngineError:
                 return False
         pts, _ = self._backend.enumerate_up_to(tol)
         return bool(pts.size)

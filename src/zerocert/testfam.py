@@ -49,7 +49,11 @@ def _bump(x):
 
 @dataclass(frozen=True, eq=False)
 class TestPotential:
-    """One catalogue member, evaluated on its own side of the inversion."""
+    """One catalogue member, evaluated on its own side of the inversion.
+
+    A plane member that is exactly growth_coefficient * ln|w| +
+    log_constant for |w| >= log_radius declares it (inf: no declaration).
+    """
 
     regime: str
     params: dict
@@ -62,6 +66,8 @@ class TestPotential:
     bound: float | None = None
     domain_R: float | None = None
     support_radius: float = math.inf
+    log_radius: float = math.inf
+    log_constant: float = 0.0
 
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
@@ -71,7 +77,12 @@ class TestPotential:
 
 @dataclass(frozen=True, eq=False)
 class PulledBackTest:
-    """Inversion pullback: a radial spike at the pole with finite support."""
+    """Inversion pullback: a radial spike at the pole with finite support.
+
+    Within log_core of the pole the profile is exactly
+    log_constant - pole_coefficient * ln d; a log_core of 0 declares no
+    such core.
+    """
 
     pole: complex
     params: dict
@@ -80,6 +91,8 @@ class PulledBackTest:
     pole_coefficient: float
     kink_radii: tuple = ()
     source_regime: str = "plane"
+    log_core: float = 0.0
+    log_constant: float = 0.0
 
     def __call__(self, z):
         d = np.abs(np.asarray(z, dtype=complex) - self.pole)
@@ -107,7 +120,9 @@ def truncated_log_plane(t):
         charge=RieszCharge(rings=(Ring(0j, 1.0 / t, 1.0),)),
         growth_coefficient=1.0,
         zero_radius=1.0 / t,
-        kink_radii=(1.0 / t,))
+        kink_radii=(1.0 / t,),
+        log_radius=1.0 / t,
+        log_constant=math.log(t))
 
 
 def smooth_capped_log(t, eps=0.25):
@@ -146,7 +161,9 @@ def smooth_capped_log(t, eps=0.25):
         radial_profile=profile,
         charge=charge,
         growth_coefficient=1.0,
-        zero_radius=lo)
+        zero_radius=lo,
+        log_radius=hi,
+        log_constant=math.log(t))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +240,9 @@ def inversion_pullback(p):
 
     The result is radial about the origin, vanishes beyond
     1 / zero_radius, and blows up at the pole like
-    growth_coefficient * ln(1/|z|).
+    growth_coefficient * ln(1/|z|); a plane test that is exactly
+    logarithmic beyond log_radius gives a closed-form core of radius
+    1 / log_radius.
     """
     if p.regime != "plane":
         raise InvalidPotential("only plane tests invert to origin spikes")
@@ -244,7 +263,9 @@ def inversion_pullback(p):
         support_radius=1.0 / p.zero_radius,
         pole_coefficient=p.growth_coefficient,
         kink_radii=tuple(1.0 / k for k in p.kink_radii),
-        source_regime=p.regime)
+        source_regime=p.regime,
+        log_core=1.0 / p.log_radius,
+        log_constant=p.log_constant)
 
 
 # ---------------------------------------------------------------------------

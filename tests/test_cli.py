@@ -125,6 +125,54 @@ def test_tau_max_override(tmp_path):
     assert float(rows[-1][0]) == 4.0
 
 
+def _count_sweeps(monkeypatch):
+    import zerocert.cli as cli
+
+    tols = []
+    real = cli.margin_sweep
+
+    def counted(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "margin_sweep", counted)
+    return tols
+
+
+def test_all_sweeps_once_and_reuses_the_curve(tmp_path, monkeypatch):
+    tols = _count_sweeps(monkeypatch)
+    sc = _write(tmp_path, _toy_scenario())
+    out = tmp_path / "run"
+    assert main(["all", "--scenario", sc, "--out", str(out)]) == 0
+    assert len(tols) == 1
+    info = json.loads((out / "report.json").read_text())["stages"]
+    assert info["sufficiency"]["margin_source"] == "reused"
+    assert info["sufficiency"]["margin_verdict"] == info["necessary"]["verdict"]
+
+
+def test_construct_verify_sweeps_at_the_margin_tolerance(tmp_path,
+                                                         monkeypatch):
+    tols = _count_sweeps(monkeypatch)
+    doc = _toy_scenario()
+    doc["tolerances"] = {"margin": 1e-7}
+    out = tmp_path / "run"
+    assert main(["construct-verify", "--scenario", _write(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert tols == [1e-7]
+    info = json.loads((out / "report.json").read_text())["stages"]
+    assert info["sufficiency"]["margin_source"] == "recomputed"
+
+    # without a family the construction consults no margin verdict
+    del doc["family"]
+    out = tmp_path / "bare"
+    assert main(["construct-verify", "--scenario",
+                 _write(tmp_path, doc, "bare.json"), "--out", str(out)]) == 0
+    assert tols == [1e-7]
+    info = json.loads((out / "report.json").read_text())["stages"]
+    assert info["sufficiency"]["margin_source"] == "none"
+    assert info["sufficiency"]["margin_verdict"] is None
+
+
 def test_margin_csv_deterministic(tmp_path):
     sc = _write(tmp_path, _toy_scenario())
     a, b = tmp_path / "a", tmp_path / "b"

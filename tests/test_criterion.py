@@ -1,18 +1,22 @@
 """Necessity margin sweep, regularity probe, and comparison constants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
     Region,
+    SmoothCappedLogFamily,
     TruncatedLogFamily,
     ZeroDistribution,
     check_m0,
     green_disk,
+    inversion_pullback,
     lemma1_constants,
     m0_dyadic_grid,
     make_harmonic,
@@ -20,6 +24,8 @@ from zerocert import (
     make_radial_power,
     make_zero_model,
     margin_sweep,
+    nevanlinna_N,
+    smooth_capped_log,
 )
 
 import oracles
@@ -80,15 +86,121 @@ def test_margin_rejects_zero_at_origin():
         margin_sweep(Z, _abs_majorant(), fam)
 
 
-def test_margin_threads_agree():
-    Z = ZeroDistribution.real_multiples(step=np.pi)
-    fam = TruncatedLogFamily(t_min=1.0, t_max=32.0, ratio=2.0)
-    a = margin_sweep(Z, _abs_majorant(), fam, threads=1)
-    b = margin_sweep(Z, _abs_majorant(), fam, threads=4)
-    assert a.verdict == b.verdict
+# The sweep takes each lhs from prefix sums over the closed-form core and
+# evaluates the profile only in the blend band; the reference is the
+# direct sum of mult * radial_profile(|z|) over every zero.
+
+
+def _direct_lhs(points, mults, test):
+    r = np.abs(np.asarray(points, dtype=complex))
+    vals = np.asarray(test.radial_profile(r), dtype=float) if r.size else r
+    return float(np.sum(np.asarray(mults, dtype=float) * vals))
+
+
+def _family(kind, t_min, ratio, n_taus, eps=0.25):
+    t_max = t_min * ratio ** (n_taus - 1)
+    if kind == "truncated":
+        return TruncatedLogFamily(t_min=t_min, t_max=t_max, ratio=ratio)
+    return SmoothCappedLogFamily(t_min=t_min, t_max=t_max, ratio=ratio,
+                                 eps=eps)
+
+
+@dataclasses.dataclass(frozen=True)
+class _UndeclaredFamily:
+    """Smooth-capped-log members without their exact-log declaration."""
+
+    inner: SmoothCappedLogFamily
+    kind = "undeclared"
+
+    def taus(self):
+        return self.inner.taus()
+
+    def applied(self, tau):
+        plane = smooth_capped_log(tau, self.inner.eps)
+        return inversion_pullback(
+            dataclasses.replace(plane, log_radius=math.inf))
+
+
+def _assert_lhs_direct(points, mults, fam):
+    Z = ZeroDistribution.from_points(points, mults)
+    curve = margin_sweep(Z, _abs_majorant(), fam)
+    assert len(curve.samples) == len(fam.taus())
+    for s, tau in zip(curve.samples, fam.taus()):
+        want = _direct_lhs(points, mults, fam.applied(tau))
+        assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want)), (tau, s.lhs,
+                                                                 want)
+    return curve
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zeros=st.lists(st.tuples(st.floats(0.01, 100.0),
+                             st.floats(0.0, 2.0 * math.pi),
+                             st.integers(1, 5)), max_size=30),
+    kind=st.sampled_from(["truncated", "smooth", "undeclared"]),
+    t_min=st.floats(0.1, 5.0),
+    ratio=st.floats(1.1, 3.0),
+    n_taus=st.integers(1, 5),
+    eps=st.floats(0.05, 1.0),
+)
+def test_margin_lhs_matches_direct_profile_sum(zeros, kind, t_min, ratio,
+                                               n_taus, eps):
+    points = [r * complex(math.cos(a), math.sin(a)) for r, a, _ in zeros]
+    mults = [m for _, _, m in zeros]
+    fam = _family("smooth" if kind == "undeclared" else kind, t_min, ratio,
+                  n_taus, eps)
+    if kind == "undeclared":
+        fam = _UndeclaredFamily(fam)
+    _assert_lhs_direct(points, mults, fam)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "smooth"])
+def test_margin_lhs_ties_on_core_and_support_edges(kind):
+    # zeros exactly on each cutoff's log_core and support_radius, on both
+    # axes, so searchsorted meets ties at every edge
+    fam = _family(kind, 0.7, 1.5, 6)
+    points, mults = [], []
+    for tau in fam.taus():
+        test = fam.applied(tau)
+        for j, radius in enumerate((test.log_core, test.support_radius)):
+            points += [complex(radius, 0.0), complex(0.0, radius)]
+            mults += [j + 1, 2]
+    _assert_lhs_direct(points, mults, fam)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "smooth", "undeclared"])
+def test_margin_lhs_empty_core_and_empty_set(kind):
+    fam = _family("smooth" if kind == "undeclared" else kind, 0.5, 2.0, 6)
+    if kind == "undeclared":
+        fam = _UndeclaredFamily(fam)
+    # the first cutoffs hold no zeros in their core (nor anywhere)
+    curve = _assert_lhs_direct([9.0 + 0j, -12.0j, 14.0 + 3.0j], [1, 3, 2],
+                               fam)
+    assert curve.samples[0].lhs == 0.0
+    empty = margin_sweep(ZeroDistribution.empty(), _abs_majorant(), fam)
+    assert [s.lhs for s in empty.samples] == [0.0] * len(fam.taus())
+
+
+def test_margin_lhs_undeclared_core_agrees_with_closed_form():
+    Z = ZeroDistribution.gaussian_integers(max_radius=30.0)
+    fam = SmoothCappedLogFamily(t_min=1.0, t_max=20.0, ratio=1.5, eps=0.3)
+    a = margin_sweep(Z, _abs_majorant(), fam)
+    b = margin_sweep(Z, _abs_majorant(), _UndeclaredFamily(fam))
     for sa, sb in zip(a.samples, b.samples):
-        assert sa.tau == sb.tau
-        assert abs(sa.margin - sb.margin) <= 1e-12 * (1.0 + abs(sa.margin))
+        assert abs(sa.lhs - sb.lhs) <= 1e-12 * (1.0 + abs(sb.lhs))
+        assert sa.rhs == sb.rhs
+
+
+def test_margin_truncated_lhs_is_nevanlinna_N():
+    for Z in (ZeroDistribution.real_multiples(step=np.pi),
+              ZeroDistribution.gaussian_integers(max_radius=60.0),
+              ZeroDistribution.from_points([1.5, -2.0j, 3.0 + 4.0j],
+                                           [2, 1, 3])):
+        fam = TruncatedLogFamily(t_min=0.5, t_max=50.0, ratio=1.3)
+        curve = margin_sweep(Z, _abs_majorant(), fam)
+        for s in curve.samples:
+            want = nevanlinna_N(Z, s.tau)
+            assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,18 @@ def test_radial_rule_rejects_offcenter():
         counting_measure(Z, Region.disk(1.0 + 1j, 0.5))
 
 
+def test_origin_probe_propagates_rule_faults():
+    # a counting rule that fails is a fault, not "no point at the origin"
+    Z = ZeroDistribution.radial_rule(lambda t: 1.0 / (t - t))
+    with pytest.raises(ZeroDivisionError):
+        Z.has_point_at_origin()
+
+    def refuses(t):
+        raise DomainError("rule undefined near 0")
+
+    assert ZeroDistribution.radial_rule(refuses).has_point_at_origin() is False
+
+
 def test_nevanlinna_pi_lattice():
     Z = ZeroDistribution.real_multiples(step=np.pi)
     # sum over 0<k<=3 of 2 ln(10/(pi k)) = 2 ln(1000/(6 pi^3))

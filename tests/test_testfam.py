@@ -145,6 +145,17 @@ def test_inversion_pullback_of_truncated_log():
     assert pb.kink_radii == (2.0,)
 
 
+@pytest.mark.parametrize("make", [truncated_log_plane, smooth_capped_log])
+def test_pullback_log_core_is_exact(make):
+    # within log_core the spike is log_constant - ln d, as the sweep assumes
+    pb = inversion_pullback(make(3.0))
+    assert 0.0 < pb.log_core <= pb.support_radius
+    d = pb.log_core * np.array([1e-6, 0.01, 0.5, 1.0])
+    got = np.asarray(pb.radial_profile(d), dtype=float)
+    assert np.allclose(got, pb.log_constant - np.log(d), rtol=0.0,
+                       atol=1e-13)
+
+
 def test_inversion_pullback_vanishes_outside_support():
     pb = inversion_pullback(truncated_log_plane(4.0))
     d = np.array([pb.support_radius * 1.01, 10.0])
