@@ -14,11 +14,68 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ellipe
 
 from .errors import InvalidModel
 from .measures import RadialDensity, RieszCharge
 from .quadrature import mean_on_circle
+
+
+def _near_one_series(terms):
+    """E(m) near m = 1 as a series in x = k'^2 = 1 - m (DLMF 19.12.2):
+    E = 1 + (x / 2) (ln(4 / k') P(x) - Q(x)).  Returns the coefficients of
+    P + iQ, highest power first, so one complex Horner pass gives both."""
+    coef = np.empty(terms, dtype=complex)
+    c, d = 1.0, 0.0
+    for j in range(terms):
+        coef[terms - 1 - j] = complex(c, c * (d + 1.0 / ((2 * j + 1) * (2 * j + 2))))
+        c *= (j + 0.5) * (j + 1.5) / ((j + 2.0) * (j + 1.0))
+        d += 2.0 / (2 * j + 1) - 1.0 / (j + 1)
+    return tuple(coef)
+
+
+# below 1 - m = 1e-2, eight terms leave a remainder under 1e-18
+_E_SWITCH = 1e-2
+_E_NEAR_ONE = _near_one_series(8)
+
+
+def ellipe(m):
+    """Complete elliptic integral of the second kind, E(m) for 0 <= m <= 1.
+
+    Away from m = 1 it is the arithmetic-geometric mean form
+    E = K (1 - sum 2^(n-1) c_n^2) with K = pi / (2 a_N) (DLMF 19.8.6).
+    As m -> 1, K grows like ln(4 / k') and that form loses about as many
+    ulps, so for k'^2 = 1 - m below 1e-2 a logarithmic series in k'^2
+    takes over.  E(1) = 1, and so does E of an m that rounding has put
+    just past 1 (4at / (a + t)^2 with t close to a).
+    """
+    m = np.asarray(m, dtype=float)
+    x = 1.0 - m
+    # points with 1 - m below the switch run the AGM at the switch, and the
+    # series overwrites them; from k'^2 >= 1e-2 the fifth c is below 1e-9,
+    # which moves a but no longer the sum, and the sixth moves neither
+    b = np.sqrt(np.maximum(x, _E_SWITCH))
+    a = 1.0
+    s = 0.5 * m
+    w = 1.0
+    for _ in range(4):
+        c = 0.5 * (a - b)
+        b = np.sqrt(a * b)
+        a = a - c
+        s = s + w * (c * c)
+        w *= 2.0
+    a = 0.5 * (a + b)
+    out = (0.5 * np.pi) / a * (1.0 - s)
+    if x.size and x.min() < _E_SWITCH:
+        xs = np.maximum(x, 1e-300)
+        pq = _E_NEAR_ONE[0] * xs
+        for coef in _E_NEAR_ONE[1:-1]:
+            pq = (pq + coef) * xs
+        pq = pq + _E_NEAR_ONE[-1]
+        log4k = math.log(4.0) - 0.5 * np.log(xs)
+        near = 1.0 + 0.5 * x * (log4k * pq.real - pq.imag)
+        out = np.where(x < _E_SWITCH, near, out)
+    return out
+
 
 _SPOT_CENTERS = np.array([
     0.3 + 0.1j, -1.2 + 0.4j, 2.1 - 1.3j, 0.05j,

@@ -2,9 +2,11 @@
 
 A radius profile r assigns each point the radius used by the averaging
 operators.  The enlarged radius is hat r(z) = r(z) + sup of r over the
-circle of radius r(z) about z; the supremum is certified from above with
-an interval branch-and-bound driven by the profile's Lipschitz constant,
-so domain-containment preconditions can be checked rigorously.
+circle of radius r(z) about z.  Each profile decreases with the distance
+from one point (the origin, or the disk's centre), so the supremum sits
+at the circle's point nearest it and has a closed form; rounding it up
+by a few ulps gives the certified bound that domain-containment
+preconditions are checked against.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ class PlanePowerProfile:
     def radius(self, z):
         return (1.0 + np.abs(np.asarray(z, dtype=complex))) ** (-self.power)
 
+    def sup_on_circle(self, z, t):
+        """Largest r on the circle |w - z| = t: at the point nearest 0."""
+        return (1.0 + abs(abs(z) - t)) ** (-self.power)
+
     def lipschitz(self):
         return float(self.power)
+
+    def extent(self):
+        """Largest constant, besides |z| and t, in the closed forms."""
+        return 1.0
 
     def dist_to_boundary(self, z):
         return np.full(np.asarray(z).shape, math.inf, dtype=float)
@@ -60,8 +70,16 @@ class DiskFractionProfile:
         d = self.R - np.abs(np.asarray(z, dtype=complex) - self.center)
         return self.fraction * np.maximum(d, 0.0)
 
+    def sup_on_circle(self, z, t):
+        """Largest r on the circle |w - z| = t: at the point nearest the centre."""
+        return self.fraction * np.maximum(
+            self.R - abs(abs(z - self.center) - t), 0.0)
+
     def lipschitz(self):
         return float(self.fraction)
+
+    def extent(self):
+        return abs(self.center) + self.R
 
     def dist_to_boundary(self, z):
         return self.R - np.abs(np.asarray(z, dtype=complex) - self.center)
@@ -77,7 +95,7 @@ class HatRadius:
     certified_upper: float
 
 
-def hat_radius(profile, z, *, grid=512, rounds=60):
+def hat_radius(profile, z):
     """Enlarged radius with a certified upper bound.
 
     Raises PreconditionViolation when the point is outside the profile's
@@ -88,43 +106,13 @@ def hat_radius(profile, z, *, grid=512, rounds=60):
     r0 = float(profile.radius(z))
     if not r0 > 0:
         raise PreconditionViolation("profile radius vanishes at %r" % (z,))
-    L = profile.lipschitz()
-    if L == 0.0:
-        sup_val = float(profile.radius(z + r0))
-        best, upper = sup_val, sup_val
-    else:
-        theta = np.linspace(0.0, TWO_PI, int(grid) + 1)
-        vals = np.asarray(profile.radius(z + r0 * np.exp(1j * theta)), dtype=float)
-        lo, hi = theta[:-1], theta[1:]
-        vlo, vhi = vals[:-1], vals[1:]
-        best = float(vals.max())
-        upper = best
-        for _ in range(int(rounds)):
-            # sup on [lo, hi] <= endpoint max + L * r0 * halfwidth (chord <= arc)
-            ub = np.maximum(vlo, vhi) + L * r0 * (hi - lo) / 2.0
-            upper = float(ub.max())
-            if upper - best <= 1e-12 * (1.0 + best):
-                break
-            keep = ub > best + 1e-15
-            if not keep.any():
-                upper = best
-                break
-            lo, hi, vlo, vhi = lo[keep], hi[keep], vlo[keep], vhi[keep]
-            upper = float(np.max(np.maximum(vlo, vhi)
-                                 + L * r0 * (hi - lo) / 2.0))
-            if 2 * lo.size > 65536:
-                # a near-flat stretch resists pruning; stop with the padded
-                # but still certified bound instead of doubling forever
-                break
-            mid = (lo + hi) / 2.0
-            vmid = np.asarray(profile.radius(z + r0 * np.exp(1j * mid)), dtype=float)
-            best = max(best, float(vmid.max()))
-            lo = np.concatenate((lo, mid))
-            hi = np.concatenate((mid, hi))
-            vlo = np.concatenate((vlo, vmid))
-            vhi = np.concatenate((vmid, vhi))
-    value = r0 + best
-    certified = r0 + upper
+    value = r0 + float(profile.sup_on_circle(z, r0))
+    # the closed forms round a handful of times on numbers no larger than
+    # |z| + r0 + extent; an L-Lipschitz profile passes an error in its
+    # argument on at most L-fold, and r0 enters twice (as a term and as the
+    # circle's radius), so 8 (1 + L)^2 ulps of that size cover them all
+    size = abs(z) + r0 + profile.extent()
+    certified = value + 8.0 * (1.0 + profile.lipschitz()) ** 2 * math.ulp(size)
     if profile.domain_kind != "plane":
         dist = float(profile.dist_to_boundary(z))
         if certified >= dist:

@@ -208,10 +208,12 @@ class _GaussianBackend:
             raise DomainError("cannot enumerate an unbounded lattice without a radius")
         n = int(math.floor(r / self.scale)) + 1
         g = np.arange(-n, n + 1, dtype=float)
-        re, im = np.meshgrid(g, g, indexing="ij")
-        pts = (re + 1j * im).ravel() * self.scale
-        keep = (np.abs(pts) <= r) & (pts != 0)
-        pts = pts[keep]
+        # one row of the (2n+1)^2 square at a time, real part outermost
+        rows = []
+        for x in g:
+            row = (x + 1j * g) * self.scale
+            rows.append(row[(np.abs(row) <= r) & (row != 0)])
+        pts = np.concatenate(rows)
         return pts, np.ones(pts.size, dtype=int)
 
     def tail_power_sum_bound(self, q, radius):

@@ -117,3 +117,43 @@ def log_E_series(u, p, terms=400):
         out -= uk / k
         uk = uk * u
     return out
+
+
+def hat_radius_bnb(profile, z, grid=512, rounds=60):
+    """r0 + sup of the profile on the circle |w - z| = r0, by branch-and-bound.
+
+    Returns (best sample, certified upper bound).  Arcs are sampled at
+    their endpoints, bounded above by endpoint max + L * r0 * half-width
+    (chord <= arc), and split until the bound meets the best sample.
+    """
+    z = complex(z)
+    r0 = float(profile.radius(z))
+    L = profile.lipschitz()
+    theta = np.linspace(0.0, TWO_PI, int(grid) + 1)
+    vals = np.asarray(profile.radius(z + r0 * np.exp(1j * theta)), dtype=float)
+    lo, hi = theta[:-1], theta[1:]
+    vlo, vhi = vals[:-1], vals[1:]
+    best = float(vals.max())
+    upper = best
+    for _ in range(int(rounds)):
+        ub = np.maximum(vlo, vhi) + L * r0 * (hi - lo) / 2.0
+        upper = float(ub.max())
+        if upper - best <= 1e-12 * (1.0 + best):
+            break
+        keep = ub > best + 1e-15
+        if not keep.any():
+            upper = best
+            break
+        lo, hi, vlo, vhi = lo[keep], hi[keep], vlo[keep], vhi[keep]
+        upper = float(np.max(np.maximum(vlo, vhi) + L * r0 * (hi - lo) / 2.0))
+        if 2 * lo.size > 65536:
+            # a near-flat stretch resists pruning: stop with the padded bound
+            break
+        mid = (lo + hi) / 2.0
+        vmid = np.asarray(profile.radius(z + r0 * np.exp(1j * mid)), dtype=float)
+        best = max(best, float(vmid.max()))
+        lo = np.concatenate((lo, mid))
+        hi = np.concatenate((mid, hi))
+        vlo = np.concatenate((vlo, vmid))
+        vhi = np.concatenate((vmid, vhi))
+    return r0 + best, r0 + upper

@@ -206,3 +206,12 @@ def test_selftests(tmp_path, capsys, name, csvfile):
     rows = _read_csv(out / csvfile)
     assert rows[0] == ["check", "value", "tolerance", "ok"]
     assert all(r[3] == "True" for r in rows[1:])
+
+
+def test_means_selftest_pins_hat_radius_origin(tmp_path):
+    # r(0) = 1 and the largest r on |w| = 1 is 1/2, so hat r(0) = 1.5 exactly
+    out = tmp_path / "run"
+    assert main(["means-selftest", "--out", str(out)]) == 0
+    rows = {r[0]: r for r in _read_csv(out / "means_selftest.csv")[1:]}
+    assert float(rows["hat-radius-origin"][1]) == 0.0
+    assert rows["hat-radius-origin"][3] == "True"

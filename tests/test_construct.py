@@ -19,7 +19,12 @@ from zerocert import (
     weierstrass_log_abs,
     winding_number,
 )
-from zerocert.construct import _log_E_complex
+from zerocert.construct import (
+    _FAR_TERMS,
+    ProductRepresentation,
+    _log_E_complex,
+    _sum_log_E,
+)
 
 import oracles
 
@@ -139,6 +144,97 @@ def test_winding_numbers():
     assert winding_number(prod, 1.5 + 0j, 1.2) == 3
 
 
+def _sum_log_E_direct(z, points, mults, p):
+    # the all-pairs reference: every factor through _log_E_complex
+    u = np.asarray(z, dtype=complex)[:, None] / np.asarray(points)[None, :]
+    terms = _log_E_complex(u, p) * np.asarray(mults, dtype=float)[None, :]
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _check_sum_log_E(z, points, mults, p):
+    got = _sum_log_E(z, points, mults, p)
+    want, scale = _sum_log_E_direct(z, points, mults, p)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + scale))
+    prod = ProductRepresentation(
+        genus=p, points=points, mults=np.asarray(mults, dtype=float),
+        origin_mult=0, cutoff_radius=1e300, tail_sum_bound=0.0)
+    phase = prod.log_value(z).imag
+    assert np.all(np.abs(phase - want.imag) <= 1e-13 * (1.0 + scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    n_near=st.integers(0, 6),
+    n_far=st.integers(0, 300),
+)
+def test_sum_log_E_far_field_matches_direct(p, seed, n_near, n_far):
+    rng = np.random.default_rng(seed)
+    z = 2.0 * np.sqrt(rng.uniform(0, 1, 25)) * np.exp(2j * np.pi * rng.uniform(0, 1, 25))
+    R = 2.0 * np.abs(z).max()
+    radii = np.concatenate((rng.uniform(0.05, R, n_near),
+                            R * np.exp(rng.exponential(2.0, n_far))))
+    pts = radii * np.exp(2j * np.pi * rng.uniform(0, 1, radii.size))
+    mults = rng.integers(1, 4, pts.size)
+    _check_sum_log_E(z, pts, mults, p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_sum_log_E_edge_cases(p):
+    z = np.array([0j, 0.3 - 0.4j, -1.5 + 0.5j, 2.0j])
+    R = 2.0 * np.abs(z).max()
+    ring = np.exp(1j * np.array([0.1, 1.7, 3.0, 4.4]))
+    # zeros just inside and just outside the split radius 2 max|z|
+    edge = np.concatenate((R * (1 - 1e-12) * ring[:2], R * (1 + 1e-12) * ring[2:]))
+    far = 10.0 * R * np.exp(1j * np.arange(1.0, 40.0))
+    _check_sum_log_E(z, np.concatenate((edge, far)), np.arange(1, 44) % 3 + 1, p)
+    # no zero inside the split radius
+    _check_sum_log_E(z, far, np.ones(far.size), p)
+    # a grid at the origin only: every factor is exactly 1
+    assert np.all(_sum_log_E(np.zeros(3, dtype=complex), far, np.ones(far.size), p) == 0)
+
+
+def test_winding_numbers_through_far_field():
+    # many zeros far outside the circles add no winding
+    far = 50.0 * np.exp(1j * np.linspace(0.0, 6.0, 200))
+    Z = ZeroDistribution.from_points(np.concatenate(([1.0 + 0j, 2.0 + 0j], far)),
+                                     np.concatenate(([1, 2], np.ones(200, int))))
+    prod = build_product(Z, 1, K=1000)
+    assert winding_number(prod, 1.0 + 0j, 0.3) == 1
+    assert winding_number(prod, 1.5 + 0j, 1.2) == 3
+    assert winding_number(prod, -1.0 + 0j, 0.5) == 0
+
+
+def test_guard_mask_near_zeros_only_matches_full():
+    rng = np.random.default_rng(3)
+    pts = np.concatenate((np.pi * np.arange(1, 400), -np.pi * np.arange(1, 400),
+                          30.0 * rng.standard_normal(200) + 30j * rng.standard_normal(200)))
+    prod = ProductRepresentation(
+        genus=2, points=pts, mults=np.ones(pts.size), origin_mult=1,
+        cutoff_radius=1e300, tail_sum_bound=0.0, guard=1e-6)
+    z = np.concatenate((rng.uniform(-20, 20, 300) + 1j * rng.uniform(-5, 5, 300),
+                        pts[[0, 5, 398, 400]] + 5e-7, [0j, 3e-7j, 1e-5 + 0j]))
+    full = np.abs(z[:, None] - pts[None, :]).min(axis=1) <= prod.guard
+    full |= np.abs(z) <= prod.guard
+    assert np.array_equal(prod._guard_mask(z), full)
+    assert full.sum() == 6
+
+
+def test_budget_adds_far_series_truncation():
+    # a finite zero set discards nothing: the budget is the series term alone
+    Z = ZeroDistribution.from_points([1.0 + 0j, -2.0 + 0j, 3.0j], [2, 1, 1])
+    prod = build_product(Z, 1, K=10)
+    z = np.array([0.5 + 0.5j, 1.2 - 0.4j, 0j])
+    assert np.all(prod.tail_budget(z) == 0.0)
+    power_sum = 2.0 / 1.0 + 1.0 / 4.0 + 1.0 / 9.0
+    want = 2.0 ** (1 - _FAR_TERMS) / (_FAR_TERMS + 2) * np.abs(z) ** 2 * power_sum
+    assert np.allclose(prod.budget(z), want, rtol=1e-14, atol=0.0)
+    # on the sine product the series term sits below the last bit of the tail
+    prod = build_product(ZeroDistribution.real_multiples(step=np.pi), 1, K=20000)
+    assert np.array_equal(prod.budget(z), prod.tail_budget(z))
+
+
 def test_not_summable_for_undersized_genus():
     Z = ZeroDistribution.gaussian_integers()
     with pytest.raises(NotSummable):
@@ -187,6 +283,23 @@ def test_sufficiency_refuses_on_violated_margin():
     assert not rep.certified
     assert rep.reason == "margin-violated"
     assert rep.margin_verdict == "violated"
+
+
+def test_sufficiency_certificate_is_strict():
+    # 1000 points where |z| / 4 dominates ln|sin z / z|, and one where it
+    # does not: a single point in excess refuses the certificate
+    Z = ZeroDistribution.real_multiples(step=np.pi)
+    M = DSubharmonicMajorant(up=make_radial_power(0.25, 1.0))
+    rng = np.random.default_rng(2)
+    pts = np.concatenate((rng.uniform(-3.0, 3.0, 1000) + 0.01j, [5.0j]))
+    rep = verify_sufficiency(
+        Z, M, PlanePowerProfile(1.0), pts, K=2000, balance=False
+    )
+    assert rep.checked == 1001
+    assert rep.violations == 1
+    assert not rep.certified
+    assert rep.reason == "excess-at-grid"
+    assert [r["z"] for r in rep.rows if not r["ok"]] == [5.0j]
 
 
 def test_sufficiency_fails_for_undersized_majorant():

@@ -19,6 +19,7 @@ from zerocert import (
     make_zero_model,
     model_sum,
 )
+from zerocert.majorants import ellipe
 
 import oracles
 
@@ -62,6 +63,40 @@ def test_radial_power_exact_means_match_quadrature():
             exact = float(m.exact_circle_mean(z, t))
             quad, _ = circle_mean(m, z, t, tol=1e-11)
             assert abs(exact - quad) <= 1e-9 * (1.0 + abs(exact))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(st.floats(0.0, 1.0),
+                   st.floats(-40.0, 0.0).map(lambda e: 1.0 - 10.0 ** e)))
+def test_ellipe_matches_scipy(m):
+    from scipy.special import ellipe as ellipe_ref
+
+    got = float(ellipe(np.array([m]))[0])
+    assert abs(got - ellipe_ref(m)) <= 1e-15 * ellipe_ref(m)
+
+
+def test_ellipe_endpoints_and_branch_switch():
+    from scipy.special import ellipe as ellipe_ref
+
+    m = np.array([0.0, 0.5, 0.99, 1.0 - 1e-12, 1.0, np.nextafter(0.99, 1.0)])
+    assert ellipe(np.array([0.0]))[0] == np.pi / 2
+    assert ellipe(np.array([1.0]))[0] == 1.0
+    assert np.allclose(ellipe(m), ellipe_ref(m), rtol=1e-15, atol=0.0)
+    # vectorised calls agree with one-at-a-time calls across both branches
+    assert np.array_equal(ellipe(m), [ellipe(np.array([x]))[0] for x in m])
+
+
+def test_radial_power_exact_mean_on_circle_through_origin():
+    # t within rounding of |z| can put 4|z|t/(|z|+t)^2 an ulp above 1
+    # (each of these does); the mean of |w| there is close to 4|z|/pi
+    m = make_radial_power(1.0, 1.0)
+    a = 1.7
+    for t in (1.700000000401935, 1.699999987901427, 1.7000000152540813):
+        tot = a + t
+        assert 4.0 * a * t / tot ** 2 > 1.0
+        exact = float(m.exact_circle_mean(np.array([a + 0j]), t)[0])
+        assert np.isfinite(exact)
+        assert abs(exact - 4.0 * a / np.pi) <= 1e-7
 
 
 def test_log_abs_poly_from_roots():

@@ -142,6 +142,51 @@ def test_hat_dominates_pointwise_samples(power, x, y):
     assert hat.certified_upper >= hat.value
 
 
+def _hat_agrees_with_bnb(prof, z):
+    hat = hat_radius(prof, z)
+    best, upper = oracles.hat_radius_bnb(prof, z)
+    # the oracle brackets the supremum between its best sample and its bound
+    assert best - 1e-14 <= hat.value <= upper + 1e-14
+    assert abs(hat.value - best) <= 1e-12 * (1.0 + best)
+    # the padding covers every rounded sample, and stays a few ulps wide
+    assert best <= hat.certified_upper <= hat.value + 1e-12
+    return hat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    power=st.floats(0.0, 3.0),
+    rad=st.floats(0.0, 6.0),
+    ang=st.floats(0.0, 2 * np.pi),
+)
+def test_plane_hat_matches_bnb_oracle(power, rad, ang):
+    _hat_agrees_with_bnb(PlanePowerProfile(power), rad * np.exp(1j * ang))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fraction=st.floats(0.05, 0.4),
+    share=st.floats(0.0, 0.95),
+    ang=st.floats(0.0, 2 * np.pi),
+)
+def test_disk_hat_matches_bnb_oracle(fraction, share, ang):
+    prof = DiskFractionProfile(fraction, 0.5 - 1j, 3.0)
+    _hat_agrees_with_bnb(prof, prof.center + share * prof.R * np.exp(1j * ang))
+
+
+def test_hat_closed_form_when_circle_encloses_anchor():
+    # r(0.1) = 1/1.1 > 0.1: the circle about 0.1 winds around the origin,
+    # and the nearest point to it lies at distance r0 - 0.1
+    prof = PlanePowerProfile(1.0)
+    hat = _hat_agrees_with_bnb(prof, 0.1 + 0j)
+    r0 = 1.0 / 1.1
+    assert abs(hat.value - (r0 + 1.0 / (1.0 + r0 - 0.1))) <= 1e-15
+    # r = 0.3 (3 - 0.2) = 0.84 > 0.2: the circle winds around the centre
+    dprof = DiskFractionProfile(0.3, 1.0 + 1j, 3.0)
+    hat = _hat_agrees_with_bnb(dprof, 1.2 + 1j)
+    assert abs(hat.value - (0.84 + 0.3 * (3.0 - (0.84 - 0.2)))) <= 1e-15
+
+
 def test_disk_profile_hat_small_fraction():
     prof = DiskFractionProfile(0.3, 0j, 4.0)
     hat = hat_radius(prof, 1.0 + 0j)

@@ -45,6 +45,22 @@ def test_counting_gaussian_disk_matches_loop():
     assert counting_measure(Z, Region.disk(0.0, 10.0)) == want
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.3, 2.7, 1.0 / 3.0])
+def test_gaussian_rows_match_meshgrid(scale):
+    # the row-by-row enumeration returns the square meshgrid's points, in order
+    backend = ZeroDistribution.gaussian_integers(scale=scale)._backend
+    for radius in (0.0, 0.5, scale, 5.0, 17.3, 60.0):
+        got, mults = backend.enumerate_up_to(radius)
+        n = int(np.floor(radius / scale)) + 1
+        g = np.arange(-n, n + 1, dtype=float)
+        re, im = np.meshgrid(g, g, indexing="ij")
+        want = (re + 1j * im).ravel() * scale
+        want = want[(np.abs(want) <= radius) & (want != 0)]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(mults, np.ones(want.size, dtype=int))
+
+
 def test_counting_offcenter_disk_of_lattice():
     Z = ZeroDistribution.real_multiples(step=np.pi)
     want = oracles.count_real_multiples(np.pi, 7.0, 2.5)
