@@ -23,10 +23,9 @@ from .jensen import (AnnulusPart, CirclePart, GreenFunction, JensenMeasure,
                      poisson_jensen_check, potential_to_measure,
                      uniform_circle)
 from .testfam import (MembershipReport, PulledBackTest, SmoothCappedLogFamily,
-                      TestPotential, TruncatedLogFamily,
-                      annulus_harmonic_disk_test, compactify_disk_test,
-                      inversion_pullback, membership_report,
-                      smooth_capped_log, truncated_log_plane)
+                      TestPotential, TruncatedLogFamily, inversion_pullback,
+                      membership_report, smooth_capped_log,
+                      truncated_log_plane)
 from .criterion import (Lemma1Constants, M0Report, MarginCurve, MarginSample,
                         check_m0, lemma1_constants, m0_dyadic_grid,
                         margin_sweep)
@@ -50,17 +49,15 @@ __all__ = [
     "SCHEMA", "Scenario", "SchemaError", "SmoothCappedLogFamily",
     "SubharmonicModel", "SufficiencyReport", "TestPotential",
     "ToleranceFailure", "TruncatedLogFamily", "ZeroDistribution",
-    "annulus_harmonic_disk_test", "build_product", "charge_on_region",
-    "check_m0", "check_mean_chain", "circle_mean", "compactify_disk_test",
-    "counting_measure", "default_kernel", "disk_mean", "eval_M", "genus",
-    "green_disk",
-    "hat_radius", "integrate", "inversion_pullback", "lemma1_constants",
-    "build_sufficiency_grid", "load_scenario", "log_potential", "m0_dyadic_grid", "make_custom_radial",
-    "make_harmonic", "make_log_abs_poly", "make_log_poly_growth",
-    "make_radial_power", "make_zero_model", "margin_sweep", "mean_on_circle",
-    "membership_report", "model_sum", "mollified_mean", "nevanlinna_N",
-    "poisson_jensen_check", "potential_to_measure", "remainder_R",
-    "smooth_capped_log", "truncated_log_plane", "uniform_circle",
-    "validate_scenario", "verify_sufficiency", "weierstrass_log_abs",
-    "winding_number",
+    "build_product", "build_sufficiency_grid", "charge_on_region", "check_m0",
+    "check_mean_chain", "circle_mean", "counting_measure", "default_kernel",
+    "disk_mean", "eval_M", "genus", "green_disk", "hat_radius", "integrate",
+    "inversion_pullback", "lemma1_constants", "load_scenario", "log_potential",
+    "m0_dyadic_grid", "make_custom_radial", "make_harmonic",
+    "make_log_abs_poly", "make_log_poly_growth", "make_radial_power",
+    "make_zero_model", "margin_sweep", "mean_on_circle", "membership_report",
+    "model_sum", "mollified_mean", "nevanlinna_N", "poisson_jensen_check",
+    "potential_to_measure", "remainder_R", "smooth_capped_log",
+    "truncated_log_plane", "uniform_circle", "validate_scenario",
+    "verify_sufficiency", "weierstrass_log_abs", "winding_number",
 ]

@@ -204,13 +204,12 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
 
 
 def _lemma1_stage(sc, args, outdir):
-    if sc is not None and sc.lemma1 is not None:
+    if sc.lemma1 is not None:
         blk = sc.lemma1
     else:
         blk = {"d_tilde": Region.disk(0j, 1.0), "s": Region.disk(0j, 0.5),
                "z0": 0j, "b": 1.0}
-    tol = args.tol if args.tol is not None else (
-        sc.tol("default") if sc is not None else 1e-9)
+    tol = args.tol if args.tol is not None else sc.tol("default")
     consts = lemma1_constants(blk["d_tilde"], blk["s"], blk["z0"], blk["b"],
                               sc.majorant, tol=tol)
     rows = [("c_test", consts.c_test, 0.0),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GenusOverflow, NotSummable
-from .means import hat_radius
+from .means import circle_mean, hat_radius
 from .measures import _ExplicitBackend, _GaussianBackend, _RealMultiplesBackend
 
 _SERIES_TERMS = 60
@@ -292,23 +292,17 @@ def winding_number(product, center, radius, *, samples=4096):
 # the sufficiency bound
 
 
-def remainder_R(profile, z, domain_kind=None, a=None):
-    """Domain-dependent additive remainder of the envelope bound."""
+def remainder_R(profile, z):
+    """Domain-dependent additive remainder of the envelope bound:
+    0 on the plane, -ln r(z) on a disk."""
     z = np.asarray(z, dtype=complex)
-    kind = domain_kind or profile.domain_kind
-    if kind == "plane":
+    if profile.domain_kind == "plane":
         return np.zeros(z.shape, dtype=float)
-    if kind in ("disk", "simply-connected"):
+    if profile.domain_kind == "disk":
         r = np.asarray(profile.radius(z), dtype=float)
         with np.errstate(divide="ignore"):
             return -np.log(r)
-    if kind == "general":
-        if a is None:
-            raise DomainError("general domains need the excess exponent a")
-        r = np.asarray(profile.radius(z), dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(r) + (1.0 + float(a)) * np.log1p(np.abs(z))
-    raise DomainError("unknown domain kind %r" % kind)
+    raise DomainError("unknown domain kind %r" % profile.domain_kind)
 
 
 @dataclass(frozen=True)
@@ -370,21 +364,12 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
 
     log_abs = product.log_abs(grid)
     tails = product.budget(grid)
-    bounds = np.empty(grid.shape, dtype=float)
-    budgets = np.empty(grid.shape, dtype=float)
-    up, low = M.up, M.low
-    from .means import _circle_mean_fast
-    for i, z in enumerate(grid):
-        hat = hat_radius(profile, complex(z))
-        m_up, e = _circle_mean_fast(up, complex(z), hat.certified_upper,
-                                    tol / 4.0)
-        low_v = float(low(np.array([z]))[0])
-        rem = float(remainder_R(profile, np.array([z]))[0])
-        if math.isinf(low_v) and low_v < 0:
-            bounds[i] = math.inf
-        else:
-            bounds[i] = m_up - low_v + rem
-        budgets[i] = e
+    hats = np.array([hat_radius(profile, complex(z)).certified_upper
+                     for z in grid])
+    m_up, budgets = circle_mean(M.up, grid, hats, tol=tol / 4.0)
+    low = np.asarray(M.low(grid), dtype=float)
+    bounds = np.where(np.isneginf(low), math.inf,
+                      m_up - low + remainder_R(profile, grid))
 
     def excesses(shift):
         return (log_abs + shift) + tails - bounds - budgets - tol

@@ -105,24 +105,25 @@ class JensenMeasure:
         if self.pole_mass > 0:
             u0 = float(np.asarray(u(np.array([self.pole])), dtype=float)[0])
             val += self.pole_mass * u0
+        circles = [p for p in self.parts if isinstance(p, CirclePart)]
+        means, errs = mean_on_circle(
+            u, self.pole, np.array([p.radius for p in circles]), tol=tol,
+            singular_points=sing)
+        circle_means = iter(zip(means, errs))
         for p in self.parts:
             if isinstance(p, CirclePart):
-                m, e = mean_on_circle(u, self.pole, p.radius, tol=tol,
-                                      singular_points=sing)
-                val += p.weight * m
-                err += p.weight * e
+                m, e = next(circle_means)
+                val += p.weight * float(m)
+                err += p.weight * float(e)
             else:
                 dens = p.density_fn()
                 inner_err = [0.0]
 
                 def f(svec, _d=dens):
-                    out = np.empty(svec.shape, dtype=float)
-                    for i, s in enumerate(svec):
-                        m, e = mean_on_circle(u, self.pole, s, tol=tol / 2,
-                                              singular_points=sing)
-                        inner_err[0] = max(inner_err[0], e)
-                        out[i] = m
-                    return out * np.asarray(_d(svec), dtype=float)
+                    m, e = mean_on_circle(u, self.pole, svec, tol=tol / 2,
+                                          singular_points=sing)
+                    inner_err[0] = max(inner_err[0], float(e.max()))
+                    return m * np.asarray(_d(svec), dtype=float)
 
                 v, e = integrate(f, p.inner, p.outer, tol=tol / 2)
                 val += p.weight * v

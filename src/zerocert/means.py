@@ -130,23 +130,28 @@ def _singular_points_of(u):
     return tuple(getattr(u, "singular_points", ()))
 
 
-def _circle_mean_fast(u, z, t, tol):
-    exact = getattr(u, "exact_circle_mean", None)
-    if exact is not None:
-        return float(np.asarray(exact(np.array([z]), float(t)),
-                                dtype=float)[0]), 0.0
-    return mean_on_circle(u, z, t, tol=tol,
-                          singular_points=_singular_points_of(u))
-
-
 def circle_mean(u, z, t, *, tol=1e-9):
-    """Mean of u over the circle |w - z| = t, by quadrature.
+    """Mean of u over the circles |w - z| = t; z and t broadcast.
 
-    Always integrates, even when u carries a closed-form mean; the closed
-    form stays an independent route that tests compare against.
+    Uses u's closed-form mean when it has one (with a zero error
+    estimate), and quadrature with u's singular points otherwise.
+    Returns (means, errors), or a float pair for scalar inputs.
     """
-    return mean_on_circle(u, z, t, tol=tol,
-                          singular_points=_singular_points_of(u))
+    exact = getattr(u, "exact_circle_mean", None)
+    if exact is None:
+        return mean_on_circle(u, z, t, tol=tol,
+                              singular_points=_singular_points_of(u))
+    z = np.asarray(z, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    # a 0-d z would make |z| a numpy scalar, whose powers round apart
+    # from the array loops in the last bit
+    m = np.asarray(exact(z.reshape(z.shape or 1), t), dtype=float)
+    if not (z.ndim or t.ndim):
+        return float(m[0]), 0.0
+    if m.shape != t.shape or z.ndim > t.ndim:
+        # a closed form that ignores t (harmonic u) has the shape of z
+        m = np.broadcast_to(m, np.broadcast_shapes(z.shape, t.shape))
+    return m, np.zeros(m.shape)
 
 
 def disk_mean(u, z, t, *, tol=1e-9):
@@ -156,16 +161,12 @@ def disk_mean(u, z, t, *, tol=1e-9):
     if t <= 0:
         raise PreconditionViolation("disk mean needs t > 0")
     sing = [abs(p - z) for p in _singular_points_of(u) if abs(p - z) < t]
-    inner_tol = tol / 2.0
     inner_err = [0.0]
 
     def f(svec):
-        out = np.empty(svec.shape, dtype=float)
-        for i, s in enumerate(svec):
-            m, e = _circle_mean_fast(u, z, s, inner_tol)
-            inner_err[0] = max(inner_err[0], e)
-            out[i] = m
-        return out * svec
+        m, e = circle_mean(u, z, svec, tol=tol / 2.0)
+        inner_err[0] = max(inner_err[0], float(e.max()))
+        return m * svec
 
     val, e = integrate(f, 0.0, t, tol=(tol / 2.0) * t * t / 2.0,
                        singularities=sing)
@@ -200,16 +201,12 @@ def mollified_mean(u, z, t, kernel=None, *, tol=1e-9):
     else:
         _validate_kernel(kernel)
     sing = [abs(p - z) / t for p in _singular_points_of(u) if abs(p - z) < t]
-    inner_tol = tol / 2.0
     inner_err = [0.0]
 
     def f(svec):
-        out = np.empty(svec.shape, dtype=float)
-        for i, s in enumerate(svec):
-            m, e = _circle_mean_fast(u, z, t * s, inner_tol)
-            inner_err[0] = max(inner_err[0], e)
-            out[i] = m
-        return out * TWO_PI * svec * np.asarray(kernel(svec), dtype=float)
+        m, e = circle_mean(u, z, t * svec, tol=tol / 2.0)
+        inner_err[0] = max(inner_err[0], float(e.max()))
+        return m * TWO_PI * svec * np.asarray(kernel(svec), dtype=float)
 
     val, e = integrate(f, 0.0, 1.0, tol=tol / 2.0, singularities=sing)
     return val, e + inner_err[0]
@@ -239,7 +236,6 @@ def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8,
     """
     rows = []
     worst = 0.0
-    exact = getattr(u, "exact_circle_mean", None)
     for z in np.asarray(points, dtype=complex).ravel():
         z = complex(z)
         r0 = float(profile.radius(z))
@@ -247,7 +243,7 @@ def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8,
         u0 = float(np.asarray(u(np.array([z])), dtype=float)[0]) \
             if callable(u) else float(u)
         disk_r, e1 = disk_mean(u, z, r0, tol=tol)
-        circ_r, e2 = _circle_mean_fast(u, z, r0, tol)
+        circ_r, e2 = circle_mean(u, z, r0, tol=tol)
         disk_big, e3 = disk_mean(u, z, SQRT_E * r0, tol=tol)
         budget = e1 + e2 + e3
         scale = 1.0 + max(abs(disk_r), abs(circ_r), abs(disk_big))
@@ -260,24 +256,11 @@ def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8,
                "disk_sqrt_e_r": disk_big, "hat_r_upper": hat.certified_upper,
                "budget": budget}
         if composite:
-            if exact is not None:
-                def g(w):
-                    return np.asarray(
-                        exact(np.asarray(w, dtype=complex),
-                              np.asarray(profile.radius(w), dtype=float)),
-                        dtype=float)
-            else:
-                def g(w):
-                    w = np.asarray(w, dtype=complex).ravel()
-                    out = np.empty(w.shape, dtype=float)
-                    for i, wi in enumerate(w):
-                        out[i], _ = mean_on_circle(
-                            u, complex(wi), float(profile.radius(wi)),
-                            tol=1e-7,
-                            singular_points=_singular_points_of(u))
-                    return out
+            def g(w):
+                return circle_mean(u, w, profile.radius(w), tol=1e-7)[0]
+
             comp, e4 = disk_mean(g, z, r0, tol=max(tol, 1e-8))
-            circ_hat, e5 = _circle_mean_fast(u, z, hat.certified_upper, tol)
+            circ_hat, e5 = circle_mean(u, z, hat.certified_upper, tol=tol)
             gaps.append(comp - circ_hat)
             row["composite"] = comp
             row["circle_hat"] = circ_hat

@@ -639,14 +639,15 @@ class RieszCharge:
                 if not np.all(np.isfinite(fv)):
                     raise NotSummable("integrand unbounded at an atom")
                 val += float(np.sum(self.atom_masses[keep] * fv))
-        for ring in self.rings:
-            if not _ring_selected(ring, include, exclude_interior):
-                continue
-            m, e = mean_on_circle(f, ring.center, ring.radius, tol=tol,
-                                  singular_points=f_singular_points,
-                                  kink_circles=f_kink_circles)
-            val += ring.mass * m
-            err += abs(ring.mass) * e
+        rings = [r for r in self.rings
+                 if _ring_selected(r, include, exclude_interior)]
+        means, errs = mean_on_circle(
+            f, np.array([r.center for r in rings], dtype=complex),
+            np.array([r.radius for r in rings], dtype=float), tol=tol,
+            singular_points=f_singular_points, kink_circles=f_kink_circles)
+        for ring, m, e in zip(rings, means, errs):
+            val += ring.mass * float(m)
+            err += abs(ring.mass) * float(e)
         for dens in self.radial:
             lo, hi = dens.support
             if include is not None:
@@ -669,14 +670,11 @@ class RieszCharge:
             inner_err = [0.0]
 
             def fmean(svec, _d=dens):
-                out = np.empty(svec.shape, dtype=float)
-                for i, s in enumerate(svec):
-                    m, e = mean_on_circle(f, _d.center, s, tol=inner_tol,
-                                          singular_points=f_singular_points,
-                                          kink_circles=f_kink_circles)
-                    inner_err[0] = max(inner_err[0], e)
-                    out[i] = m
-                return out * svec * np.asarray(_d.profile(svec), dtype=float)
+                m, e = mean_on_circle(f, _d.center, svec, tol=inner_tol,
+                                      singular_points=f_singular_points,
+                                      kink_circles=f_kink_circles)
+                inner_err[0] = max(inner_err[0], float(e.max()))
+                return m * svec * np.asarray(_d.profile(svec), dtype=float)
 
             # radii where charge circles graze a singular point or a kink
             # circle of f are breakpoints of the radial integrand
@@ -717,11 +715,8 @@ def _ring_selected(ring, include, exclude_interior):
         dmax = dc + ring.radius
         if dmax < exclude_interior.outer and dmin > exclude_interior.inner:
             return False  # ring inside the excluded interior
-        if dmin < exclude_interior.outer and not (
-                dmin >= exclude_interior.outer or dmax <= exclude_interior.inner):
-            # grazing the excluded set: inner circles of the annulus case
-            if not (dmin >= exclude_interior.outer):
-                raise EngineError("ring crosses the exclusion boundary")
+        if dmin < exclude_interior.outer and dmax > exclude_interior.inner:
+            raise EngineError("ring crosses the exclusion boundary")
     return True
 
 

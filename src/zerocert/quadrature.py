@@ -67,8 +67,7 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         pts = np.concatenate((mid + half * x_lo, mid + half * x_hi))
-        with np.errstate(all="ignore"):
-            y = np.asarray(f(pts), dtype=float)
+        y = np.asarray(f(pts), dtype=float)
         if y.shape != pts.shape:
             raise ValueError("integrand must return an array matching its input")
         finite = np.isfinite(y)
@@ -118,19 +117,22 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
             heapq.heappush(heap, (-err, seq, plo, phi, val, err))
             seq += 1
 
-    for i in range(len(edges) - 1):
-        push(edges[i], edges[i + 1])
+    # one errstate for the whole run, not one per panel: non-finite
+    # integrand values are caught panel by panel in estimates()
+    with np.errstate(all="ignore"):
+        for i in range(len(edges) - 1):
+            push(edges[i], edges[i + 1])
 
-    while err_sum > tol and heap and panels < max_panels:
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        if hi - lo <= min_width:
-            # cannot refine further; its error stays in the running total
-            continue
-        total -= val
-        err_sum -= err
-        mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+        while err_sum > tol and heap and panels < max_panels:
+            _, _, lo, hi, val, err = heapq.heappop(heap)
+            if hi - lo <= min_width:
+                # cannot refine further; its error stays in the running total
+                continue
+            total -= val
+            err_sum -= err
+            mid = 0.5 * (lo + hi)
+            push(lo, mid)
+            push(mid, hi)
 
     if err_sum > tol:
         raise ToleranceFailure(
@@ -139,26 +141,8 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
     return total, err_sum
 
 
-def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
-                   kink_circles=(), order=16, max_panels=4096):
-    """Average of f over the circle |w - center| = radius.
-
-    Returns (mean, error_estimate).  Angles of singular points lying on or
-    near the circle are isolated within a 1e-3 arc so panels stay clear of
-    them.  ``kink_circles`` lists (center, radius) pairs of circles across
-    which f loses smoothness; crossing angles become panel edges, since a
-    grazing intersection leaves a feature narrow enough to hide between
-    the nodes of both Gauss rules.  radius == 0 degenerates to a point
-    evaluation.
-    """
-    center = complex(center)
-    radius = float(radius)
-    if radius < 0:
-        raise ValueError("circle radius must be nonnegative")
-    if radius == 0.0:
-        with np.errstate(all="ignore"):
-            v = float(np.asarray(f(np.array([center])), dtype=float)[0])
-        return v, 0.0
+def _edge_angles(center, radius, singular_points, kink_circles):
+    """Panel-edge angles on the circle |w - center| = radius."""
     angles = []
     for s in singular_points:
         w = complex(s) - center
@@ -180,9 +164,87 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
         elif abs(x) <= 1.1:
             # grazing from outside: pin the nearest-approach angle anyway
             angles.append(beta % TWO_PI)
-    def g(theta):
-        return f(center + radius * np.exp(1j * theta))
-    val, err = integrate(g, 0.0, TWO_PI, tol=tol * TWO_PI,
-                         singularities=angles, isolation=1e-3,
-                         order=order, max_panels=max_panels)
-    return val / TWO_PI, err / TWO_PI
+    return angles
+
+
+def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
+                   kink_circles=(), order=16, max_panels=4096):
+    """Average of f over the circles |w - center| = radius.
+
+    ``center`` and ``radius`` broadcast against each other; returns
+    (means, error_estimates) of that shape, or a float pair for scalar
+    inputs.  Angles of singular points lying on or near a circle are
+    isolated within a 1e-3 arc so panels stay clear of them.
+    ``kink_circles`` lists (center, radius) pairs of circles across which
+    f loses smoothness; crossing angles become panel edges, since a
+    grazing intersection leaves a feature narrow enough to hide between
+    the nodes of both Gauss rules.  radius == 0 degenerates to a point
+    evaluation.
+
+    Circles with no edge angle share one call of f on the nodes of the
+    whole-circle Gauss pair, which is the first panel ``integrate`` would
+    try; a circle whose values there are finite and within tolerance is
+    done, bit for bit as ``integrate`` would finish it.  Every other
+    circle goes through ``integrate`` on its own.
+    """
+    cs, rs = np.broadcast_arrays(np.asarray(center, dtype=complex),
+                                 np.asarray(radius, dtype=float))
+    shape = cs.shape
+    cs = cs.ravel()
+    rs = rs.ravel()
+    if (rs < 0).any():
+        raise ValueError("circle radius must be nonnegative")
+    singular_points = tuple(singular_points)
+    kink_circles = tuple(kink_circles)
+    means = np.empty(rs.shape, dtype=float)
+    errs = np.zeros(rs.shape, dtype=float)
+    angles = {}
+    if singular_points or kink_circles:
+        for i in np.flatnonzero(rs > 0):
+            found = _edge_angles(complex(cs[i]), float(rs[i]),
+                                 singular_points, kink_circles)
+            if found:
+                angles[i] = found
+    done = np.zeros(rs.shape, dtype=bool)
+    batch = [i for i in np.flatnonzero(rs > 0) if i not in angles]
+    if batch:
+        x_lo, w_lo = _nodes(order)
+        x_hi, w_hi = _nodes(2 * order)
+        # integrate's first panel on [0, 2 pi]: midpoint and half-width pi
+        half = 0.5 * TWO_PI
+        theta = np.concatenate((half + half * x_lo, half + half * x_hi))
+        pts = cs[batch, None] + rs[batch, None] * np.exp(1j * theta)
+        y = np.asarray(f(pts), dtype=float)
+        if y.shape != pts.shape:
+            raise ValueError("integrand must return an array matching its input")
+        finite = np.isfinite(y).all(axis=1)
+        for i, yi, ok in zip(batch, y, finite):
+            if not ok:
+                continue
+            v_lo = half * float(w_lo @ yi[:order])
+            v_hi = half * float(w_hi @ yi[order:])
+            err = abs(v_hi - v_lo)
+            if err <= tol * TWO_PI:
+                # integrate starts its running sum at 0.0
+                means[i] = (0.0 + v_hi) / TWO_PI
+                errs[i] = err / TWO_PI
+                done[i] = True
+    for i in np.flatnonzero(~done):
+        c = complex(cs[i])
+        r = float(rs[i])
+        if r == 0.0:
+            with np.errstate(all="ignore"):
+                means[i] = float(np.asarray(f(np.array([c])), dtype=float)[0])
+            continue
+
+        def g(theta, c=c, r=r):
+            return f(c + r * np.exp(1j * theta))
+
+        val, err = integrate(g, 0.0, TWO_PI, tol=tol * TWO_PI,
+                             singularities=angles.get(i, ()), isolation=1e-3,
+                             order=order, max_panels=max_panels)
+        means[i] = val / TWO_PI
+        errs[i] = err / TWO_PI
+    if not shape:
+        return float(means[0]), float(errs[0])
+    return means.reshape(shape), errs.reshape(shape)

@@ -251,13 +251,9 @@ def test_remainder_values():
     from zerocert import DiskFractionProfile
 
     dprof = DiskFractionProfile(0.2, 0j, 2.0)
-    z = 1.0 + 0j
-    # simply connected: -ln r(z)
-    got = remainder_R(dprof, z, domain_kind="simply-connected")
+    # disk: -ln r(z), with r(1) = 0.2 * (2 - 1)
+    got = remainder_R(dprof, 1.0 + 0j)
     assert abs(got + np.log(0.2 * 1.0)) <= 1e-12
-    got = remainder_R(dprof, z, domain_kind="general", a=0.5)
-    want = -np.log(0.2) + 1.5 * np.log(2.0)
-    assert abs(got - want) <= 1e-12
 
 
 def test_sufficiency_certifies_sine_zeros():

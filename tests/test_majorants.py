@@ -9,7 +9,6 @@ from zerocert import (
     InvalidModel,
     Region,
     charge_on_region,
-    circle_mean,
     eval_M,
     make_custom_radial,
     make_harmonic,
@@ -17,6 +16,7 @@ from zerocert import (
     make_log_poly_growth,
     make_radial_power,
     make_zero_model,
+    mean_on_circle,
     model_sum,
 )
 from zerocert.majorants import ellipe
@@ -61,7 +61,8 @@ def test_radial_power_exact_means_match_quadrature():
         assert m.exact_circle_mean is not None
         for z, t in ((0j, 1.0), (1.5 + 0.5j, 0.7), (3.0 + 0j, 2.0)):
             exact = float(m.exact_circle_mean(z, t))
-            quad, _ = circle_mean(m, z, t, tol=1e-11)
+            quad, _ = mean_on_circle(m, z, t, tol=1e-11,
+                                     singular_points=m.singular_points)
             assert abs(exact - quad) <= 1e-9 * (1.0 + abs(exact))
 
 
@@ -84,6 +85,9 @@ def test_ellipe_endpoints_and_branch_switch():
     assert np.allclose(ellipe(m), ellipe_ref(m), rtol=1e-15, atol=0.0)
     # vectorised calls agree with one-at-a-time calls across both branches
     assert np.array_equal(ellipe(m), [ellipe(np.array([x]))[0] for x in m])
+    # a NaN in the batch leaves the near-one series on for the others
+    got = ellipe(np.append(m, np.nan))
+    assert np.isnan(got[-1]) and np.array_equal(got[:-1], ellipe(m))
 
 
 def test_radial_power_exact_mean_on_circle_through_origin():
@@ -119,7 +123,8 @@ def test_log_abs_poly_exact_mean_is_quadrature_mean():
     m = make_log_abs_poly(roots=[1.0 + 0j], mults=[1])
     # center 0 radius 2 encloses the root: mean is ln 2
     assert abs(float(m.exact_circle_mean(0j, 2.0)) - np.log(2.0)) <= 1e-14
-    quad, _ = circle_mean(m, 0j, 2.0, tol=1e-11)
+    quad, _ = mean_on_circle(m, 0j, 2.0, tol=1e-11,
+                             singular_points=m.singular_points)
     assert abs(quad - np.log(2.0)) <= 1e-8
     # root outside: mean is ln|z - root|
     assert abs(float(m.exact_circle_mean(5.0 + 0j, 1.0)) - np.log(4.0)) <= 1e-14

@@ -90,6 +90,40 @@ def test_kernel_validation():
         mollified_mean(_usq, 0j, 1.0, kernel=lambda s: 2.0 * default_kernel(s))
 
 
+def _closed_form_models():
+    return [make_radial_power(1.0, 1.0), make_radial_power(0.5, 2.0),
+            make_log_abs_poly(roots=[0.7 - 0.4j, -1.0], mults=[1, 2]),
+            model_sum(make_harmonic(
+                lambda z: np.real(np.asarray(z, dtype=complex) ** 2)),
+                make_radial_power(1.0, 1.0)),
+            make_harmonic(lambda z: np.imag(np.asarray(z, dtype=complex)))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(zs=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                             st.floats(0.0, 4.0)), min_size=1, max_size=10))
+def test_circle_mean_arrays_match_closed_form_per_point(zs):
+    z = np.array([complex(x, y) for x, y, _ in zs])
+    t = np.array([r for _, _, r in zs])
+    for u in _closed_form_models():
+        # exact equality, NaN included (|z| at z = 0 and t ~ 1e-308)
+        want = [float(u.exact_circle_mean(np.array([zi]), ti)[0])
+                for zi, ti in zip(z, t)]
+        means, errs = circle_mean(u, z, t)
+        assert means.shape == errs.shape == z.shape
+        np.testing.assert_array_equal(means, want)
+        assert not errs.any()
+        scalar = [circle_mean(u, complex(zi), float(ti)) for zi, ti in zip(z, t)]
+        assert all(type(m) is float and e == 0.0 for m, e in scalar)
+        np.testing.assert_array_equal([m for m, _ in scalar], want)
+        # one centre, many radii: a closed form that ignores t is broadcast
+        means, errs = circle_mean(u, complex(z[0]), t)
+        assert means.shape == errs.shape == t.shape
+        np.testing.assert_array_equal(
+            means, [float(u.exact_circle_mean(np.array([z[0]]), ti)[0])
+                    for ti in t])
+
+
 @settings(max_examples=20, deadline=None)
 @given(t=st.floats(0.05, 3.0))
 def test_sqrt_e_bridge_for_log_kernel(t):

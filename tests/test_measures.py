@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zerocert import (
     UNBOUNDED,
     DomainError,
+    EngineError,
     IndeterminateCount,
     Region,
     RieszCharge,
@@ -249,3 +250,21 @@ def test_integrate_ring_against_circle_mean():
     val, err = ch.integrate(f, tol=1e-10, include=Region.disk(0.0, 3.0))
     # mean of x^2 on a radius-2 circle is 2
     assert abs(val - 1.5 * 2.0) <= 1e-8
+
+
+def test_integrate_rings_against_excluded_interior():
+    # a ring inside the excluded disk is dropped, one crossing its
+    # boundary is refused, one outside it (or around it) is kept
+    f = lambda z: np.ones(np.shape(z))
+    hole = Region.disk(0j, 1.0)
+
+    def integral(*rings):
+        ch = RieszCharge(atom_points=(), atom_masses=(), rings=rings, radial=())
+        return ch.integrate(f, tol=1e-10, exclude_interior=hole)[0]
+
+    assert integral(Ring(0.2 + 0j, 0.3, 1.0)) == 0.0
+    with pytest.raises(EngineError):
+        integral(Ring(0.8 + 0j, 0.5, 1.0))
+    assert abs(integral(Ring(3.0 + 0j, 0.5, 2.0)) - 2.0) <= 1e-12
+    assert abs(integral(Ring(0j, 2.0, 0.5), Ring(0.2 + 0j, 0.3, 1.0),
+                        Ring(3.0 + 0j, 0.5, 2.0)) - 2.5) <= 1e-12

@@ -72,3 +72,108 @@ def test_mean_on_circle_matches_riemann_oracle():
     val, err = mean_on_circle(u, 0.5 + 0.5j, 1.5)
     ref = oracles.circle_mean_riemann(u, 0.5 + 0.5j, 1.5)
     assert abs(val - ref) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# many circles in one call
+
+_SING = 0.5 + 0.25j
+_KINK = (-0.5j, 1.0)
+
+
+def _rough(z):
+    # log singularity at _SING, kink across the circle _KINK
+    return (np.log(np.abs(z - _SING))
+            + np.maximum(np.abs(z - _KINK[0]), _KINK[1]) + np.abs(z) ** 1.5)
+
+
+def _node_on_circle(c, r, k=3):
+    # the point the whole-circle Gauss pair samples at its k-th low node
+    x, _ = np.polynomial.legendre.leggauss(16)
+    return complex(c + r * np.exp(1j * (np.pi + np.pi * x[k])))
+
+
+def _special_circles():
+    cs, rs = [], []
+
+    def add(c, r):
+        cs.append(complex(c))
+        rs.append(float(r))
+
+    add(1.0 + 1.0j, 0.0)                      # a point evaluation
+    add(0.0, abs(_SING) * 1.03)               # within 5 % of the singular point
+    add(_SING + 0.2, 0.2)                     # through the singular point
+    add(0.3j, 0.8)                            # crosses the kink circle twice
+    add(-0.5j + 2.05, 1.0)                    # grazes it from outside
+    add(-0.5j + 0.02, 0.98)                   # grazes it from inside
+    add(-2.0 + 1.0j, 0.3)                     # smooth there: the batch path
+    return cs, rs
+
+
+@settings(max_examples=25, deadline=None)
+@given(circles=st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+              st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
+    max_size=12))
+def test_mean_on_circle_arrays_match_scalar_calls(circles):
+    cs, rs = _special_circles()
+    cs += [complex(x, y) for x, y, _ in circles]
+    rs += [r for _, _, r in circles]
+    kw = dict(tol=1e-10, singular_points=(_SING,), kink_circles=(_KINK,))
+    means, errs = mean_on_circle(_rough, np.array(cs), np.array(rs), **kw)
+    assert means.shape == errs.shape == (len(cs),)
+    for i, (c, r) in enumerate(zip(cs, rs)):
+        m, e = mean_on_circle(_rough, c, r, **kw)
+        assert type(m) is float and type(e) is float
+        assert m == means[i] and e == errs[i]
+
+
+def test_mean_on_circle_arrays_nonfinite_node_and_refinement():
+    # ln|z - p| is -inf at a Gauss node of the first circle (healed by
+    # splitting there); exp(6 Re z) at tol 1e-13 misses the first Gauss
+    # pair on the two larger circles, so they refine; the smallest passes
+    c0, r0 = 0.25 - 0.5j, 0.75
+    p = _node_on_circle(c0, r0)
+    finite = []
+
+    def f(z):
+        with np.errstate(all="ignore"):
+            v = np.log(np.abs(z - p)) + np.exp(6.0 * np.real(z))
+        finite.append(bool(np.isfinite(v).all()))
+        return v
+
+    cs = np.array([c0, 0.1j, -0.3, 0.2 + 0.1j])
+    rs = np.array([r0, 1.5, 2.0, 0.05])
+    means, errs = mean_on_circle(f, cs, rs, tol=1e-13)
+    assert not finite[0]
+    for i, refines in enumerate((True, True, True, False)):
+        finite.clear()
+        m, e = mean_on_circle(f, complex(cs[i]), float(rs[i]), tol=1e-13)
+        assert m == means[i] and e == errs[i]
+        assert (len(finite) > 1) == refines
+
+
+def test_mean_on_circle_batch_is_the_first_integrate_panel():
+    # a circle that passes on its first Gauss pair gives what integrate
+    # over [0, 2 pi] gives, bit for bit
+    u = lambda z: np.exp(np.real(z)) * np.cos(np.imag(z)) + np.abs(z) ** 2
+    cs = np.array([0.5 + 0.5j, -1.0, 2.0j])
+    rs = np.array([0.3, 1.1, 0.05])
+    means, errs = mean_on_circle(u, cs, rs, tol=1e-9)
+    for c, r, m, e in zip(cs, rs, means, errs):
+        val, err = integrate(lambda th: u(c + r * np.exp(1j * th)),
+                             0.0, 2.0 * np.pi, tol=1e-9 * 2.0 * np.pi)
+        assert m == val / (2.0 * np.pi) and e == err / (2.0 * np.pi)
+
+
+def test_mean_on_circle_broadcasts():
+    u = lambda z: np.real(z) ** 2 - np.imag(z) ** 2 + 3.0
+    cs = np.array([[0.0, 1.0j], [2.0, -1.0 + 1.0j]])
+    means, errs = mean_on_circle(u, cs, 0.5)
+    assert means.shape == errs.shape == (2, 2)
+    assert np.allclose(means, u(cs), atol=1e-9)
+    means, _ = mean_on_circle(u, 1.0, np.array([0.0, 0.5, 2.0]))
+    assert means.shape == (3,)
+    assert np.allclose(means, 4.0, atol=1e-9)
+    with pytest.raises(ValueError):
+        mean_on_circle(u, cs, -1.0)

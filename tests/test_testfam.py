@@ -1,4 +1,4 @@
-"""Test potential catalogue: plane regime, disk regime, inversion pullbacks."""
+"""Test potential catalogue: plane regime and inversion pullbacks."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from zerocert import Region, charge_on_region
 from zerocert.testfam import (
     SmoothCappedLogFamily,
     TruncatedLogFamily,
-    annulus_harmonic_disk_test,
     bump_cdf,
     bump_cdf_integral,
-    compactify_disk_test,
     inversion_pullback,
     membership_report,
     smooth_capped_log,
@@ -101,30 +99,6 @@ def test_smooth_capped_log_charge_mass():
 
 def test_smooth_capped_log_membership():
     assert membership_report(smooth_capped_log(2.0)).ok
-
-
-# ---------------------------------------------------------------------------
-# disk regime
-
-
-def test_annulus_harmonic_disk_test():
-    v = annulus_harmonic_disk_test(1.0, 0.25, 2.0)
-    c = 2.0 / np.log(4.0)
-    zs = np.array([0.1, 0.25, 0.5, 1.0]).astype(complex)
-    want = np.clip(c * np.log(1.0 / np.abs(zs)), 0.0, 2.0)
-    assert np.allclose(np.asarray(v(zs), dtype=float), want, atol=1e-12)
-    assert membership_report(v).ok
-
-
-def test_compactified_disk_test_vanishes_at_edge():
-    v = annulus_harmonic_disk_test(1.0, 0.25, 2.0)
-    vc = compactify_disk_test(v, shrink=0.1)
-    assert vc.support_radius == 0.9
-    edge = np.asarray(vc(np.array([0.9 + 0j, 0.95 + 0j])), dtype=float)
-    assert np.max(np.abs(edge)) <= 1e-12
-    inner = float(np.asarray(vc(np.array([0.1 + 0j])), dtype=float)[0])
-    assert abs(inner - 2.0) <= 1e-12
-    assert membership_report(vc).ok
 
 
 # ---------------------------------------------------------------------------
