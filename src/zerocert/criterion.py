@@ -3,14 +3,17 @@
 margin_sweep integrates a family of origin spikes against both the
 candidate zeros and the majorant's charge and watches the gap; a gap
 that grows like a power of the cutoff rules out any admissible function
-vanishing on the candidate set.  Its zero-side sum is taken from
-sorted prefix sums of mult and mult * ln|z| over each spike's
-closed-form logarithmic core, with direct profile evaluation only over
-the blend band between that core and the support.  check_m0 probes
-the regularity of the upper envelope by comparing it to its own circle
-means at profile radii.  lemma1_constants extracts the comparison
-constants of the disk-regime necessity bound from a Green function and
-the majorant's charge.
+vanishing on the candidate set.  Each spike is exactly c - g ln s in a
+core about the origin.  Its zero-side sum is taken from sorted prefix
+sums of mult and mult * ln|z| over that core, with direct profile
+evaluation only over the blend band between the core and the support.
+Its charge-side integral takes the core by parts against each radial
+density's disk mass, which leaves no log singularity for the quadrature
+to chase, and integrates the profile itself only over the band.
+check_m0 probes the regularity of the upper envelope by comparing it to
+its own circle means at profile radii.  lemma1_constants extracts the
+comparison constants of the disk-regime necessity bound from a Green
+function and the majorant's charge.
 """
 
 from __future__ import annotations
@@ -57,13 +60,19 @@ class MarginCurve:
 def _sorted_zeros(Z, reach):
     """Radii |z_j| <= reach in increasing order, with their multiplicities.
 
-    The points and the sort order are dropped on return, so they are not
-    held while the sweep runs.
+    The points are dropped before the sort and the sort order on return,
+    so neither is held while the sweep runs.
     """
     pts, ml = Z.points_up_to(reach)
     radii = np.abs(pts)
+    del pts  # freed before the sort allocates its order and work buffer
     order = np.argsort(radii, kind="stable")
     return radii[order], np.asarray(ml)[order]
+
+
+# radii per profile call in the blend band: each temporary stays in cache,
+# and none is band-sized (a dense lattice puts most zeros in the band)
+_BAND_BLOCK = 8192
 
 
 def _sweep_lhs(r, m, tests):
@@ -73,9 +82,9 @@ def _sweep_lhs(r, m, tests):
     log_constant - pole_coefficient * ln d, so that part is
     c * M(a) - g * L(a) with M and L the prefix sums of mult and
     mult * ln r up to the core edge a.  The band out to support_radius
-    is evaluated directly, and nothing beyond it contributes.  Prefix
-    sums are formed only at the core edges: pairwise segment sums, then
-    an exact running total.
+    is evaluated directly, block by block, and nothing beyond it
+    contributes.  Prefix sums are formed only at the core edges: pairwise
+    segment sums, then an exact running total.
     """
     core = np.searchsorted(r, [t.log_core for t in tests], side="right")
     band = np.searchsorted(r, [t.support_radius for t in tests],
@@ -97,10 +106,13 @@ def _sweep_lhs(r, m, tests):
         if a:
             mass, log_mass = prefix[int(a)]
             lhs = test.log_constant * mass - test.pole_coefficient * log_mass
-        if b > a:
-            lhs += float(np.sum(m[a:b] * np.asarray(
-                test.radial_profile(r[a:b]), dtype=float)))
-        out.append(lhs)
+        blocks = []
+        for lo in range(a, b, _BAND_BLOCK):
+            hi = min(lo + _BAND_BLOCK, b)
+            vals = np.asarray(test.radial_profile(r[lo:hi]), dtype=float)
+            vals *= m[lo:hi]
+            blocks.append(float(np.sum(vals)))
+        out.append(lhs + math.fsum(blocks))
     return out
 
 
@@ -123,11 +135,14 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 
     samples = []
     for test, lhs in zip(tests, lhs_all):
+        core = None
+        if test.log_core > 0:
+            core = (test.log_core, test.log_constant, test.pole_coefficient)
         try:
             rhs, err = charge.integrate_radial(
                 test.radial_profile, center=0j, tol=tol,
                 g_support=test.support_radius,
-                singular_radii=test.kink_radii)
+                singular_radii=test.kink_radii, log_core=core)
         except (NotSummable, ToleranceFailure) as exc:
             samples.append(MarginSample(
                 tau=test.params["t"], lhs=lhs, rhs=math.nan,

@@ -157,8 +157,13 @@ def make_radial_power(sigma=1.0, rho=1.0):
             a = np.abs(z)
             t = np.asarray(t, dtype=float)
             tot = a + t
-            with np.errstate(invalid="ignore", divide="ignore"):
-                m = np.where(tot > 0, 4.0 * a * t / np.where(tot > 0, tot, 1.0) ** 2, 0.0)
+            # m = 4at / tot^2 with a, t and tot scaled by one power of two
+            # that puts tot in [1/2, 1): tot^2 no longer underflows (below
+            # 1e-154) or overflows, and elsewhere m keeps its bits
+            e = -np.frexp(tot)[1]
+            with np.errstate(invalid="ignore"):
+                m = np.where(tot > 0, 4.0 * np.ldexp(a, e) * np.ldexp(t, e)
+                             / np.ldexp(tot, e) ** 2, 0.0)
             return sigma * (2.0 / np.pi) * tot * ellipe(m)
 
     return _validate_submean(SubharmonicModel(
@@ -289,7 +294,8 @@ def make_custom_radial(phi, dphi, params=None):
         return second / s ** 2
 
     charge = RieszCharge(radial=(RadialDensity(
-        profile=profile, cumulative=lambda t: float(dphi(math.log(t)))),))
+        profile=profile,
+        cumulative=lambda t: np.asarray(dphi(np.log(t)), dtype=float)),))
     return _validate_submean(SubharmonicModel(
         kind="custom-radial", params=dict(params or {}), eval=ev, riesz=charge))
 

@@ -447,7 +447,8 @@ class RadialDensity:
     ``profile(s) >= 0`` is the radial Laplacian density: the unsigned mass of
     the centered disk of radius t is the integral of s * profile(s) over
     [0, t], i.e. d(charge) = profile(|z - center|) dArea / (2 pi).
-    ``cumulative``, when given, must equal that disk mass in closed form.
+    ``cumulative``, when given, must equal that disk mass in closed form,
+    evaluated elementwise on an array of radii inside the support.
     """
 
     profile: Callable
@@ -457,16 +458,19 @@ class RadialDensity:
     cumulative: Callable | None = None
 
     def mass_in(self, t):
+        """Unsigned mass of the centred disk of radius t (float or array)."""
         lo, hi = self.support
-        t = min(float(t), hi)
-        if t <= lo:
-            return 0.0
-        if self.cumulative is not None:
-            return float(self.cumulative(t))
-        val, _ = integrate(
-            lambda s: s * np.asarray(self.profile(s), dtype=float),
-            lo, t, tol=1e-12 * max(1.0, t))
-        return val
+        t = np.minimum(np.asarray(t, dtype=float), hi)
+        out = np.zeros(t.shape)
+        live = t > lo
+        if live.any():
+            if self.cumulative is not None:
+                out[live] = self.cumulative(t[live])
+            else:
+                out[live] = [integrate(
+                    lambda s: s * np.asarray(self.profile(s), dtype=float),
+                    lo, x, tol=1e-12 * max(1.0, x))[0] for x in t[live]]
+        return float(out) if out.ndim == 0 else out
 
 
 def _coerce_points(arr):
@@ -564,12 +568,20 @@ class RieszCharge:
     # -- integrals ----------------------------------------------------------
 
     def integrate_radial(self, g, *, center=0j, tol=1e-9, g_support=math.inf,
-                         singular_radii=()):
+                         singular_radii=(), log_core=None):
         """Integral of g(|z - center|) against the charge.
 
         Rings and radial densities must be centered at ``center``; atoms may
         sit anywhere.  g_support truncates the radial integrals (g vanishes
-        beyond it).  Returns (value, error_budget).
+        beyond it).  ``log_core=(a, c, k)`` declares g(s) = c - k ln s
+        exactly for 0 < s <= a; each radial density then takes that part
+        by parts from its disk mass mu(s) = mass_in(s),
+
+            int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k int_lo^a mu(s)/s ds,
+
+        whose integrand has no logarithmic singularity, and adaptive
+        quadrature of g runs only on [a, support].  Returns
+        (value, error_budget).
         """
         center = complex(center)
         val = 0.0
@@ -598,6 +610,17 @@ class RieszCharge:
                 continue
             if not math.isfinite(hi):
                 raise DomainError("unbounded radial integral; pass g_support")
+            if log_core is not None and log_core[0] > lo:
+                a, c, k = log_core
+                a = min(float(a), hi)
+                v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
+                                 lo, a, tol=tol)
+                val += dens.sign * ((c - k * math.log(a)) * dens.mass_in(a)
+                                    + k * v)
+                err += abs(k) * e
+                lo = a
+                if hi <= lo:
+                    continue
 
             def f(svec, _d=dens):
                 return (np.asarray(g(svec), dtype=float)

@@ -157,3 +157,14 @@ def hat_radius_bnb(profile, z, grid=512, rounds=60):
         vlo = np.concatenate((vlo, vmid))
         vhi = np.concatenate((vmid, vhi))
     return r0 + best, r0 + upper
+
+
+def bump_cdf_integral_powers(x):
+    """The expanded power series of the bump's twice-integrated profile,
+    (35/32)(x^2/2 - x^4/4 + x^6/10 - x^8/56 + 16x/35) + 35/256 on [-1, 1],
+    0 below and x above.  Absolute accuracy only: it cancels near -1."""
+    x = np.asarray(x, dtype=float)
+    xc = np.clip(x, -1.0, 1.0)
+    val = (35.0 / 32.0) * (xc ** 2 / 2.0 - xc ** 4 / 4.0 + xc ** 6 / 10.0
+                           - xc ** 8 / 56.0 + (16.0 / 35.0) * xc) + 35.0 / 256.0
+    return np.where(x <= -1.0, 0.0, np.where(x >= 1.0, x, val))

@@ -40,12 +40,13 @@ def _abs_majorant(sigma=1.0):
 
 
 def test_margin_rhs_linear_growth_is_exact():
-    # rhs(tau) = int ln+(tau/s) ds = tau for the |z| majorant
+    # rhs(tau) = int ln+(tau/s) ds = tau for the |z| majorant; the whole
+    # support is the exact-log core, where the integrand by parts is constant
     Z = ZeroDistribution.from_points([100.0 + 0j], [1])
     fam = TruncatedLogFamily(t_min=1.0, t_max=16.0, ratio=2.0)
     curve = margin_sweep(Z, _abs_majorant(), fam)
     for s in curve.samples:
-        assert abs(s.rhs - s.tau) <= 10 * max(s.rhs_budget, 1e-9)
+        assert abs(s.rhs - s.tau) <= 1e-13 * s.tau
         assert s.lhs == 0.0
     assert curve.verdict == "consistent"
 
@@ -186,9 +187,11 @@ def test_margin_lhs_undeclared_core_agrees_with_closed_form():
     fam = SmoothCappedLogFamily(t_min=1.0, t_max=20.0, ratio=1.5, eps=0.3)
     a = margin_sweep(Z, _abs_majorant(), fam)
     b = margin_sweep(Z, _abs_majorant(), _UndeclaredFamily(fam))
+    # only the declared family takes the rhs core in closed form; the
+    # undeclared one integrates the log singularity adaptively
     for sa, sb in zip(a.samples, b.samples):
         assert abs(sa.lhs - sb.lhs) <= 1e-12 * (1.0 + abs(sb.lhs))
-        assert sa.rhs == sb.rhs
+        assert abs(sa.rhs - sb.rhs) <= sb.rhs_budget
 
 
 def test_margin_truncated_lhs_is_nevanlinna_N():

@@ -103,6 +103,18 @@ def test_radial_power_exact_mean_on_circle_through_origin():
         assert abs(exact - 4.0 * a / np.pi) <= 1e-7
 
 
+def test_radial_power_exact_mean_at_tiny_and_huge_radii():
+    # (|z| + t)^2 underflows below 1e-154 and overflows above 1e154; the
+    # mean of |w| about 0 is t, and a NaN bound would read as no excess
+    m = make_radial_power(1.0, 1.0)
+    t = np.array([1e-200, 1e-215, 1e-308, 1e160])
+    got = m.exact_circle_mean(np.zeros(t.size, dtype=complex), t)
+    assert np.all(np.abs(got - t) <= 1e-15 * t)
+    far = m.exact_circle_mean(np.array([1e200 + 0j]), np.array([1e199]))
+    want = m.exact_circle_mean(np.array([1.0 + 0j]), np.array([0.1]))
+    assert abs(far[0] / 1e200 - want[0]) <= 1e-15
+
+
 def test_log_abs_poly_from_roots():
     roots = [1.0 + 0j, -0.3j]
     m = make_log_abs_poly(roots=roots, mults=[2, 1], lead=3.0)

@@ -1,12 +1,16 @@
 """Zero distributions, counting, and Riesz charges."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zerocert import (
     UNBOUNDED,
     DomainError,
+    DSubharmonicMajorant,
     EngineError,
     IndeterminateCount,
     Region,
@@ -16,7 +20,13 @@ from zerocert import (
     ZeroDistribution,
     charge_on_region,
     counting_measure,
+    inversion_pullback,
+    make_custom_radial,
+    make_log_poly_growth,
+    make_radial_power,
     nevanlinna_N,
+    smooth_capped_log,
+    truncated_log_plane,
 )
 
 import oracles
@@ -226,6 +236,84 @@ def test_integrate_radial_requires_support_for_unbounded_density():
     ch = _radial_square_charge()
     with pytest.raises(DomainError):
         ch.integrate_radial(lambda r: np.exp(-np.asarray(r)), tol=1e-8)
+
+
+# A declared exact-log core is taken by parts from mass_in; the reference
+# is the same integral with no core declared, which runs adaptive
+# quadrature into the log singularity at s = 0.
+
+_ANNULAR = RadialDensity(
+    profile=lambda s: 4.0 + 0.0 * np.asarray(s, dtype=float),
+    support=(0.3, 2.5),
+    cumulative=lambda t: 2.0 * (np.asarray(t, dtype=float) ** 2 - 0.09))
+
+# name -> (charge, tol); |z|^0.5 adds a power singularity at 0, and the
+# reference stalls near 3e-8 there
+_CORE_CHARGES = {
+    "radial-power-0.5": (make_radial_power(1.3, 0.5).riesz, 1e-7),
+    "radial-power-1": (make_radial_power(1.0, 1.0).riesz, 1e-9),
+    "radial-power-2": (make_radial_power(0.7, 2.0).riesz, 1e-9),
+    "log-poly-growth": (make_log_poly_growth().riesz, 1e-9),
+    "custom-radial": (make_custom_radial(
+        lambda x: np.log1p(np.exp(2.0 * np.asarray(x))),
+        lambda x: 2.0 / (1.0 + np.exp(-2.0 * np.asarray(x)))).riesz, 1e-9),
+    "d-subharmonic": (DSubharmonicMajorant(
+        up=make_radial_power(2.0, 1.0), low=make_log_poly_growth()).charge,
+        1e-9),
+    "support-from-0.3": (RieszCharge(radial=(_ANNULAR,)), 1e-9),
+    "support-from-0.3-no-cumulative": (RieszCharge(radial=(
+        dataclasses.replace(_ANNULAR, cumulative=None),)), 1e-9),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_CORE_CHARGES)),
+       smooth=st.booleans(),
+       tau=st.floats(0.1, 20.0),
+       eps=st.floats(0.05, 1.0))
+# the truncated log's core is its whole support: past the annulus at 5
+@example(name="support-from-0.3", smooth=False, tau=5.0, eps=0.25)
+@example(name="support-from-0.3", smooth=False, tau=1.5, eps=0.25)
+@example(name="support-from-0.3-no-cumulative", smooth=True, tau=1.5,
+         eps=0.25)
+def test_integrate_radial_log_core_matches_quadrature(name, smooth, tau, eps):
+    charge, tol = _CORE_CHARGES[name]
+    plane = smooth_capped_log(tau, eps) if smooth else truncated_log_plane(tau)
+    test = inversion_pullback(plane)
+    kw = dict(tol=tol, g_support=test.support_radius,
+              singular_radii=test.kink_radii)
+    ref, ref_err = charge.integrate_radial(test.radial_profile, **kw)
+    got, err = charge.integrate_radial(
+        test.radial_profile,
+        log_core=(test.log_core, test.log_constant, test.pole_coefficient),
+        **kw)
+    assert err <= tol
+    # within the reference's budget, plus rounding
+    assert abs(got - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
+
+
+def test_integrate_radial_log_core_linear_mass_is_exact():
+    # mu(s) = s makes mu(s)/s constant: int_0^a ln(a/s) ds = a
+    charge = make_radial_power(1.0, 1.0).riesz
+    for a in (1e-3, 0.7, 50.0):
+        val, err = charge.integrate_radial(
+            lambda s: np.log(a / np.asarray(s, dtype=float)), g_support=a,
+            log_core=(a, math.log(a), 1.0))
+        assert abs(val - a) <= 1e-15 * a
+        assert err <= 1e-15 * a
+
+
+@pytest.mark.parametrize("dens", [_ANNULAR, dataclasses.replace(
+    _ANNULAR, cumulative=None)])
+def test_mass_in_takes_arrays(dens):
+    t = np.array([0.0, 0.3, 0.31, 1.0, 2.5, 7.0])
+    got = dens.mass_in(t)
+    assert got.shape == t.shape
+    assert np.allclose(got, [dens.mass_in(float(x)) for x in t], rtol=1e-12,
+                       atol=0.0)
+    assert got[0] == got[1] == 0.0
+    assert abs(got[-1] - 2.0 * (2.5 ** 2 - 0.09)) <= 1e-11
+    assert isinstance(dens.mass_in(1.0), float)
 
 
 def test_integrate_region_masking():

@@ -1,5 +1,8 @@
 """Test potential catalogue: plane regime and inversion pullbacks."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +46,28 @@ def test_bump_cdf_integral_pins():
     assert abs(bump_cdf_integral(-1.0)) <= 1e-15
     assert abs(bump_cdf_integral(3.0) - 3.0) <= 1e-15
     assert bump_cdf_integral(-2.0) == 0.0
+
+
+def _bump_cdf_integral_exact(x):
+    x = Fraction(x)
+    if x <= -1:
+        return Fraction(0)
+    if x >= 1:
+        return x
+    return (1 + x) ** 5 * (35 - 47 * x + 25 * x ** 2 - 5 * x ** 3) / 256
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(-1.5, 1.5),
+                   st.sampled_from([-1.0, 1.0, 0.0]),
+                   st.integers(1, 17).map(lambda k: -1.0 + 10.0 ** -k)))
+def test_bump_cdf_integral_matches_exact_rationals(x):
+    # the factored form keeps its relative accuracy down to x -> -1, where
+    # the expanded power series cancels; that form stays an absolute check
+    got = float(bump_cdf_integral(x))
+    want = _bump_cdf_integral_exact(x)
+    assert abs(Fraction(got) - want) <= Fraction(2e-15) * abs(want)
+    assert abs(got - float(oracles.bump_cdf_integral_powers(x))) <= 2e-15
 
 
 @settings(max_examples=50, deadline=None)
@@ -128,6 +153,21 @@ def test_pullback_log_core_is_exact(make):
     got = np.asarray(pb.radial_profile(d), dtype=float)
     assert np.allclose(got, pb.log_constant - np.log(d), rtol=0.0,
                        atol=1e-13)
+
+
+@pytest.mark.parametrize("make", [truncated_log_plane, smooth_capped_log])
+def test_profiles_at_zero_and_infinity(make):
+    # no guards: 1/0, 1/inf and ln 0 reach the right ends by themselves,
+    # and nothing else raises a floating-point flag on the way
+    p = make(3.0)
+    pb = inversion_pullback(p)
+    with np.errstate(all="raise"):
+        assert float(p.radial_profile(0.0)) == 0.0
+        assert float(pb.radial_profile(0.0)) == math.inf
+        assert float(pb.radial_profile(math.inf)) == 0.0
+        got = pb.radial_profile(np.array([0.0, 1.0, math.inf]))
+    assert got[0] == math.inf and got[2] == 0.0
+    assert got[1] == float(p.radial_profile(1.0))
 
 
 def test_inversion_pullback_vanishes_outside_support():
