@@ -39,8 +39,6 @@ def genus(Z, *, max_genus=8, probe_radius=4096.0):
         if p > max_genus:
             raise GenusOverflow("genus %d exceeds cap %d" % (p, max_genus))
         return p
-    if not Z.enumerable:
-        raise DomainError("genus probe needs point data")
     if isinstance(b, _ExplicitBackend):
         pts, ml = b.points, b.mults
     else:
@@ -200,15 +198,6 @@ class ProductRepresentation:
         out[near] = -math.inf
         return out.reshape(z.shape)
 
-    def log_value(self, z):
-        """Complex logarithm of the finite product, branch per factor."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = _sum_log_E(flat, self.points, self.mults, self.genus)
-        if self.origin_mult:
-            out += self.origin_mult * np.log(flat.astype(complex))
-        return out.reshape(z.shape)
-
     def tail_budget(self, z):
         """Bound on the discarded factors' effect on ln|f| at z.
 
@@ -240,8 +229,6 @@ class ProductRepresentation:
 
 def build_product(Z, p=None, *, K=10000, guard=1e-12):
     """Retain about K zeros nearest the origin and bound the rest."""
-    if not Z.enumerable:
-        raise DomainError("product construction needs point data")
     if p is None:
         p = genus(Z)
     b = Z._backend
@@ -276,16 +263,6 @@ def build_product(Z, p=None, *, K=10000, guard=1e-12):
 def weierstrass_log_abs(Z, p, z, *, K=10000, guard=1e-12):
     prod = build_product(Z, p, K=K, guard=guard)
     return prod.log_abs(z), prod.budget(z)
-
-
-def winding_number(product, center, radius, *, samples=4096):
-    """Winding of the finite product around a circle, from sampled phases."""
-    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    z = complex(center) + float(radius) * np.exp(1j * theta)
-    phase = product.log_value(z).imag
-    d = np.diff(np.concatenate((phase, phase[:1])))
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    return int(round(float(d.sum()) / (2.0 * math.pi)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ def _sorted_zeros(Z, reach):
 # radii per profile call in the blend band: each temporary stays in cache,
 # and none is band-sized (a dense lattice puts most zeros in the band)
 _BAND_BLOCK = 8192
+# fewest kept samples in the top decade of taus that can carry a verdict;
+# the growth fit needs as many
+_MIN_TOP = 3
 
 
 def _sweep_lhs(r, m, tests):
@@ -124,8 +127,6 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     look at how lhs - rhs behaves as tau grows.  The lhs of all cutoffs
     comes from one sorted pass over the zeros.
     """
-    if not Z.enumerable:
-        raise DomainError("margin sweep needs point data, not a radial rule")
     if Z.has_point_at_origin():
         raise DomainError("candidate zeros must avoid the origin")
     tests = [family.applied(t) for t in family.taus()]
@@ -167,7 +168,7 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     exponent = None
     r2 = None
     pos = [(s.tau, s.margin) for s in top if s.margin > threshold]
-    if len(pos) >= 3:
+    if len(pos) >= _MIN_TOP:
         lx = np.log([p[0] for p in pos])
         ly = np.log([p[1] for p in pos])
         A = np.vstack([lx, np.ones_like(lx)]).T
@@ -180,7 +181,11 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 
     margins = [s.margin for s in top]
     verdict = "inconclusive"
-    if (exponent is not None and exponent >= 0.5
+    if len(top) < _MIN_TOP:
+        # too few samples to fit or to show a trend: "never increases"
+        # would hold vacuously
+        pass
+    elif (exponent is not None and exponent >= 0.5
             and margins[-1] > threshold
             and all(m > 0 for m in margins)):
         verdict = "violated"
@@ -188,7 +193,7 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
           or (exponent is not None and exponent < 0.25)
           or all(b <= a + threshold for a, b in zip(margins, margins[1:]))):
         verdict = "consistent"
-    details = {"dropped": dropped, "threshold": threshold,
+    details = {"dropped": dropped, "kept": len(kept), "threshold": threshold,
                "tau_max": tau_max, "n_top": len(top),
                "family": getattr(family, "kind", "unknown")}
     return MarginCurve(samples=tuple(samples), verdict=verdict,
@@ -321,22 +326,22 @@ def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
     majorant's charge, the negative charge outside the inner region, and
     the positive part of the majorant at the pole.
     """
-    if not (isinstance(d_tilde, Region) and d_tilde.kind == "disk"):
+    if not isinstance(d_tilde, Region):
         raise DomainError("ambient region must be a disk")
-    if not (isinstance(s_region, Region) and s_region.kind == "disk"):
+    if not isinstance(s_region, Region):
         raise DomainError("inner region must be a disk")
     z0 = complex(z0)
     b = float(b)
     if b <= 0:
         raise DomainError("cap b must be positive")
-    gap = d_tilde.outer - (abs(s_region.center - d_tilde.center)
-                           + s_region.outer)
+    gap = d_tilde.radius - (abs(s_region.center - d_tilde.center)
+                            + s_region.radius)
     if gap <= 0:
         raise DomainError("inner region must sit strictly inside the ambient disk")
-    if abs(z0 - s_region.center) >= s_region.outer:
+    if abs(z0 - s_region.center) >= s_region.radius:
         raise DomainError("pole must lie in the interior of the inner region")
-    g = green_disk(d_tilde.outer, z0, d_tilde.center)
-    inf_green = _min_green_on_circle(g, s_region.center, s_region.outer)
+    g = green_disk(d_tilde.radius, z0, d_tilde.center)
+    inf_green = _min_green_on_circle(g, s_region.center, s_region.radius)
     if inf_green <= 0:
         raise DomainError("Green floor is not positive; geometry too tight")
     c_test = b / inf_green

@@ -17,12 +17,6 @@ class DomainError(EngineError):
     slug = "domain-error"
 
 
-class IndeterminateCount(EngineError):
-    """Counting question the generator cannot settle."""
-
-    slug = "indeterminate-count"
-
-
 class NotSummable(EngineError):
     """An integral against a charge does not converge absolutely."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EngineError, InvalidPotential
 from .measures import RadialDensity, Ring, RieszCharge
-from .quadrature import integrate, mean_on_circle
+from .quadrature import integrate, integrate_circle_means, mean_on_circle
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,14 @@ class JensenMeasure:
                 err += p.weight * float(e)
             else:
                 dens = p.density_fn()
-                inner_err = [0.0]
-
-                def f(svec, _d=dens):
-                    m, e = mean_on_circle(u, self.pole, svec, tol=tol / 2,
-                                          singular_points=sing)
-                    inner_err[0] = max(inner_err[0], float(e.max()))
-                    return m * np.asarray(_d(svec), dtype=float)
-
-                v, e = integrate(f, p.inner, p.outer, tol=tol / 2)
+                v, e, inner = integrate_circle_means(
+                    lambda s: mean_on_circle(u, self.pole, s, tol=tol / 2,
+                                             singular_points=sing),
+                    lambda s, m: m * np.asarray(dens(s), dtype=float),
+                    p.inner, p.outer, tol=tol / 2, center=self.pole,
+                    singular_points=sing)
                 val += p.weight * v
-                err += p.weight * (e + inner_err[0])
+                err += p.weight * (e + inner)
         return val, err
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidKernel, PreconditionViolation
-from .quadrature import TWO_PI, integrate, mean_on_circle
+from .quadrature import (TWO_PI, integrate, integrate_circle_means,
+                         mean_on_circle)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -83,10 +84,6 @@ class DiskFractionProfile:
 
     def dist_to_boundary(self, z):
         return self.R - np.abs(np.asarray(z, dtype=complex) - self.center)
-
-
-def radius(profile, z):
-    return profile.radius(z)
 
 
 @dataclass(frozen=True)
@@ -160,17 +157,11 @@ def disk_mean(u, z, t, *, tol=1e-9):
     t = float(t)
     if t <= 0:
         raise PreconditionViolation("disk mean needs t > 0")
-    sing = [abs(p - z) for p in _singular_points_of(u) if abs(p - z) < t]
-    inner_err = [0.0]
-
-    def f(svec):
-        m, e = circle_mean(u, z, svec, tol=tol / 2.0)
-        inner_err[0] = max(inner_err[0], float(e.max()))
-        return m * svec
-
-    val, e = integrate(f, 0.0, t, tol=(tol / 2.0) * t * t / 2.0,
-                       singularities=sing)
-    return 2.0 * val / t ** 2, 2.0 * e / t ** 2 + inner_err[0]
+    val, e, inner = integrate_circle_means(
+        lambda s: circle_mean(u, z, s, tol=tol / 2.0), lambda s, m: m * s,
+        0.0, t, tol=(tol / 2.0) * t * t / 2.0, center=z,
+        singular_points=_singular_points_of(u))
+    return 2.0 * val / t ** 2, 2.0 * e / t ** 2 + inner
 
 
 def default_kernel(s):
@@ -200,16 +191,12 @@ def mollified_mean(u, z, t, kernel=None, *, tol=1e-9):
         kernel = default_kernel
     else:
         _validate_kernel(kernel)
-    sing = [abs(p - z) / t for p in _singular_points_of(u) if abs(p - z) < t]
-    inner_err = [0.0]
-
-    def f(svec):
-        m, e = circle_mean(u, z, t * svec, tol=tol / 2.0)
-        inner_err[0] = max(inner_err[0], float(e.max()))
-        return m * TWO_PI * svec * np.asarray(kernel(svec), dtype=float)
-
-    val, e = integrate(f, 0.0, 1.0, tol=tol / 2.0, singularities=sing)
-    return val, e + inner_err[0]
+    val, e, inner = integrate_circle_means(
+        lambda s: circle_mean(u, z, s, tol=tol / 2.0),
+        lambda s, m: m * TWO_PI * s * np.asarray(kernel(s), dtype=float),
+        0.0, 1.0, tol=tol / 2.0, center=z,
+        singular_points=_singular_points_of(u), scale=t)
+    return val, e + inner
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Zero distributions, signed Riesz charges, and counting primitives.
+"""Zero distributions, regions, and signed Riesz charges.
 
 Charges follow the potential-theory normalization: the charge of a
 subharmonic function is 1/(2 pi) times its distributional Laplacian, so
-ln|z - a| carries a unit atom at a.  Regions are closed sets.  Counting
-results are plain ints, except that the distinguished UNBOUNDED value is
-returned when a generator proves a region holds infinitely many points.
+ln|z - a| carries a unit atom at a.  Regions are closed disks.  Zero
+distributions are explicit point sets or lattices, enumerated disk by
+disk through ``points_up_to``.
 """
 
 from __future__ import annotations
@@ -15,25 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EngineError, IndeterminateCount, NotSummable
-from .quadrature import integrate, mean_on_circle
-
-
-class _UnboundedCount:
-    """Tagged +infinity for counting results, kept off the float types."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _UnboundedCount()
+from .errors import DomainError, EngineError, NotSummable
+from .quadrature import integrate, integrate_circle_means, mean_on_circle
 
 
 # ---------------------------------------------------------------------------
@@ -42,57 +25,23 @@ UNBOUNDED = _UnboundedCount()
 
 @dataclass(frozen=True)
 class Region:
-    """Closed disk, closed annulus, closed disk complement, or the plane.
+    """Closed disk |z - center| <= radius."""
 
-    Membership is inner <= |z - center| <= outer; complements set
-    outer = inf, disks set inner = 0.
-    """
-
-    kind: str
-    center: complex = 0j
-    inner: float = 0.0
-    outer: float = math.inf
+    center: complex
+    radius: float
 
     @classmethod
     def disk(cls, center, radius):
         radius = float(radius)
         if radius <= 0:
             raise DomainError("disk radius must be positive")
-        return cls("disk", complex(center), 0.0, radius)
-
-    @classmethod
-    def annulus(cls, center, inner, outer):
-        inner = float(inner)
-        outer = float(outer)
-        if not (0 <= inner <= outer):
-            raise DomainError("annulus needs 0 <= inner <= outer")
-        return cls("annulus", complex(center), inner, outer)
-
-    @classmethod
-    def complement_of_disk(cls, center, radius):
-        radius = float(radius)
-        if radius <= 0:
-            raise DomainError("disk radius must be positive")
-        return cls("complement-of-disk", complex(center), radius, math.inf)
-
-    @classmethod
-    def whole_plane(cls):
-        return cls("whole-plane", 0j, 0.0, math.inf)
-
-    @property
-    def bounded(self):
-        return math.isfinite(self.outer)
+        return cls(complex(center), radius)
 
     def contains(self, z):
-        d = np.abs(np.asarray(z, dtype=complex) - self.center)
-        return (d >= self.inner) & (d <= self.outer)
+        return np.abs(np.asarray(z, dtype=complex) - self.center) <= self.radius
 
     def interior_contains(self, z):
-        d = np.abs(np.asarray(z, dtype=complex) - self.center)
-        ok = d < self.outer
-        if self.inner > 0:
-            ok &= d > self.inner
-        return ok
+        return np.abs(np.asarray(z, dtype=complex) - self.center) < self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +49,6 @@ class Region:
 
 
 class _ExplicitBackend:
-    tag = "explicit"
-    enumerable = True
     unbounded = False
     density_exponent = None
 
@@ -144,8 +91,6 @@ class _ExplicitBackend:
 class _RealMultiplesBackend:
     """Points {k*step : k integer, k != 0}, optionally radius-truncated."""
 
-    tag = "lattice:real-multiples"
-    enumerable = True
     density_exponent = 1.0
 
     def __init__(self, step, max_radius=None):
@@ -184,8 +129,6 @@ class _RealMultiplesBackend:
 class _GaussianBackend:
     """Points {scale*(m + n i)} minus the origin, optionally truncated."""
 
-    tag = "lattice:gaussian"
-    enumerable = True
     density_exponent = 2.0
 
     def __init__(self, scale=1.0, max_radius=None):
@@ -232,23 +175,6 @@ class _GaussianBackend:
             x0 ** (2.0 - q) / (q - 2.0) + 0.71 * s * x0 ** (1.0 - q) / (q - 1.0))
 
 
-class _RadialRuleBackend:
-    """Distribution known only through t -> count of the closed disk(0, t)."""
-
-    tag = "radial-rule"
-    enumerable = False
-    density_exponent = None
-
-    def __init__(self, counting, unbounded=None):
-        if not callable(counting):
-            raise DomainError("radial rule must be callable")
-        self.counting = counting
-        self.unbounded = unbounded
-
-    def params(self):
-        return {"unbounded": self.unbounded}
-
-
 class ZeroDistribution:
     """Candidate zero multiset, explicit or generator-backed."""
 
@@ -271,18 +197,6 @@ class ZeroDistribution:
     def gaussian_integers(cls, scale=1.0, max_radius=None):
         return cls(_GaussianBackend(scale, max_radius))
 
-    @classmethod
-    def radial_rule(cls, counting, unbounded=None):
-        return cls(_RadialRuleBackend(counting, unbounded))
-
-    @property
-    def generator_tag(self):
-        return self._backend.tag
-
-    @property
-    def enumerable(self):
-        return self._backend.enumerable
-
     @property
     def unbounded(self):
         return bool(self._backend.unbounded)
@@ -292,38 +206,16 @@ class ZeroDistribution:
         return self._backend.density_exponent
 
     def points_up_to(self, radius):
-        """Points and multiplicities with |z| <= radius (enumerable only)."""
-        if not self.enumerable:
-            raise DomainError(
-                "distribution is known only through its radial counting rule")
+        """Points and multiplicities with |z| <= radius."""
         return self._backend.enumerate_up_to(float(radius))
 
-    def max_point_radius(self):
-        b = self._backend
-        if isinstance(b, _ExplicitBackend):
-            return float(np.max(np.abs(b.points))) if b.points.size else 0.0
-        return b.max_radius
-
     def has_point_at_origin(self, tol=1e-15):
-        if not self.enumerable:
-            try:
-                return float(self._backend.counting(tol)) > 0
-            except EngineError:
-                return False
         pts, _ = self._backend.enumerate_up_to(tol)
         return bool(pts.size)
 
     def tail_power_sum_bound(self, q, radius):
         """Upper bound on sum of mult * |z_j|^(-q) over |z_j| > radius."""
-        fn = getattr(self._backend, "tail_power_sum_bound", None)
-        if fn is None:
-            raise DomainError("no tail bound available for this generator")
-        return fn(float(q), float(radius))
-
-    def counting_rule(self, t):
-        if self.enumerable:
-            raise DomainError("not a rule-backed distribution")
-        return float(self._backend.counting(float(t)))
+        return self._backend.tail_power_sum_bound(float(q), float(radius))
 
     def __eq__(self, other):
         if not isinstance(other, ZeroDistribution):
@@ -346,10 +238,8 @@ class ZeroDistribution:
         if isinstance(b, _RealMultiplesBackend):
             return {"generator": {"kind": "real-multiples", "step": b.step,
                                   "max_radius": b.max_radius}}
-        if isinstance(b, _GaussianBackend):
-            return {"generator": {"kind": "gaussian-integers", "scale": b.scale,
-                                  "max_radius": b.max_radius}}
-        raise DomainError("rule-backed distributions do not serialize")
+        return {"generator": {"kind": "gaussian-integers", "scale": b.scale,
+                              "max_radius": b.max_radius}}
 
     @classmethod
     def from_json(cls, obj):
@@ -366,65 +256,6 @@ class ZeroDistribution:
         if kind == "gaussian-integers":
             return cls.gaussian_integers(gen.get("scale", 1.0), gen.get("max_radius"))
         raise DomainError("unknown generator kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
-# counting operations
-
-
-def counting_measure(Z, region):
-    """Total multiplicity of Z inside the closed region.
-
-    Returns UNBOUNDED when an unbounded generator meets an unbounded region;
-    raises IndeterminateCount when a rule-backed distribution cannot settle
-    the question (off-center or unbounded regions).
-    """
-    if not isinstance(region, Region):
-        raise DomainError("expected a Region")
-    b = Z._backend
-    if Z.enumerable:
-        if region.bounded:
-            pts, ml = b.enumerate_up_to(abs(region.center) + region.outer)
-            return int(np.sum(ml[region.contains(pts)])) if pts.size else 0
-        if not Z.unbounded:
-            pts, ml = b.enumerate_up_to(math.inf if b.max_radius is None
-                                        else b.max_radius) \
-                if not isinstance(b, _ExplicitBackend) else (b.points, b.mults)
-            return int(np.sum(ml[region.contains(pts)])) if pts.size else 0
-        # an unbounded lattice leaves every disk, so every unbounded region
-        # in our catalogue traps infinitely many of its points
-        return UNBOUNDED
-    if region.bounded and abs(region.center) <= 1e-12:
-        n_out = float(b.counting(region.outer))
-        n_in = float(b.counting(region.inner)) if region.inner > 0 else 0.0
-        # rule-backed annuli are half-open on the inner edge
-        return int(round(n_out - n_in))
-    raise IndeterminateCount(
-        "rule-backed distribution supports only bounded origin-centered regions")
-
-
-def nevanlinna_N(Z, t):
-    """Sum of mult * ln(t/|z_j|) over 0 < |z_j| <= t."""
-    t = float(t)
-    if not t > 0:
-        raise DomainError("needs t > 0")
-    if Z.enumerable:
-        pts, ml = Z.points_up_to(t)
-        if pts.size == 0:
-            return 0.0
-        r = np.abs(pts)
-        if float(np.min(r)) <= 0.0:
-            raise DomainError("distribution has a point at the origin")
-        return float(np.sum(ml * np.log(t / r)))
-    rule = Z._backend.counting
-    if float(rule(min(t, 1.0) * 1e-9)) > 0:
-        raise DomainError("distribution has mass at the origin")
-
-    def f(svec):
-        return np.array([float(rule(s)) / s for s in svec])
-
-    val, _ = integrate(f, 0.0, t, tol=1e-10 * max(1.0, t))
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +390,9 @@ class RieszCharge:
             if abs(dens.center - region.center) > 1e-12:
                 raise EngineError(
                     "radial density off the region center; use integrate()")
-            hi = min(region.outer, dens.support[1])
-            lo = max(region.inner, dens.support[0])
-            if hi > lo:
-                val += dens.sign * (dens.mass_in(hi) - dens.mass_in(lo))
+            hi = min(region.radius, dens.support[1])
+            if hi > dens.support[0]:
+                val += dens.sign * dens.mass_in(hi)
         return val
 
     # -- integrals ----------------------------------------------------------
@@ -580,7 +410,8 @@ class RieszCharge:
             int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k int_lo^a mu(s)/s ds,
 
         whose integrand has no logarithmic singularity, and adaptive
-        quadrature of g runs only on [a, support].  Returns
+        quadrature of g runs only on [a, support].  Each quadrature gets an
+        equal share of tol, so the error budget stays within tol.  Returns
         (value, error_budget).
         """
         center = complex(center)
@@ -601,6 +432,7 @@ class RieszCharge:
             if not math.isfinite(gv) and ring.mass != 0:
                 raise NotSummable("test function unbounded on a ring")
             val += ring.mass * gv
+        pieces = []
         for dens in self.radial:
             if abs(dens.center - center) > 1e-12:
                 raise EngineError("radial density not concentric; use integrate()")
@@ -610,11 +442,20 @@ class RieszCharge:
                 continue
             if not math.isfinite(hi):
                 raise DomainError("unbounded radial integral; pass g_support")
+            a = None
             if log_core is not None and log_core[0] > lo:
-                a, c, k = log_core
-                a = min(float(a), hi)
+                a = min(float(log_core[0]), hi)
+            pieces.append((dens, lo, a, hi))
+        # an equal share of tol per core and band quadrature keeps their
+        # summed error estimates within tol
+        calls = sum((a is not None) + (a is None or a < hi)
+                    for _, _, a, hi in pieces)
+        share = tol / max(calls, 1)
+        for dens, lo, a, hi in pieces:
+            if a is not None:
+                _, c, k = log_core
                 v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
-                                 lo, a, tol=tol)
+                                 lo, a, tol=share / max(1.0, abs(k)))
                 val += dens.sign * ((c - k * math.log(a)) * dens.mass_in(a)
                                     + k * v)
                 err += abs(k) * e
@@ -626,7 +467,7 @@ class RieszCharge:
                 return (np.asarray(g(svec), dtype=float)
                         * svec * np.asarray(_d.profile(svec), dtype=float))
 
-            v, e = integrate(f, lo, hi, tol=tol,
+            v, e = integrate(f, lo, hi, tol=share,
                              singularities=[s for s in singular_radii if lo < s < hi])
             val += dens.sign * v
             err += e
@@ -676,41 +517,26 @@ class RieszCharge:
             if include is not None:
                 if abs(dens.center - include.center) > 1e-12:
                     raise EngineError("radial density off the include center")
-                lo = max(lo, include.inner)
-                hi = min(hi, include.outer)
+                hi = min(hi, include.radius)
             if exclude_interior is not None:
                 if abs(dens.center - exclude_interior.center) > 1e-12:
                     raise EngineError("radial density off the exclusion center")
-                if exclude_interior.inner > 0:
-                    raise EngineError("annular exclusions are not supported")
-                lo = max(lo, exclude_interior.outer)
+                lo = max(lo, exclude_interior.radius)
             if hi <= lo:
                 continue
             if not math.isfinite(hi):
                 raise DomainError("unbounded radial integral needs a bounded region")
             approx_mass = abs(dens.mass_in(hi) - dens.mass_in(lo))
             inner_tol = tol / (4.0 * (1.0 + approx_mass))
-            inner_err = [0.0]
-
-            def fmean(svec, _d=dens):
-                m, e = mean_on_circle(f, _d.center, svec, tol=inner_tol,
-                                      singular_points=f_singular_points,
-                                      kink_circles=f_kink_circles)
-                inner_err[0] = max(inner_err[0], float(e.max()))
-                return m * svec * np.asarray(_d.profile(svec), dtype=float)
-
-            # radii where charge circles graze a singular point or a kink
-            # circle of f are breakpoints of the radial integrand
-            outer_sing = []
-            for p in f_singular_points:
-                outer_sing.append(abs(complex(p) - dens.center))
-            for c2, r2 in f_kink_circles:
-                dc = abs(complex(c2) - dens.center)
-                outer_sing.extend((abs(dc - float(r2)), dc + float(r2)))
-            v, e = integrate(fmean, lo, hi, tol=tol,
-                             singularities=[s for s in outer_sing if lo < s < hi])
+            v, e, inner = integrate_circle_means(
+                lambda s: mean_on_circle(f, dens.center, s, tol=inner_tol,
+                                         singular_points=f_singular_points,
+                                         kink_circles=f_kink_circles),
+                lambda s, m: m * s * np.asarray(dens.profile(s), dtype=float),
+                lo, hi, tol=tol, center=dens.center,
+                singular_points=f_singular_points, kink_circles=f_kink_circles)
             val += dens.sign * v
-            err += e + inner_err[0] * approx_mass
+            err += e + inner * approx_mass
         return val, err
 
 
@@ -718,9 +544,9 @@ def _ring_position(ring, region):
     dc = abs(ring.center - region.center)
     dmin = abs(dc - ring.radius)
     dmax = dc + ring.radius
-    if dmin >= region.inner and dmax <= region.outer:
+    if dmax <= region.radius:
         return "inside"
-    if dmax < region.inner or dmin > region.outer:
+    if dmin > region.radius:
         return "outside"
     return "partial"
 
@@ -736,15 +562,13 @@ def _ring_selected(ring, include, exclude_interior):
         dc = abs(ring.center - exclude_interior.center)
         dmin = abs(dc - ring.radius)
         dmax = dc + ring.radius
-        if dmax < exclude_interior.outer and dmin > exclude_interior.inner:
+        if dmax < exclude_interior.radius and dmin > 0:
             return False  # ring inside the excluded interior
-        if dmin < exclude_interior.outer and dmax > exclude_interior.inner:
+        if dmin < exclude_interior.radius and dmax > 0:
             raise EngineError("ring crosses the exclusion boundary")
     return True
 
 
 def charge_on_region(charge, region):
-    """Signed mass of the charge on a closed bounded region."""
-    if not region.bounded:
-        raise DomainError("charge_on_region needs a bounded region")
+    """Signed mass of the charge on a closed disk."""
     return charge.total_mass_in(region)

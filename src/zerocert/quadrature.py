@@ -5,6 +5,8 @@ numpy-vectorized functions.  Integrable singularities are handled by
 splitting panels at the singular abscissae: Gauss nodes are interior to
 their panel, so a declared singularity is never evaluated.  Undeclared
 non-finite points are healed by re-splitting at the offending node.
+Circle means come many circles to a call, and integrate_circle_means
+nests them inside a radial integral.
 """
 
 import heapq
@@ -248,3 +250,42 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
     if not shape:
         return float(means[0]), float(errs[0])
     return means.reshape(shape), errs.reshape(shape)
+
+
+def _break_radii(center, singular_points=(), kink_circles=()):
+    """Radii at which circles about center pass through a singular point
+    or touch a kink circle: the places where circle means lose smoothness."""
+    center = complex(center)
+    radii = [abs(complex(p) - center) for p in singular_points]
+    for c2, r2 in kink_circles:
+        dc = abs(complex(c2) - center)
+        radii.extend((abs(dc - float(r2)), dc + float(r2)))
+    return radii
+
+
+def integrate_circle_means(mean, weight, a, b, *, tol, center=0j,
+                           singular_points=(), kink_circles=(), scale=1.0):
+    """Radial integral of circle means: int_a^b weight(s, m(scale * s)) ds.
+
+    ``mean`` maps an array of radii to (means, error_estimates) of the
+    circles of those radii about ``center``; ``weight(s, m)`` turns them
+    into the radial integrand (it takes the means, rather than returning
+    a factor, so each caller keeps its own product order).  Panels break
+    at the radii, over ``scale``, where those circles pass through a
+    point of ``singular_points`` or touch a circle of ``kink_circles``:
+    there the means lose smoothness.  Returns (value, error_estimate,
+    worst_inner_error), the last being the largest error estimate
+    ``mean`` reported.
+    """
+    worst = 0.0
+
+    def f(svec):
+        nonlocal worst
+        m, e = mean(scale * svec)
+        worst = max(worst, float(e.max()))
+        return weight(svec, m)
+
+    breaks = [r / scale for r in _break_radii(center, singular_points,
+                                              kink_circles)]
+    val, err = integrate(f, a, b, tol=tol, singularities=breaks)
+    return val, err, worst

@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import InvalidPotential
 from .measures import RadialDensity, Ring, RieszCharge
-from .quadrature import mean_on_circle
-
-_SPOT_PAIRS = ((0.4 + 0.2j, 0.15), (1.1 - 0.6j, 0.3),
-               (-2.0 + 0.1j, 0.5), (0.2 + 1.4j, 0.25))
 
 
 def bump_cdf(x):
@@ -197,68 +193,6 @@ def inversion_pullback(p):
         source_regime=p.regime,
         log_core=1.0 / p.log_radius,
         log_constant=p.log_constant)
-
-
-# ---------------------------------------------------------------------------
-# membership battery
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    regime: str
-    checks: tuple
-    ok: bool
-
-
-def membership_report(p, *, tol=1e-7):
-    """Spot checks that a candidate satisfies its regime's conditions."""
-    checks = []
-
-    def add(name, ok, detail):
-        checks.append((name, bool(ok), float(detail)))
-
-    regime = getattr(p, "regime", None)
-    if regime is None and getattr(p, "source_regime", None) is not None:
-        # inversion pullback: radial about the pole, dead beyond its support
-        sup = p.support_radius
-        hi = sup if math.isfinite(sup) else 1e6
-        radii = np.geomspace(1e-6, hi, 41)
-        vals = np.asarray(p.radial_profile(radii), dtype=float)
-        add("nonnegative", np.all(vals >= -tol), float(vals.min()))
-        add("nonincreasing", np.all(np.diff(vals) <= tol),
-            float(np.max(np.diff(vals))))
-        if math.isfinite(sup):
-            outer = np.asarray(p.radial_profile(
-                sup * np.array([1.0, 1.5, 4.0])), dtype=float)
-            add("vanishes-beyond-support", np.all(np.abs(outer) <= tol),
-                float(np.max(np.abs(outer))))
-        add("pole-coefficient-in-range",
-            -tol <= p.pole_coefficient <= 1.0 + tol, p.pole_coefficient)
-        return MembershipReport(regime="pullback", checks=tuple(checks),
-                                ok=all(c[1] for c in checks))
-
-    if p.regime == "plane":
-        radii = np.geomspace(1e-3, 1e3, 25)
-        vals = np.asarray(p.radial_profile(radii), dtype=float)
-        add("nonnegative", np.all(vals >= -tol), float(vals.min()))
-        if p.zero_radius > 0:
-            inner = np.asarray(p.radial_profile(
-                p.zero_radius * np.array([0.1, 0.5, 0.99])), dtype=float)
-            add("vanishes-near-origin", np.all(np.abs(inner) <= tol),
-                float(np.max(np.abs(inner))))
-        g = p.growth_coefficient
-        c1 = float(p.radial_profile(np.array([1e4]))[0]) - g * math.log(1e4)
-        c2 = float(p.radial_profile(np.array([1e8]))[0]) - g * math.log(1e8)
-        add("log-growth", abs(c2 - c1) <= 1e-6 * (1.0 + abs(c1)), c2 - c1)
-        z0 = np.array([z for z, _ in _SPOT_PAIRS])
-        means, _ = mean_on_circle(p, z0, [t for _, t in _SPOT_PAIRS],
-                                  tol=1e-9)
-        worst = float(np.max(p(z0) - means))
-        add("sub-mean", worst <= tol, worst)
-    else:
-        raise InvalidPotential("unknown regime %r" % p.regime)
-    return MembershipReport(regime=p.regime, checks=tuple(checks),
-                            ok=all(c[1] for c in checks))
 
 
 # ---------------------------------------------------------------------------

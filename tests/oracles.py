@@ -5,6 +5,9 @@ grids, central differences.  Slower than the package routines but built
 from different arithmetic, so agreement is evidence rather than echo.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -168,3 +171,81 @@ def bump_cdf_integral_powers(x):
     val = (35.0 / 32.0) * (xc ** 2 / 2.0 - xc ** 4 / 4.0 + xc ** 6 / 10.0
                            - xc ** 8 / 56.0 + (16.0 / 35.0) * xc) + 35.0 / 256.0
     return np.where(x <= -1.0, 0.0, np.where(x >= 1.0, x, val))
+
+
+def nevanlinna_N(Z, t):
+    """Sum of mult * ln(t/|z_j|) over 0 < |z_j| <= t, by direct summation."""
+    t = float(t)
+    if not t > 0:
+        raise ValueError("needs t > 0")
+    pts, ml = Z.points_up_to(t)
+    if pts.size == 0:
+        return 0.0
+    r = np.abs(pts)
+    if float(np.min(r)) <= 0.0:
+        raise ValueError("distribution has a point at the origin")
+    return float(np.sum(ml * np.log(t / r)))
+
+
+_SPOT_PAIRS = ((0.4 + 0.2j, 0.15), (1.1 - 0.6j, 0.3),
+               (-2.0 + 0.1j, 0.5), (0.2 + 1.4j, 0.25))
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    regime: str
+    checks: tuple
+    ok: bool
+
+
+def membership_report(p, *, tol=1e-7):
+    """Spot checks that a test potential satisfies its regime's conditions:
+    a plane member is nonnegative, vanishes near 0, grows like g ln|w| and
+    lies below its circle means; a pullback is nonnegative, nonincreasing
+    in the distance to its pole and dead beyond its support."""
+    from zerocert.quadrature import mean_on_circle
+
+    checks = []
+
+    def add(name, ok, detail):
+        checks.append((name, bool(ok), float(detail)))
+
+    regime = getattr(p, "regime", None)
+    if regime is None and getattr(p, "source_regime", None) is not None:
+        sup = p.support_radius
+        hi = sup if math.isfinite(sup) else 1e6
+        radii = np.geomspace(1e-6, hi, 41)
+        vals = np.asarray(p.radial_profile(radii), dtype=float)
+        add("nonnegative", np.all(vals >= -tol), float(vals.min()))
+        add("nonincreasing", np.all(np.diff(vals) <= tol),
+            float(np.max(np.diff(vals))))
+        if math.isfinite(sup):
+            outer = np.asarray(p.radial_profile(
+                sup * np.array([1.0, 1.5, 4.0])), dtype=float)
+            add("vanishes-beyond-support", np.all(np.abs(outer) <= tol),
+                float(np.max(np.abs(outer))))
+        add("pole-coefficient-in-range",
+            -tol <= p.pole_coefficient <= 1.0 + tol, p.pole_coefficient)
+        return MembershipReport(regime="pullback", checks=tuple(checks),
+                                ok=all(c[1] for c in checks))
+
+    if regime != "plane":
+        raise ValueError("unknown regime %r" % regime)
+    radii = np.geomspace(1e-3, 1e3, 25)
+    vals = np.asarray(p.radial_profile(radii), dtype=float)
+    add("nonnegative", np.all(vals >= -tol), float(vals.min()))
+    if p.zero_radius > 0:
+        inner = np.asarray(p.radial_profile(
+            p.zero_radius * np.array([0.1, 0.5, 0.99])), dtype=float)
+        add("vanishes-near-origin", np.all(np.abs(inner) <= tol),
+            float(np.max(np.abs(inner))))
+    g = p.growth_coefficient
+    c1 = float(p.radial_profile(np.array([1e4]))[0]) - g * math.log(1e4)
+    c2 = float(p.radial_profile(np.array([1e8]))[0]) - g * math.log(1e8)
+    add("log-growth", abs(c2 - c1) <= 1e-6 * (1.0 + abs(c1)), c2 - c1)
+    z0 = np.array([z for z, _ in _SPOT_PAIRS])
+    means, _ = mean_on_circle(p, z0, [t for _, t in _SPOT_PAIRS], tol=1e-9)
+    worst = float(np.max(p(z0) - means))
+    add("sub-mean", worst <= tol, worst)
+    return MembershipReport(regime=regime, checks=tuple(checks),
+                            ok=all(c[1] for c in checks))

@@ -17,7 +17,6 @@ from zerocert import (
     remainder_R,
     verify_sufficiency,
     weierstrass_log_abs,
-    winding_number,
 )
 from zerocert.construct import (
     _FAR_TERMS,
@@ -135,15 +134,6 @@ def test_product_finite_zero_set_is_polynomial():
     assert float(prod.tail_budget(z)[0]) == 0.0
 
 
-def test_winding_numbers():
-    Z = ZeroDistribution.from_points([1.0 + 0j, 2.0 + 0j], [1, 2])
-    prod = build_product(Z, 0, K=10)
-    assert winding_number(prod, 1.0 + 0j, 0.3) == 1
-    assert winding_number(prod, 2.0 + 0j, 0.3) == 2
-    assert winding_number(prod, -1.0 + 0j, 0.5) == 0
-    assert winding_number(prod, 1.5 + 0j, 1.2) == 3
-
-
 def _sum_log_E_direct(z, points, mults, p):
     # the all-pairs reference: every factor through _log_E_complex
     u = np.asarray(z, dtype=complex)[:, None] / np.asarray(points)[None, :]
@@ -155,11 +145,6 @@ def _check_sum_log_E(z, points, mults, p):
     got = _sum_log_E(z, points, mults, p)
     want, scale = _sum_log_E_direct(z, points, mults, p)
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + scale))
-    prod = ProductRepresentation(
-        genus=p, points=points, mults=np.asarray(mults, dtype=float),
-        origin_mult=0, cutoff_radius=1e300, tail_sum_bound=0.0)
-    phase = prod.log_value(z).imag
-    assert np.all(np.abs(phase - want.imag) <= 1e-13 * (1.0 + scale))
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,17 +178,6 @@ def test_sum_log_E_edge_cases(p):
     _check_sum_log_E(z, far, np.ones(far.size), p)
     # a grid at the origin only: every factor is exactly 1
     assert np.all(_sum_log_E(np.zeros(3, dtype=complex), far, np.ones(far.size), p) == 0)
-
-
-def test_winding_numbers_through_far_field():
-    # many zeros far outside the circles add no winding
-    far = 50.0 * np.exp(1j * np.linspace(0.0, 6.0, 200))
-    Z = ZeroDistribution.from_points(np.concatenate(([1.0 + 0j, 2.0 + 0j], far)),
-                                     np.concatenate(([1, 2], np.ones(200, int))))
-    prod = build_product(Z, 1, K=1000)
-    assert winding_number(prod, 1.0 + 0j, 0.3) == 1
-    assert winding_number(prod, 1.5 + 0j, 1.2) == 3
-    assert winding_number(prod, -1.0 + 0j, 0.5) == 0
 
 
 def test_guard_mask_near_zeros_only_matches_full():

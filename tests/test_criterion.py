@@ -24,7 +24,6 @@ from zerocert import (
     make_radial_power,
     make_zero_model,
     margin_sweep,
-    nevanlinna_N,
     smooth_capped_log,
 )
 
@@ -49,6 +48,18 @@ def test_margin_rhs_linear_growth_is_exact():
         assert abs(s.rhs - s.tau) <= 1e-13 * s.tau
         assert s.lhs == 0.0
     assert curve.verdict == "consistent"
+
+
+def test_margin_needs_three_top_samples_for_a_verdict():
+    # under |z|^0.5 the rhs quadrature stalls at all but the last tau; one
+    # kept sample (margin about +20) used to read "consistent" vacuously
+    Z = ZeroDistribution.real_multiples(step=np.pi, max_radius=np.pi * 1e4)
+    M = DSubharmonicMajorant(up=make_radial_power(1.0, 0.5))
+    curve = margin_sweep(Z, M, TruncatedLogFamily(0.5, 50.0, ratio=1.4))
+    kept = [s for s in curve.samples if not s.note]
+    assert len(kept) < 3
+    assert curve.details["kept"] == len(kept)
+    assert curve.verdict == "inconclusive"
 
 
 def test_margin_lhs_matches_direct_sum():
@@ -202,7 +213,7 @@ def test_margin_truncated_lhs_is_nevanlinna_N():
         fam = TruncatedLogFamily(t_min=0.5, t_max=50.0, ratio=1.3)
         curve = margin_sweep(Z, _abs_majorant(), fam)
         for s in curve.samples:
-            want = nevanlinna_N(Z, s.tau)
+            want = oracles.nevanlinna_N(Z, s.tau)
             assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want))
 
 

@@ -133,6 +133,27 @@ def test_poisson_jensen_radial_model():
     assert rep.budget <= 1e-6
 
 
+def test_poisson_jensen_annulus_around_a_root():
+    # the annulus branch of JensenMeasure.integrate: circles about the pole
+    # pass through the root at |a| = 0.949, a kink of the radial integrand
+    a = 0.9 + 0.3j
+    u = make_log_abs_poly(roots=[a])
+    mu = JensenMeasure(pole=0j, parts=(AnnulusPart(0.5, 1.5, 1.0),))
+    rep = poisson_jensen_check(u, mu)
+    # circle means of ln|w - a| about 0 are ln max(s, |a|); integrate them
+    # against the bump density (35/16)(1 - (2s - 2)^2)^3 by fixed
+    # Gauss-Legendre on each side of the kink
+    x, w = np.polynomial.legendre.leggauss(64)
+    want = -np.log(abs(a))
+    for lo, hi in ((0.5, abs(a)), (abs(a), 1.5)):
+        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        dens = (35.0 / 16.0) * (1.0 - (2.0 * s - 2.0) ** 2) ** 3
+        want += 0.5 * (hi - lo) * float(w @ (dens * np.log(np.maximum(s, abs(a)))))
+    assert abs(rep.mean_term - rep.u_pole - want) <= 1e-9
+    assert abs(rep.residual) <= rep.budget
+    assert rep.budget <= 1e-8
+
+
 def test_poisson_jensen_rejects_pole_at_root():
     u = make_log_abs_poly(roots=[0j], mults=[1])
     with pytest.raises(DomainError):

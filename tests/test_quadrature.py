@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zerocert import integrate, mean_on_circle, ToleranceFailure
+from zerocert.quadrature import _break_radii, integrate_circle_means
 
 import oracles
 
@@ -177,3 +178,43 @@ def test_mean_on_circle_broadcasts():
     assert np.allclose(means, 4.0, atol=1e-9)
     with pytest.raises(ValueError):
         mean_on_circle(u, cs, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# radial integrals of circle means
+
+
+def test_break_radii_of_a_point_and_a_kink_circle():
+    # circles about 1 + 1j pass through 4 + 5j at radius 5; they touch the
+    # circle |w - (1 + 4j)| = 1 at radii 3 - 1 and 3 + 1
+    got = _break_radii(1 + 1j, singular_points=(4 + 5j,),
+                      kink_circles=((1 + 4j, 1.0),))
+    assert got == [5.0, 2.0, 4.0]
+    # a kink circle about the centre breaks at its own radius
+    assert _break_radii(0j, kink_circles=((0j, 0.7),)) == [0.7, 0.7]
+
+
+def test_circle_means_panels_break_at_the_break_radii():
+    # a smooth integrand needs one panel; every break radius inside (a, b)
+    # still gets its isolating panels, the others (and scale) are honoured
+    seen = []
+
+    def mean(radii):
+        seen.append(radii)
+        return np.ones_like(radii), np.full(radii.shape, 1e-12)
+
+    val, err, inner = integrate_circle_means(
+        mean, lambda s, m: m * s, 0.0, 2.0, tol=1e-12, center=0j,
+        singular_points=(3.0 + 0j, 5.0j), kink_circles=((1.0 + 0j, 1.0),),
+        scale=2.0)
+    assert abs(val - 2.0) <= 1e-14 and err <= 1e-14 and inner == 1e-12
+    radii = np.concatenate(seen) / 2.0
+    # breaks at 3/2 (the point) and 0 and 1 (the kink circle); 5/2 is outside
+    for b in (1.5, 1.0):
+        assert np.any((radii > b - 2e-4) & (radii < b))
+        assert np.any((radii > b) & (radii < b + 2e-4))
+    assert not np.any(radii > 2.0)
+    # without break radii the first panel is the whole interval
+    seen.clear()
+    integrate_circle_means(mean, lambda s, m: m * s, 0.0, 2.0, tol=1e-12)
+    assert len(seen) == 1

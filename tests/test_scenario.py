@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from zerocert import (DiskFractionProfile, PlanePowerProfile, Region,
-                      SchemaError, TruncatedLogFamily,
-                      build_sufficiency_grid, counting_measure,
+from zerocert import (DiskFractionProfile, PlanePowerProfile, SchemaError,
+                      TruncatedLogFamily, build_sufficiency_grid,
                       load_scenario, validate_scenario)
 
 
@@ -77,7 +76,7 @@ def test_validate_rejects_unknown_keys():
 def test_load_builds_runtime_objects(tmp_path):
     sc = load_scenario(_write(tmp_path, _doc()))
     assert sc.label == "toy"
-    assert counting_measure(sc.zeros, Region.disk(0j, 50.0)) > 0
+    assert sc.zeros.points_up_to(50.0)[1].sum() == 2 * 15
     assert isinstance(sc.profile, PlanePowerProfile)
     assert sc.profile.power == 1.0
     assert isinstance(sc.family, TruncatedLogFamily)
@@ -107,7 +106,8 @@ def test_load_explicit_points_and_zero_majorant(tmp_path):
         "majorant": {"up": {"kind": "zero"}},
     }
     sc = load_scenario(_write(tmp_path, doc))
-    assert counting_measure(sc.zeros, Region.disk(0j, 3.0)) == 4
+    pts, ml = sc.zeros.points_up_to(3.0)
+    assert pts.size == 2 and ml.sum() == 4
     assert sc.profile is None and sc.family is None
     assert sc.sufficiency_grid is None
 

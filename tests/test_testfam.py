@@ -14,7 +14,6 @@ from zerocert.testfam import (
     bump_cdf,
     bump_cdf_integral,
     inversion_pullback,
-    membership_report,
     smooth_capped_log,
     truncated_log_plane,
 )
@@ -95,7 +94,7 @@ def test_truncated_log_eval_and_charge():
 
 
 def test_truncated_log_membership():
-    rep = membership_report(truncated_log_plane(3.0))
+    rep = oracles.membership_report(truncated_log_plane(3.0))
     assert rep.ok
     names = [n for n, ok, d in rep.checks]
     assert "sub-mean" in names and "log-growth" in names
@@ -123,7 +122,7 @@ def test_smooth_capped_log_charge_mass():
 
 
 def test_smooth_capped_log_membership():
-    assert membership_report(smooth_capped_log(2.0)).ok
+    assert oracles.membership_report(smooth_capped_log(2.0)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -193,5 +192,5 @@ def test_truncated_family_tau_grid():
 def test_family_applied_is_membership_clean():
     fam = SmoothCappedLogFamily(t_min=1.0, t_max=10.0)
     p = fam.applied(4.0)
-    assert membership_report(p).ok
+    assert oracles.membership_report(p).ok
     assert fam.kind == "smooth-capped-log"
