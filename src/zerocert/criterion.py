@@ -61,13 +61,15 @@ def _sorted_zeros(Z, reach):
     """Radii |z_j| <= reach in increasing order, with their multiplicities.
 
     The points are dropped before the sort and the sort order on return,
-    so neither is held while the sweep runs.
+    so neither is held while the sweep runs.  Multiplicities that are all
+    1 need no reordering.
     """
     pts, ml = Z.points_up_to(reach)
     radii = np.abs(pts)
     del pts  # freed before the sort allocates its order and work buffer
     order = np.argsort(radii, kind="stable")
-    return radii[order], np.asarray(ml)[order]
+    ml = np.asarray(ml)
+    return radii[order], ml if np.all(ml == 1) else ml[order]
 
 
 # radii per profile call in the blend band: each temporary stays in cache,

@@ -19,6 +19,11 @@ from .errors import DomainError, EngineError, NotSummable
 from .quadrature import integrate, integrate_circle_means, mean_on_circle
 
 
+# ulps of each closed-form core term that integrate_radial adds to its
+# budget for rounding
+_CORE_ULPS = 4
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -151,12 +156,19 @@ class _GaussianBackend:
             raise DomainError("cannot enumerate an unbounded lattice without a radius")
         n = int(math.floor(r / self.scale)) + 1
         g = np.arange(-n, n + 1, dtype=float)
-        # one row of the (2n+1)^2 square at a time, real part outermost
-        rows = []
-        for x in g:
-            row = (x + 1j * g) * self.scale
-            rows.append(row[(np.abs(row) <= r) & (row != 0)])
-        pts = np.concatenate(rows)
+
+        # one row of the (2n+1)^2 square at a time, real part outermost;
+        # rows are counted first so the points fill one array
+        def row(x):
+            z = (x + 1j * g) * self.scale
+            return z[(np.abs(z) <= r) & (z != 0)]
+
+        counts = [row(x).size for x in g]
+        pts = np.empty(sum(counts), dtype=complex)
+        at = 0
+        for x, c in zip(g, counts):
+            pts[at:at + c] = row(x)
+            at += c
         return pts, np.ones(pts.size, dtype=int)
 
     def tail_power_sum_bound(self, q, radius):
@@ -411,7 +423,8 @@ class RieszCharge:
 
         whose integrand has no logarithmic singularity, and adaptive
         quadrature of g runs only on [a, support].  Each quadrature gets an
-        equal share of tol, so the error budget stays within tol.  Returns
+        equal share of tol, so the error budget stays within tol, apart
+        from a few ulps of each closed-form term.  Returns
         (value, error_budget).
         """
         center = complex(center)
@@ -456,9 +469,12 @@ class RieszCharge:
                 _, c, k = log_core
                 v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
                                  lo, a, tol=share / max(1.0, abs(k)))
-                val += dens.sign * ((c - k * math.log(a)) * dens.mass_in(a)
-                                    + k * v)
-                err += abs(k) * e
+                edge = (c - k * math.log(a)) * dens.mass_in(a)
+                val += dens.sign * (edge + k * v)
+                # a rounding floor: the quadrature's estimate is exactly 0
+                # when mu(s)/s is constant
+                err += abs(k) * e + _CORE_ULPS * (math.ulp(edge)
+                                                  + math.ulp(k * v))
                 lo = a
                 if hi <= lo:
                     continue

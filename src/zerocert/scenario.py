@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .criterion import m0_dyadic_grid
 from .errors import SchemaError
@@ -299,8 +299,10 @@ def _make_family(blk, tau_max=None):
 def build_sufficiency_grid(blk, seed=None):
     if blk["kind"] == "explicit":
         return np.asarray([_cx(p) for p in blk["points"]], dtype=complex)
-    rng = np.random.default_rng(blk.get("seed", 0) if seed is None else seed)
-    n = blk["count"]
+    # the schema admits integral floats such as 6.0 as integers
+    rng = np.random.default_rng(int(blk.get("seed", 0)) if seed is None
+                                else seed)
+    n = int(blk["count"])
     r = blk["radius"] * np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     return _cx(blk.get("center")) + r * np.exp(1j * theta)
@@ -324,15 +326,108 @@ class Scenario:
         return self.tolerances.get(stage, self.tolerances.get("default", 1e-9))
 
 
+# JSON Schema 2020-12 types; bool is neither number nor integer, and a
+# float with an integral value is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": lambda x: (isinstance(x, numbers.Number)
+                         and not isinstance(x, bool)),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _is_valid(instance, schema, root):
+    return next(_iter_errors(instance, schema, root, ()), None) is None
+
+
+def _iter_errors(instance, schema, root, path):
+    """Yield (path, message) for each violation of ``schema``.
+
+    Covers the keywords SCHEMA uses, each applied only to instances of
+    its type.  Keywords are visited in schema order and messages follow
+    jsonschema's Draft202012Validator word for word, so both report the
+    same errors in the same order.  const and enum values are strings
+    here, for which JSON equality is Python's.
+    """
+    for key, value in schema.items():
+        if key == "$ref":
+            sub = root
+            for part in value[2:].split("/"):  # "#/$defs/..."
+                sub = sub[part]
+            yield from _iter_errors(instance, sub, root, path)
+        elif key == "type":
+            kinds = [value] if isinstance(value, str) else value
+            if not any(_TYPES[k](instance) for k in kinds):
+                yield path, "%r is not of type %s" % (
+                    instance, ", ".join(repr(k) for k in kinds))
+        elif key == "const":
+            if instance != value:
+                yield path, "%r was expected" % (value,)
+        elif key == "enum":
+            if instance not in value:
+                yield path, "%r is not one of %r" % (instance, value)
+        elif key == "oneOf":
+            rest = iter(value)
+            first = next((sub for sub in rest
+                          if _is_valid(instance, sub, root)), None)
+            if first is None:
+                yield path, ("%r is not valid under any of the given schemas"
+                             % (instance,))
+                continue
+            more = [sub for sub in rest if _is_valid(instance, sub, root)]
+            if more:
+                yield path, "%r is valid under each of %s" % (
+                    instance, ", ".join(repr(sub) for sub in more + [first]))
+        elif isinstance(instance, dict):
+            if key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _iter_errors(instance[name], sub, root,
+                                                path + (name,))
+            elif key == "required":
+                for name in value:
+                    if name not in instance:
+                        yield path, "%r is a required property" % (name,)
+            elif key == "additionalProperties" and value is False:
+                props = schema.get("properties", {})
+                extras = sorted((k for k in instance if k not in props),
+                                key=str)
+                if extras:
+                    yield path, ("Additional properties are not allowed "
+                                 "(%s %s unexpected)" % (
+                                     ", ".join(repr(k) for k in extras),
+                                     "was" if len(extras) == 1 else "were"))
+        elif isinstance(instance, list):
+            if key == "items":
+                for i, item in enumerate(instance):
+                    yield from _iter_errors(item, value, root, path + (i,))
+            elif key == "minItems" and len(instance) < value:
+                yield path, "%r %s" % (instance, "should be non-empty"
+                                       if value == 1 else "is too short")
+        elif _TYPES["number"](instance):
+            if key == "minimum" and instance < value:
+                yield path, "%r is less than the minimum of %r" % (
+                    instance, value)
+            elif key == "exclusiveMinimum" and instance <= value:
+                yield path, ("%r is less than or equal to the minimum of %r"
+                             % (instance, value))
+            elif key == "exclusiveMaximum" and instance >= value:
+                yield path, ("%r is greater than or equal to the maximum "
+                             "of %r" % (instance, value))
+
+
 def validate_scenario(doc):
-    validator = Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Raise SchemaError listing every violation of SCHEMA in ``doc``, as
+    "/json/pointer: message" lines sorted by path."""
+    errors = sorted(_iter_errors(doc, SCHEMA, SCHEMA, ()),
+                    key=lambda e: e[0])
     if errors:
-        msgs = []
-        for e in errors:
-            path = "/" + "/".join(str(p) for p in e.absolute_path)
-            msgs.append("%s: %s" % (path or "/", e.message))
-        raise SchemaError(msgs)
+        raise SchemaError(["/" + "/".join(str(p) for p in path) + ": " + msg
+                           for path, msg in errors])
 
 
 def load_scenario(path, *, tau_max=None, seed=None):
@@ -357,7 +452,7 @@ def load_scenario(path, *, tau_max=None, seed=None):
     power = None
     if "m0" in grids:
         blk = grids["m0"]
-        grid_m = m0_dyadic_grid(blk["r_max"], blk.get("per_shell", 8))
+        grid_m = m0_dyadic_grid(blk["r_max"], int(blk.get("per_shell", 8)))
         if "power" in blk:
             power = float(blk["power"])
         elif isinstance(profile, PlanePowerProfile):

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,43 @@ def test_all_pipeline(tmp_path, capsys):
     assert _read_csv(out / "sufficiency.csv")[0] == \
         ["z_re", "z_im", "log_abs", "tail", "bound", "excess", "ok"]
     assert _read_csv(out / "lemma1.csv")[0] == ["name", "value", "budget"]
+
+
+def test_integral_floats_run_as_integers(tmp_path):
+    # the schema counts 6.0 as an integer, so the builders must take it
+    doc = _toy_scenario()
+    rc = main(["all", "--scenario", _write(tmp_path, doc),
+               "--out", str(tmp_path / "int")])
+    assert rc == 0
+    doc["grids"]["sufficiency"]["seed"] = 7.0
+    doc["grids"]["sufficiency"]["count"] = 24.0
+    doc["grids"]["m0"]["per_shell"] = 6.0
+    rc = main(["all", "--scenario", _write(tmp_path, doc, "float.json"),
+               "--out", str(tmp_path / "float")])
+    assert rc == 0
+    for name in ("margin.csv", "m0.csv", "sufficiency.csv", "lemma1.csv"):
+        assert (tmp_path / "float" / name).read_bytes() == \
+            (tmp_path / "int" / name).read_bytes()
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys\n"
+        "import zerocert.cli\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+        "sys.exit(zerocert.cli.main(sys.argv[1:]))\n")
+    sc = _write(tmp_path, _pi_scenario())
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "all", "--scenario", sc,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "margin.csv").exists()
 
 
 def test_schema_failure_exits_2(tmp_path, capsys):

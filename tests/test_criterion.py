@@ -50,6 +50,18 @@ def test_margin_rhs_linear_growth_is_exact():
     assert curve.verdict == "consistent"
 
 
+def test_margin_rhs_budget_covers_rounding():
+    # the sine-certify sweep: the core integrand mu(s)/s is constant, so
+    # the quadrature estimate is 0 and only the rounding floor is left
+    Z = ZeroDistribution.real_multiples(step=np.pi, max_radius=1e5)
+    fam = TruncatedLogFamily(t_min=0.5, t_max=50.0, ratio=1.4)
+    curve = margin_sweep(Z, _abs_majorant(), fam)
+    for s in curve.samples:
+        assert 0.0 < s.rhs_budget <= 1e-14 * s.tau
+        assert abs(s.rhs - s.tau) <= s.rhs_budget
+    assert curve.verdict == "consistent"
+
+
 def test_margin_needs_three_top_samples_for_a_verdict():
     # under |z|^0.5 the rhs quadrature stalls at all but the last tau; one
     # kept sample (margin about +20) used to read "consistent" vacuously

@@ -1,13 +1,20 @@
 """Scenario file validation and object construction."""
 
+import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from zerocert import (DiskFractionProfile, PlanePowerProfile, SchemaError,
                       TruncatedLogFamily, build_sufficiency_grid,
                       load_scenario, validate_scenario)
+from zerocert.scenario import SCHEMA, _iter_errors
 
 
 def _doc(**over):
@@ -145,3 +152,159 @@ def test_sufficiency_grid_center_offset():
             "center": {"re": 10.0, "im": -3.0}}
     g = build_sufficiency_grid(blk)
     assert np.all(np.abs(g - (10.0 - 3.0j)) <= 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the in-package validator against jsonschema as the oracle
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+_BASES = [make(7) for make in _bench_workloads().values()] + [{
+    "label": "explicit",
+    "notes": "explicit points, log-abs-poly, disk-fraction",
+    "zeros": {"points": [{"re": 0.5}, {"re": -1.0, "im": 2.0, "mult": 3}]},
+    "majorant": {"up": {"kind": "log-abs-poly",
+                        "coeffs": [{"re": 1.0}, {"re": 0.0, "im": 1.0}]},
+                 "low": {"kind": "log-poly-growth"}},
+    "profile": {"kind": "disk-fraction", "fraction": 0.5,
+                "center": {"re": 1.0, "im": -1.0}, "R": 4.0},
+    "family": {"kind": "smooth-capped-log", "t_max": 8.0, "eps": 0.5},
+    "grids": {"sufficiency": {"kind": "explicit",
+                              "points": [{"re": 1.0, "im": 1.0}]},
+              "m0": {"r_max": 8.0, "power": 1.0}},
+    "tolerances": {"default": 1e-8, "margin": 1e-7, "m0": 1e-8,
+                   "sufficiency": 1e-8},
+    "lemma1": {"d_tilde": {"center": {"re": 0.0}, "radius": 1.0},
+               "s": {"center": {"re": 0.0, "im": 0.1}, "radius": 0.5},
+               "z0": {"re": 0.0}, "b": 1.0},
+}]
+
+_VALUES = [None, True, False, 0, 1, 2, 1.0, 6.0, -3.5, 0.5, "", "x",
+           "zero", "radial-power", "explicit", "random-disk",
+           "disk-fraction", "plane-power", "truncated-log",
+           "gaussian-integers", [], {}, [{}], [{"re": 1.0}], {"re": 1.0},
+           {"kind": "zero"}]
+_KEYS = ["kind", "re", "im", "mult", "seed", "count", "points", "generator",
+         "up", "center", "power", "radius", "extra", "aa"]
+
+
+def _containers(node, path=()):
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    """A base scenario with up to four keys or items replaced, deleted
+    or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        _, box = draw(st.sampled_from(list(_containers(doc))))
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+        if isinstance(box, dict):
+            if op == "add" or not box:
+                box[draw(st.sampled_from(_KEYS))] = value
+            else:
+                key = draw(st.sampled_from(sorted(box)))
+                if op == "replace":
+                    box[key] = value
+                else:
+                    del box[key]
+        elif op == "add" or not box:
+            box.append(value)
+        else:
+            i = draw(st.integers(0, len(box) - 1))
+            if op == "replace":
+                box[i] = value
+            else:
+                del box[i]
+    return doc
+
+
+def _oracle_messages(doc):
+    errors = sorted(Draft202012Validator(SCHEMA).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
+    return ["/" + "/".join(str(p) for p in e.absolute_path) + ": " + e.message
+            for e in errors]
+
+
+def _messages(doc):
+    try:
+        validate_scenario(doc)
+    except SchemaError as exc:
+        return exc.messages
+    return []
+
+
+def _base(i, **over):
+    doc = copy.deepcopy(_BASES[i])
+    doc.update(over)
+    return doc
+
+
+def test_validator_bases_are_valid():
+    for doc in _BASES:
+        validate_scenario(doc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_mutated())
+@example(doc=[])
+# bool is neither a number nor an integer
+@example(doc=_base(2, family={"kind": "truncated-log", "t_max": True},
+                   grids={"m0": {"r_max": 8.0, "per_shell": False}}))
+# an integral float is an integer, and no other float is
+@example(doc=_base(0, grids={"sufficiency": {
+    "kind": "random-disk", "radius": 1.0, "count": 6.0, "seed": 7.0},
+    "m0": {"r_max": 8.0, "per_shell": 6.0}}))
+@example(doc=_base(0, grids={"m0": {"r_max": 8.0, "per_shell": 6.5}}))
+# unexpected keys are listed sorted
+@example(doc=_base(1, zz=1, aa=2, mm=3))
+# a non-object passes every oneOf branch: the first is listed last
+@example(doc=_base(2, zeros=5, majorant={"up": 5}, profile="x"))
+# the bounds of each numeric keyword
+@example(doc=_base(2, family={"kind": "truncated-log", "t_max": 0,
+                              "ratio": 1},
+                   grids={"m0": {"r_max": -3.5, "power": -0.5}}))
+def test_validator_matches_jsonschema(doc):
+    assert _messages(doc) == _oracle_messages(doc)
+
+
+def _branch(block, i):
+    return dict(block["oneOf"][i], **{"$defs": SCHEMA["$defs"]})
+
+
+# oneOf hides its branches' messages, so check them on each branch
+@pytest.mark.parametrize("schema,instance", [
+    (_branch(SCHEMA["$defs"]["model"], 1),
+     {"kind": "log-abs-poly", "coeffs": []}),
+    (_branch(SCHEMA["$defs"]["model"], 1),
+     {"kind": "log-abs-poly", "coeffs": [{"re": True}, {"im": 1}, 3]}),
+    (_branch(SCHEMA["properties"]["profile"], 1),
+     {"kind": "disk-fraction", "fraction": 1, "R": 0, "center": {}}),
+    (_branch(SCHEMA["properties"]["profile"], 1),
+     {"kind": "disk-fraction", "fraction": 1.5, "R": 2.0}),
+    (_branch(SCHEMA["properties"]["zeros"], 0),
+     {"points": [{"re": 1.0, "mult": 0}, {"re": 1.0, "mult": 2.0},
+                 {"re": 1.0, "mult": 2.5}, {"re": False}]}),
+    (_branch(SCHEMA["properties"]["zeros"], 1),
+     {"generator": {"kind": "other", "step": 0, "max_radius": None}}),
+])
+def test_validator_matches_jsonschema_in_branches(schema, instance):
+    ours = [(list(p), m) for p, m in _iter_errors(instance, schema, schema,
+                                                   ())]
+    theirs = [(list(e.absolute_path), e.message)
+              for e in Draft202012Validator(schema).iter_errors(instance)]
+    assert ours and ours == theirs
