@@ -27,7 +27,7 @@ from .criterion import (Lemma1Constants, M0Report, MarginCurve, MarginSample,
                         check_m0, lemma1_constants, m0_dyadic_grid,
                         margin_sweep)
 from .construct import (ProductRepresentation, SufficiencyReport,
-                        build_product, genus, remainder_R, verify_sufficiency,
+                        build_product, genus, verify_sufficiency,
                         weierstrass_log_abs)
 from .scenario import (SCHEMA, Scenario, build_sufficiency_grid,
                        load_scenario, validate_scenario)
@@ -54,7 +54,7 @@ __all__ = [
     "make_harmonic", "make_log_abs_poly", "make_log_poly_growth",
     "make_radial_power", "make_zero_model", "margin_sweep",
     "mean_on_circle", "model_sum", "mollified_mean",
-    "poisson_jensen_check", "potential_to_measure", "remainder_R",
+    "poisson_jensen_check", "potential_to_measure",
     "smooth_capped_log", "truncated_log_plane", "uniform_circle",
     "validate_scenario", "verify_sufficiency", "weierstrass_log_abs",
 ]

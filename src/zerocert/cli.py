@@ -229,9 +229,24 @@ def _lemma1_stage(sc, args, outdir):
 # selftests (no scenario required)
 
 
+def _selftest_report(name, rows, outdir):
+    """Write and print (check, value, tolerance, ok) rows; raise unless
+    every check passed."""
+    ok = all(r[3] for r in rows)
+    path = _write_csv(outdir / ("%s_selftest.csv" % name),
+                      ["check", "value", "tolerance", "ok"], rows)
+    for check, val, tol, good in rows:
+        print("  %-34s %10.3e <= %8.1e  %s"
+              % (check, val, tol, "ok" if good else "FAIL"))
+    print("%s selftest: %s" % (name, "all ok" if ok else "FAILED"))
+    if not ok:
+        raise EngineError("%s selftest failed" % name)
+    return {"checks": [{"name": n, "value": v, "tolerance": t, "ok": o}
+                       for n, v, t, o in rows], "outputs": [path]}
+
+
 def _jensen_selftest(args, outdir):
     rows = []
-    ok = True
 
     mu = uniform_circle(0j, 2.0)
     V = log_potential(mu)
@@ -264,17 +279,7 @@ def _jensen_selftest(args, outdir):
     rows.append(("green-disk-center", e_center, 1e-12, e_center <= 1e-12))
     rows.append(("green-disk-boundary", e_bdry, 1e-12, e_bdry <= 1e-12))
 
-    ok = all(r[3] for r in rows)
-    path = _write_csv(outdir / "jensen_selftest.csv",
-                      ["check", "value", "tolerance", "ok"], rows)
-    for name, val, tol_, good in rows:
-        print("  %-34s %10.3e <= %8.1e  %s"
-              % (name, val, tol_, "ok" if good else "FAIL"))
-    print("jensen selftest: %s" % ("all ok" if ok else "FAILED"))
-    if not ok:
-        raise EngineError("jensen selftest failed")
-    return {"checks": [{"name": n, "value": v, "tolerance": t, "ok": o}
-                       for n, v, t, o in rows], "outputs": [path]}
+    return _selftest_report("jensen", rows, outdir)
 
 
 def _means_selftest(args, outdir):
@@ -302,17 +307,7 @@ def _means_selftest(args, outdir):
     except PreconditionViolation:
         rows.append(("disk-precondition-error-path", 0.0, 0.0, True))
 
-    ok = all(r[3] for r in rows)
-    path = _write_csv(outdir / "means_selftest.csv",
-                      ["check", "value", "tolerance", "ok"], rows)
-    for name, val, tol_, good in rows:
-        print("  %-34s %10.3e <= %8.1e  %s"
-              % (name, val, tol_, "ok" if good else "FAIL"))
-    print("means selftest: %s" % ("all ok" if ok else "FAILED"))
-    if not ok:
-        raise EngineError("means selftest failed")
-    return {"checks": [{"name": n, "value": v, "tolerance": t, "ok": o}
-                       for n, v, t, o in rows], "outputs": [path]}
+    return _selftest_report("means", rows, outdir)
 
 
 # ---------------------------------------------------------------------------

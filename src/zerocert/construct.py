@@ -1,9 +1,9 @@
 """Construction side: canonical products and the sufficiency bound.
 
-The genus is probed from dyadic block sums (or read off a generator's
-density exponent), elementary factors are evaluated through a tail
-series that stays accurate near u = 0, far zeros are summed as one power
-series in z, and the finite product carries a certified bound for
+The genus is probed from dyadic block sums (or read off an unbounded
+lattice's density exponent), elementary factors are evaluated through a
+tail series that stays accurate near u = 0, far zeros are summed as one
+power series in z, and the finite product carries a certified bound for
 everything it discarded or truncated.  verify_sufficiency then
 checks ln|f| against the enlarged-mean envelope pointwise, refusing to
 certify anything whose margin sweep already rules it out.
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GenusOverflow, NotSummable
+from .errors import GenusOverflow, NotSummable
 from .means import circle_mean, hat_radius
-from .measures import _ExplicitBackend, _GaussianBackend, _RealMultiplesBackend
 
 _SERIES_TERMS = 60
 
@@ -26,23 +25,17 @@ _SERIES_TERMS = 60
 def genus(Z, *, max_genus=8, probe_radius=4096.0):
     """Smallest p making sum of mult * |z_j|^-(p+1) converge.
 
-    Generators answer through their density exponent; explicit sets are
-    probed through dyadic block sums, accepting p once the last three
-    block ratios decay below 0.8.
+    Unbounded lattices answer through their density exponent; other
+    distributions are probed through dyadic block sums over the points
+    within ``Z.genus_reach(probe_radius)``, accepting p once the last
+    three block ratios decay below 0.8.
     """
-    b = Z._backend
     if Z.unbounded:
-        d = Z.density_exponent
-        if d is None:
-            raise DomainError("unbounded distribution without a density exponent")
-        p = int(math.floor(d))
+        p = int(math.floor(Z.density_exponent))
         if p > max_genus:
             raise GenusOverflow("genus %d exceeds cap %d" % (p, max_genus))
         return p
-    if isinstance(b, _ExplicitBackend):
-        pts, ml = b.points, b.mults
-    else:
-        pts, ml = Z.points_up_to(min(b.max_radius, probe_radius))
+    pts, ml = Z.points_up_to(Z.genus_reach(probe_radius))
     r = np.abs(pts)
     keep = r >= 1.0
     r = r[keep]
@@ -231,21 +224,7 @@ def build_product(Z, p=None, *, K=10000, guard=1e-12):
     """Retain about K zeros nearest the origin and bound the rest."""
     if p is None:
         p = genus(Z)
-    b = Z._backend
-    if isinstance(b, _RealMultiplesBackend):
-        cutoff = K * b.step
-        if b.max_radius is not None:
-            cutoff = min(cutoff, b.max_radius)
-    elif isinstance(b, _GaussianBackend):
-        cutoff = b.scale * math.sqrt(4.0 * K / math.pi)
-        if b.max_radius is not None:
-            cutoff = min(cutoff, b.max_radius)
-    else:
-        radii = np.abs(b.points)
-        if radii.size > K:
-            cutoff = float(np.sort(radii)[K - 1])
-        else:
-            cutoff = float(radii.max()) if radii.size else 1.0
+    cutoff = Z.retaining_radius(K)
     pts, ml = Z.points_up_to(cutoff)
     at_origin = np.abs(pts) <= guard
     origin_mult = int(ml[at_origin].sum()) if at_origin.any() else 0
@@ -267,19 +246,6 @@ def weierstrass_log_abs(Z, p, z, *, K=10000, guard=1e-12):
 
 # ---------------------------------------------------------------------------
 # the sufficiency bound
-
-
-def remainder_R(profile, z):
-    """Domain-dependent additive remainder of the envelope bound:
-    0 on the plane, -ln r(z) on a disk."""
-    z = np.asarray(z, dtype=complex)
-    if profile.domain_kind == "plane":
-        return np.zeros(z.shape, dtype=float)
-    if profile.domain_kind == "disk":
-        r = np.asarray(profile.radius(z), dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(r)
-    raise DomainError("unknown domain kind %r" % profile.domain_kind)
 
 
 @dataclass(frozen=True)
@@ -346,7 +312,7 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
     m_up, budgets = circle_mean(M.up, grid, hats, tol=tol / 4.0)
     low = np.asarray(M.low(grid), dtype=float)
     bounds = np.where(np.isneginf(low), math.inf,
-                      m_up - low + remainder_R(profile, grid))
+                      m_up - low + profile.remainder(grid))
 
     def excesses(shift):
         return (log_abs + shift) + tails - bounds - budgets - tol

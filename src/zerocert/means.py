@@ -33,8 +33,6 @@ class PlanePowerProfile:
         if self.power < 0:
             raise PreconditionViolation("power must be nonnegative")
 
-    domain_kind = "plane"
-
     def radius(self, z):
         return (1.0 + np.abs(np.asarray(z, dtype=complex))) ** (-self.power)
 
@@ -50,7 +48,11 @@ class PlanePowerProfile:
         return 1.0
 
     def dist_to_boundary(self, z):
-        return np.full(np.asarray(z).shape, math.inf, dtype=float)
+        return math.inf
+
+    def remainder(self, z):
+        """Additive remainder of the envelope bound: 0 on the plane."""
+        return np.zeros(np.asarray(z).shape, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class DiskFractionProfile:
     def __post_init__(self):
         if not (0 < self.fraction < 1) or not self.R > 0:
             raise PreconditionViolation("needs 0 < fraction < 1 and R > 0")
-
-    domain_kind = "disk"
 
     def radius(self, z):
         d = self.R - np.abs(np.asarray(z, dtype=complex) - self.center)
@@ -84,6 +84,11 @@ class DiskFractionProfile:
 
     def dist_to_boundary(self, z):
         return self.R - np.abs(np.asarray(z, dtype=complex) - self.center)
+
+    def remainder(self, z):
+        """Additive remainder of the envelope bound: -ln r(z) on a disk."""
+        with np.errstate(divide="ignore"):
+            return -np.log(np.asarray(self.radius(z), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,11 @@ def hat_radius(profile, z):
     # circle's radius), so 8 (1 + L)^2 ulps of that size cover them all
     size = abs(z) + r0 + profile.extent()
     certified = value + 8.0 * (1.0 + profile.lipschitz()) ** 2 * math.ulp(size)
-    if profile.domain_kind != "plane":
-        dist = float(profile.dist_to_boundary(z))
-        if certified >= dist:
-            raise PreconditionViolation(
-                "enlarged radius %.6g reaches the domain boundary "
-                "(distance %.6g at %r)" % (certified, dist, z))
+    dist = float(profile.dist_to_boundary(z))
+    if certified >= dist:
+        raise PreconditionViolation(
+            "enlarged radius %.6g reaches the domain boundary "
+            "(distance %.6g at %r)" % (certified, dist, z))
     return HatRadius(value=value, certified_upper=certified)
 
 
@@ -211,52 +215,46 @@ class MeanChainReport:
     slack: float
 
 
-def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8,
-                     composite=True):
+def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8):
     """Verify the mean inequalities at the given points.
 
     At each z with r = r(z) this checks
         u(z) <= disk(r) <= circle(r) <= disk(sqrt(e) r)
-    and, when ``composite`` is set, that the disk(r)-average of
-    w -> circle mean of u at radius r(w) stays below the circle mean of u
-    at the certified enlarged radius.
+    and that the disk(r)-average of w -> circle mean of u at radius r(w)
+    stays below the circle mean of u at the certified enlarged radius.
     """
+
+    def g(w):
+        return circle_mean(u, w, profile.radius(w), tol=1e-7)[0]
+
     rows = []
     worst = 0.0
     for z in np.asarray(points, dtype=complex).ravel():
         z = complex(z)
         r0 = float(profile.radius(z))
         hat = hat_radius(profile, z)
-        u0 = float(np.asarray(u(np.array([z])), dtype=float)[0]) \
-            if callable(u) else float(u)
+        u0 = float(np.asarray(u(np.array([z])), dtype=float)[0])
         disk_r, e1 = disk_mean(u, z, r0, tol=tol)
         circ_r, e2 = circle_mean(u, z, r0, tol=tol)
         disk_big, e3 = disk_mean(u, z, SQRT_E * r0, tol=tol)
-        budget = e1 + e2 + e3
+        comp, e4 = disk_mean(g, z, r0, tol=max(tol, 1e-8))
+        circ_hat, e5 = circle_mean(u, z, hat.certified_upper, tol=tol)
         scale = 1.0 + max(abs(disk_r), abs(circ_r), abs(disk_big))
         gaps = []
         if math.isfinite(u0):
             gaps.append(u0 - disk_r)
         gaps.append(disk_r - circ_r)
         gaps.append(circ_r - disk_big)
-        row = {"z": z, "r": r0, "u": u0, "disk_r": disk_r, "circle_r": circ_r,
-               "disk_sqrt_e_r": disk_big, "hat_r_upper": hat.certified_upper,
-               "budget": budget}
-        if composite:
-            def g(w):
-                return circle_mean(u, w, profile.radius(w), tol=1e-7)[0]
-
-            comp, e4 = disk_mean(g, z, r0, tol=max(tol, 1e-8))
-            circ_hat, e5 = circle_mean(u, z, hat.certified_upper, tol=tol)
-            gaps.append(comp - circ_hat)
-            row["composite"] = comp
-            row["circle_hat"] = circ_hat
-            row["budget"] = budget + e4 + e5
+        gaps.append(comp - circ_hat)
         violation = max(gaps)
-        row["violation"] = violation
-        row["ok"] = violation <= slack * scale + row["budget"]
+        budget = e1 + e2 + e3 + e4 + e5
         worst = max(worst, violation)
-        rows.append(row)
+        rows.append({"z": z, "r": r0, "u": u0, "disk_r": disk_r,
+                     "circle_r": circ_r, "disk_sqrt_e_r": disk_big,
+                     "hat_r_upper": hat.certified_upper,
+                     "budget": budget, "composite": comp,
+                     "circle_hat": circ_hat, "violation": violation,
+                     "ok": violation <= slack * scale + budget})
     return MeanChainReport(rows=tuple(rows),
                            ok=all(r["ok"] for r in rows),
                            max_violation=worst, slack=slack)

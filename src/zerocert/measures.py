@@ -50,12 +50,52 @@ class Region:
 
 
 # ---------------------------------------------------------------------------
-# zero distribution backends
+# zero distributions
 
 
-class _ExplicitBackend:
+class ZeroDistribution:
+    """Candidate zero multiset: an explicit point set or a lattice.
+
+    Each kind enumerates its points disk by disk, bounds the power sums
+    of the points beyond a radius, and names the radius that retains
+    about K zeros and the reach over which a genus probe reads them.
+    Every enumeration goes through ``points_up_to``.
+    """
+
     unbounded = False
     density_exponent = None
+
+    @classmethod
+    def from_points(cls, points, mults=None):
+        return PointSet(points, mults)
+
+    @classmethod
+    def empty(cls):
+        return PointSet([], None)
+
+    @classmethod
+    def real_multiples(cls, step=math.pi, max_radius=None):
+        return RealMultiples(step, max_radius)
+
+    @classmethod
+    def gaussian_integers(cls, scale=1.0, max_radius=None):
+        return GaussianIntegers(scale, max_radius)
+
+    def points_up_to(self, radius):
+        """Points and multiplicities with |z| <= radius."""
+        return self._enumerate(float(radius))
+
+    def has_point_at_origin(self, tol=1e-15):
+        pts, _ = self.points_up_to(tol)
+        return bool(pts.size)
+
+    def tail_power_sum_bound(self, q, radius):
+        """Upper bound on sum of mult * |z_j|^(-q) over |z_j| > radius."""
+        return self._tail(float(q), float(radius))
+
+
+class PointSet(ZeroDistribution):
+    """Finitely many points with positive integer multiplicities."""
 
     def __init__(self, points, mults):
         pts = np.asarray(points, dtype=complex).ravel()
@@ -79,81 +119,97 @@ class _ExplicitBackend:
             self.points = np.zeros(0, dtype=complex)
             self.mults = np.zeros(0, dtype=int)
 
-    def params(self):
-        return {"count": int(self.points.size)}
-
-    def enumerate_up_to(self, radius):
+    def _enumerate(self, radius):
         mask = np.abs(self.points) <= radius
         return self.points[mask], self.mults[mask]
 
-    def tail_power_sum_bound(self, q, radius):
+    def _tail(self, q, radius):
         mask = np.abs(self.points) > radius
         if not mask.any():
             return 0.0
         return float(np.sum(self.mults[mask] * np.abs(self.points[mask]) ** (-q)))
 
+    def retaining_radius(self, K):
+        radii = np.abs(self.points)
+        if radii.size > K:
+            return float(np.sort(radii)[K - 1])
+        return float(radii.max()) if radii.size else 1.0
 
-class _RealMultiplesBackend:
-    """Points {k*step : k integer, k != 0}, optionally radius-truncated."""
+    def genus_reach(self, probe_radius):
+        # a finite set is probed whole
+        return math.inf
 
-    density_exponent = 1.0
 
-    def __init__(self, step, max_radius=None):
-        step = float(step)
-        if step <= 0:
-            raise DomainError("lattice step must be positive")
-        self.step = step
+class _Lattice(ZeroDistribution):
+    """A lattice's nonzero points, all of them or those within max_radius."""
+
+    def __init__(self, max_radius):
         self.max_radius = None if max_radius is None else float(max_radius)
 
     @property
     def unbounded(self):
         return self.max_radius is None
 
-    def params(self):
-        return {"step": self.step, "max_radius": self.max_radius}
+    def _clamp(self, radius):
+        return radius if self.max_radius is None else min(radius, self.max_radius)
 
-    def enumerate_up_to(self, radius):
-        r = radius if self.max_radius is None else min(radius, self.max_radius)
+    def _enumerate(self, radius):
+        r = self._clamp(radius)
         if not math.isfinite(r):
             raise DomainError("cannot enumerate an unbounded lattice without a radius")
+        return self._points_within(r)
+
+    def _tail(self, q, radius):
+        if self.max_radius is not None and radius >= self.max_radius:
+            return 0.0
+        return self._tail_beyond(q, radius)
+
+    def genus_reach(self, probe_radius):
+        return self._clamp(probe_radius)
+
+
+class RealMultiples(_Lattice):
+    """Points {k*step : k integer, k != 0}."""
+
+    density_exponent = 1.0
+
+    def __init__(self, step, max_radius):
+        step = float(step)
+        if step <= 0:
+            raise DomainError("lattice step must be positive")
+        self.step = step
+        super().__init__(max_radius)
+
+    def _points_within(self, r):
         kmax = int(math.floor(r / self.step + 1e-12))
         k = np.arange(1, kmax + 1, dtype=float) * self.step
         pts = np.concatenate((k, -k)).astype(complex)
         return pts, np.ones(pts.size, dtype=int)
 
-    def tail_power_sum_bound(self, q, radius):
+    def _tail_beyond(self, q, radius):
         # sum over |k*step| > radius of (k*step)^(-q), both signs
-        if self.max_radius is not None and radius >= self.max_radius:
-            return 0.0
         if q <= 1:
             return math.inf
         k0 = max(1, int(math.floor(radius / self.step)))
         return 2.0 * self.step ** (-q) * k0 ** (1.0 - q) / (q - 1.0)
 
+    def retaining_radius(self, K):
+        return self._clamp(K * self.step)
 
-class _GaussianBackend:
-    """Points {scale*(m + n i)} minus the origin, optionally truncated."""
+
+class GaussianIntegers(_Lattice):
+    """Points {scale*(m + n i)} minus the origin."""
 
     density_exponent = 2.0
 
-    def __init__(self, scale=1.0, max_radius=None):
+    def __init__(self, scale, max_radius):
         scale = float(scale)
         if scale <= 0:
             raise DomainError("lattice scale must be positive")
         self.scale = scale
-        self.max_radius = None if max_radius is None else float(max_radius)
+        super().__init__(max_radius)
 
-    @property
-    def unbounded(self):
-        return self.max_radius is None
-
-    def params(self):
-        return {"scale": self.scale, "max_radius": self.max_radius}
-
-    def enumerate_up_to(self, radius):
-        r = radius if self.max_radius is None else min(radius, self.max_radius)
-        if not math.isfinite(r):
-            raise DomainError("cannot enumerate an unbounded lattice without a radius")
+    def _points_within(self, r):
         n = int(math.floor(r / self.scale)) + 1
         g = np.arange(-n, n + 1, dtype=float)
 
@@ -171,12 +227,10 @@ class _GaussianBackend:
             at += c
         return pts, np.ones(pts.size, dtype=int)
 
-    def tail_power_sum_bound(self, q, radius):
+    def _tail_beyond(self, q, radius):
         # Each lattice point owns a cell of area scale^2 within 0.71*scale of
         # it, so the tail sum is at most (1/scale^2) * integral over
         # |w| > radius - 1.42*scale of (|w| - 0.71*scale)^(-q) dA.
-        if self.max_radius is not None and radius >= self.max_radius:
-            return 0.0
         if q <= 2:
             return math.inf
         s = self.scale
@@ -186,88 +240,8 @@ class _GaussianBackend:
         return (2.0 * math.pi / s ** 2) * (
             x0 ** (2.0 - q) / (q - 2.0) + 0.71 * s * x0 ** (1.0 - q) / (q - 1.0))
 
-
-class ZeroDistribution:
-    """Candidate zero multiset, explicit or generator-backed."""
-
-    def __init__(self, backend):
-        self._backend = backend
-
-    @classmethod
-    def from_points(cls, points, mults=None):
-        return cls(_ExplicitBackend(points, mults))
-
-    @classmethod
-    def empty(cls):
-        return cls(_ExplicitBackend([], None))
-
-    @classmethod
-    def real_multiples(cls, step=math.pi, max_radius=None):
-        return cls(_RealMultiplesBackend(step, max_radius))
-
-    @classmethod
-    def gaussian_integers(cls, scale=1.0, max_radius=None):
-        return cls(_GaussianBackend(scale, max_radius))
-
-    @property
-    def unbounded(self):
-        return bool(self._backend.unbounded)
-
-    @property
-    def density_exponent(self):
-        return self._backend.density_exponent
-
-    def points_up_to(self, radius):
-        """Points and multiplicities with |z| <= radius."""
-        return self._backend.enumerate_up_to(float(radius))
-
-    def has_point_at_origin(self, tol=1e-15):
-        pts, _ = self._backend.enumerate_up_to(tol)
-        return bool(pts.size)
-
-    def tail_power_sum_bound(self, q, radius):
-        """Upper bound on sum of mult * |z_j|^(-q) over |z_j| > radius."""
-        return self._backend.tail_power_sum_bound(float(q), float(radius))
-
-    def __eq__(self, other):
-        if not isinstance(other, ZeroDistribution):
-            return NotImplemented
-        a, b = self._backend, other._backend
-        if isinstance(a, _ExplicitBackend) and isinstance(b, _ExplicitBackend):
-            return (a.points.shape == b.points.shape
-                    and np.array_equal(a.points, b.points)
-                    and np.array_equal(a.mults, b.mults))
-        return type(a) is type(b) and a.params() == b.params()
-
-    __hash__ = None
-
-    def to_json(self):
-        b = self._backend
-        if isinstance(b, _ExplicitBackend):
-            return {"points": [
-                {"re": float(p.real), "im": float(p.imag), "mult": int(m)}
-                for p, m in zip(b.points, b.mults)]}
-        if isinstance(b, _RealMultiplesBackend):
-            return {"generator": {"kind": "real-multiples", "step": b.step,
-                                  "max_radius": b.max_radius}}
-        return {"generator": {"kind": "gaussian-integers", "scale": b.scale,
-                              "max_radius": b.max_radius}}
-
-    @classmethod
-    def from_json(cls, obj):
-        if "points" in obj and obj.get("points") is not None:
-            pts = [complex(p["re"], p.get("im", 0.0)) for p in obj["points"]]
-            mls = [int(p.get("mult", 1)) for p in obj["points"]]
-            return cls.from_points(pts, mls)
-        gen = obj.get("generator")
-        if gen is None:
-            raise DomainError("zero distribution needs points or a generator")
-        kind = gen.get("kind")
-        if kind == "real-multiples":
-            return cls.real_multiples(gen.get("step", math.pi), gen.get("max_radius"))
-        if kind == "gaussian-integers":
-            return cls.gaussian_integers(gen.get("scale", 1.0), gen.get("max_radius"))
-        raise DomainError("unknown generator kind %r" % kind)
+    def retaining_radius(self, K):
+        return self._clamp(self.scale * math.sqrt(4.0 * K / math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +319,6 @@ class RieszCharge:
     @classmethod
     def from_atoms(cls, points, masses):
         return cls(atom_points=points, atom_masses=masses)
-
-    @property
-    def is_empty(self):
-        return (self.atom_points.size == 0 and not self.rings and not self.radial)
 
     def __neg__(self):
         return RieszCharge(

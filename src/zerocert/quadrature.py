@@ -35,6 +35,10 @@ class ToleranceFailure(EngineError):
         self.residual = residual
 
 
+# Gauss-Legendre order of each panel's lower rule (the upper one doubles
+# it), and the narrowest panel that refinement still splits
+_ORDER = 16
+_MIN_WIDTH = 1e-14
 _NODES = {}
 
 
@@ -46,11 +50,11 @@ def _nodes(order):
 
 
 def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
-              order=16, max_panels=4096, min_width=1e-14):
+              max_panels=4096):
     """Return (value, error_estimate) for the integral of f over [a, b].
 
     f maps a float ndarray to one of the same shape.  The error estimate is
-    the summed order-n vs order-2n Gauss discrepancy over accepted panels.
+    the summed order-16 vs order-32 Gauss discrepancy over accepted panels.
     ``singularities`` lists abscissae where f is singular but integrable;
     each gets a short isolating panel (width ``isolation``) so refinement
     concentrates there.  Raises ToleranceFailure when ``max_panels`` panels
@@ -62,8 +66,8 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
         if b == a:
             return 0.0, 0.0
         raise ValueError("integration interval is reversed")
-    x_lo, w_lo = _nodes(order)
-    x_hi, w_hi = _nodes(2 * order)
+    x_lo, w_lo = _nodes(_ORDER)
+    x_hi, w_hi = _nodes(2 * _ORDER)
 
     def estimates(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -76,8 +80,8 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
         if not finite.all():
             bad = pts[int(np.flatnonzero(~finite)[0])]
             return 0.0, 0.0, float(bad)
-        v_lo = half * float(w_lo @ y[:order])
-        v_hi = half * float(w_hi @ y[order:])
+        v_lo = half * float(w_lo @ y[:_ORDER])
+        v_hi = half * float(w_hi @ y[_ORDER:])
         return v_hi, abs(v_hi - v_lo), None
 
     iso = isolation if isolation is not None else 1e-4 * (b - a)
@@ -85,7 +89,7 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
     edges = [a]
     for s in cuts:
         for e in (s - iso, s, s + iso):
-            if edges[-1] + min_width < e < b - min_width:
+            if edges[-1] + _MIN_WIDTH < e < b - _MIN_WIDTH:
                 edges.append(e)
     edges.append(b)
 
@@ -103,7 +107,7 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
             val, err, bad = estimates(plo, phi)
             panels += 1
             if bad is not None:
-                if phi - plo <= min_width or panels >= max_panels:
+                if phi - plo <= _MIN_WIDTH or panels >= max_panels:
                     raise ToleranceFailure(
                         "integrand not finite near x=%r" % bad,
                         value=total, residual=math.inf)
@@ -127,7 +131,7 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
 
         while err_sum > tol and heap and panels < max_panels:
             _, _, lo, hi, val, err = heapq.heappop(heap)
-            if hi - lo <= min_width:
+            if hi - lo <= _MIN_WIDTH:
                 # cannot refine further; its error stays in the running total
                 continue
             total -= val
@@ -170,7 +174,7 @@ def _edge_angles(center, radius, singular_points, kink_circles):
 
 
 def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
-                   kink_circles=(), order=16, max_panels=4096):
+                   kink_circles=()):
     """Average of f over the circles |w - center| = radius.
 
     ``center`` and ``radius`` broadcast against each other; returns
@@ -210,8 +214,8 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
     done = np.zeros(rs.shape, dtype=bool)
     batch = [i for i in np.flatnonzero(rs > 0) if i not in angles]
     if batch:
-        x_lo, w_lo = _nodes(order)
-        x_hi, w_hi = _nodes(2 * order)
+        x_lo, w_lo = _nodes(_ORDER)
+        x_hi, w_hi = _nodes(2 * _ORDER)
         # integrate's first panel on [0, 2 pi]: midpoint and half-width pi
         half = 0.5 * TWO_PI
         theta = np.concatenate((half + half * x_lo, half + half * x_hi))
@@ -223,8 +227,8 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
         for i, yi, ok in zip(batch, y, finite):
             if not ok:
                 continue
-            v_lo = half * float(w_lo @ yi[:order])
-            v_hi = half * float(w_hi @ yi[order:])
+            v_lo = half * float(w_lo @ yi[:_ORDER])
+            v_hi = half * float(w_hi @ yi[_ORDER:])
             err = abs(v_hi - v_lo)
             if err <= tol * TWO_PI:
                 # integrate starts its running sum at 0.0
@@ -243,8 +247,7 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
             return f(c + r * np.exp(1j * theta))
 
         val, err = integrate(g, 0.0, TWO_PI, tol=tol * TWO_PI,
-                             singularities=angles.get(i, ()), isolation=1e-3,
-                             order=order, max_panels=max_panels)
+                             singularities=angles.get(i, ()), isolation=1e-3)
         means[i] = val / TWO_PI
         errs[i] = err / TWO_PI
     if not shape:

@@ -177,7 +177,8 @@ SCHEMA = {
                                 "kind": {"const": "random-disk"},
                                 "radius": {"type": "number",
                                            "exclusiveMinimum": 0},
-                                "count": {"type": "integer", "minimum": 1},
+                                "count": {"type": "integer", "minimum": 1,
+                                          "maximum": 1000000},
                                 "seed": {"type": "integer", "minimum": 0},
                                 "center": {"$ref": "#/$defs/complex"},
                             },
@@ -202,7 +203,8 @@ SCHEMA = {
                     "type": "object",
                     "properties": {
                         "r_max": {"type": "number", "exclusiveMinimum": 0},
-                        "per_shell": {"type": "integer", "minimum": 1},
+                        "per_shell": {"type": "integer", "minimum": 1,
+                                      "maximum": 1000000},
                         "power": {"type": "number", "minimum": 0},
                     },
                     "required": ["r_max"],
@@ -276,6 +278,20 @@ def _make_model(blk):
     raise SchemaError(["/majorant: unknown model kind %r" % kind])
 
 
+def _make_zeros(blk):
+    if "points" in blk:
+        pts = blk["points"]
+        return ZeroDistribution.from_points(
+            [complex(p["re"], p.get("im", 0.0)) for p in pts],
+            [int(p.get("mult", 1)) for p in pts])
+    gen = blk["generator"]
+    if gen["kind"] == "real-multiples":
+        return ZeroDistribution.real_multiples(gen.get("step", math.pi),
+                                               gen.get("max_radius"))
+    return ZeroDistribution.gaussian_integers(gen.get("scale", 1.0),
+                                              gen.get("max_radius"))
+
+
 def _make_profile(blk):
     if blk is None:
         return None
@@ -310,7 +326,6 @@ def build_sufficiency_grid(blk, seed=None):
 
 @dataclass(frozen=True)
 class Scenario:
-    raw: dict
     label: str
     zeros: ZeroDistribution
     majorant: DSubharmonicMajorant
@@ -412,6 +427,9 @@ def _iter_errors(instance, schema, root, path):
             if key == "minimum" and instance < value:
                 yield path, "%r is less than the minimum of %r" % (
                     instance, value)
+            elif key == "maximum" and instance > value:
+                yield path, "%r is greater than the maximum of %r" % (
+                    instance, value)
             elif key == "exclusiveMinimum" and instance <= value:
                 yield path, ("%r is less than or equal to the minimum of %r"
                              % (instance, value))
@@ -438,7 +456,7 @@ def load_scenario(path, *, tau_max=None, seed=None):
         except json.JSONDecodeError as exc:
             raise SchemaError(["/: not valid JSON (%s)" % exc]) from exc
     validate_scenario(doc)
-    zeros = ZeroDistribution.from_json(doc["zeros"])
+    zeros = _make_zeros(doc["zeros"])
     majorant = DSubharmonicMajorant(
         up=_make_model(doc["majorant"]["up"]),
         low=_make_model(doc["majorant"].get("low")))
@@ -472,7 +490,7 @@ def load_scenario(path, *, tau_max=None, seed=None):
             "b": float(blk["b"]),
         }
     return Scenario(
-        raw=doc, label=doc.get("label", ""), zeros=zeros, majorant=majorant,
+        label=doc.get("label", ""), zeros=zeros, majorant=majorant,
         profile=profile, family=family, sufficiency_grid=grid_s,
         m0_grid=grid_m, m0_power=power, lemma1=lemma1,
         tolerances=dict(doc.get("tolerances", {})))

@@ -128,6 +128,16 @@ def test_schema_failure_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    doc = _toy_scenario()
+    doc["grids"]["sufficiency"]["count"] = 1e20
+    out = tmp_path / "run"
+    rc = main(["all", "--scenario", _write(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert "schema: /grids/sufficiency: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_scenario_flag_exits_2(tmp_path, capsys):
     rc = main(["check-m0", "--out", str(tmp_path / "run")])
     assert rc == 2

@@ -14,7 +14,6 @@ from zerocert import (
     build_product,
     genus,
     make_radial_power,
-    remainder_R,
     verify_sufficiency,
     weierstrass_log_abs,
 )
@@ -41,6 +40,39 @@ def test_genus_catalogue():
 def test_genus_overflow():
     with pytest.raises(GenusOverflow):
         genus(ZeroDistribution.real_multiples(step=np.pi), max_genus=0)
+
+
+_DYADIC = [2.0 ** k for k in range(12)]
+
+
+# (zeros, K, genus, cutoff, retained, tail_sum_bound) for each kind
+@pytest.mark.parametrize("make,K,p,cutoff,retained,tail", [
+    # an explicit set is probed whole: the heavy point at 8192, beyond the
+    # probe radius 4096, lifts the genus from 0 to 3
+    (lambda: ZeroDistribution.from_points(_DYADIC + [8192.0],
+                                          [1] * 12 + [100]),
+     5, 3, 16.0, 5, 1.017252622581566e-06),
+    (lambda: ZeroDistribution.from_points(_DYADIC),
+     5, 0, 16.0, 5, 0.06201171875),
+    (lambda: ZeroDistribution.real_multiples(step=np.pi),
+     100, 1, 314.1592653589793, 200, 0.0020264236728467556),
+    (lambda: ZeroDistribution.gaussian_integers(),
+     50, 2, 7.978845608028654, 192, 1.0098217712268827),
+    # truncated lattices: max_radius lies below the K-cutoff, so the
+    # cutoff is clamped to it and nothing is left beyond
+    (lambda: ZeroDistribution.real_multiples(step=1.0, max_radius=10.5),
+     100, 1, 10.5, 20, 0.0),
+    (lambda: ZeroDistribution.gaussian_integers(scale=0.5, max_radius=3.0),
+     1000, 0, 3.0, 112, 0.0),
+])
+def test_genus_and_cutoff_per_kind(make, K, p, cutoff, retained, tail):
+    Z = make()
+    assert genus(Z) == p
+    prod = build_product(Z, K=K)
+    assert prod.genus == p
+    assert prod.cutoff_radius == cutoff
+    assert prod.retained == retained
+    assert prod.tail_sum_bound == tail
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +253,12 @@ def test_not_summable_for_undersized_genus():
 
 def test_remainder_values():
     prof = PlanePowerProfile(1.0)
-    assert remainder_R(prof, 1.0 + 1j) == 0.0
+    assert prof.remainder(1.0 + 1j) == 0.0
     from zerocert import DiskFractionProfile
 
     dprof = DiskFractionProfile(0.2, 0j, 2.0)
     # disk: -ln r(z), with r(1) = 0.2 * (2 - 1)
-    got = remainder_R(dprof, 1.0 + 0j)
+    got = dprof.remainder(1.0 + 0j)
     assert abs(got + np.log(0.2 * 1.0)) <= 1e-12
 
 

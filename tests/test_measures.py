@@ -67,9 +67,9 @@ def test_counting_gaussian_disk_matches_loop():
 @pytest.mark.parametrize("scale", [1.0, 0.3, 2.7, 1.0 / 3.0])
 def test_gaussian_rows_match_meshgrid(scale):
     # the row-by-row enumeration returns the square meshgrid's points, in order
-    backend = ZeroDistribution.gaussian_integers(scale=scale)._backend
+    Z = ZeroDistribution.gaussian_integers(scale=scale)
     for radius in (0.0, 0.5, scale, 5.0, 17.3, 60.0):
-        got, mults = backend.enumerate_up_to(radius)
+        got, mults = Z.points_up_to(radius)
         n = int(np.floor(radius / scale)) + 1
         g = np.arange(-n, n + 1, dtype=float)
         re, im = np.meshgrid(g, g, indexing="ij")
@@ -146,32 +146,6 @@ def test_gaussian_tail_bound_dominates_actual():
         actual = float(np.sum(tail ** (-q)))
         # enumeration stops at 400, so compare against the finite piece only
         assert Z.tail_power_sum_bound(q, 50.0) >= actual
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-            st.integers(1, 4),
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-def test_json_roundtrip_explicit(items):
-    pts = [p for p, _ in items]
-    ms = [m for _, m in items]
-    Z = ZeroDistribution.from_points(pts, ms)
-    Z2 = ZeroDistribution.from_json(Z.to_json())
-    assert Z == Z2
-
-
-def test_json_roundtrip_generator():
-    Z = ZeroDistribution.gaussian_integers(max_radius=50.0)
-    Z2 = ZeroDistribution.from_json(Z.to_json())
-    assert Z == Z2
-    assert _count(Z2, Region.disk(0.0, 10.0)) == 316
 
 
 # ---------------------------------------------------------------------------

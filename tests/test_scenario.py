@@ -96,6 +96,10 @@ def test_load_builds_runtime_objects(tmp_path):
     assert not sc.lemma1["s"].contains(0.9 + 0j)
     assert sc.tol("margin") == 1e-7
     assert sc.tol("sufficiency") == 1e-8  # falls back to default
+    gauss = {"generator": {"kind": "gaussian-integers", "max_radius": 50.0}}
+    sc = load_scenario(_write(tmp_path, _doc(zeros=gauss), "gauss.json"))
+    assert sc.zeros.points_up_to(10.0)[1].sum() == 316
+    assert sc.zeros.tail_power_sum_bound(3.0, 50.0) == 0.0
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -278,6 +282,8 @@ def test_validator_bases_are_valid():
 @example(doc=_base(2, family={"kind": "truncated-log", "t_max": 0,
                               "ratio": 1},
                    grids={"m0": {"r_max": -3.5, "power": -0.5}}))
+# grid sizes are capped
+@example(doc=_base(2, grids={"m0": {"r_max": 8.0, "per_shell": 1e20}}))
 def test_validator_matches_jsonschema(doc):
     assert _messages(doc) == _oracle_messages(doc)
 
@@ -301,6 +307,8 @@ def _branch(block, i):
                  {"re": 1.0, "mult": 2.5}, {"re": False}]}),
     (_branch(SCHEMA["properties"]["zeros"], 1),
      {"generator": {"kind": "other", "step": 0, "max_radius": None}}),
+    (_branch(SCHEMA["properties"]["grids"]["properties"]["sufficiency"], 0),
+     {"kind": "random-disk", "radius": 1.0, "count": 1e20}),
 ])
 def test_validator_matches_jsonschema_in_branches(schema, instance):
     ours = [(list(p), m) for p, m in _iter_errors(instance, schema, schema,
