@@ -16,7 +16,7 @@ from .majorants import (DSubharmonicMajorant, SubharmonicModel, eval_M,
 from .means import (SQRT_E, DiskFractionProfile, HatRadius, MeanChainReport,
                     PlanePowerProfile, check_mean_chain, circle_mean,
                     default_kernel, disk_mean, hat_radius, mollified_mean)
-from .jensen import (AnnulusPart, CirclePart, GreenFunction, JensenMeasure,
+from .jensen import (CirclePart, GreenFunction, JensenMeasure,
                      JensenPotential, PJReport, green_disk, log_potential,
                      poisson_jensen_check, potential_to_measure,
                      uniform_circle)
@@ -35,7 +35,7 @@ from .scenario import (SCHEMA, Scenario, build_sufficiency_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SQRT_E", "AnnulusPart", "CirclePart", "DiskFractionProfile",
+    "SQRT_E", "CirclePart", "DiskFractionProfile",
     "DomainError", "DSubharmonicMajorant", "EngineError", "GenusOverflow",
     "GreenFunction", "HatRadius", "InvalidKernel", "InvalidModel",
     "InvalidPotential", "JensenMeasure", "JensenPotential",

@@ -302,22 +302,25 @@ class Lemma1Constants:
     budget: float
 
 
-def _min_green_on_circle(g, center, radius, grid=2048):
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    z = center + radius * np.exp(1j * theta)
-    vals = np.asarray(g(z), dtype=float)
-    i = int(np.argmin(vals))
-    lo = theta[i] - TWO_PI / grid
-    hi = theta[i] + TWO_PI / grid
-    best = float(vals[i])
-    for _ in range(6):
-        t = np.linspace(lo, hi, 65)
-        v = np.asarray(g(center + radius * np.exp(1j * t)), dtype=float)
-        j = int(np.argmin(v))
-        best = min(best, float(v[j]))
-        step = (hi - lo) / 64.0
-        lo, hi = t[j] - step, t[j] + step
-    return best
+def _green_floor_on_circle(g, center, radius):
+    """Minimum of the disk Green function g on a circle inside its disk.
+
+    g = -ln|phi| for the Moebius map phi(w) = R (w - a) / (R^2 - conj(a) w),
+    with w and the pole a taken from the disk's center.  phi sends the
+    circle |w - c| = radius to a circle whose centre is phi at the
+    reflection of phi's pole R^2 / conj(a) in it (phi(c) when a = 0), so
+    the floor is -ln(|image centre| + image radius).
+    """
+    R = g.R
+    a = g.pole - g.center
+    c = complex(center) - g.center
+    reflected = c + radius * radius * a / (R * R - a * c.conjugate())
+
+    def phi(w):
+        return R * (w - a) / (R * R - a.conjugate() * w)
+
+    image = phi(reflected)
+    return -math.log(abs(image) + abs(phi(c + radius) - image))
 
 
 def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
@@ -343,7 +346,7 @@ def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
     if abs(z0 - s_region.center) >= s_region.radius:
         raise DomainError("pole must lie in the interior of the inner region")
     g = green_disk(d_tilde.radius, z0, d_tilde.center)
-    inf_green = _min_green_on_circle(g, s_region.center, s_region.radius)
+    inf_green = _green_floor_on_circle(g, s_region.center, s_region.radius)
     if inf_green <= 0:
         raise DomainError("Green floor is not positive; geometry too tight")
     c_test = b / inf_green

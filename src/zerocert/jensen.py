@@ -1,13 +1,14 @@
-"""Jensen measures with radial structure and their log potentials.
+"""Jensen measures on circles and their log potentials.
 
 The catalogue holds measures of the form
-    mu = pole_mass * delta_pole + sum of weighted circles and annuli
+    mu = pole_mass * delta_pole + sum of weighted circles
 centered at the pole, with total mass one.  Every such mu satisfies
 u(pole) <= integral of u d(mu) for subharmonic u, because circle means
 dominate the center value.  The log potential
     V(z) = integral of ln|w - z| d(mu)(w) - ln|z - pole|
+         = (pole_mass - 1) ln d + sum of w_k ln max(d, r_k),  d = |z - pole|,
 is radial about the pole, nonnegative, and vanishes beyond the largest
-part radius; mu can be recovered from V, and the identity
+circle; mu can be recovered from V, and the identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
 is checked numerically by two independent routes.
 """
@@ -20,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EngineError, InvalidPotential
+from .errors import DomainError, InvalidPotential
 from .measures import RadialDensity, Ring, RieszCharge
-from .quadrature import integrate, integrate_circle_means, mean_on_circle
+from .quadrature import mean_on_circle
 
 
 @dataclass(frozen=True)
@@ -32,35 +33,8 @@ class CirclePart:
 
 
 @dataclass(frozen=True)
-class AnnulusPart:
-    inner: float
-    outer: float
-    weight: float
-    density: Callable | None = None
-
-    def density_fn(self):
-        if self.density is not None:
-            return self.density
-        return _bump_density(self.inner, self.outer)
-
-
-def _bump_density(a, b):
-    # (35 / (16 (b-a))) (1 - x^2)^3 with x the affine map of [a,b] to [-1,1];
-    # integrates to 1 over [a, b]
-    scale = 35.0 / (16.0 * (b - a))
-
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        x = (2.0 * s - (a + b)) / (b - a)
-        inside = np.abs(x) <= 1.0
-        return scale * np.where(inside, (1.0 - x ** 2) ** 3, 0.0)
-
-    return density
-
-
-@dataclass(frozen=True)
 class JensenMeasure:
-    """Probability measure from the radial catalogue, pole included."""
+    """Probability measure from the circle catalogue, pole included."""
 
     pole: complex
     parts: tuple
@@ -73,58 +47,33 @@ class JensenMeasure:
             raise DomainError("pole mass must be nonnegative")
         total = self.pole_mass
         for p in self.parts:
-            if isinstance(p, CirclePart):
-                if p.radius <= 0 or p.weight <= 0:
-                    raise DomainError("circle parts need positive radius and weight")
-            elif isinstance(p, AnnulusPart):
-                if not (0 < p.inner < p.outer) or p.weight <= 0:
-                    raise DomainError("annulus parts need 0 < inner < outer")
-            else:
+            if not isinstance(p, CirclePart):
                 raise DomainError("unknown part type %r" % type(p).__name__)
+            if p.radius <= 0 or p.weight <= 0:
+                raise DomainError("circle parts need positive radius and weight")
             total += p.weight
         if abs(total - 1.0) > 1e-12:
             raise DomainError("total mass %.15g is not 1" % total)
 
     def support_radius(self):
-        r = 0.0
-        for p in self.parts:
-            r = max(r, p.radius if isinstance(p, CirclePart) else p.outer)
-        return r
+        return max((p.radius for p in self.parts), default=0.0)
 
     def min_part_radius(self):
-        r = math.inf
-        for p in self.parts:
-            r = min(r, p.radius if isinstance(p, CirclePart) else p.inner)
-        return r
+        return min((p.radius for p in self.parts), default=math.inf)
 
     def integrate(self, u, *, tol=1e-9):
         """Integral of u against the measure; returns (value, budget)."""
-        sing = tuple(getattr(u, "singular_points", ()))
         val = 0.0
         err = 0.0
         if self.pole_mass > 0:
             u0 = float(np.asarray(u(np.array([self.pole])), dtype=float)[0])
             val += self.pole_mass * u0
-        circles = [p for p in self.parts if isinstance(p, CirclePart)]
         means, errs = mean_on_circle(
-            u, self.pole, np.array([p.radius for p in circles]), tol=tol,
-            singular_points=sing)
-        circle_means = iter(zip(means, errs))
-        for p in self.parts:
-            if isinstance(p, CirclePart):
-                m, e = next(circle_means)
-                val += p.weight * float(m)
-                err += p.weight * float(e)
-            else:
-                dens = p.density_fn()
-                v, e, inner = integrate_circle_means(
-                    lambda s: mean_on_circle(u, self.pole, s, tol=tol / 2,
-                                             singular_points=sing),
-                    lambda s, m: m * np.asarray(dens(s), dtype=float),
-                    p.inner, p.outer, tol=tol / 2, center=self.pole,
-                    singular_points=sing)
-                val += p.weight * v
-                err += p.weight * (e + inner)
+            u, self.pole, np.array([p.radius for p in self.parts]), tol=tol,
+            singular_points=tuple(getattr(u, "singular_points", ())))
+        for p, m, e in zip(self.parts, means, errs):
+            val += p.weight * float(m)
+            err += p.weight * float(e)
         return val, err
 
 
@@ -175,94 +124,45 @@ def log_potential(mu, *, tol=1e-9):
     The pole coefficient is measured back off the evaluator rather than
     copied from the measure, so round trips exercise the asymptotics.
     """
-    pole = mu.pole
-    circles = [p for p in mu.parts if isinstance(p, CirclePart)]
-    annuli = [p for p in mu.parts if isinstance(p, AnnulusPart)]
     pole_term = mu.pole_mass - 1.0
-
-    ann_pre = []
-    for p in annuli:
-        dens = p.density_fn()
-        # constant contribution when the evaluation point is inside the hole
-        c_in, _ = integrate(lambda s, _d=dens: np.asarray(_d(s), dtype=float)
-                            * np.log(s), p.inner, p.outer, tol=1e-12)
-        ann_pre.append((p, dens, c_in))
+    parts = mu.parts
 
     def radial(d):
         d = np.asarray(d, dtype=float)
         with np.errstate(divide="ignore"):
             out = pole_term * np.log(d)
-        for p in circles:
+        for p in parts:
             out = out + p.weight * np.log(np.maximum(d, p.radius))
-        for p, dens, c_in in ann_pre:
-            term = np.empty(d.shape, dtype=float)
-            flat_d = d.ravel()
-            flat_t = term.ravel()
-            for i, di in enumerate(flat_d):
-                if di <= p.inner:
-                    flat_t[i] = c_in
-                elif di >= p.outer:
-                    flat_t[i] = math.log(di)
-                else:
-                    below, _ = integrate(
-                        lambda s, _d=dens: np.asarray(_d(s), dtype=float),
-                        p.inner, di, tol=1e-12)
-                    above, _ = integrate(
-                        lambda s, _d=dens: np.asarray(_d(s), dtype=float)
-                        * np.log(s), di, p.outer, tol=1e-12)
-                    flat_t[i] = below * math.log(di) + above
-            out = out + p.weight * term
         return out
 
-    rings = tuple(Ring(pole, p.radius, p.weight) for p in circles)
-    radial_parts = []
-    for p, dens, _ in ann_pre:
-        radial_parts.append(RadialDensity(
-            profile=lambda s, _p=p, _d=dens: _p.weight
-            * np.asarray(_d(s), dtype=float) / np.asarray(s, dtype=float),
-            center=pole, support=(p.inner, p.outer)))
-    charge = RieszCharge(rings=rings, radial=tuple(radial_parts))
-
+    charge = RieszCharge(rings=tuple(Ring(mu.pole, p.radius, p.weight)
+                                     for p in parts))
     kappa = _measure_pole_coefficient(radial, mu.min_part_radius(), tol)
     return JensenPotential(
-        pole=pole, radial=radial, charge=charge, pole_coefficient=kappa,
+        pole=mu.pole, radial=radial, charge=charge, pole_coefficient=kappa,
         support_radius=mu.support_radius(),
-        kink_radii=tuple(p.radius for p in circles))
+        kink_radii=tuple(p.radius for p in parts))
 
 
 def potential_to_measure(V, *, tol=1e-9):
     """Inverse map: rebuild the catalogue measure from a potential.
 
-    Parts come from the charge off the pole; the pole mass is one minus
+    Circles come from the rings of the charge; the pole mass is one minus
     the measured pole coefficient.  The reconstruction must have total
     mass one or the potential is rejected.
     """
-    parts = []
     if V.charge.atom_points.size:
         raise InvalidPotential("catalogue potentials carry no off-pole atoms")
+    if V.charge.radial:
+        raise InvalidPotential("catalogue potentials carry no radial densities")
+    parts = []
     for ring in V.charge.rings:
         if abs(ring.center - V.pole) > 1e-12:
             raise InvalidPotential("ring off the pole")
         if ring.mass <= 0:
             raise InvalidPotential("ring with nonpositive mass")
         parts.append(CirclePart(ring.radius, ring.mass))
-    for dens in V.charge.radial:
-        if abs(dens.center - V.pole) > 1e-12:
-            raise InvalidPotential("radial density off the pole")
-        a, b = dens.support
-        if not (0 < a < b < math.inf):
-            raise InvalidPotential("annular density needs bounded support")
-        w = dens.sign * (dens.mass_in(b) - dens.mass_in(a))
-        if w <= 0:
-            raise InvalidPotential("annulus with nonpositive mass")
-
-        def density(s, _d=dens, _w=w):
-            s = np.asarray(s, dtype=float)
-            return np.asarray(_d.profile(s), dtype=float) * s / _w
-
-        parts.append(AnnulusPart(a, b, w, density=density))
-    min_radius = min((p.radius if isinstance(p, CirclePart) else p.inner
-                      for p in parts), default=1e-3)
+    min_radius = min((p.radius for p in parts), default=1e-3)
     kappa = _measure_pole_coefficient(V.radial, min_radius, tol)
     pole_mass = 1.0 - kappa
     total = pole_mass + sum(p.weight for p in parts)
@@ -313,15 +213,19 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
         raise DomainError("identity needs a finite value at the pole")
     mean_term, e1 = mu.integrate(u, tol=tol)
     V = log_potential(mu, tol=tol)
-    try:
-        charge_term, e2 = u.riesz.integrate_radial(
+    charge = u.riesz
+    if all(abs(c.center - mu.pole) <= 1e-12
+           for c in charge.rings + charge.radial):
+        # every ring and density is centred on the pole (atoms may sit
+        # anywhere): integrate the radial V against the charge directly
+        charge_term, e2 = charge.integrate_radial(
             V.radial, center=mu.pole, tol=tol, g_support=V.support_radius,
             singular_radii=V.kink_radii)
-    except EngineError:
-        # charge components off the pole's axis of symmetry: fall back to
-        # circle means of V around each component's own center, truncating
-        # radial supports where V is identically zero
-        trunc = _truncate_radial(u.riesz, mu.pole, V.support_radius)
+    else:
+        # charge components off the pole's axis of symmetry: circle means
+        # of V around each component's own center, truncating radial
+        # supports where V is identically zero
+        trunc = _truncate_radial(charge, mu.pole, V.support_radius)
         kinks = tuple((mu.pole, k) for k in V.kink_radii)
         coarse, _ = trunc.integrate(
             V, tol=tol, f_singular_points=(mu.pole,), f_kink_circles=kinks)

@@ -202,7 +202,8 @@ SCHEMA = {
                 "m0": {
                     "type": "object",
                     "properties": {
-                        "r_max": {"type": "number", "exclusiveMinimum": 0},
+                        "r_max": {"type": "number", "exclusiveMinimum": 0,
+                                  "maximum": 1e15},
                         "per_shell": {"type": "integer", "minimum": 1,
                                       "maximum": 1000000},
                         "power": {"type": "number", "minimum": 0},
@@ -470,7 +471,15 @@ def load_scenario(path, *, tau_max=None, seed=None):
     power = None
     if "m0" in grids:
         blk = grids["m0"]
-        grid_m = m0_dyadic_grid(blk["r_max"], int(blk.get("per_shell", 8)))
+        per_shell = int(blk.get("per_shell", 8))
+        # the dyadic shells m0_dyadic_grid visits, counted before any point
+        # is built; the total obeys the same cap as a random-disk count
+        shells = int(math.ceil(math.log2(1.0 + float(blk["r_max"])))) + 1
+        if shells * per_shell > 1000000:
+            raise SchemaError(
+                ["/grids/m0: %d shells of %d points exceed 1000000 points"
+                 % (shells, per_shell)])
+        grid_m = m0_dyadic_grid(blk["r_max"], per_shell)
         if "power" in blk:
             power = float(blk["power"])
         elif isinstance(profile, PlanePowerProfile):

@@ -249,3 +249,23 @@ def membership_report(p, *, tol=1e-7):
     add("sub-mean", worst <= tol, worst)
     return MembershipReport(regime=regime, checks=tuple(checks),
                             ok=all(c[1] for c in checks))
+
+
+def min_green_on_circle(g, center, radius, grid=2048):
+    """Minimum of g on a circle: a dense angle grid, then six rounds of
+    refinement around the best grid point."""
+    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    z = center + radius * np.exp(1j * theta)
+    vals = np.asarray(g(z), dtype=float)
+    i = int(np.argmin(vals))
+    lo = theta[i] - TWO_PI / grid
+    hi = theta[i] + TWO_PI / grid
+    best = float(vals[i])
+    for _ in range(6):
+        t = np.linspace(lo, hi, 65)
+        v = np.asarray(g(center + radius * np.exp(1j * t)), dtype=float)
+        j = int(np.argmin(v))
+        best = min(best, float(v[j]))
+        step = (hi - lo) / 64.0
+        lo, hi = t[j] - step, t[j] + step
+    return best

@@ -138,6 +138,17 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_huge_m0_radius_exits_2(tmp_path, capsys):
+    doc = _toy_scenario()
+    doc["grids"]["m0"]["r_max"] = 1e308
+    out = tmp_path / "run"
+    rc = main(["check-m0", "--scenario", _write(tmp_path, doc),
+               "--out", str(out)])
+    assert rc == 2
+    assert "schema: /grids/m0/r_max: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_scenario_flag_exits_2(tmp_path, capsys):
     rc = main(["check-m0", "--out", str(tmp_path / "run")])
     assert rc == 2

@@ -315,6 +315,34 @@ def test_lemma1_offcenter_green_floor():
     assert abs(c.c_test - 2.0 / brute) <= 1e-7
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    R=st.floats(0.2, 5.0),
+    cx=st.floats(-2.0, 2.0),
+    cy=st.floats(-2.0, 2.0),
+    rho_frac=st.floats(0.01, 0.95),
+    off_frac=st.floats(0.0, 0.99),
+    off_angle=st.floats(0.0, 2 * math.pi),
+    pole_frac=st.floats(0.0, 0.98),
+    pole_angle=st.floats(0.0, 2 * math.pi),
+)
+def test_lemma1_green_floor_matches_search(R, cx, cy, rho_frac, off_frac,
+                                           off_angle, pole_frac, pole_angle):
+    # the closed-form floor against a refined grid search of the Green
+    # function on the inner circle
+    center = complex(cx, cy)
+    rho = rho_frac * R
+    s_center = center + off_frac * (R - rho) * complex(math.cos(off_angle),
+                                                       math.sin(off_angle))
+    z0 = s_center + pole_frac * rho * complex(math.cos(pole_angle),
+                                              math.sin(pole_angle))
+    M = DSubharmonicMajorant(up=make_zero_model())
+    c = lemma1_constants(Region.disk(center, R), Region.disk(s_center, rho),
+                         z0, 1.0, M)
+    want = oracles.min_green_on_circle(green_disk(R, z0, center), s_center, rho)
+    assert abs(c.inf_green - want) <= 1e-13 * max(1.0, want)
+
+
 def test_lemma1_geometry_validation():
     M = DSubharmonicMajorant(up=make_zero_model())
     # inner region escaping the outer disk

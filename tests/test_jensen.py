@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zerocert
 from zerocert import (
-    AnnulusPart,
     CirclePart,
     DomainError,
     DSubharmonicMajorant,
     InvalidPotential,
     JensenMeasure,
+    RadialDensity,
+    RieszCharge,
+    ToleranceFailure,
     eval_M,
     green_disk,
     log_potential,
@@ -46,6 +49,32 @@ def test_measure_total_mass_validation():
         JensenMeasure(pole=0j, parts=(CirclePart(1.0, 0.5),), pole_mass=0.2)
 
 
+def test_measure_parts_are_circles():
+    with pytest.raises(DomainError):
+        JensenMeasure(pole=0j, parts=((1.0, 1.0),))
+
+
+def test_potential_with_radial_density_is_rejected():
+    V = log_potential(uniform_circle(0j, 1.0))
+    dens = RadialDensity(profile=lambda s: np.ones_like(s), support=(0.5, 1.5))
+    bad = type(V)(
+        pole=V.pole,
+        radial=V.radial,
+        charge=RieszCharge(radial=(dens,)),
+        pole_coefficient=V.pole_coefficient,
+        support_radius=V.support_radius,
+        kink_radii=V.kink_radii,
+    )
+    with pytest.raises(InvalidPotential):
+        potential_to_measure(bad)
+
+
+def test_public_names_resolve_once():
+    names = zerocert.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(zerocert, n)] == []
+
+
 def test_roundtrip_circle_parts():
     mu = JensenMeasure(
         pole=0j,
@@ -58,23 +87,6 @@ def test_roundtrip_circle_parts():
     assert np.allclose(radii, [0.5, 2.0], atol=1e-9)
     weights = sorted(p.weight for p in back.parts)
     assert np.allclose(weights, [0.3, 0.5], atol=1e-6)
-
-
-def test_roundtrip_annulus_part():
-    mu = JensenMeasure(
-        pole=1.0 + 1j,
-        parts=(AnnulusPart(0.5, 1.5, 1.0),),
-        pole_mass=0.0,
-    )
-    V = log_potential(mu)
-    back = potential_to_measure(V)
-    assert abs(back.pole_mass) <= 1e-6
-    got = sum(p.weight for p in back.parts)
-    assert abs(got - 1.0) <= 1e-6
-    # potentials agree pointwise, not only the masses
-    zs = 1.0 + 1j + np.array([0.1, 0.8 + 0.3j, 2.5j, 4.0])
-    V2 = log_potential(back)
-    assert np.allclose(np.asarray(V(zs), float), np.asarray(V2(zs), float), atol=1e-6)
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,25 +145,15 @@ def test_poisson_jensen_radial_model():
     assert rep.budget <= 1e-6
 
 
-def test_poisson_jensen_annulus_around_a_root():
-    # the annulus branch of JensenMeasure.integrate: circles about the pole
-    # pass through the root at |a| = 0.949, a kink of the radial integrand
-    a = 0.9 + 0.3j
-    u = make_log_abs_poly(roots=[a])
-    mu = JensenMeasure(pole=0j, parts=(AnnulusPart(0.5, 1.5, 1.0),))
-    rep = poisson_jensen_check(u, mu)
-    # circle means of ln|w - a| about 0 are ln max(s, |a|); integrate them
-    # against the bump density (35/16)(1 - (2s - 2)^2)^3 by fixed
-    # Gauss-Legendre on each side of the kink
-    x, w = np.polynomial.legendre.leggauss(64)
-    want = -np.log(abs(a))
-    for lo, hi in ((0.5, abs(a)), (abs(a), 1.5)):
-        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-        dens = (35.0 / 16.0) * (1.0 - (2.0 * s - 2.0) ** 2) ** 3
-        want += 0.5 * (hi - lo) * float(w @ (dens * np.log(np.maximum(s, abs(a)))))
-    assert abs(rep.mean_term - rep.u_pole - want) <= 1e-9
-    assert abs(rep.residual) <= rep.budget
-    assert rep.budget <= 1e-8
+def test_poisson_jensen_concentric_charge_keeps_the_radial_route(monkeypatch):
+    # a density centred on the pole takes the radial route, and its
+    # quadrature failure is reported rather than rerun by circle means
+    def circle_means(*args, **kwargs):
+        raise AssertionError("circle-mean route taken")
+
+    monkeypatch.setattr(RieszCharge, "integrate", circle_means)
+    with pytest.raises(ToleranceFailure):
+        poisson_jensen_check(make_radial_power(1.0, 0.5), uniform_circle(0j, 2.0))
 
 
 def test_poisson_jensen_rejects_pole_at_root():

@@ -135,6 +135,15 @@ def test_load_m0_power_needs_plane_profile(tmp_path):
     assert isinstance(sc.profile, DiskFractionProfile)
 
 
+def test_load_caps_the_m0_grid(tmp_path):
+    # 21 dyadic shells of 60000 points each, refused before any is built
+    doc = _doc()
+    doc["grids"]["m0"] = {"r_max": 1e6, "per_shell": 60000}
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(_write(tmp_path, doc))
+    assert [m.split(":")[0] for m in exc.value.messages] == ["/grids/m0"]
+
+
 def test_load_tau_max_override(tmp_path):
     sc = load_scenario(_write(tmp_path, _doc()), tau_max=4.0)
     assert sc.family.t_max == 4.0
@@ -284,6 +293,7 @@ def test_validator_bases_are_valid():
                    grids={"m0": {"r_max": -3.5, "power": -0.5}}))
 # grid sizes are capped
 @example(doc=_base(2, grids={"m0": {"r_max": 8.0, "per_shell": 1e20}}))
+@example(doc=_base(2, grids={"m0": {"r_max": 1e308, "per_shell": 6}}))
 def test_validator_matches_jsonschema(doc):
     assert _messages(doc) == _oracle_messages(doc)
 
