@@ -217,17 +217,26 @@ class M0Report:
     power: float
 
 
+def m0_shell_count(r_max):
+    """Number of dyadic shells 2^k - 1 < |z| <= 2^(k+1) - 1 that
+    m0_dyadic_grid fills up to r_max, ceil(log2(1 + r_max)); counted on
+    the shells' own float edges, so no rounding of 1 + r_max or of log2
+    can drop or add a shell."""
+    r_max = float(r_max)
+    shells = 0
+    while 2.0 ** shells - 1.0 < r_max:
+        shells += 1
+    return shells
+
+
 def m0_dyadic_grid(r_max, per_shell=8):
     """Deterministic probe grid: per_shell golden-angle points in each
     dyadic shell of 1 + |z| up to r_max."""
-    shells = int(math.ceil(math.log2(1.0 + float(r_max)))) + 1
     pts = []
     j = 0
-    for k in range(shells):
+    for k in range(m0_shell_count(r_max)):
         lo = 2.0 ** k - 1.0
         hi = min(2.0 ** (k + 1) - 1.0, float(r_max))
-        if hi <= lo:
-            continue
         for i in range(per_shell):
             frac = (i + 0.5) / per_shell
             r = lo + frac * (hi - lo)

@@ -11,6 +11,14 @@ is radial about the pole, nonnegative, and vanishes beyond the largest
 circle; mu can be recovered from V, and the identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
 is checked numerically by two independent routes.
+
+The Green function of the disk |w - center| < R with pole a is
+    g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|
+(w and a taken from the center), a difference of two log potentials of
+points, so Jensen's formula gives each of its circle means in closed form.
+GreenFunction declares them as exact_circle_mean, and integrals of g
+against a charge (lemma1's charge term) take them instead of nested
+quadrature; quadrature of g stays the test oracle.
 """
 
 from __future__ import annotations
@@ -247,6 +255,11 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
 
 @dataclass(frozen=True)
 class GreenFunction:
+    """Green function of the disk |w - center| < R with the given pole.
+
+    The formula is evaluated everywhere, inside the disk and out.
+    """
+
     R: float
     pole: complex
     center: complex = 0j
@@ -261,6 +274,24 @@ class GreenFunction:
         with np.errstate(divide="ignore"):
             return (np.log(np.abs(self.R ** 2 - np.conj(a) * w))
                     - np.log(self.R * np.abs(w - a)))
+
+    def exact_circle_mean(self, z, t):
+        """Mean of g over the circles |w - z| = t, by Jensen's formula.
+
+        The mean of ln|w - p| over such a circle is ln max(t, |z - p|), so
+        with w0 = z - center the mean is
+            ln max(|R^2 - conj(a) w0|, |a| t) - ln R - ln max(t, |w0 - a|)
+        for every circle: inside the disk, across its boundary, around the
+        pole, and past the reflected pole R^2 / conj(a).
+        """
+        w0 = np.asarray(z, dtype=complex) - self.center
+        t = np.asarray(t, dtype=float)
+        a = self.pole - self.center
+        with np.errstate(divide="ignore"):
+            return (np.log(np.maximum(np.abs(self.R ** 2 - np.conj(a) * w0),
+                                      abs(a) * t))
+                    - math.log(self.R)
+                    - np.log(np.maximum(t, np.abs(w0 - a))))
 
 
 def green_disk(R, z0, center=0j):

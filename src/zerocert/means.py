@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidKernel, PreconditionViolation
-from .quadrature import (TWO_PI, integrate, integrate_circle_means,
-                         mean_on_circle)
+from .quadrature import (TWO_PI, exact_or_quadrature_mean, integrate,
+                         integrate_circle_means)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -138,21 +138,8 @@ def circle_mean(u, z, t, *, tol=1e-9):
     estimate), and quadrature with u's singular points otherwise.
     Returns (means, errors), or a float pair for scalar inputs.
     """
-    exact = getattr(u, "exact_circle_mean", None)
-    if exact is None:
-        return mean_on_circle(u, z, t, tol=tol,
-                              singular_points=_singular_points_of(u))
-    z = np.asarray(z, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    # a 0-d z would make |z| a numpy scalar, whose powers round apart
-    # from the array loops in the last bit
-    m = np.asarray(exact(z.reshape(z.shape or 1), t), dtype=float)
-    if not (z.ndim or t.ndim):
-        return float(m[0]), 0.0
-    if m.shape != t.shape or z.ndim > t.ndim:
-        # a closed form that ignores t (harmonic u) has the shape of z
-        m = np.broadcast_to(m, np.broadcast_shapes(z.shape, t.shape))
-    return m, np.zeros(m.shape)
+    return exact_or_quadrature_mean(u, z, t, tol=tol,
+                                    singular_points=_singular_points_of(u))
 
 
 def disk_mean(u, z, t, *, tol=1e-9):

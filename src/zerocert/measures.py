@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EngineError, NotSummable
-from .quadrature import integrate, integrate_circle_means, mean_on_circle
+from .quadrature import (exact_or_quadrature_mean, integrate,
+                         integrate_circle_means)
 
 
 # ulps of each closed-form core term that integrate_radial adds to its
@@ -468,7 +469,9 @@ class RieszCharge:
         removes the open interior of another region; ``exclude_points``
         drops atoms sitting at the listed points.  ``f_kink_circles`` lists
         (center, radius) circles across which f loses smoothness, so the
-        quadrature can break panels where charge circles cross them.
+        quadrature can break panels where charge circles cross them.  Circle
+        means of f over rings and within radial densities come from f's
+        ``exact_circle_mean`` when it declares one, by quadrature otherwise.
         Rings and radial parts must be compatible with the restriction
         geometry (concentric, or cleanly inside/outside).  Returns
         (value, error_budget).
@@ -491,7 +494,7 @@ class RieszCharge:
                 val += float(np.sum(self.atom_masses[keep] * fv))
         rings = [r for r in self.rings
                  if _ring_selected(r, include, exclude_interior)]
-        means, errs = mean_on_circle(
+        means, errs = exact_or_quadrature_mean(
             f, np.array([r.center for r in rings], dtype=complex),
             np.array([r.radius for r in rings], dtype=float), tol=tol,
             singular_points=f_singular_points, kink_circles=f_kink_circles)
@@ -515,9 +518,10 @@ class RieszCharge:
             approx_mass = abs(dens.mass_in(hi) - dens.mass_in(lo))
             inner_tol = tol / (4.0 * (1.0 + approx_mass))
             v, e, inner = integrate_circle_means(
-                lambda s: mean_on_circle(f, dens.center, s, tol=inner_tol,
-                                         singular_points=f_singular_points,
-                                         kink_circles=f_kink_circles),
+                lambda s: exact_or_quadrature_mean(
+                    f, dens.center, s, tol=inner_tol,
+                    singular_points=f_singular_points,
+                    kink_circles=f_kink_circles),
                 lambda s, m: m * s * np.asarray(dens.profile(s), dtype=float),
                 lo, hi, tol=tol, center=dens.center,
                 singular_points=f_singular_points, kink_circles=f_kink_circles)

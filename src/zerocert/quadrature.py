@@ -6,7 +6,8 @@ splitting panels at the singular abscissae: Gauss nodes are interior to
 their panel, so a declared singularity is never evaluated.  Undeclared
 non-finite points are healed by re-splitting at the offending node.
 Circle means come many circles to a call, and integrate_circle_means
-nests them inside a radial integral.
+nests them inside a radial integral.  exact_or_quadrature_mean is the one
+place that takes an integrand's declared closed-form circle mean instead.
 """
 
 import heapq
@@ -253,6 +254,34 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
     if not shape:
         return float(means[0]), float(errs[0])
     return means.reshape(shape), errs.reshape(shape)
+
+
+def exact_or_quadrature_mean(f, center, radius, *, tol=1e-10,
+                             singular_points=(), kink_circles=()):
+    """Means of f over the circles |w - center| = radius, closed form first.
+
+    When f declares ``exact_circle_mean(center, radius)`` its values are
+    returned with zero error estimates; otherwise this is
+    ``mean_on_circle`` with the given singular points and kink circles.
+    center and radius broadcast; returns (means, errors), or a float pair
+    for scalar inputs.
+    """
+    exact = getattr(f, "exact_circle_mean", None)
+    if exact is None:
+        return mean_on_circle(f, center, radius, tol=tol,
+                              singular_points=singular_points,
+                              kink_circles=kink_circles)
+    z = np.asarray(center, dtype=complex)
+    t = np.asarray(radius, dtype=float)
+    # a 0-d z would make |z| a numpy scalar, whose powers round apart
+    # from the array loops in the last bit
+    m = np.asarray(exact(z.reshape(z.shape or 1), t), dtype=float)
+    if not (z.ndim or t.ndim):
+        return float(m[0]), 0.0
+    if m.shape != t.shape or z.ndim > t.ndim:
+        # a closed form that ignores t (harmonic f) has the shape of z
+        m = np.broadcast_to(m, np.broadcast_shapes(z.shape, t.shape))
+    return m, np.zeros(m.shape)
 
 
 def _break_radii(center, singular_points=(), kink_circles=()):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import m0_dyadic_grid
+from .criterion import m0_dyadic_grid, m0_shell_count
 from .errors import SchemaError
 from .majorants import (DSubharmonicMajorant, make_log_abs_poly,
                         make_log_poly_growth, make_radial_power,
@@ -472,9 +472,9 @@ def load_scenario(path, *, tau_max=None, seed=None):
     if "m0" in grids:
         blk = grids["m0"]
         per_shell = int(blk.get("per_shell", 8))
-        # the dyadic shells m0_dyadic_grid visits, counted before any point
+        # the dyadic shells m0_dyadic_grid fills, counted before any point
         # is built; the total obeys the same cap as a random-disk count
-        shells = int(math.ceil(math.log2(1.0 + float(blk["r_max"])))) + 1
+        shells = m0_shell_count(blk["r_max"])
         if shells * per_shell > 1000000:
             raise SchemaError(
                 ["/grids/m0: %d shells of %d points exceed 1000000 points"

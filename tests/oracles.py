@@ -269,3 +269,25 @@ def min_green_on_circle(g, center, radius, grid=2048):
         step = (hi - lo) / 64.0
         lo, hi = t[j] - step, t[j] + step
     return best
+
+
+def lemma1_c_majorant_by_quadrature(d_tilde, s_region, z0, M, tol=1e-9):
+    """lemma1's c_majorant with the Green function wrapped so that it
+    declares no closed-form circle mean: every circle mean of g inside
+    the charge integrals is then taken by adaptive quadrature.
+    Returns (value, budget)."""
+    from zerocert import green_disk
+
+    g = green_disk(d_tilde.radius, z0, d_tilde.center)
+
+    def plain(z):
+        return g(z)
+
+    charge = M.charge
+    v1, e1 = charge.integrate(plain, tol=tol, f_singular_points=(z0,),
+                              include=d_tilde, exclude_points=(z0,))
+    v2, e2 = charge.negative_part().integrate(
+        plain, tol=tol, f_singular_points=(z0,), include=d_tilde,
+        exclude_interior=s_region)
+    v3 = max(0.0, float(M(np.array([complex(z0)]))[0]))
+    return v1 + v2 + v3, e1 + e2

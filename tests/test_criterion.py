@@ -10,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
+    EngineError,
     Region,
+    RieszCharge,
+    Ring,
+    SubharmonicModel,
     SmoothCappedLogFamily,
+    ToleranceFailure,
     TruncatedLogFamily,
     ZeroDistribution,
     check_m0,
@@ -21,11 +26,15 @@ from zerocert import (
     m0_dyadic_grid,
     make_harmonic,
     make_log_abs_poly,
+    make_log_poly_growth,
     make_radial_power,
     make_zero_model,
     margin_sweep,
     smooth_capped_log,
 )
+
+from zerocert import measures, quadrature
+from zerocert.criterion import m0_shell_count
 
 import oracles
 
@@ -240,6 +249,15 @@ def test_m0_grid_is_deterministic():
     assert np.max(np.abs(a)) <= 100.0
 
 
+@pytest.mark.parametrize("r_max", [3.0, 40.0, 2.0 ** 1 - 1.0, 2.0 ** 5 - 1.0,
+                                   2.0 ** 20 - 1.0, 2.0 ** 49 - 1.0, 1e6,
+                                   1e15])
+def test_m0_shell_count_matches_grid(r_max):
+    # one point per shell: the count is the grid's, with no empty shell
+    assert m0_shell_count(r_max) == m0_dyadic_grid(r_max, 1).size
+    assert m0_shell_count(r_max) == math.ceil(math.log2(1.0 + r_max))
+
+
 def test_m0_harmonic_deviation_vanishes():
     up = make_harmonic(lambda z: np.real(np.asarray(z, dtype=complex)), kind="re-z")
     rep = check_m0(up, 1.0, m0_dyadic_grid(60.0, per_shell=6))
@@ -341,6 +359,85 @@ def test_lemma1_green_floor_matches_search(R, cx, cy, rho_frac, off_frac,
                          z0, 1.0, M)
     want = oracles.min_green_on_circle(green_disk(R, z0, center), s_center, rho)
     assert abs(c.inf_green - want) <= 1e-13 * max(1.0, want)
+
+
+def _ring_model():
+    # a hand-built signed ring charge, since no model factory builds rings:
+    # two positive rings, one of them around the pole, and a negative ring
+    # outside the inner region for the negative term
+    rings = (Ring(0.2 + 0.1j, 0.3, 1.5), Ring(-0.1j, 0.6, 0.5),
+             Ring(0j, 0.8, -0.4))
+
+    def ev(z):
+        z = np.asarray(z, dtype=complex)
+        return sum(r.mass * np.log(np.maximum(np.abs(z - r.center), r.radius))
+                   for r in rings)
+
+    return DSubharmonicMajorant(up=SubharmonicModel(
+        kind="rings", params={}, eval=ev, riesz=RieszCharge(rings=rings)))
+
+
+# name -> (majorant, ambient disk, inner disk, pole)
+_LEMMA1_CASES = {
+    "radial-power-1": (DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)),
+                       Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0j),
+    "radial-power-1-off-pole": (
+        DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)),
+        Region.disk(0j, 2.0), Region.disk(0.3 + 0.2j, 0.9), 0.5 - 0.1j),
+    "radial-power-2-off-pole": (
+        DSubharmonicMajorant(up=make_radial_power(0.7, 2.0)),
+        Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0.1j),
+    "log-abs-poly-off-center": (
+        DSubharmonicMajorant(up=make_log_abs_poly(
+            roots=[0.3 + 0j, -0.2 + 0.4j, 0.9 - 0.6j], mults=[1, 2, 1])),
+        Region.disk(0.1 + 0.1j, 1.2), Region.disk(0.15 + 0j, 0.5), 0.2 + 0j),
+    "d-subharmonic": (
+        DSubharmonicMajorant(up=make_radial_power(2.0, 1.0),
+                             low=make_log_poly_growth()),
+        Region.disk(0j, 1.5), Region.disk(0j, 0.6), 0.3j),
+    "rings-off-center": (
+        _ring_model(), Region.disk(0.05 + 0j, 1.1),
+        Region.disk(0.2 + 0.05j, 0.3), 0.25 + 0.05j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEMMA1_CASES))
+def test_lemma1_matches_quadrature_route(name):
+    # closed-form Green circle means against the same integrals with g
+    # stripped of its exact_circle_mean, so every circle mean is quadrature
+    M, d_tilde, s_region, z0 = _LEMMA1_CASES[name]
+    c = lemma1_constants(d_tilde, s_region, z0, 1.0, M)
+    want, want_budget = oracles.lemma1_c_majorant_by_quadrature(
+        d_tilde, s_region, z0, M)
+    assert math.isfinite(c.c_majorant)
+    assert abs(c.c_majorant - want) <= c.budget + want_budget + 1e-14
+
+
+def test_lemma1_takes_no_circle_quadrature(monkeypatch):
+    # the README geometry: |z| on the unit disk, pole 0; the charge of |z|
+    # is ds on each radius and int_0^1 ln(1/s) ds = 1
+    M = DSubharmonicMajorant(up=make_radial_power(1.0, 1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma1 took a circle mean by quadrature")
+
+    # wherever a circle quadrature can be reached from the charge integrals
+    monkeypatch.setattr(quadrature, "mean_on_circle", refuse)
+    monkeypatch.setattr(measures, "mean_on_circle", refuse, raising=False)
+    c = lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0j,
+                         1.0, M)
+    assert abs(c.c_majorant - 1.0) <= c.budget
+
+
+def test_lemma1_power_below_one_fails_by_name():
+    # the outer radial integral of s^(rho - 1) stalls at rho = 0.5; it
+    # must end as a named error, and quickly now that the inner circle
+    # means are closed form
+    M = DSubharmonicMajorant(up=make_radial_power(2.0, 0.5))
+    with pytest.raises(ToleranceFailure) as exc:
+        lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0.1j,
+                         1.0, M)
+    assert isinstance(exc.value, EngineError)
 
 
 def test_lemma1_geometry_validation():

@@ -1,8 +1,10 @@
 """Jensen measures, logarithmic potentials, and the representation identity."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zerocert
 from zerocert import (
@@ -23,6 +25,7 @@ from zerocert import (
     potential_to_measure,
     uniform_circle,
 )
+from zerocert.quadrature import mean_on_circle
 
 import oracles
 
@@ -194,6 +197,53 @@ def test_green_disk_symmetry(ax, ay, bx, by):
     ga = green_disk(1.0, a)
     gb = green_disk(1.0, b)
     assert abs(float(ga(b)) - float(gb(a))) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    R=st.floats(0.2, 5.0),
+    cx=st.floats(-2.0, 2.0),
+    cy=st.floats(-2.0, 2.0),
+    # offsets and radii far below the disk's scale (subnormal ones at the
+    # extreme) leave the circle points and g's own evaluation too few bits
+    # to resolve ln|w - a|, which the closed form does not share
+    pole_frac=st.one_of(st.just(0.0), st.floats(1e-6, 0.98)),
+    pole_angle=st.floats(0.0, 2 * math.pi),
+    off_frac=st.one_of(st.just(0.0), st.floats(1e-6, 1.5)),
+    off_angle=st.floats(0.0, 2 * math.pi),
+    t_frac=st.one_of(st.just(0.0), st.floats(1e-2, 2.0)),
+)
+# inside the disk, away from the pole
+@example(R=1.0, cx=0.0, cy=0.0, pole_frac=0.5, pole_angle=0.0, off_frac=0.3,
+         off_angle=math.pi, t_frac=0.2)
+# around the pole
+@example(R=2.0, cx=0.5, cy=-1.0, pole_frac=0.4, pole_angle=1.0,
+         off_frac=0.35, off_angle=1.1, t_frac=0.3)
+# across the boundary
+@example(R=1.0, cx=0.0, cy=0.0, pole_frac=0.9, pole_angle=2.0,
+         off_frac=0.8, off_angle=2.5, t_frac=0.5)
+# around the whole disk, pole at the center
+@example(R=0.7, cx=1.0, cy=1.0, pole_frac=0.0, pole_angle=0.0,
+         off_frac=0.2, off_angle=0.3, t_frac=1.9)
+# a point value off the pole
+@example(R=3.0, cx=-1.0, cy=0.5, pole_frac=0.6, pole_angle=4.0,
+         off_frac=1.2, off_angle=0.7, t_frac=0.0)
+def test_green_exact_circle_mean_matches_quadrature(
+        R, cx, cy, pole_frac, pole_angle, off_frac, off_angle, t_frac):
+    # Jensen's closed form against adaptive quadrature of g on the circle,
+    # which also meets g's second singular point R^2 / conj(a) outside
+    # the disk
+    center = complex(cx, cy)
+    a = pole_frac * R * complex(math.cos(pole_angle), math.sin(pole_angle))
+    g = green_disk(R, center + a, center)
+    z = center + off_frac * R * complex(math.cos(off_angle),
+                                        math.sin(off_angle))
+    t = t_frac * R
+    singular = (g.pole,) if a == 0 else (g.pole, center + R * R / a.conjugate())
+    want, _ = mean_on_circle(g, z, t, tol=1e-13, singular_points=singular)
+    got = float(g.exact_circle_mean(np.array([z]), t)[0])
+    # t = 0 at the pole: both read +inf
+    assert got == want or abs(got - want) <= 1e-12
 
 
 def test_green_disk_rejects_outside_pole():

@@ -136,12 +136,13 @@ def test_load_m0_power_needs_plane_profile(tmp_path):
 
 
 def test_load_caps_the_m0_grid(tmp_path):
-    # 21 dyadic shells of 60000 points each, refused before any is built
+    # 20 dyadic shells of 60000 points each, refused before any is built
     doc = _doc()
     doc["grids"]["m0"] = {"r_max": 1e6, "per_shell": 60000}
     with pytest.raises(SchemaError) as exc:
         load_scenario(_write(tmp_path, doc))
     assert [m.split(":")[0] for m in exc.value.messages] == ["/grids/m0"]
+    assert "20 shells of 60000 points" in exc.value.messages[0]
 
 
 def test_load_tau_max_override(tmp_path):
