@@ -3,12 +3,11 @@ delta-subharmonic growth majorant: zero distributions and charges,
 variable-radius means, Jensen measures and their potentials, necessity
 sweeps, and canonical-product sufficiency checks."""
 
-from .errors import (DomainError, EngineError, GenusOverflow, InvalidKernel,
-                     InvalidModel, InvalidPotential, NotSummable,
-                     PreconditionViolation, SchemaError)
+from .errors import (DomainError, EngineError, GenusOverflow, InvalidModel,
+                     InvalidPotential, NotSummable, PreconditionViolation,
+                     SchemaError)
 from .quadrature import ToleranceFailure, integrate, mean_on_circle
-from .measures import (RadialDensity, Region, RieszCharge, Ring,
-                       ZeroDistribution, charge_on_region)
+from .measures import RadialDensity, Region, RieszCharge, ZeroDistribution
 from .majorants import (DSubharmonicMajorant, SubharmonicModel, eval_M,
                         make_custom_radial, make_harmonic, make_log_abs_poly,
                         make_log_poly_growth, make_radial_power,
@@ -37,16 +36,16 @@ __version__ = "0.1.0"
 __all__ = [
     "SQRT_E", "CirclePart", "DiskFractionProfile",
     "DomainError", "DSubharmonicMajorant", "EngineError", "GenusOverflow",
-    "GreenFunction", "HatRadius", "InvalidKernel", "InvalidModel",
+    "GreenFunction", "HatRadius", "InvalidModel",
     "InvalidPotential", "JensenMeasure", "JensenPotential",
     "Lemma1Constants", "M0Report", "MarginCurve", "MarginSample",
     "MeanChainReport", "NotSummable", "PJReport", "PlanePowerProfile",
     "PreconditionViolation", "ProductRepresentation", "PulledBackTest",
-    "RadialDensity", "Region", "RieszCharge", "Ring", "SCHEMA", "Scenario",
+    "RadialDensity", "Region", "RieszCharge", "SCHEMA", "Scenario",
     "SchemaError", "SmoothCappedLogFamily", "SubharmonicModel",
     "SufficiencyReport", "TestPotential", "ToleranceFailure",
     "TruncatedLogFamily", "ZeroDistribution", "build_product",
-    "build_sufficiency_grid", "charge_on_region", "check_m0",
+    "build_sufficiency_grid", "check_m0",
     "check_mean_chain", "circle_mean", "default_kernel", "disk_mean",
     "eval_M", "genus", "green_disk", "hat_radius", "integrate",
     "inversion_pullback", "lemma1_constants", "load_scenario",

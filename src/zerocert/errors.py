@@ -29,12 +29,6 @@ class InvalidModel(EngineError):
     slug = "invalid-model"
 
 
-class InvalidKernel(EngineError):
-    """A mollifier kernel does not integrate to one."""
-
-    slug = "invalid-kernel"
-
-
 class InvalidPotential(EngineError):
     """Potential data inconsistent with a unit-mass Jensen measure."""
 

@@ -8,7 +8,9 @@ dominate the center value.  The log potential
     V(z) = integral of ln|w - z| d(mu)(w) - ln|z - pole|
          = (pole_mass - 1) ln d + sum of w_k ln max(d, r_k),  d = |z - pole|,
 is radial about the pole, nonnegative, and vanishes beyond the largest
-circle; mu can be recovered from V, and the identity
+circle.  A JensenPotential keeps mu's circle parts, and reads its support
+and kink radii off them; mu is recovered from V by taking those circles
+and measuring the pole mass off V's logarithmic pole.  The identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
 is checked numerically by two independent routes.
 
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidPotential
-from .measures import RadialDensity, Ring, RieszCharge
+from .measures import RadialDensity, RieszCharge
 from .quadrature import mean_on_circle
 
 
@@ -95,14 +97,20 @@ def uniform_circle(z0, t):
 
 @dataclass(frozen=True, eq=False)
 class JensenPotential:
-    """Radial potential of a catalogue measure, with its charge off the pole."""
+    """Radial potential of a catalogue measure, with its circle parts."""
 
     pole: complex
     radial: Callable
-    charge: RieszCharge
+    parts: tuple
     pole_coefficient: float
-    support_radius: float
-    kink_radii: tuple = ()
+
+    @property
+    def support_radius(self):
+        return max((p.radius for p in self.parts), default=0.0)
+
+    @property
+    def kink_radii(self):
+        return tuple(p.radius for p in self.parts)
 
     def __call__(self, z):
         d = np.abs(np.asarray(z, dtype=complex) - self.pole)
@@ -143,33 +151,20 @@ def log_potential(mu, *, tol=1e-9):
             out = out + p.weight * np.log(np.maximum(d, p.radius))
         return out
 
-    charge = RieszCharge(rings=tuple(Ring(mu.pole, p.radius, p.weight)
-                                     for p in parts))
     kappa = _measure_pole_coefficient(radial, mu.min_part_radius(), tol)
-    return JensenPotential(
-        pole=mu.pole, radial=radial, charge=charge, pole_coefficient=kappa,
-        support_radius=mu.support_radius(),
-        kink_radii=tuple(p.radius for p in parts))
+    return JensenPotential(pole=mu.pole, radial=radial, parts=parts,
+                           pole_coefficient=kappa)
 
 
 def potential_to_measure(V, *, tol=1e-9):
     """Inverse map: rebuild the catalogue measure from a potential.
 
-    Circles come from the rings of the charge; the pole mass is one minus
+    Circles come from the potential's parts; the pole mass is one minus
     the measured pole coefficient.  The reconstruction must have total
-    mass one or the potential is rejected.
+    mass one or the potential is rejected, and JensenMeasure refuses a
+    part with nonpositive weight.
     """
-    if V.charge.atom_points.size:
-        raise InvalidPotential("catalogue potentials carry no off-pole atoms")
-    if V.charge.radial:
-        raise InvalidPotential("catalogue potentials carry no radial densities")
-    parts = []
-    for ring in V.charge.rings:
-        if abs(ring.center - V.pole) > 1e-12:
-            raise InvalidPotential("ring off the pole")
-        if ring.mass <= 0:
-            raise InvalidPotential("ring with nonpositive mass")
-        parts.append(CirclePart(ring.radius, ring.mass))
+    parts = V.parts
     min_radius = min((p.radius for p in parts), default=1e-3)
     kappa = _measure_pole_coefficient(V.radial, min_radius, tol)
     pole_mass = 1.0 - kappa
@@ -181,7 +176,7 @@ def potential_to_measure(V, *, tol=1e-9):
         pole_mass = 1.0 - sum(p.weight for p in parts)
         if pole_mass < 0:
             raise InvalidPotential("part weights exceed total mass 1")
-    return JensenMeasure(pole=V.pole, parts=tuple(parts), pole_mass=pole_mass)
+    return JensenMeasure(pole=V.pole, parts=parts, pole_mass=pole_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +191,7 @@ def _truncate_radial(charge, pole, support_radius):
             dens = RadialDensity(dens.profile, dens.sign, dens.center,
                                  (dens.support[0], hi), dens.cumulative)
         radial.append(dens)
-    return RieszCharge(charge.atom_points, charge.atom_masses,
-                       charge.rings, tuple(radial))
+    return RieszCharge(charge.atom_points, charge.atom_masses, tuple(radial))
 
 
 @dataclass(frozen=True)
@@ -222,13 +216,19 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
     mean_term, e1 = mu.integrate(u, tol=tol)
     V = log_potential(mu, tol=tol)
     charge = u.riesz
-    if all(abs(c.center - mu.pole) <= 1e-12
-           for c in charge.rings + charge.radial):
-        # every ring and density is centred on the pole (atoms may sit
-        # anywhere): integrate the radial V against the charge directly
+    if all(abs(d.center - mu.pole) <= 1e-12 for d in charge.radial):
+        # every density is centred on the pole (atoms may sit anywhere):
+        # integrate the radial V against the charge directly.  Below the
+        # smallest circle V is exactly
+        #     sum of w_k ln r_k - (1 - pole_mass) ln d,
+        # which the densities take in closed form from their disk masses.
+        # (With no circles V vanishes and g_support = 0 skips every density.)
+        log_core = (mu.min_part_radius(),
+                    sum(p.weight * math.log(p.radius) for p in mu.parts),
+                    1.0 - mu.pole_mass)
         charge_term, e2 = charge.integrate_radial(
             V.radial, center=mu.pole, tol=tol, g_support=V.support_radius,
-            singular_radii=V.kink_radii)
+            singular_radii=V.kink_radii, log_core=log_core)
     else:
         # charge components off the pole's axis of symmetry: circle means
         # of V around each component's own center, truncating radial

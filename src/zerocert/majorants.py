@@ -219,7 +219,7 @@ def make_log_abs_poly(coeffs=None, roots=None, mults=None, lead=1.0):
         params={"roots": [complex(r) for r in rts],
                 "mults": [int(m) for m in mls], "lead": complex(lead)},
         eval=ev,
-        riesz=RieszCharge.from_atoms(rts, mls),
+        riesz=RieszCharge(rts, mls),
         singular_points=tuple(complex(r) for r in rts),
         exact_circle_mean=exact))
 
@@ -264,7 +264,7 @@ def make_harmonic(h, params=None, kind="harmonic"):
 
     return _validate_submean(SubharmonicModel(
         kind=kind, params=dict(params or {}), eval=ev,
-        riesz=RieszCharge.empty(), exact_circle_mean=exact), two_sided=True)
+        riesz=RieszCharge(), exact_circle_mean=exact), two_sided=True)
 
 
 def make_custom_radial(phi, dphi, params=None):
@@ -309,14 +309,14 @@ def make_zero_model():
         return np.zeros(np.asarray(z).shape, dtype=float)
 
     return SubharmonicModel(kind="zero", params={}, eval=ev,
-                            riesz=RieszCharge.empty(), exact_circle_mean=exact)
+                            riesz=RieszCharge(), exact_circle_mean=exact)
 
 
 def model_sum(*models):
     models = tuple(models)
     if not models:
         return make_zero_model()
-    charge = RieszCharge.empty()
+    charge = RieszCharge()
     for m in models:
         charge = charge + m.riesz
     singular = tuple(p for m in models for p in m.singular_points)

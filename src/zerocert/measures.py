@@ -2,7 +2,9 @@
 
 Charges follow the potential-theory normalization: the charge of a
 subharmonic function is 1/(2 pi) times its distributional Laplacian, so
-ln|z - a| carries a unit atom at a.  Regions are closed disks.  Zero
+ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
+rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
+about its own centre.  Regions are closed disks.  Zero
 distributions are explicit point sets or lattices, enumerated disk by
 disk through ``points_up_to``.
 """
@@ -249,15 +251,6 @@ class GaussianIntegers(_Lattice):
 # signed Riesz charges
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Uniform circle component: total (signed) mass on |z - center| = radius."""
-
-    center: complex
-    radius: float
-    mass: float
-
-
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
     """Rotation-invariant absolutely continuous piece around ``center``.
@@ -297,11 +290,10 @@ def _coerce_points(arr):
 
 @dataclass(frozen=True, eq=False)
 class RieszCharge:
-    """Signed charge: point atoms, uniform rings, and radial densities."""
+    """Signed charge: point atoms and radial densities."""
 
     atom_points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
     atom_masses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=float))
-    rings: tuple = ()
     radial: tuple = ()
 
     def __post_init__(self):
@@ -310,21 +302,11 @@ class RieszCharge:
                            np.asarray(self.atom_masses, dtype=float).ravel())
         if self.atom_points.shape != self.atom_masses.shape:
             raise DomainError("atom points and masses differ in length")
-        object.__setattr__(self, "rings", tuple(self.rings))
         object.__setattr__(self, "radial", tuple(self.radial))
-
-    @classmethod
-    def empty(cls):
-        return cls()
-
-    @classmethod
-    def from_atoms(cls, points, masses):
-        return cls(atom_points=points, atom_masses=masses)
 
     def __neg__(self):
         return RieszCharge(
             self.atom_points, -self.atom_masses,
-            tuple(Ring(r.center, r.radius, -r.mass) for r in self.rings),
             tuple(RadialDensity(d.profile, -d.sign, d.center, d.support,
                                 d.cumulative) for d in self.radial))
 
@@ -334,41 +316,26 @@ class RieszCharge:
         return RieszCharge(
             np.concatenate((self.atom_points, other.atom_points)),
             np.concatenate((self.atom_masses, other.atom_masses)),
-            self.rings + other.rings,
             self.radial + other.radial)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def positive_part(self):
-        keep = self.atom_masses > 0
-        return RieszCharge(
-            self.atom_points[keep], self.atom_masses[keep],
-            tuple(r for r in self.rings if r.mass > 0),
-            tuple(d for d in self.radial if d.sign > 0))
 
     def negative_part(self):
         """The nonnegative measure carrying the negative mass."""
         keep = self.atom_masses < 0
         return RieszCharge(
             self.atom_points[keep], -self.atom_masses[keep],
-            tuple(Ring(r.center, r.radius, -r.mass)
-                  for r in self.rings if r.mass < 0),
             tuple(RadialDensity(d.profile, 1, d.center, d.support, d.cumulative)
                   for d in self.radial if d.sign < 0))
 
     # -- mass ---------------------------------------------------------------
 
     def total_mass_in(self, region):
+        """Signed mass of the charge on a closed disk."""
         val = 0.0
         if self.atom_points.size:
             val += float(np.sum(self.atom_masses[region.contains(self.atom_points)]))
-        for ring in self.rings:
-            pos = _ring_position(ring, region)
-            if pos == "partial":
-                raise EngineError("ring crosses the region boundary")
-            if pos == "inside":
-                val += ring.mass
         for dens in self.radial:
             if abs(dens.center - region.center) > 1e-12:
                 raise EngineError(
@@ -384,8 +351,8 @@ class RieszCharge:
                          singular_radii=(), log_core=None):
         """Integral of g(|z - center|) against the charge.
 
-        Rings and radial densities must be centered at ``center``; atoms may
-        sit anywhere.  g_support truncates the radial integrals (g vanishes
+        Radial densities must be centered at ``center``; atoms may sit
+        anywhere.  g_support truncates the radial integrals (g vanishes
         beyond it).  ``log_core=(a, c, k)`` declares g(s) = c - k ln s
         exactly for 0 < s <= a; each radial density then takes that part
         by parts from its disk mass mu(s) = mass_in(s),
@@ -409,13 +376,6 @@ class RieszCharge:
             if not np.all(np.isfinite(gv[live])):
                 raise NotSummable("test function unbounded at an atom")
             val += float(np.sum(self.atom_masses[live] * gv[live]))
-        for ring in self.rings:
-            if abs(ring.center - center) > 1e-12:
-                raise EngineError("ring not concentric; use integrate()")
-            gv = float(np.asarray(g(np.array([ring.radius])), dtype=float)[0])
-            if not math.isfinite(gv) and ring.mass != 0:
-                raise NotSummable("test function unbounded on a ring")
-            val += ring.mass * gv
         pieces = []
         for dens in self.radial:
             if abs(dens.center - center) > 1e-12:
@@ -470,11 +430,10 @@ class RieszCharge:
         drops atoms sitting at the listed points.  ``f_kink_circles`` lists
         (center, radius) circles across which f loses smoothness, so the
         quadrature can break panels where charge circles cross them.  Circle
-        means of f over rings and within radial densities come from f's
+        means of f within radial densities come from f's
         ``exact_circle_mean`` when it declares one, by quadrature otherwise.
-        Rings and radial parts must be compatible with the restriction
-        geometry (concentric, or cleanly inside/outside).  Returns
-        (value, error_budget).
+        Radial densities must be concentric with the restriction regions.
+        Returns (value, error_budget).
         """
         val = 0.0
         err = 0.0
@@ -492,15 +451,6 @@ class RieszCharge:
                 if not np.all(np.isfinite(fv)):
                     raise NotSummable("integrand unbounded at an atom")
                 val += float(np.sum(self.atom_masses[keep] * fv))
-        rings = [r for r in self.rings
-                 if _ring_selected(r, include, exclude_interior)]
-        means, errs = exact_or_quadrature_mean(
-            f, np.array([r.center for r in rings], dtype=complex),
-            np.array([r.radius for r in rings], dtype=float), tol=tol,
-            singular_points=f_singular_points, kink_circles=f_kink_circles)
-        for ring, m, e in zip(rings, means, errs):
-            val += ring.mass * float(m)
-            err += abs(ring.mass) * float(e)
         for dens in self.radial:
             lo, hi = dens.support
             if include is not None:
@@ -529,36 +479,3 @@ class RieszCharge:
             err += e + inner * approx_mass
         return val, err
 
-
-def _ring_position(ring, region):
-    dc = abs(ring.center - region.center)
-    dmin = abs(dc - ring.radius)
-    dmax = dc + ring.radius
-    if dmax <= region.radius:
-        return "inside"
-    if dmin > region.radius:
-        return "outside"
-    return "partial"
-
-
-def _ring_selected(ring, include, exclude_interior):
-    if include is not None:
-        pos = _ring_position(ring, include)
-        if pos == "partial":
-            raise EngineError("ring crosses the region boundary")
-        if pos == "outside":
-            return False
-    if exclude_interior is not None:
-        dc = abs(ring.center - exclude_interior.center)
-        dmin = abs(dc - ring.radius)
-        dmax = dc + ring.radius
-        if dmax < exclude_interior.radius and dmin > 0:
-            return False  # ring inside the excluded interior
-        if dmin < exclude_interior.radius and dmax > 0:
-            raise EngineError("ring crosses the exclusion boundary")
-    return True
-
-
-def charge_on_region(charge, region):
-    """Signed mass of the charge on a closed disk."""
-    return charge.total_mass_in(region)

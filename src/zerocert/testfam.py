@@ -1,9 +1,10 @@
 """Test potentials for the necessity criterion.
 
-Plane-regime members are subharmonic, vanish near the origin, and grow
-at most logarithmically; inversion w -> 1/w pulls them back to radial
-spikes at the origin that are integrated against zero distributions and
-majorant charges.
+Plane members are subharmonic, vanish near the origin, and grow at most
+logarithmically; inversion w -> 1/w pulls them back to radial spikes at
+the origin that are integrated against zero distributions and majorant
+charges.  Members carry their radial profiles and the radii and constants
+the sweep reads, not charges of their own.
 """
 
 from __future__ import annotations
@@ -15,20 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidPotential
-from .measures import RadialDensity, Ring, RieszCharge
-
-
-def bump_cdf(x):
-    """Antiderivative of the unit bump (35/32)(1 - x^2)^3, clamped to [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, -1.0, 1.0)
-    val = (35.0 / 32.0) * (xc - xc ** 3 + 0.6 * xc ** 5 - xc ** 7 / 7.0
-                           + 16.0 / 35.0)
-    return np.where(x <= -1.0, 0.0, np.where(x >= 1.0, 1.0, val))
 
 
 def bump_cdf_integral(x):
-    """Antiderivative of bump_cdf with value 0 at -1; equals x for x >= 1.
+    """Second antiderivative of the unit bump (35/32)(1 - x^2)^3 on [-1, 1],
+    with value and slope 0 at -1; equals x for x >= 1.
 
     Inside [-1, 1] it is (1 + x)^5 (35 - 47x + 25x^2 - 5x^3) / 256, which
     keeps full relative accuracy as x -> -1, where the expanded power
@@ -42,11 +34,6 @@ def bump_cdf_integral(x):
     return np.where(x >= 1.0, x, val)
 
 
-def _bump(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, (35.0 / 32.0) * (1.0 - x ** 2) ** 3, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class TestPotential:
     """One catalogue member, evaluated on its own side of the inversion.
@@ -55,11 +42,9 @@ class TestPotential:
     log_constant for |w| >= log_radius declares it (inf: no declaration).
     """
 
-    regime: str
     params: dict
     eval: Callable
     radial_profile: Callable
-    charge: RieszCharge
     growth_coefficient: float = 0.0
     zero_radius: float = 0.0
     kink_radii: tuple = ()
@@ -87,7 +72,6 @@ class PulledBackTest:
     support_radius: float
     pole_coefficient: float
     kink_radii: tuple = ()
-    source_regime: str = "plane"
     log_core: float = 0.0
     log_constant: float = 0.0
 
@@ -97,7 +81,7 @@ class PulledBackTest:
 
 
 # ---------------------------------------------------------------------------
-# plane regime
+# plane members
 
 
 def truncated_log_plane(t):
@@ -111,10 +95,9 @@ def truncated_log_plane(t):
         return np.log(np.maximum(1.0, t * s))
 
     return TestPotential(
-        regime="plane", params={"t": t},
+        params={"t": t},
         eval=lambda w: profile(np.abs(w)),
         radial_profile=profile,
-        charge=RieszCharge(rings=(Ring(0j, 1.0 / t, 1.0),)),
         growth_coefficient=1.0,
         zero_radius=1.0 / t,
         kink_radii=(1.0 / t,),
@@ -136,26 +119,13 @@ def smooth_capped_log(t, eps=0.25):
             x = np.log(t * np.asarray(s, dtype=float))
         return eps * bump_cdf_integral(x / eps)
 
-    lo = math.exp(-eps) / t
-    hi = math.exp(eps) / t
-
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        return _bump(np.log(t * s) / eps) / (eps * s ** 2)
-
-    def cumulative(r):
-        return bump_cdf(np.log(t * np.asarray(r, dtype=float)) / eps)
-
-    charge = RieszCharge(radial=(RadialDensity(
-        profile=density, support=(lo, hi), cumulative=cumulative),))
     return TestPotential(
-        regime="plane", params={"t": t, "eps": eps},
+        params={"t": t, "eps": eps},
         eval=lambda w: profile(np.abs(w)),
         radial_profile=profile,
-        charge=charge,
         growth_coefficient=1.0,
-        zero_radius=lo,
-        log_radius=hi,
+        zero_radius=math.exp(-eps) / t,
+        log_radius=math.exp(eps) / t,
         log_constant=math.log(t))
 
 
@@ -172,8 +142,6 @@ def inversion_pullback(p):
     logarithmic beyond log_radius gives a closed-form core of radius
     1 / log_radius.
     """
-    if p.regime != "plane":
-        raise InvalidPotential("only plane tests invert to origin spikes")
     if p.zero_radius <= 0:
         raise InvalidPotential("plane test must vanish near the origin")
     base = p.radial_profile
@@ -190,7 +158,6 @@ def inversion_pullback(p):
         support_radius=1.0 / p.zero_radius,
         pole_coefficient=p.growth_coefficient,
         kink_radii=tuple(1.0 / k for k in p.kink_radii),
-        source_regime=p.regime,
         log_core=1.0 / p.log_radius,
         log_constant=p.log_constant)
 

@@ -193,16 +193,16 @@ _SPOT_PAIRS = ((0.4 + 0.2j, 0.15), (1.1 - 0.6j, 0.3),
 
 @dataclass(frozen=True)
 class MembershipReport:
-    regime: str
     checks: tuple
     ok: bool
 
 
 def membership_report(p, *, tol=1e-7):
-    """Spot checks that a test potential satisfies its regime's conditions:
+    """Spot checks that a test potential satisfies its side's conditions:
     a plane member is nonnegative, vanishes near 0, grows like g ln|w| and
-    lies below its circle means; a pullback is nonnegative, nonincreasing
-    in the distance to its pole and dead beyond its support."""
+    lies below its circle means; a pullback, the side with a support
+    radius, is nonnegative, nonincreasing in the distance to its pole and
+    dead beyond its support."""
     from zerocert.quadrature import mean_on_circle
 
     checks = []
@@ -210,8 +210,7 @@ def membership_report(p, *, tol=1e-7):
     def add(name, ok, detail):
         checks.append((name, bool(ok), float(detail)))
 
-    regime = getattr(p, "regime", None)
-    if regime is None and getattr(p, "source_regime", None) is not None:
+    if hasattr(p, "support_radius"):
         sup = p.support_radius
         hi = sup if math.isfinite(sup) else 1e6
         radii = np.geomspace(1e-6, hi, 41)
@@ -226,11 +225,9 @@ def membership_report(p, *, tol=1e-7):
                 float(np.max(np.abs(outer))))
         add("pole-coefficient-in-range",
             -tol <= p.pole_coefficient <= 1.0 + tol, p.pole_coefficient)
-        return MembershipReport(regime="pullback", checks=tuple(checks),
+        return MembershipReport(checks=tuple(checks),
                                 ok=all(c[1] for c in checks))
 
-    if regime != "plane":
-        raise ValueError("unknown regime %r" % regime)
     radii = np.geomspace(1e-3, 1e3, 25)
     vals = np.asarray(p.radial_profile(radii), dtype=float)
     add("nonnegative", np.all(vals >= -tol), float(vals.min()))
@@ -247,7 +244,7 @@ def membership_report(p, *, tol=1e-7):
     means, _ = mean_on_circle(p, z0, [t for _, t in _SPOT_PAIRS], tol=1e-9)
     worst = float(np.max(p(z0) - means))
     add("sub-mean", worst <= tol, worst)
-    return MembershipReport(regime=regime, checks=tuple(checks),
+    return MembershipReport(checks=tuple(checks),
                             ok=all(c[1] for c in checks))
 
 

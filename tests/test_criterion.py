@@ -12,9 +12,6 @@ from zerocert import (
     DSubharmonicMajorant,
     EngineError,
     Region,
-    RieszCharge,
-    Ring,
-    SubharmonicModel,
     SmoothCappedLogFamily,
     ToleranceFailure,
     TruncatedLogFamily,
@@ -361,22 +358,6 @@ def test_lemma1_green_floor_matches_search(R, cx, cy, rho_frac, off_frac,
     assert abs(c.inf_green - want) <= 1e-13 * max(1.0, want)
 
 
-def _ring_model():
-    # a hand-built signed ring charge, since no model factory builds rings:
-    # two positive rings, one of them around the pole, and a negative ring
-    # outside the inner region for the negative term
-    rings = (Ring(0.2 + 0.1j, 0.3, 1.5), Ring(-0.1j, 0.6, 0.5),
-             Ring(0j, 0.8, -0.4))
-
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        return sum(r.mass * np.log(np.maximum(np.abs(z - r.center), r.radius))
-                   for r in rings)
-
-    return DSubharmonicMajorant(up=SubharmonicModel(
-        kind="rings", params={}, eval=ev, riesz=RieszCharge(rings=rings)))
-
-
 # name -> (majorant, ambient disk, inner disk, pole)
 _LEMMA1_CASES = {
     "radial-power-1": (DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)),
@@ -395,9 +376,14 @@ _LEMMA1_CASES = {
         DSubharmonicMajorant(up=make_radial_power(2.0, 1.0),
                              low=make_log_poly_growth()),
         Region.disk(0j, 1.5), Region.disk(0j, 0.6), 0.3j),
-    "rings-off-center": (
-        _ring_model(), Region.disk(0.05 + 0j, 1.1),
-        Region.disk(0.2 + 0.05j, 0.3), 0.25 + 0.05j),
+    # negative atoms on both sides of the inner disk's boundary: the one
+    # inside it leaves the negative term, the one outside stays
+    "log-abs-poly-pair-off-center": (
+        DSubharmonicMajorant(
+            up=make_log_abs_poly(roots=[0.2 + 0.1j, -0.1j], mults=[2, 1]),
+            low=make_log_abs_poly(roots=[0.55 + 0.1j, 0.05 + 0.03j])),
+        Region.disk(0.05 + 0j, 1.1), Region.disk(0.2 + 0.05j, 0.3),
+        0.25 + 0.05j),
 }
 
 

@@ -13,7 +13,6 @@ from zerocert import (
     DSubharmonicMajorant,
     InvalidPotential,
     JensenMeasure,
-    RadialDensity,
     RieszCharge,
     ToleranceFailure,
     eval_M,
@@ -57,18 +56,14 @@ def test_measure_parts_are_circles():
         JensenMeasure(pole=0j, parts=((1.0, 1.0),))
 
 
-def test_potential_with_radial_density_is_rejected():
+def test_potential_with_nonpositive_part_is_rejected():
+    # weights 1.5 and -0.5 still total one, as the unit circle's pole
+    # coefficient asks; the measure refuses the negative circle
     V = log_potential(uniform_circle(0j, 1.0))
-    dens = RadialDensity(profile=lambda s: np.ones_like(s), support=(0.5, 1.5))
-    bad = type(V)(
-        pole=V.pole,
-        radial=V.radial,
-        charge=RieszCharge(radial=(dens,)),
-        pole_coefficient=V.pole_coefficient,
-        support_radius=V.support_radius,
-        kink_radii=V.kink_radii,
-    )
-    with pytest.raises(InvalidPotential):
+    bad = type(V)(pole=V.pole, radial=V.radial,
+                  parts=(CirclePart(1.0, 1.5), CirclePart(2.0, -0.5)),
+                  pole_coefficient=V.pole_coefficient)
+    with pytest.raises(DomainError):
         potential_to_measure(bad)
 
 
@@ -84,7 +79,11 @@ def test_roundtrip_circle_parts():
         parts=(CirclePart(0.5, 0.3), CirclePart(2.0, 0.5)),
         pole_mass=0.2,
     )
-    back = potential_to_measure(log_potential(mu))
+    V = log_potential(mu)
+    # support and kinks are read off the circles the potential keeps
+    assert V.support_radius == 2.0
+    assert V.kink_radii == (0.5, 2.0)
+    back = potential_to_measure(V)
     assert abs(back.pole_mass - 0.2) <= 1e-6
     radii = sorted(p.radius for p in back.parts)
     assert np.allclose(radii, [0.5, 2.0], atol=1e-9)
@@ -118,10 +117,8 @@ def test_potential_rejects_supercritical_pole():
     bad = type(V)(
         pole=V.pole,
         radial=lambda d: 2.0 * np.asarray(V.radial(d), dtype=float),
-        charge=V.charge,
+        parts=V.parts,
         pole_coefficient=V.pole_coefficient,
-        support_radius=V.support_radius,
-        kink_radii=V.kink_radii,
     )
     with pytest.raises(InvalidPotential):
         potential_to_measure(bad)
@@ -146,6 +143,16 @@ def test_poisson_jensen_radial_model():
     assert abs(rep.mean_term - rep.u_pole - 2.25) <= 1e-9
     assert abs(rep.residual) <= rep.budget
     assert rep.budget <= 1e-6
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0])
+def test_poisson_jensen_radial_route_takes_the_log_core(rho):
+    # below the circle V is ln 2 - ln d exactly, which the density takes in
+    # closed form from its disk mass: both sides are 2^rho to the last bits
+    rep = poisson_jensen_check(make_radial_power(1.0, rho),
+                               uniform_circle(0j, 2.0))
+    assert abs(rep.charge_term - 2.0 ** rho) <= 1e-13
+    assert abs(rep.residual) <= 1e-13
 
 
 def test_poisson_jensen_concentric_charge_keeps_the_radial_route(monkeypatch):

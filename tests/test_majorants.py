@@ -8,7 +8,6 @@ from zerocert import (
     DSubharmonicMajorant,
     InvalidModel,
     Region,
-    charge_on_region,
     eval_M,
     make_custom_radial,
     make_harmonic,
@@ -35,7 +34,7 @@ def test_radial_power_square():
     assert np.allclose(m(zs), np.abs(zs) ** 2)
     # Riesz mass in disks, against the flux oracle
     for r in (0.5, 1.0, 3.0):
-        got = charge_on_region(m.riesz, Region.disk(0.0, r))
+        got = m.riesz.total_mass_in(Region.disk(0.0, r))
         flux = oracles.flux_mass(lambda z: np.abs(z) ** 2, 0j, r)
         assert abs(got - 2.0 * r * r) <= 1e-9
         assert abs(got - flux) <= 1e-7
@@ -48,7 +47,7 @@ def test_radial_power_square():
 )
 def test_radial_power_mass_is_flux(rho, r):
     m = make_radial_power(1.0, rho)
-    got = charge_on_region(m.riesz, Region.disk(0.0, r))
+    got = m.riesz.total_mass_in(Region.disk(0.0, r))
     # h chosen small against the distance to the origin singularity
     flux = oracles.flux_mass(lambda z: np.abs(z) ** rho, 0j, r, h=min(1e-5, r / 100))
     assert abs(got - flux) <= 1e-5 * (1.0 + abs(got))
@@ -121,14 +120,14 @@ def test_log_abs_poly_from_roots():
     z = np.array([0.5 + 0.2j, 2.0 + 1j])
     want = np.log(np.abs(3.0 * (z - roots[0]) ** 2 * (z - roots[1])))
     assert np.allclose(m(z), want)
-    assert charge_on_region(m.riesz, Region.disk(0.0, 5.0)) == 3.0
-    assert charge_on_region(m.riesz, Region.disk(1.0, 0.1)) == 2.0
+    assert m.riesz.total_mass_in(Region.disk(0.0, 5.0)) == 3.0
+    assert m.riesz.total_mass_in(Region.disk(1.0, 0.1)) == 2.0
 
 
 def test_log_abs_poly_from_coeffs_clusters_double_root():
     # (z - 1)^2 = z^2 - 2z + 1; np.roots returns two nearby copies
     m = make_log_abs_poly(coeffs=[1.0, -2.0, 1.0])
-    assert charge_on_region(m.riesz, Region.disk(1.0, 1e-3)) == 2.0
+    assert m.riesz.total_mass_in(Region.disk(1.0, 1e-3)) == 2.0
 
 
 def test_log_abs_poly_exact_mean_is_quadrature_mean():
@@ -147,7 +146,7 @@ def test_log_poly_growth_mass():
     zs = np.array([0j, 1.0 + 1j])
     assert np.allclose(m(zs), np.log1p(np.abs(zs) ** 2))
     for t in (0.5, 1.0, 4.0):
-        got = charge_on_region(m.riesz, Region.disk(0.0, t))
+        got = m.riesz.total_mass_in(Region.disk(0.0, t))
         want = 2.0 * t * t / (1.0 + t * t)
         flux = oracles.flux_mass(lambda z: np.log1p(np.abs(z) ** 2), 0j, t)
         assert abs(got - want) <= 1e-9
@@ -160,7 +159,7 @@ def test_custom_radial_matches_power():
     ref = make_radial_power(1.0, 2.0)
     zs = np.array([0.3 + 0.1j, 2.0 - 2j])
     assert np.allclose(m(zs), ref(zs))
-    got = charge_on_region(m.riesz, Region.disk(0.0, 1.5))
+    got = m.riesz.total_mass_in(Region.disk(0.0, 1.5))
     assert abs(got - 4.5) <= 1e-5
 
 
@@ -175,7 +174,7 @@ def test_model_sum_evaluates_and_adds_charge():
     s = model_sum(a, b)
     z = np.array([0.4 + 0.3j])
     assert np.allclose(s(z), a(z) + b(z))
-    got = charge_on_region(s.riesz, Region.disk(0.0, 2.0))
+    got = s.riesz.total_mass_in(Region.disk(0.0, 2.0))
     assert abs(got - (8.0 + 1.0)) <= 1e-9
     # exact means survive the sum
     assert s.exact_circle_mean is not None
@@ -184,7 +183,7 @@ def test_model_sum_evaluates_and_adds_charge():
 
 def test_harmonic_model_has_no_charge():
     m = make_harmonic(lambda z: np.real(np.asarray(z, dtype=complex) ** 2), kind="re-z2")
-    assert charge_on_region(m.riesz, Region.disk(0.0, 3.0)) == 0.0
+    assert m.riesz.total_mass_in(Region.disk(0.0, 3.0)) == 0.0
     assert abs(float(m.exact_circle_mean(1.0 + 1j, 0.5)) - m(1.0 + 1j)) <= 1e-14
 
 
@@ -197,11 +196,11 @@ def test_eval_M_plus_infinity_at_lower_roots():
     assert np.isposinf(vals[0])
     assert vals[1] == 0.0
     # charge subtracts the lower part
-    got = charge_on_region(M.charge, Region.disk(0.0, 2.0))
+    got = M.charge.total_mass_in(Region.disk(0.0, 2.0))
     assert abs(got - (8.0 - 1.0)) <= 1e-9
 
 
 def test_zero_model():
     m = make_zero_model()
     assert m(2.0 + 3j) == 0.0
-    assert charge_on_region(m.riesz, Region.disk(0.0, 10.0)) == 0.0
+    assert m.riesz.total_mass_in(Region.disk(0.0, 10.0)) == 0.0

@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from zerocert import (
     SQRT_E,
     DiskFractionProfile,
-    InvalidKernel,
     PlanePowerProfile,
     PreconditionViolation,
     check_mean_chain,
     circle_mean,
-    default_kernel,
     disk_mean,
     hat_radius,
     make_harmonic,
@@ -81,13 +79,6 @@ def test_mollified_mean_square():
 def test_mollified_mean_constant_is_unit_mass():
     val, err = mollified_mean(lambda z: np.ones_like(np.real(z)), 0.5j, 2.0)
     assert abs(val - 1.0) <= 1e-10
-
-
-def test_kernel_validation():
-    with pytest.raises(InvalidKernel):
-        mollified_mean(_usq, 0j, 1.0, kernel=lambda s: -default_kernel(s))
-    with pytest.raises(InvalidKernel):
-        mollified_mean(_usq, 0j, 1.0, kernel=lambda s: 2.0 * default_kernel(s))
 
 
 def _closed_form_models():

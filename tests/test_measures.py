@@ -10,13 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
-    EngineError,
     Region,
     RieszCharge,
-    Ring,
     RadialDensity,
     ZeroDistribution,
-    charge_on_region,
     inversion_pullback,
     make_custom_radial,
     make_log_poly_growth,
@@ -157,38 +154,42 @@ def _radial_square_charge():
     return RieszCharge(
         atom_points=(),
         atom_masses=(),
-        rings=(),
         radial=(RadialDensity(profile=lambda s: 4.0 + 0.0 * s, cumulative=lambda t: 2.0 * t * t),),
     )
 
 
 def test_charge_on_region_radial_square():
     ch = _radial_square_charge()
-    assert abs(charge_on_region(ch, Region.disk(0.0, 1.0)) - 2.0) <= 1e-9
-    assert abs(charge_on_region(ch, Region.disk(0.0, 2.0)) - 8.0) <= 1e-9
+    assert abs(ch.total_mass_in(Region.disk(0.0, 1.0)) - 2.0) <= 1e-9
+    assert abs(ch.total_mass_in(Region.disk(0.0, 2.0)) - 8.0) <= 1e-9
     # flux route through an independent stencil
     flux = oracles.flux_mass(lambda z: np.abs(z) ** 2, 0j, 2.0)
     assert abs(flux - 8.0) <= 1e-8
 
 
 def test_charge_algebra():
-    a = RieszCharge(atom_points=(1.0 + 0j,), atom_masses=(2.0,), rings=(), radial=())
-    b = RieszCharge(atom_points=(), atom_masses=(), rings=(Ring(0j, 1.0, 0.5),), radial=())
-    d = Region.disk(0.0, 3.0)
+    a = RieszCharge(atom_points=(1.0 + 0j,), atom_masses=(2.0,))
+    b = RieszCharge(atom_points=(0.5j, -2.0 + 0j), atom_masses=(0.5, 4.0))
+    d = Region.disk(0.0, 1.5)
     s = a + b
     assert abs(s.total_mass_in(d) - 2.5) <= 1e-12
     assert abs((a - b).total_mass_in(d) - 1.5) <= 1e-12
     assert abs((-a).total_mass_in(d) + 2.0) <= 1e-12
-    assert abs(s.positive_part().total_mass_in(d) - 2.5) <= 1e-12
     assert abs((a - b).negative_part().total_mass_in(d) - 0.5) <= 1e-12
+    assert abs((a - b).negative_part().total_mass_in(
+        Region.disk(0.0, 3.0)) - 4.5) <= 1e-12
+    # densities flip sign with the charge and keep it in negative_part
+    sq = _radial_square_charge()
+    assert abs((a - sq).total_mass_in(d) - (2.0 - 4.5)) <= 1e-12
+    assert abs((a - sq).negative_part().total_mass_in(d) - 4.5) <= 1e-12
 
 
 def test_integrate_radial_atoms_and_rings():
+    # two atoms, and a ring of eight atoms of total mass 2 on |z| = 0.5
+    ring = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
     ch = RieszCharge(
-        atom_points=(1.0 + 0j, -2.0 + 0j),
-        atom_masses=(1.0, 3.0),
-        rings=(Ring(0j, 0.5, 2.0),),
-        radial=(),
+        atom_points=np.concatenate(([1.0, -2.0], ring)),
+        atom_masses=np.concatenate(([1.0, 3.0], np.full(8, 0.25))),
     )
     g = lambda r: np.exp(-np.asarray(r, dtype=float))
     val, err = ch.integrate_radial(g, tol=1e-10)
@@ -296,8 +297,6 @@ def test_integrate_region_masking():
     ch = RieszCharge(
         atom_points=(0.2 + 0j, 5.0 + 0j),
         atom_masses=(1.0, 1.0),
-        rings=(),
-        radial=(),
     )
     f = lambda z: np.abs(z)
     val, err = ch.integrate(f, tol=1e-10, include=Region.disk(0.0, 1.0))
@@ -306,29 +305,9 @@ def test_integrate_region_masking():
         f, tol=1e-10, include=Region.disk(0.0, 10.0), exclude_points=(5.0 + 0j,)
     )
     assert abs(val - 0.2) <= 1e-12
+    # exclude_interior drops the atoms in the open disk, not on its boundary
+    val, err = ch.integrate(f, exclude_interior=Region.disk(0.0, 5.0))
+    assert val == 5.0
+    val, err = ch.integrate(f, exclude_interior=Region.disk(0.0, 0.1))
+    assert abs(val - 5.2) <= 1e-12
 
-
-def test_integrate_ring_against_circle_mean():
-    ch = RieszCharge(atom_points=(), atom_masses=(), rings=(Ring(0j, 2.0, 1.5),), radial=())
-    f = lambda z: np.real(z) ** 2
-    val, err = ch.integrate(f, tol=1e-10, include=Region.disk(0.0, 3.0))
-    # mean of x^2 on a radius-2 circle is 2
-    assert abs(val - 1.5 * 2.0) <= 1e-8
-
-
-def test_integrate_rings_against_excluded_interior():
-    # a ring inside the excluded disk is dropped, one crossing its
-    # boundary is refused, one outside it (or around it) is kept
-    f = lambda z: np.ones(np.shape(z))
-    hole = Region.disk(0j, 1.0)
-
-    def integral(*rings):
-        ch = RieszCharge(atom_points=(), atom_masses=(), rings=rings, radial=())
-        return ch.integrate(f, tol=1e-10, exclude_interior=hole)[0]
-
-    assert integral(Ring(0.2 + 0j, 0.3, 1.0)) == 0.0
-    with pytest.raises(EngineError):
-        integral(Ring(0.8 + 0j, 0.5, 1.0))
-    assert abs(integral(Ring(3.0 + 0j, 0.5, 2.0)) - 2.0) <= 1e-12
-    assert abs(integral(Ring(0j, 2.0, 0.5), Ring(0.2 + 0j, 0.3, 1.0),
-                        Ring(3.0 + 0j, 0.5, 2.0)) - 2.5) <= 1e-12
