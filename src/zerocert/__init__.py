@@ -6,15 +6,16 @@ sweeps, and canonical-product sufficiency checks."""
 from .errors import (DomainError, EngineError, GenusOverflow, InvalidModel,
                      InvalidPotential, NotSummable, PreconditionViolation,
                      SchemaError)
-from .quadrature import ToleranceFailure, integrate, mean_on_circle
+from .quadrature import (ToleranceFailure, circle_mean, integrate,
+                         mean_on_circle)
 from .measures import RadialDensity, Region, RieszCharge, ZeroDistribution
 from .majorants import (DSubharmonicMajorant, SubharmonicModel, eval_M,
                         make_custom_radial, make_harmonic, make_log_abs_poly,
                         make_log_poly_growth, make_radial_power,
                         make_zero_model, model_sum)
 from .means import (SQRT_E, DiskFractionProfile, HatRadius, MeanChainReport,
-                    PlanePowerProfile, check_mean_chain, circle_mean,
-                    default_kernel, disk_mean, hat_radius, mollified_mean)
+                    PlanePowerProfile, check_mean_chain, default_kernel,
+                    disk_mean, hat_radius, mollified_mean)
 from .jensen import (CirclePart, GreenFunction, JensenMeasure,
                      JensenPotential, PJReport, green_disk, log_potential,
                      poisson_jensen_check, potential_to_measure,

@@ -32,7 +32,7 @@ from .means import (DiskFractionProfile, PlanePowerProfile, check_mean_chain,
                     disk_mean, hat_radius, mollified_mean)
 from .measures import Region
 from .errors import PreconditionViolation
-from .scenario import load_scenario
+from .scenario import build_sufficiency_grid, load_scenario
 from .testfam import TruncatedLogFamily
 
 
@@ -164,10 +164,9 @@ def _m0_stage(sc, args, outdir):
 def _sufficiency_stage(sc, args, outdir, curve=None):
     grid = sc.sufficiency_grid
     if grid is None:
-        rng = np.random.default_rng(args.seed or 0)
-        r = 3.0 * np.sqrt(rng.uniform(0.0, 1.0, 40))
-        theta = rng.uniform(0.0, 2.0 * math.pi, 40)
-        grid = r * np.exp(1j * theta)
+        grid = build_sufficiency_grid(
+            {"kind": "random-disk", "radius": 3.0, "count": 40},
+            seed=args.seed)
     profile = sc.profile or PlanePowerProfile(1.0)
     tol = args.tol if args.tol is not None else sc.tol("sufficiency")
     # the construction defers to the margin verdict of the scenario's
@@ -252,7 +251,7 @@ def _jensen_selftest(args, outdir):
     V = log_potential(mu)
     d = np.array([0.25, 1.0, 3.0, 8.0])
     want = np.maximum(0.0, np.log(2.0 / d))
-    got = V.radial(d)
+    got = V.radial_profile(d)
     err = float(np.max(np.abs(got - want)))
     rows.append(("circle-potential-closed-form", err, 1e-10, err <= 1e-10))
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenusOverflow, NotSummable
-from .means import circle_mean, hat_radius
+from .means import hat_radius
+from .quadrature import circle_mean
 
 _SERIES_TERMS = 60
 
@@ -88,10 +89,6 @@ def _log_E_complex(u, p):
             acc = acc + term / k
         out[big] = acc
     return out
-
-
-def _log_abs_E(u, p):
-    return _log_E_complex(u, p).real
 
 
 _BLOCK_ELEMS = 1 << 22

@@ -138,14 +138,8 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 
     samples = []
     for test, lhs in zip(tests, lhs_all):
-        core = None
-        if test.log_core > 0:
-            core = (test.log_core, test.log_constant, test.pole_coefficient)
         try:
-            rhs, err = charge.integrate_radial(
-                test.radial_profile, center=0j, tol=tol,
-                g_support=test.support_radius,
-                singular_radii=test.kink_radii, log_core=core)
+            rhs, err = charge.integrate_radial(test, tol=tol)
         except (NotSummable, ToleranceFailure) as exc:
             samples.append(MarginSample(
                 tau=test.params["t"], lhs=lhs, rhs=math.nan,
@@ -263,9 +257,7 @@ def check_m0(M_up, P, points, *, tol=1e-8):
     # r point by point: numpy's scalar and array powers can differ in the
     # last bit; the means by quadrature even when M_up has a closed form
     radii = np.array([float(profile.radius(complex(z))) for z in pts])
-    means, errs = mean_on_circle(
-        M_up, pts, radii, tol=tol,
-        singular_points=getattr(M_up, "singular_points", ()))
+    means, errs = mean_on_circle(M_up, pts, radii, tol=tol)
     u0 = np.asarray(M_up(pts), dtype=float)
     samples = []
     for z, m, err, v in zip(pts, means, errs, u0):
@@ -361,11 +353,11 @@ def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
     c_test = b / inf_green
 
     charge = M.charge
-    v1, e1 = charge.integrate(g, tol=tol, f_singular_points=(z0,),
-                              include=d_tilde, exclude_points=(z0,))
+    v1, e1 = charge.integrate(g, tol=tol, include=d_tilde,
+                              exclude_points=(z0,))
     neg = charge.negative_part()
-    v2, e2 = neg.integrate(g, tol=tol, f_singular_points=(z0,),
-                           include=d_tilde, exclude_interior=s_region)
+    v2, e2 = neg.integrate(g, tol=tol, include=d_tilde,
+                           exclude_interior=s_region)
     pole_value = float(eval_M(M, np.array([z0]))[0])
     v3 = max(0.0, pole_value)
     parts = {"charge-term": v1, "negative-term": v2, "pole-term": v3}

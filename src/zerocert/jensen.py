@@ -65,12 +65,6 @@ class JensenMeasure:
         if abs(total - 1.0) > 1e-12:
             raise DomainError("total mass %.15g is not 1" % total)
 
-    def support_radius(self):
-        return max((p.radius for p in self.parts), default=0.0)
-
-    def min_part_radius(self):
-        return min((p.radius for p in self.parts), default=math.inf)
-
     def integrate(self, u, *, tol=1e-9):
         """Integral of u against the measure; returns (value, budget)."""
         val = 0.0
@@ -79,8 +73,7 @@ class JensenMeasure:
             u0 = float(np.asarray(u(np.array([self.pole])), dtype=float)[0])
             val += self.pole_mass * u0
         means, errs = mean_on_circle(
-            u, self.pole, np.array([p.radius for p in self.parts]), tol=tol,
-            singular_points=tuple(getattr(u, "singular_points", ())))
+            u, self.pole, np.array([p.radius for p in self.parts]), tol=tol)
         for p, m, e in zip(self.parts, means, errs):
             val += p.weight * float(m)
             err += p.weight * float(e)
@@ -97,10 +90,16 @@ def uniform_circle(z0, t):
 
 @dataclass(frozen=True, eq=False)
 class JensenPotential:
-    """Radial potential of a catalogue measure, with its circle parts."""
+    """Radial potential of a catalogue measure, with its circle parts.
+
+    It declares what the charge integrals read off it: a log singularity
+    at the pole, kinks on the circles of its parts, zero beyond the
+    largest of them, and below the smallest its exact-log core
+    log_constant - pole_coefficient * ln d.
+    """
 
     pole: complex
-    radial: Callable
+    radial_profile: Callable
     parts: tuple
     pole_coefficient: float
 
@@ -112,9 +111,25 @@ class JensenPotential:
     def kink_radii(self):
         return tuple(p.radius for p in self.parts)
 
+    @property
+    def singular_points(self):
+        return (self.pole,)
+
+    @property
+    def kink_circles(self):
+        return tuple((self.pole, r) for r in self.kink_radii)
+
+    @property
+    def log_core(self):
+        return min(self.kink_radii, default=math.inf)
+
+    @property
+    def log_constant(self):
+        return sum(p.weight * math.log(p.radius) for p in self.parts)
+
     def __call__(self, z):
         d = np.abs(np.asarray(z, dtype=complex) - self.pole)
-        return np.asarray(self.radial(d), dtype=float)
+        return np.asarray(self.radial_profile(d), dtype=float)
 
 
 def _measure_pole_coefficient(radial, min_radius, tol=1e-9):
@@ -134,12 +149,9 @@ def _measure_pole_coefficient(radial, min_radius, tol=1e-9):
     return min(max(kappa, 0.0), 1.0)
 
 
-def log_potential(mu, *, tol=1e-9):
-    """Forward map: the catalogue measure's log potential.
-
-    The pole coefficient is measured back off the evaluator rather than
-    copied from the measure, so round trips exercise the asymptotics.
-    """
+def log_potential(mu):
+    """Forward map: the catalogue measure's log potential, whose pole
+    coefficient is 1 - pole_mass."""
     pole_term = mu.pole_mass - 1.0
     parts = mu.parts
 
@@ -151,22 +163,22 @@ def log_potential(mu, *, tol=1e-9):
             out = out + p.weight * np.log(np.maximum(d, p.radius))
         return out
 
-    kappa = _measure_pole_coefficient(radial, mu.min_part_radius(), tol)
-    return JensenPotential(pole=mu.pole, radial=radial, parts=parts,
-                           pole_coefficient=kappa)
+    return JensenPotential(pole=mu.pole, radial_profile=radial, parts=parts,
+                           pole_coefficient=1.0 - mu.pole_mass)
 
 
 def potential_to_measure(V, *, tol=1e-9):
     """Inverse map: rebuild the catalogue measure from a potential.
 
     Circles come from the potential's parts; the pole mass is one minus
-    the measured pole coefficient.  The reconstruction must have total
-    mass one or the potential is rejected, and JensenMeasure refuses a
-    part with nonpositive weight.
+    the pole coefficient measured off the profile.  The reconstruction
+    must have total mass one and a potential that matches the profile,
+    or the potential is rejected, and JensenMeasure refuses a part with
+    nonpositive weight.
     """
     parts = V.parts
     min_radius = min((p.radius for p in parts), default=1e-3)
-    kappa = _measure_pole_coefficient(V.radial, min_radius, tol)
+    kappa = _measure_pole_coefficient(V.radial_profile, min_radius, tol)
     pole_mass = 1.0 - kappa
     total = pole_mass + sum(p.weight for p in parts)
     if abs(total - 1.0) > 1e-7:
@@ -176,7 +188,22 @@ def potential_to_measure(V, *, tol=1e-9):
         pole_mass = 1.0 - sum(p.weight for p in parts)
         if pole_mass < 0:
             raise InvalidPotential("part weights exceed total mass 1")
-    return JensenMeasure(pole=V.pole, parts=parts, pole_mass=pole_mass)
+    mu = JensenMeasure(pole=V.pole, parts=parts, pole_mass=pole_mass)
+    # parts that are not the profile's own circles: compare the two
+    # potentials below the circles, on and between them, and past them
+    radii = sorted(V.kink_radii) or [1.0]
+    d = np.array([radii[0] / 2.0, *radii,
+                  *(math.sqrt(a * b) for a, b in zip(radii, radii[1:])),
+                  2.0 * radii[-1]])
+    want = np.asarray(V.radial_profile(d), dtype=float)
+    got = log_potential(mu).radial_profile(d)
+    off = np.abs(got - want) > max(tol, 1e-7) * (1.0 + np.abs(want))
+    if off.any():
+        i = int(np.argmax(off))
+        raise InvalidPotential(
+            "potential reads %.9g at distance %.6g, its circles give %.9g"
+            % (want[i], d[i], got[i]))
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +241,24 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
     if not math.isfinite(u_pole):
         raise DomainError("identity needs a finite value at the pole")
     mean_term, e1 = mu.integrate(u, tol=tol)
-    V = log_potential(mu, tol=tol)
+    V = log_potential(mu)
     charge = u.riesz
     if all(abs(d.center - mu.pole) <= 1e-12 for d in charge.radial):
         # every density is centred on the pole (atoms may sit anywhere):
-        # integrate the radial V against the charge directly.  Below the
-        # smallest circle V is exactly
-        #     sum of w_k ln r_k - (1 - pole_mass) ln d,
-        # which the densities take in closed form from their disk masses.
-        # (With no circles V vanishes and g_support = 0 skips every density.)
-        log_core = (mu.min_part_radius(),
-                    sum(p.weight * math.log(p.radius) for p in mu.parts),
-                    1.0 - mu.pole_mass)
-        charge_term, e2 = charge.integrate_radial(
-            V.radial, center=mu.pole, tol=tol, g_support=V.support_radius,
-            singular_radii=V.kink_radii, log_core=log_core)
+        # integrate the radial V against the charge directly, its exact-log
+        # core below the smallest circle in closed form from the densities'
+        # disk masses.  (With no circles V vanishes and its support of 0
+        # skips every density.)
+        charge_term, e2 = charge.integrate_radial(V, tol=tol)
     else:
         # charge components off the pole's axis of symmetry: circle means
         # of V around each component's own center, truncating radial
         # supports where V is identically zero
         trunc = _truncate_radial(charge, mu.pole, V.support_radius)
-        kinks = tuple((mu.pole, k) for k in V.kink_radii)
-        coarse, _ = trunc.integrate(
-            V, tol=tol, f_singular_points=(mu.pole,), f_kink_circles=kinks)
+        coarse, _ = trunc.integrate(V, tol=tol)
         # grazing intersections with the potential's kink circles leave the
         # panel estimator optimistic; recalibrate against a finer pass
-        charge_term, e2 = trunc.integrate(
-            V, tol=tol / 32.0, f_singular_points=(mu.pole,),
-            f_kink_circles=kinks)
+        charge_term, e2 = trunc.integrate(V, tol=tol / 32.0)
         e2 = 2.0 * abs(charge_term - coarse) + e2
     residual = (mean_term - u_pole) - charge_term
     return PJReport(u_pole=u_pole, mean_term=mean_term,
@@ -267,6 +284,14 @@ class GreenFunction:
     def __post_init__(self):
         if abs(self.pole - self.center) >= self.R:
             raise DomainError("pole must lie inside the disk")
+
+    @property
+    def singular_points(self):
+        """The pole, and its reflection R^2 / conj(a) in the circle."""
+        a = self.pole - self.center
+        if a == 0:
+            return (self.pole,)
+        return (self.pole, self.center + self.R ** 2 / a.conjugate())
 
     def __call__(self, z):
         w = np.asarray(z, dtype=complex) - self.center

@@ -104,8 +104,7 @@ class SubharmonicModel:
 def _validate_submean(model, two_sided=False):
     values = model(_SPOT_CENTERS)
     # the integrated mean is the arbiter; a closed form is only a claim
-    means, _ = mean_on_circle(model, _SPOT_CENTERS, _SPOT_RADII, tol=1e-9,
-                              singular_points=model.singular_points)
+    means, _ = mean_on_circle(model, _SPOT_CENTERS, _SPOT_RADII, tol=1e-9)
     claims = means  # without a closed form there is nothing to disagree
     if model.exact_circle_mean is not None:
         claims = np.asarray(model.exact_circle_mean(

@@ -1,4 +1,4 @@
-"""Variable-radius circle, disk, and mollified means.
+"""Variable-radius disk and mollified means over quadrature's circle means.
 
 A radius profile r assigns each point the radius used by the averaging
 operators.  The enlarged radius is hat r(z) = r(z) + sup of r over the
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .quadrature import (TWO_PI, exact_or_quadrature_mean,
-                         integrate_circle_means)
+from .quadrature import TWO_PI, circle_mean, integrate_circle_means
 
 SQRT_E = math.sqrt(math.e)
 
@@ -127,21 +126,6 @@ def hat_radius(profile, z):
 # mean operators
 
 
-def _singular_points_of(u):
-    return tuple(getattr(u, "singular_points", ()))
-
-
-def circle_mean(u, z, t, *, tol=1e-9):
-    """Mean of u over the circles |w - z| = t; z and t broadcast.
-
-    Uses u's closed-form mean when it has one (with a zero error
-    estimate), and quadrature with u's singular points otherwise.
-    Returns (means, errors), or a float pair for scalar inputs.
-    """
-    return exact_or_quadrature_mean(u, z, t, tol=tol,
-                                    singular_points=_singular_points_of(u))
-
-
 def disk_mean(u, z, t, *, tol=1e-9):
     """Area mean of u over the closed disk of radius t about z."""
     z = complex(z)
@@ -149,9 +133,8 @@ def disk_mean(u, z, t, *, tol=1e-9):
     if t <= 0:
         raise PreconditionViolation("disk mean needs t > 0")
     val, e, inner = integrate_circle_means(
-        lambda s: circle_mean(u, z, s, tol=tol / 2.0), lambda s, m: m * s,
-        0.0, t, tol=(tol / 2.0) * t * t / 2.0, center=z,
-        singular_points=_singular_points_of(u))
+        u, lambda s, m: m * s, 0.0, t, tol=(tol / 2.0) * t * t / 2.0,
+        inner_tol=tol / 2.0, center=z)
     return 2.0 * val / t ** 2, 2.0 * e / t ** 2 + inner
 
 
@@ -168,10 +151,8 @@ def mollified_mean(u, z, t, *, tol=1e-9):
     if t <= 0:
         raise PreconditionViolation("mollified mean needs t > 0")
     val, e, inner = integrate_circle_means(
-        lambda s: circle_mean(u, z, s, tol=tol / 2.0),
-        lambda s, m: m * TWO_PI * s * default_kernel(s),
-        0.0, 1.0, tol=tol / 2.0, center=z,
-        singular_points=_singular_points_of(u), scale=t)
+        u, lambda s, m: m * TWO_PI * s * default_kernel(s), 0.0, 1.0,
+        tol=tol / 2.0, inner_tol=tol / 2.0, center=z, scale=t)
     return val, e + inner
 
 

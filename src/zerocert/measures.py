@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EngineError, NotSummable
-from .quadrature import (exact_or_quadrature_mean, integrate,
-                         integrate_circle_means)
+from .quadrature import integrate, integrate_circle_means
 
 
 # ulps of each closed-form core term that integrate_radial adds to its
@@ -347,15 +346,17 @@ class RieszCharge:
 
     # -- integrals ----------------------------------------------------------
 
-    def integrate_radial(self, g, *, center=0j, tol=1e-9, g_support=math.inf,
-                         singular_radii=(), log_core=None):
-        """Integral of g(|z - center|) against the charge.
+    def integrate_radial(self, spike, *, tol=1e-9):
+        """Integral of a radial spike against the charge.
 
-        Radial densities must be centered at ``center``; atoms may sit
-        anywhere.  g_support truncates the radial integrals (g vanishes
-        beyond it).  ``log_core=(a, c, k)`` declares g(s) = c - k ln s
-        exactly for 0 < s <= a; each radial density then takes that part
-        by parts from its disk mass mu(s) = mass_in(s),
+        The spike declares its profile g = ``radial_profile`` as a function
+        of the distance to its ``pole``, the ``support_radius`` beyond
+        which g vanishes, the ``kink_radii`` where it loses smoothness,
+        and its exact-log core: g(s) = c - k ln s for 0 < s <= a, with
+        a = ``log_core`` (0 declares no core), c = ``log_constant`` and
+        k = ``pole_coefficient``.  Radial densities must be centered at
+        the pole; atoms may sit anywhere.  Each radial density takes the
+        core by parts from its disk mass mu(s) = mass_in(s),
 
             int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k int_lo^a mu(s)/s ds,
 
@@ -365,7 +366,8 @@ class RieszCharge:
         from a few ulps of each closed-form term.  Returns
         (value, error_budget).
         """
-        center = complex(center)
+        center = complex(spike.pole)
+        g = spike.radial_profile
         val = 0.0
         err = 0.0
         if self.atom_points.size:
@@ -381,14 +383,15 @@ class RieszCharge:
             if abs(dens.center - center) > 1e-12:
                 raise EngineError("radial density not concentric; use integrate()")
             lo = dens.support[0]
-            hi = min(dens.support[1], float(g_support))
+            hi = min(dens.support[1], float(spike.support_radius))
             if hi <= lo:
                 continue
             if not math.isfinite(hi):
-                raise DomainError("unbounded radial integral; pass g_support")
+                raise DomainError("unbounded radial integral: the spike "
+                                  "declares no finite support")
             a = None
-            if log_core is not None and log_core[0] > lo:
-                a = min(float(log_core[0]), hi)
+            if spike.log_core > lo:
+                a = min(float(spike.log_core), hi)
             pieces.append((dens, lo, a, hi))
         # an equal share of tol per core and band quadrature keeps their
         # summed error estimates within tol
@@ -397,7 +400,7 @@ class RieszCharge:
         share = tol / max(calls, 1)
         for dens, lo, a, hi in pieces:
             if a is not None:
-                _, c, k = log_core
+                c, k = spike.log_constant, spike.pole_coefficient
                 v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
                                  lo, a, tol=share / max(1.0, abs(k)))
                 edge = (c - k * math.log(a)) * dens.mass_in(a)
@@ -415,25 +418,23 @@ class RieszCharge:
                         * svec * np.asarray(_d.profile(svec), dtype=float))
 
             v, e = integrate(f, lo, hi, tol=share,
-                             singularities=[s for s in singular_radii if lo < s < hi])
+                             singularities=[s for s in spike.kink_radii
+                                            if lo < s < hi])
             val += dens.sign * v
             err += e
         return val, err
 
-    def integrate(self, f, *, tol=1e-9, f_singular_points=(),
-                  f_kink_circles=(), include=None, exclude_interior=None,
+    def integrate(self, f, *, tol=1e-9, include=None, exclude_interior=None,
                   exclude_points=()):
         """Integral of f against the charge, optionally restricted.
 
         ``include`` keeps only the closed region; ``exclude_interior``
         removes the open interior of another region; ``exclude_points``
-        drops atoms sitting at the listed points.  ``f_kink_circles`` lists
-        (center, radius) circles across which f loses smoothness, so the
-        quadrature can break panels where charge circles cross them.  Circle
-        means of f within radial densities come from f's
-        ``exact_circle_mean`` when it declares one, by quadrature otherwise.
-        Radial densities must be concentric with the restriction regions.
-        Returns (value, error_budget).
+        drops atoms sitting at the listed points.  Within radial densities
+        f enters through its circle means (quadrature.circle_mean), whose
+        panels break where f's declared singular points and kink circles
+        meet the charge's circles.  Radial densities must be concentric
+        with the restriction regions.  Returns (value, error_budget).
         """
         val = 0.0
         err = 0.0
@@ -468,13 +469,8 @@ class RieszCharge:
             approx_mass = abs(dens.mass_in(hi) - dens.mass_in(lo))
             inner_tol = tol / (4.0 * (1.0 + approx_mass))
             v, e, inner = integrate_circle_means(
-                lambda s: exact_or_quadrature_mean(
-                    f, dens.center, s, tol=inner_tol,
-                    singular_points=f_singular_points,
-                    kink_circles=f_kink_circles),
-                lambda s, m: m * s * np.asarray(dens.profile(s), dtype=float),
-                lo, hi, tol=tol, center=dens.center,
-                singular_points=f_singular_points, kink_circles=f_kink_circles)
+                f, lambda s, m: m * s * np.asarray(dens.profile(s), dtype=float),
+                lo, hi, tol=tol, inner_tol=inner_tol, center=dens.center)
             val += dens.sign * v
             err += e + inner * approx_mass
         return val, err

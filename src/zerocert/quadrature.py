@@ -6,8 +6,17 @@ splitting panels at the singular abscissae: Gauss nodes are interior to
 their panel, so a declared singularity is never evaluated.  Undeclared
 non-finite points are healed by re-splitting at the offending node.
 Circle means come many circles to a call, and integrate_circle_means
-nests them inside a radial integral.  exact_or_quadrature_mean is the one
-place that takes an integrand's declared closed-form circle mean instead.
+nests them inside a radial integral.
+
+An integrand of a circle mean declares its own structure as attributes,
+each optional, and this module is the one place that reads them:
+``exact_circle_mean(center, radius)``, a closed form that circle_mean
+takes instead of quadrature; ``singular_points``, the points where it is
+singular; and ``kink_circles``, (center, radius) pairs of circles across
+which it loses smoothness.  A radial spike integrated against a charge
+(RieszCharge.integrate_radial) declares ``pole``, ``radial_profile``,
+``support_radius``, ``kink_radii`` and its exact-log core ``log_core``,
+``log_constant`` and ``pole_coefficient``.
 """
 
 import heapq
@@ -174,19 +183,17 @@ def _edge_angles(center, radius, singular_points, kink_circles):
     return angles
 
 
-def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
-                   kink_circles=()):
+def mean_on_circle(f, center, radius, *, tol=1e-10):
     """Average of f over the circles |w - center| = radius.
 
     ``center`` and ``radius`` broadcast against each other; returns
     (means, error_estimates) of that shape, or a float pair for scalar
-    inputs.  Angles of singular points lying on or near a circle are
-    isolated within a 1e-3 arc so panels stay clear of them.
-    ``kink_circles`` lists (center, radius) pairs of circles across which
-    f loses smoothness; crossing angles become panel edges, since a
-    grazing intersection leaves a feature narrow enough to hide between
-    the nodes of both Gauss rules.  radius == 0 degenerates to a point
-    evaluation.
+    inputs.  Angles of f's ``singular_points`` lying on or near a circle
+    are isolated within a 1e-3 arc so panels stay clear of them.  Where a
+    circle crosses one of f's ``kink_circles`` the crossing angles become
+    panel edges, since a grazing intersection leaves a feature narrow
+    enough to hide between the nodes of both Gauss rules.  radius == 0
+    degenerates to a point evaluation.
 
     Circles with no edge angle share one call of f on the nodes of the
     whole-circle Gauss pair, which is the first panel ``integrate`` would
@@ -201,8 +208,8 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
     rs = rs.ravel()
     if (rs < 0).any():
         raise ValueError("circle radius must be nonnegative")
-    singular_points = tuple(singular_points)
-    kink_circles = tuple(kink_circles)
+    singular_points = tuple(getattr(f, "singular_points", ()))
+    kink_circles = tuple(getattr(f, "kink_circles", ()))
     means = np.empty(rs.shape, dtype=float)
     errs = np.zeros(rs.shape, dtype=float)
     angles = {}
@@ -256,21 +263,17 @@ def mean_on_circle(f, center, radius, *, tol=1e-10, singular_points=(),
     return means.reshape(shape), errs.reshape(shape)
 
 
-def exact_or_quadrature_mean(f, center, radius, *, tol=1e-10,
-                             singular_points=(), kink_circles=()):
+def circle_mean(f, center, radius, *, tol=1e-9):
     """Means of f over the circles |w - center| = radius, closed form first.
 
     When f declares ``exact_circle_mean(center, radius)`` its values are
     returned with zero error estimates; otherwise this is
-    ``mean_on_circle`` with the given singular points and kink circles.
-    center and radius broadcast; returns (means, errors), or a float pair
-    for scalar inputs.
+    ``mean_on_circle``.  center and radius broadcast; returns
+    (means, errors), or a float pair for scalar inputs.
     """
     exact = getattr(f, "exact_circle_mean", None)
     if exact is None:
-        return mean_on_circle(f, center, radius, tol=tol,
-                              singular_points=singular_points,
-                              kink_circles=kink_circles)
+        return mean_on_circle(f, center, radius, tol=tol)
     z = np.asarray(center, dtype=complex)
     t = np.asarray(radius, dtype=float)
     # a 0-d z would make |z| a numpy scalar, whose powers round apart
@@ -284,40 +287,41 @@ def exact_or_quadrature_mean(f, center, radius, *, tol=1e-10,
     return m, np.zeros(m.shape)
 
 
-def _break_radii(center, singular_points=(), kink_circles=()):
-    """Radii at which circles about center pass through a singular point
-    or touch a kink circle: the places where circle means lose smoothness."""
+def _break_radii(f, center):
+    """Radii at which circles about center pass through one of f's
+    singular points or touch one of its kink circles: the places where
+    f's circle means lose smoothness."""
     center = complex(center)
-    radii = [abs(complex(p) - center) for p in singular_points]
-    for c2, r2 in kink_circles:
+    radii = [abs(complex(p) - center)
+             for p in getattr(f, "singular_points", ())]
+    for c2, r2 in getattr(f, "kink_circles", ()):
         dc = abs(complex(c2) - center)
         radii.extend((abs(dc - float(r2)), dc + float(r2)))
     return radii
 
 
-def integrate_circle_means(mean, weight, a, b, *, tol, center=0j,
-                           singular_points=(), kink_circles=(), scale=1.0):
+def integrate_circle_means(f, weight, a, b, *, tol, inner_tol, center=0j,
+                           scale=1.0):
     """Radial integral of circle means: int_a^b weight(s, m(scale * s)) ds.
 
-    ``mean`` maps an array of radii to (means, error_estimates) of the
-    circles of those radii about ``center``; ``weight(s, m)`` turns them
-    into the radial integrand (it takes the means, rather than returning
-    a factor, so each caller keeps its own product order).  Panels break
-    at the radii, over ``scale``, where those circles pass through a
-    point of ``singular_points`` or touch a circle of ``kink_circles``:
+    m(rho) is circle_mean of f over the circle of radius rho about
+    ``center``, at tolerance ``inner_tol``; ``weight(s, m)`` turns the
+    means into the radial integrand (it takes the means, rather than
+    returning a factor, so each caller keeps its own product order).
+    Panels break at the radii, over ``scale``, where those circles pass
+    through one of f's singular points or touch one of its kink circles:
     there the means lose smoothness.  Returns (value, error_estimate,
-    worst_inner_error), the last being the largest error estimate
-    ``mean`` reported.
+    worst_inner_error), the last being the largest error estimate of a
+    circle mean.
     """
     worst = 0.0
 
-    def f(svec):
+    def integrand(svec):
         nonlocal worst
-        m, e = mean(scale * svec)
+        m, e = circle_mean(f, center, scale * svec, tol=inner_tol)
         worst = max(worst, float(e.max()))
         return weight(svec, m)
 
-    breaks = [r / scale for r in _break_radii(center, singular_points,
-                                              kink_circles)]
-    val, err = integrate(f, a, b, tol=tol, singularities=breaks)
+    breaks = [r / scale for r in _break_radii(f, center)]
+    val, err = integrate(integrand, a, b, tol=tol, singularities=breaks)
     return val, err, worst

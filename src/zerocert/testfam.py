@@ -119,13 +119,17 @@ def smooth_capped_log(t, eps=0.25):
             x = np.log(t * np.asarray(s, dtype=float))
         return eps * bump_cdf_integral(x / eps)
 
+    inner = math.exp(-eps) / t
+    outer = math.exp(eps) / t
+    # the blend's fifth derivative jumps at both of its edges
     return TestPotential(
         params={"t": t, "eps": eps},
         eval=lambda w: profile(np.abs(w)),
         radial_profile=profile,
         growth_coefficient=1.0,
-        zero_radius=math.exp(-eps) / t,
-        log_radius=math.exp(eps) / t,
+        zero_radius=inner,
+        kink_radii=(inner, outer),
+        log_radius=outer,
         log_constant=math.log(t))
 
 

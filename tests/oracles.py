@@ -280,11 +280,11 @@ def lemma1_c_majorant_by_quadrature(d_tilde, s_region, z0, M, tol=1e-9):
     def plain(z):
         return g(z)
 
+    plain.singular_points = (z0,)
     charge = M.charge
-    v1, e1 = charge.integrate(plain, tol=tol, f_singular_points=(z0,),
-                              include=d_tilde, exclude_points=(z0,))
+    v1, e1 = charge.integrate(plain, tol=tol, include=d_tilde,
+                              exclude_points=(z0,))
     v2, e2 = charge.negative_part().integrate(
-        plain, tol=tol, f_singular_points=(z0,), include=d_tilde,
-        exclude_interior=s_region)
+        plain, tol=tol, include=d_tilde, exclude_interior=s_region)
     v3 = max(0.0, float(M(np.array([complex(z0)]))[0]))
     return v1 + v2 + v3, e1 + e2

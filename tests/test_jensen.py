@@ -60,7 +60,7 @@ def test_potential_with_nonpositive_part_is_rejected():
     # weights 1.5 and -0.5 still total one, as the unit circle's pole
     # coefficient asks; the measure refuses the negative circle
     V = log_potential(uniform_circle(0j, 1.0))
-    bad = type(V)(pole=V.pole, radial=V.radial,
+    bad = type(V)(pole=V.pole, radial_profile=V.radial_profile,
                   parts=(CirclePart(1.0, 1.5), CirclePart(2.0, -0.5)),
                   pole_coefficient=V.pole_coefficient)
     with pytest.raises(DomainError):
@@ -110,13 +110,47 @@ def test_potential_map_is_affine(alpha):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+def test_potential_with_foreign_parts_is_rejected():
+    # the unit circle's profile with the parts of a circle of radius 3:
+    # the parts' potential reads ln(3/2) = 0.405 at |z| = 2, the profile 0
+    V = log_potential(uniform_circle(0j, 1.0))
+    bad = type(V)(pole=V.pole, radial_profile=V.radial_profile,
+                  parts=(CirclePart(3.0, 1.0),),
+                  pole_coefficient=V.pole_coefficient)
+    assert abs(float(log_potential(uniform_circle(0j, 3.0))(2.0))
+               - math.log(1.5)) <= 1e-15
+    assert float(bad(2.0)) == 0.0
+    with pytest.raises(InvalidPotential):
+        potential_to_measure(bad)
+
+
+def test_potential_declares_its_pole_kinks_and_core():
+    mu = JensenMeasure(
+        pole=0.5j,
+        parts=(CirclePart(2.0, 0.5), CirclePart(0.5, 0.3)),
+        pole_mass=0.2,
+    )
+    V = log_potential(mu)
+    assert V.singular_points == (0.5j,)
+    assert V.kink_circles == ((0.5j, 2.0), (0.5j, 0.5))
+    assert V.log_core == 0.5
+    assert V.pole_coefficient == 1.0 - 0.2
+    # below the smallest circle V is exactly log_constant - k ln d
+    d = np.array([1e-3, 0.1, 0.5])
+    core = V.log_constant - V.pole_coefficient * np.log(d)
+    assert np.allclose(V.radial_profile(d), core, rtol=0.0, atol=1e-14)
+    assert not np.isclose(V.radial_profile(np.array([0.6]))[0],
+                          V.log_constant - V.pole_coefficient * np.log(0.6))
+
+
 def test_potential_rejects_supercritical_pole():
     mu = uniform_circle(0j, 1.0)
     V = log_potential(mu)
     # tampering with the radial profile breaks the pole coefficient range
     bad = type(V)(
         pole=V.pole,
-        radial=lambda d: 2.0 * np.asarray(V.radial(d), dtype=float),
+        radial_profile=lambda d: 2.0 * np.asarray(V.radial_profile(d),
+                                                  dtype=float),
         parts=V.parts,
         pole_coefficient=V.pole_coefficient,
     )
@@ -175,6 +209,10 @@ def test_poisson_jensen_rejects_pole_at_root():
 def test_green_disk_values():
     g = green_disk(1.0, 0.5 + 0j)
     assert abs(g(0j) - np.log(2.0)) <= 1e-12
+    # its declared singular points: the pole and its reflection 1 / conj(a)
+    assert g.singular_points == (0.5 + 0j, 2.0 + 0j)
+    assert list(g(np.array(g.singular_points))) == [np.inf, -np.inf]
+    assert green_disk(2.0, 1j, center=1j).singular_points == (1j,)
     th = np.linspace(0, 2 * np.pi, 64)
     on_boundary = np.asarray(g(np.exp(1j * th)), dtype=float)
     assert np.max(np.abs(on_boundary)) <= 1e-10
@@ -246,8 +284,7 @@ def test_green_exact_circle_mean_matches_quadrature(
     z = center + off_frac * R * complex(math.cos(off_angle),
                                         math.sin(off_angle))
     t = t_frac * R
-    singular = (g.pole,) if a == 0 else (g.pole, center + R * R / a.conjugate())
-    want, _ = mean_on_circle(g, z, t, tol=1e-13, singular_points=singular)
+    want, _ = mean_on_circle(g, z, t, tol=1e-13)
     got = float(g.exact_circle_mean(np.array([z]), t)[0])
     # t = 0 at the pole: both read +inf
     assert got == want or abs(got - want) <= 1e-12

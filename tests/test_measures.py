@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
+    PulledBackTest,
     Region,
     RieszCharge,
     RadialDensity,
@@ -184,6 +185,15 @@ def test_charge_algebra():
     assert abs((a - sq).negative_part().total_mass_in(d) - 4.5) <= 1e-12
 
 
+def _spike(g, support=math.inf, core=(0.0, 0.0, 0.0)):
+    """g as a radial spike at the origin, with the exact-log core
+    core = (a, c, k): g(s) = c - k ln s for s <= a (a = 0: none)."""
+    a, c, k = core
+    return PulledBackTest(pole=0j, params={}, radial_profile=g,
+                          support_radius=support, pole_coefficient=k,
+                          log_core=a, log_constant=c)
+
+
 def test_integrate_radial_atoms_and_rings():
     # two atoms, and a ring of eight atoms of total mass 2 on |z| = 0.5
     ring = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -192,7 +202,7 @@ def test_integrate_radial_atoms_and_rings():
         atom_masses=np.concatenate(([1.0, 3.0], np.full(8, 0.25))),
     )
     g = lambda r: np.exp(-np.asarray(r, dtype=float))
-    val, err = ch.integrate_radial(g, tol=1e-10)
+    val, err = ch.integrate_radial(_spike(g), tol=1e-10)
     want = np.exp(-1.0) + 3.0 * np.exp(-2.0) + 2.0 * np.exp(-0.5)
     assert abs(val - want) <= 1e-10
 
@@ -201,14 +211,15 @@ def test_integrate_radial_density_matches_closed_form():
     ch = _radial_square_charge()
     # int_0^1 (1 - s) 4s ds = 2/3 against g(s) = max(0, 1 - s)
     g = lambda r: np.maximum(0.0, 1.0 - np.asarray(r, dtype=float))
-    val, err = ch.integrate_radial(g, tol=1e-10, g_support=1.0)
+    val, err = ch.integrate_radial(_spike(g, 1.0), tol=1e-10)
     assert abs(val - 2.0 / 3.0) <= 1e-8
 
 
 def test_integrate_radial_requires_support_for_unbounded_density():
     ch = _radial_square_charge()
     with pytest.raises(DomainError):
-        ch.integrate_radial(lambda r: np.exp(-np.asarray(r)), tol=1e-8)
+        ch.integrate_radial(_spike(lambda r: np.exp(-np.asarray(r))),
+                            tol=1e-8)
 
 
 # A declared exact-log core is taken by parts from mass_in; the reference
@@ -253,17 +264,17 @@ _CORE_CHARGES = {
 # two full-tol budgets above tol when every call took all of it
 @example(name="d-subharmonic", smooth=True, tau=4.0, eps=0.9375)
 @example(name="custom-radial", smooth=True, tau=11.0, eps=1.0)
+# the reference's panels straddled the blend edge at tau e^-eps until the
+# smooth capped log declared both edges as kinks
+@example(name="support-from-0.3", smooth=True, tau=0.75, eps=0.75)
+@example(name="radial-power-1", smooth=True, tau=4.0, eps=0.2676768089684824)
 def test_integrate_radial_log_core_matches_quadrature(name, smooth, tau, eps):
     charge, tol = _CORE_CHARGES[name]
     plane = smooth_capped_log(tau, eps) if smooth else truncated_log_plane(tau)
     test = inversion_pullback(plane)
-    kw = dict(tol=tol, g_support=test.support_radius,
-              singular_radii=test.kink_radii)
-    ref, ref_err = charge.integrate_radial(test.radial_profile, **kw)
-    got, err = charge.integrate_radial(
-        test.radial_profile,
-        log_core=(test.log_core, test.log_constant, test.pole_coefficient),
-        **kw)
+    ref, ref_err = charge.integrate_radial(
+        dataclasses.replace(test, log_core=0.0), tol=tol)
+    got, err = charge.integrate_radial(test, tol=tol)
     assert err <= tol
     # within the reference's budget, plus rounding
     assert abs(got - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
@@ -273,9 +284,9 @@ def test_integrate_radial_log_core_linear_mass_is_exact():
     # mu(s) = s makes mu(s)/s constant: int_0^a ln(a/s) ds = a
     charge = make_radial_power(1.0, 1.0).riesz
     for a in (1e-3, 0.7, 50.0):
-        val, err = charge.integrate_radial(
-            lambda s: np.log(a / np.asarray(s, dtype=float)), g_support=a,
-            log_core=(a, math.log(a), 1.0))
+        val, err = charge.integrate_radial(_spike(
+            lambda s: np.log(a / np.asarray(s, dtype=float)), a,
+            (a, math.log(a), 1.0)))
         assert abs(val - a) <= 1e-15 * a
         assert err <= 1e-15 * a
 

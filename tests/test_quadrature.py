@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zerocert import integrate, mean_on_circle, ToleranceFailure
+from zerocert import quadrature
 from zerocert.quadrature import _break_radii, integrate_circle_means
 
 import oracles
@@ -60,11 +61,17 @@ def test_mean_on_circle_constant_and_point():
     assert val == 9.0
 
 
+def _declared(f, singular_points=(), kink_circles=()):
+    # f must be a function of its own: the attributes are its declarations
+    f.singular_points = singular_points
+    f.kink_circles = kink_circles
+    return f
+
+
 def test_mean_on_circle_singular_on_circle():
     # classical: the mean of ln|z - 1| over the unit circle is zero
-    val, err = mean_on_circle(
-        lambda z: np.log(np.abs(z - 1.0)), 0j, 1.0, singular_points=(1.0 + 0j,)
-    )
+    f = _declared(lambda z: np.log(np.abs(z - 1.0)), (1.0 + 0j,))
+    val, err = mean_on_circle(f, 0j, 1.0)
     assert abs(val) <= 1e-7
 
 
@@ -86,6 +93,9 @@ def _rough(z):
     # log singularity at _SING, kink across the circle _KINK
     return (np.log(np.abs(z - _SING))
             + np.maximum(np.abs(z - _KINK[0]), _KINK[1]) + np.abs(z) ** 1.5)
+
+
+_declared(_rough, (_SING,), (_KINK,))
 
 
 def _node_on_circle(c, r, k=3):
@@ -120,11 +130,11 @@ def test_mean_on_circle_arrays_match_scalar_calls(circles):
     cs, rs = _special_circles()
     cs += [complex(x, y) for x, y, _ in circles]
     rs += [r for _, _, r in circles]
-    kw = dict(tol=1e-10, singular_points=(_SING,), kink_circles=(_KINK,))
-    means, errs = mean_on_circle(_rough, np.array(cs), np.array(rs), **kw)
+    means, errs = mean_on_circle(_rough, np.array(cs), np.array(rs),
+                                 tol=1e-10)
     assert means.shape == errs.shape == (len(cs),)
     for i, (c, r) in enumerate(zip(cs, rs)):
-        m, e = mean_on_circle(_rough, c, r, **kw)
+        m, e = mean_on_circle(_rough, c, r, tol=1e-10)
         assert type(m) is float and type(e) is float
         assert m == means[i] and e == errs[i]
 
@@ -187,26 +197,30 @@ def test_mean_on_circle_broadcasts():
 def test_break_radii_of_a_point_and_a_kink_circle():
     # circles about 1 + 1j pass through 4 + 5j at radius 5; they touch the
     # circle |w - (1 + 4j)| = 1 at radii 3 - 1 and 3 + 1
-    got = _break_radii(1 + 1j, singular_points=(4 + 5j,),
-                      kink_circles=((1 + 4j, 1.0),))
-    assert got == [5.0, 2.0, 4.0]
+    f = _declared(lambda z: np.abs(z), (4 + 5j,), ((1 + 4j, 1.0),))
+    assert _break_radii(f, 1 + 1j) == [5.0, 2.0, 4.0]
     # a kink circle about the centre breaks at its own radius
-    assert _break_radii(0j, kink_circles=((0j, 0.7),)) == [0.7, 0.7]
+    kinked = _declared(lambda z: np.abs(z), (), ((0j, 0.7),))
+    assert _break_radii(kinked, 0j) == [0.7, 0.7]
+    # an integrand that declares nothing has no break radii
+    assert _break_radii(lambda z: np.abs(z), 0j) == []
 
 
-def test_circle_means_panels_break_at_the_break_radii():
+def test_circle_means_panels_break_at_the_break_radii(monkeypatch):
     # a smooth integrand needs one panel; every break radius inside (a, b)
     # still gets its isolating panels, the others (and scale) are honoured
     seen = []
 
-    def mean(radii):
+    def mean(f, center, radii, *, tol):
+        assert center == 0j and tol == 1e-9
         seen.append(radii)
         return np.ones_like(radii), np.full(radii.shape, 1e-12)
 
+    monkeypatch.setattr(quadrature, "circle_mean", mean)
+    f = _declared(lambda z: np.abs(z), (3.0 + 0j, 5.0j), ((1.0 + 0j, 1.0),))
     val, err, inner = integrate_circle_means(
-        mean, lambda s, m: m * s, 0.0, 2.0, tol=1e-12, center=0j,
-        singular_points=(3.0 + 0j, 5.0j), kink_circles=((1.0 + 0j, 1.0),),
-        scale=2.0)
+        f, lambda s, m: m * s, 0.0, 2.0, tol=1e-12, inner_tol=1e-9,
+        center=0j, scale=2.0)
     assert abs(val - 2.0) <= 1e-14 and err <= 1e-14 and inner == 1e-12
     radii = np.concatenate(seen) / 2.0
     # breaks at 3/2 (the point) and 0 and 1 (the kink circle); 5/2 is outside
@@ -216,5 +230,6 @@ def test_circle_means_panels_break_at_the_break_radii():
     assert not np.any(radii > 2.0)
     # without break radii the first panel is the whole interval
     seen.clear()
-    integrate_circle_means(mean, lambda s, m: m * s, 0.0, 2.0, tol=1e-12)
+    integrate_circle_means(lambda z: np.abs(z), lambda s, m: m * s, 0.0, 2.0,
+                           tol=1e-12, inner_tol=1e-9)
     assert len(seen) == 1
