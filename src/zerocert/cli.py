@@ -47,12 +47,14 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """Write the CSV; return its file name, which report.json lists
+    relative to --out so the report does not depend on where it runs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-    return str(path)
+    return path.name
 
 
 def _jsonable(x):

@@ -4,9 +4,11 @@ margin_sweep integrates a family of origin spikes against both the
 candidate zeros and the majorant's charge and watches the gap; a gap
 that grows like a power of the cutoff rules out any admissible function
 vanishing on the candidate set.  Each spike is exactly c - g ln s in a
-core about the origin.  Its zero-side sum is taken from sorted prefix
-sums of mult and mult * ln|z| over that core, with direct profile
-evaluation only over the blend band between the core and the support.
+core about the origin.  Its zero-side sum sees the zeros only through
+their radii counted with multiplicity (a Gaussian lattice gives one
+radius per norm, not one per point).  It is taken from prefix sums of
+mult and mult * ln|z| over that core, with direct profile evaluation
+only over the blend band between the core and the support.
 Its charge-side integral takes the core by parts against each radial
 density's disk mass, which leaves no log singularity for the quadrature
 to chase, and integrates the profile itself only over the band.
@@ -55,21 +57,6 @@ class MarginCurve:
     fit_r2: float | None
     budget: float
     details: dict
-
-
-def _sorted_zeros(Z, reach):
-    """Radii |z_j| <= reach in increasing order, with their multiplicities.
-
-    The points are dropped before the sort and the sort order on return,
-    so neither is held while the sweep runs.  Multiplicities that are all
-    1 need no reordering.
-    """
-    pts, ml = Z.points_up_to(reach)
-    radii = np.abs(pts)
-    del pts  # freed before the sort allocates its order and work buffer
-    order = np.argsort(radii, kind="stable")
-    ml = np.asarray(ml)
-    return radii[order], ml if np.all(ml == 1) else ml[order]
 
 
 # radii per profile call in the blend band: each temporary stays in cache,
@@ -126,14 +113,20 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 
     Each cutoff tau yields lhs = sum of mult * spike(z_j) and
     rhs = integral of the spike against the majorant charge; verdicts
-    look at how lhs - rhs behaves as tau grows.  The lhs of all cutoffs
-    comes from one sorted pass over the zeros.
+    look at how lhs - rhs behaves as tau grows.  The spikes depend on
+    z_j only through |z_j|, so the lhs of all cutoffs comes from one
+    pass over the sorted radii and multiplicities of ``Z.radii_up_to``
+    (for a Gaussian lattice, one entry per norm).  ``details`` records
+    the total multiplicity swept (``zeros``) and the number of radii
+    read (``radii``).
     """
     if Z.has_point_at_origin():
         raise DomainError("candidate zeros must avoid the origin")
     tests = [family.applied(t) for t in family.taus()]
     reach = 1.05 * max(t.support_radius for t in tests)
-    lhs_all = _sweep_lhs(*_sorted_zeros(Z, reach), tests)
+    radii, mults = Z.radii_up_to(reach)
+    lhs_all = _sweep_lhs(radii, mults, tests)
+    swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size)}
     charge = M.charge
 
     samples = []
@@ -155,7 +148,8 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
         return MarginCurve(samples=tuple(samples), verdict="inconclusive",
                            growth_exponent=None, fit_r2=None, budget=math.nan,
                            details={"dropped": dropped,
-                                    "reason": "no summable samples"})
+                                    "reason": "no summable samples",
+                                    **swept})
     budget = max(s.rhs_budget for s in kept)
     tau_max = max(s.tau for s in kept)
     top = [s for s in kept if s.tau >= tau_max / 10.0]
@@ -191,7 +185,7 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
         verdict = "consistent"
     details = {"dropped": dropped, "kept": len(kept), "threshold": threshold,
                "tau_max": tau_max, "n_top": len(top),
-               "family": getattr(family, "kind", "unknown")}
+               "family": getattr(family, "kind", "unknown"), **swept}
     return MarginCurve(samples=tuple(samples), verdict=verdict,
                        growth_exponent=exponent, fit_r2=r2,
                        budget=budget, details=details)

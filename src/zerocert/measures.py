@@ -6,7 +6,8 @@ ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
 rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
 about its own centre.  Regions are closed disks.  Zero
 distributions are explicit point sets or lattices, enumerated disk by
-disk through ``points_up_to``.
+disk through ``points_up_to``; a radial sum over them reads only their
+sorted radii with multiplicities, through ``radii_up_to``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class ZeroDistribution:
     Each kind enumerates its points disk by disk, bounds the power sums
     of the points beyond a radius, and names the radius that retains
     about K zeros and the reach over which a genus probe reads them.
-    Every enumeration goes through ``points_up_to``.
+    Every enumeration of points goes through ``points_up_to``; a sum of
+    a function of |z| asks ``radii_up_to`` instead, which a lattice can
+    answer from its norms without forming a point.
     """
 
     unbounded = False
@@ -86,6 +89,21 @@ class ZeroDistribution:
     def points_up_to(self, radius):
         """Points and multiplicities with |z| <= radius."""
         return self._enumerate(float(radius))
+
+    def radii_up_to(self, radius):
+        """Radii |z| <= radius in increasing order, with multiplicities.
+
+        By default the moduli of the enumerated points, one entry per
+        point: the points are dropped before the sort and the sort order
+        on return, so neither is held while a caller sums over the
+        radii.  Multiplicities that are all 1 need no reordering.
+        """
+        pts, ml = self.points_up_to(radius)
+        radii = np.abs(pts)
+        del pts  # freed before the sort allocates its order and work buffer
+        order = np.argsort(radii, kind="stable")
+        ml = np.asarray(ml)
+        return radii[order], ml if np.all(ml == 1) else ml[order]
 
     def has_point_at_origin(self, tol=1e-15):
         pts, _ = self.points_up_to(tol)
@@ -155,11 +173,14 @@ class _Lattice(ZeroDistribution):
     def _clamp(self, radius):
         return radius if self.max_radius is None else min(radius, self.max_radius)
 
-    def _enumerate(self, radius):
+    def _finite_clamp(self, radius):
         r = self._clamp(radius)
         if not math.isfinite(r):
             raise DomainError("cannot enumerate an unbounded lattice without a radius")
-        return self._points_within(r)
+        return r
+
+    def _enumerate(self, radius):
+        return self._points_within(self._finite_clamp(radius))
 
     def _tail(self, q, radius):
         if self.max_radius is not None and radius >= self.max_radius:
@@ -228,6 +249,27 @@ class GaussianIntegers(_Lattice):
             pts[at:at + c] = row(x)
             at += c
         return pts, np.ones(pts.size, dtype=int)
+
+    def radii_up_to(self, radius):
+        """Radii scale * sqrt(n) <= radius of the lattice norms n, in
+        increasing order, each with the number of points of that norm.
+
+        The norms x^2 + y^2 of the quarter x >= 0, y >= 1 are counted by
+        one bincount; rotation by i maps that quarter onto the other
+        three, so each count is four times its share.  No point is
+        formed and nothing is sorted.
+        """
+        r = self._finite_clamp(float(radius))
+        # one norm past (r/scale)^2, so that no rounding of the square
+        # drops a norm; the radii themselves decide
+        top = int(math.floor((r / self.scale) ** 2)) + 1
+        sq = np.arange(math.isqrt(top) + 1) ** 2
+        norms = (sq[:, None] + sq[None, 1:]).ravel()
+        counts = np.bincount(norms[norms <= top])
+        n = np.flatnonzero(counts)
+        radii = self.scale * np.sqrt(n)
+        keep = radii <= r
+        return radii[keep], 4 * counts[n[keep]]
 
     def _tail_beyond(self, q, radius):
         # Each lattice point owns a cell of area scale^2 within 0.71*scale of

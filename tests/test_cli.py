@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from zerocert import SmoothCappedLogFamily
 from zerocert.cli import main
+
+import oracles
 
 
 def _write(tmp_path, doc, name="sc.json"):
@@ -241,6 +244,40 @@ def test_margin_csv_deterministic(tmp_path):
     assert main(["check-necessary", "--scenario", sc, "--out", str(a)]) == 0
     assert main(["check-necessary", "--scenario", sc, "--out", str(b)]) == 0
     assert (a / "margin.csv").read_bytes() == (b / "margin.csv").read_bytes()
+
+
+def test_report_does_not_depend_on_the_out_path(tmp_path):
+    sc = _write(tmp_path, _toy_scenario())
+    reports = []
+    for name in ("a", "a-much-longer-output-directory-name"):
+        out = tmp_path / name
+        assert main(["all", "--scenario", sc, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for info in report["stages"].values():
+            del info["seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["stages"]["necessary"]["outputs"] == ["margin.csv"]
+
+
+def test_necessary_details_count_the_zeros_swept(tmp_path):
+    family = {"kind": "smooth-capped-log", "t_min": 0.5, "t_max": 20.0,
+              "ratio": 1.25, "eps": 0.25}
+    doc = _toy_scenario()
+    doc["zeros"] = {"generator": {"kind": "gaussian-integers", "scale": 1.0}}
+    doc["family"] = family
+    out = tmp_path / "run"
+    assert main(["check-necessary", "--scenario", _write(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    details = json.loads((out / "report.json").read_text())[
+        "stages"]["necessary"]["details"]
+    # the sweep reads the zeros out to 1.05 times the largest support
+    fam = SmoothCappedLogFamily(**{k: v for k, v in family.items()
+                                   if k != "kind"})
+    reach = 1.05 * max(fam.applied(t).support_radius for t in fam.taus())
+    assert details["zeros"] == oracles.gauss_lattice_radii(reach).size
+    # one radius per norm: points of equal norm are read once
+    assert 0 < details["radii"] < details["zeros"]
 
 
 def test_sufficiency_seed(tmp_path):

@@ -198,6 +198,39 @@ def test_margin_lhs_ties_on_core_and_support_edges(kind):
     _assert_lhs_direct(points, mults, fam)
 
 
+@pytest.mark.parametrize("kind", ["truncated", "smooth"])
+@pytest.mark.parametrize("scale,max_radius", [(0.37, 9.0), (2.3, 8.0),
+                                              (0.5, None)])
+def test_margin_lhs_on_scaled_gaussian_lattices(kind, scale, max_radius):
+    # the sweep reads the lattice's norms; the reference enumerates its
+    # points, the capped ones stopping inside the sweep's reach (over 10)
+    fam = _family(kind, 0.6, 1.6, 7)
+    Z = ZeroDistribution.gaussian_integers(scale=scale, max_radius=max_radius)
+    curve = margin_sweep(Z, _abs_majorant(), fam)
+    assert len(curve.samples) == len(fam.taus())
+    for s, tau in zip(curve.samples, fam.taus()):
+        test = fam.applied(tau)
+        want = _direct_lhs(*Z.points_up_to(test.support_radius), test)
+        assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want)), (tau, s.lhs,
+                                                                want)
+
+
+def test_margin_sweep_never_enumerates_lattice_points(monkeypatch):
+    asked = []
+    enumerate_points = ZeroDistribution.points_up_to
+
+    def recording(self, radius):
+        asked.append(radius)
+        return enumerate_points(self, radius)
+
+    monkeypatch.setattr(ZeroDistribution, "points_up_to", recording)
+    Z = ZeroDistribution.gaussian_integers(scale=0.5, max_radius=40.0)
+    curve = margin_sweep(Z, _abs_majorant(), _family("smooth", 0.5, 1.5, 8))
+    # only the origin probe enumerates points
+    assert asked and max(asked) <= 1e-15
+    assert 0 < curve.details["radii"] < curve.details["zeros"]
+
+
 @pytest.mark.parametrize("kind", ["truncated", "smooth", "undeclared"])
 def test_margin_lhs_empty_core_and_empty_set(kind):
     fam = _family("smooth" if kind == "undeclared" else kind, 0.5, 2.0, 6)

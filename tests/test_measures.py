@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zerocert import (
     DomainError,
@@ -76,6 +76,66 @@ def test_gaussian_rows_match_meshgrid(scale):
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(mults, np.ones(want.size, dtype=int))
+
+
+# A Gaussian lattice answers radii_up_to from its norms; the reference is
+# the sorted moduli of the points that points_up_to enumerates.
+
+_EPS = np.finfo(float).eps
+
+
+def _assert_radii_match_points(Z, radius):
+    radii, mults = Z.radii_up_to(radius)
+    ref = np.sort(np.abs(Z.points_up_to(radius)[0]))
+    assert np.all(np.diff(radii) > 0)
+    assert mults.dtype.kind == "i" and np.all(mults > 0)
+    assert int(np.sum(mults)) == ref.size
+    # 2 ulp of 1, relative: |z| of a point is up to 2 ulp of its own size
+    # off the exact modulus, scale * sqrt(n) up to about 1
+    got = np.repeat(radii, mults)
+    assert np.all(np.abs(got - ref) <= 2.0 * _EPS * ref)
+    return radii, mults
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.5, 0.37, 2.3]),
+       radius=st.floats(0.0, 60.0),
+       max_radius=st.one_of(st.none(), st.floats(0.1, 60.0)))
+def test_gaussian_radii_match_sorted_points(scale, radius, max_radius):
+    Z = ZeroDistribution.gaussian_integers(scale=scale, max_radius=max_radius)
+    r = radius if max_radius is None else min(radius, max_radius)
+    # a request within rounding of a lattice circle is decided by each
+    # path's own rounding; the exact circles are the next test's
+    near = ZeroDistribution.gaussian_integers(scale=scale).radii_up_to(
+        r * (1.0 + 8.0 * _EPS))[0]
+    assume(not np.any(np.abs(near - r) <= 8.0 * _EPS * r))
+    _assert_radii_match_points(Z, radius)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_gaussian_radii_on_a_lattice_circle(scale):
+    # 5 * scale is exact here, and the circle through (3, 4) and (5, 0)
+    # holds r2(25) = 12 points
+    Z = ZeroDistribution.gaussian_integers(scale=scale)
+    radii, mults = _assert_radii_match_points(Z, 5.0 * scale)
+    assert radii[-1] == 5.0 * scale and mults[-1] == 12
+    assert radii[0] == scale and mults[0] == 4
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.37, 2.3])
+def test_gaussian_radii_below_scale_and_past_max_radius(scale):
+    Z = ZeroDistribution.gaussian_integers(scale=scale)
+    for radius in (0.0, 0.99 * scale):
+        radii, mults = _assert_radii_match_points(Z, radius)
+        assert radii.size == 0 and mults.size == 0
+    # a request beyond max_radius reads only the points within it
+    capped = ZeroDistribution.gaussian_integers(scale=scale,
+                                                max_radius=6.3 * scale)
+    radii, mults = _assert_radii_match_points(capped, 40.0 * scale)
+    want, want_mults = Z.radii_up_to(6.3 * scale)
+    assert np.array_equal(radii, want) and np.array_equal(mults, want_mults)
+    with pytest.raises(DomainError):
+        Z.radii_up_to(math.inf)
 
 
 def test_counting_offcenter_disk_of_lattice():
