@@ -7,11 +7,15 @@ vanishing on the candidate set.  Each spike is exactly c - g ln s in a
 core about the origin.  Its zero-side sum sees the zeros only through
 their radii counted with multiplicity (a Gaussian lattice gives one
 radius per norm, not one per point).  It is taken from prefix sums of
-mult and mult * ln|z| over that core, with direct profile evaluation
-only over the blend band between the core and the support.
-Its charge-side integral takes the core by parts against each radial
-density's disk mass, which leaves no log singularity for the quadrature
-to chase, and integrates the profile itself only over the band.
+mult and mult * ln|z| over that core, with direct evaluation only over
+the blend band between the core and the support, through the family's
+``log_shape`` on one ln|z| array shared by every cutoff.
+Its charge-side integral, one RieszCharge.integrate_radial call for
+every cutoff, takes the core by parts against each radial density's
+disk mass and declared ``log_mass`` L(a) = int mu(s)/s ds, which leaves
+no log singularity for quadrature to chase, and integrates the profile
+only over the band: one Gauss pair per cutoff, with the family's shared
+``log_shape`` evaluated once for all of them.
 check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii.  lemma1_constants extracts the
 comparison constants of the disk-regime necessity bound from a Green
@@ -25,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSummable
+from .errors import DomainError, EngineError
 from .jensen import green_disk
 from .majorants import eval_M
 from .means import PlanePowerProfile
 from .measures import Region
-from .quadrature import TWO_PI, ToleranceFailure, mean_on_circle
+from .quadrature import TWO_PI, mean_on_circle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -75,21 +79,22 @@ def _sweep_lhs(r, m, tests):
     c * M(a) - g * L(a) with M and L the prefix sums of mult and
     mult * ln r up to the core edge a.  The band out to support_radius
     is evaluated directly, block by block, and nothing beyond it
-    contributes.  Prefix sums are formed only at the core edges: pairwise
-    segment sums, then an exact running total.
+    contributes: through the test's log_shape psi(c - ln r), on one ln r
+    array shared by every test.
+    Prefix sums are formed only at the core edges: pairwise segment sums,
+    then an exact running total.
     """
     core = np.searchsorted(r, [t.log_core for t in tests], side="right")
     band = np.searchsorted(r, [t.support_radius for t in tests],
                            side="right")
+    log_r = np.log(r[:max(core.max(initial=0), band.max(initial=0))])
     edges = sorted(set(core[core > 0].tolist()))
     prefix = {}
     if edges:
         top = edges[-1]
         starts = [0] + edges[:-1]
         seg_m = np.add.reduceat(m[:top], starts)
-        log_r = np.log(r[:top])
-        log_r *= m[:top]
-        seg_l = np.add.reduceat(log_r, starts)
+        seg_l = np.add.reduceat(log_r[:top] * m[:top], starts)
         for k, e in enumerate(edges):
             prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
     out = []
@@ -101,7 +106,8 @@ def _sweep_lhs(r, m, tests):
         blocks = []
         for lo in range(a, b, _BAND_BLOCK):
             hi = min(lo + _BAND_BLOCK, b)
-            vals = np.asarray(test.radial_profile(r[lo:hi]), dtype=float)
+            vals = np.asarray(test.log_shape(test.log_constant - log_r[lo:hi]),
+                              dtype=float)
             vals *= m[lo:hi]
             blocks.append(float(np.sum(vals)))
         out.append(lhs + math.fsum(blocks))
@@ -116,9 +122,13 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     look at how lhs - rhs behaves as tau grows.  The spikes depend on
     z_j only through |z_j|, so the lhs of all cutoffs comes from one
     pass over the sorted radii and multiplicities of ``Z.radii_up_to``
-    (for a Gaussian lattice, one entry per norm).  ``details`` records
-    the total multiplicity swept (``zeros``) and the number of radii
-    read (``radii``).
+    (for a Gaussian lattice, one entry per norm), and the rhs of all
+    cutoffs from one integrate_radial call; a cutoff whose integral
+    fails is kept as a dropped sample with the failure's name as note.
+    ``details`` records the total multiplicity swept (``zeros``), the
+    number of radii read (``radii``), and the number of charge bands
+    that missed the one-panel rule and ran adaptive quadrature
+    (``adaptive_bands``).
     """
     if Z.has_point_at_origin():
         raise DomainError("candidate zeros must avoid the origin")
@@ -126,19 +136,19 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     reach = 1.05 * max(t.support_radius for t in tests)
     radii, mults = Z.radii_up_to(reach)
     lhs_all = _sweep_lhs(radii, mults, tests)
-    swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size)}
-    charge = M.charge
+    rhs_all, adaptive = M.charge.integrate_radial(tests, tol=tol)
+    swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
+             "adaptive_bands": adaptive}
 
     samples = []
-    for test, lhs in zip(tests, lhs_all):
-        try:
-            rhs, err = charge.integrate_radial(test, tol=tol)
-        except (NotSummable, ToleranceFailure) as exc:
+    for test, lhs, got in zip(tests, lhs_all, rhs_all):
+        if isinstance(got, EngineError):
             samples.append(MarginSample(
                 tau=test.params["t"], lhs=lhs, rhs=math.nan,
                 margin=math.nan, rhs_budget=math.nan,
-                note=type(exc).__name__))
+                note=type(got).__name__))
             continue
+        rhs, err = got
         samples.append(MarginSample(tau=test.params["t"], lhs=lhs, rhs=rhs,
                                     margin=lhs - rhs, rhs_budget=err))
 

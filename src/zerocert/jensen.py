@@ -25,14 +25,15 @@ quadrature; quadrature of g stays the test oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidPotential
-from .measures import RadialDensity, RieszCharge
+from .errors import DomainError, EngineError, InvalidPotential
+from .measures import RieszCharge
 from .quadrature import mean_on_circle
 
 
@@ -215,8 +216,7 @@ def _truncate_radial(charge, pole, support_radius):
     for dens in charge.radial:
         hi = abs(dens.center - pole) + support_radius
         if hi < dens.support[1]:
-            dens = RadialDensity(dens.profile, dens.sign, dens.center,
-                                 (dens.support[0], hi), dens.cumulative)
+            dens = dataclasses.replace(dens, support=(dens.support[0], hi))
         radial.append(dens)
     return RieszCharge(charge.atom_points, charge.atom_masses, tuple(radial))
 
@@ -246,10 +246,13 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
     if all(abs(d.center - mu.pole) <= 1e-12 for d in charge.radial):
         # every density is centred on the pole (atoms may sit anywhere):
         # integrate the radial V against the charge directly, its exact-log
-        # core below the smallest circle in closed form from the densities'
-        # disk masses.  (With no circles V vanishes and its support of 0
-        # skips every density.)
-        charge_term, e2 = charge.integrate_radial(V, tol=tol)
+        # core below the smallest circle by parts from the densities' disk
+        # masses and log-masses.  (With no circles V vanishes and its
+        # support of 0 skips every density.)
+        (got,), _ = charge.integrate_radial([V], tol=tol)
+        if isinstance(got, EngineError):
+            raise got
+        charge_term, e2 = got
     else:
         # charge components off the pole's axis of symmetry: circle means
         # of V around each component's own center, truncating radial

@@ -132,7 +132,8 @@ def _validate_submean(model, two_sided=False):
 
 
 def make_radial_power(sigma=1.0, rho=1.0):
-    """sigma * |z| ** rho, with charge density sigma rho^2 s^(rho-2) dA/(2 pi)."""
+    """sigma * |z| ** rho, with charge density sigma rho^2 s^(rho-2) dA/(2 pi),
+    disk mass sigma rho t^rho and log-mass sigma a^rho."""
     sigma = float(sigma)
     rho = float(rho)
     if sigma < 0 or rho <= 0:
@@ -145,7 +146,8 @@ def make_radial_power(sigma=1.0, rho=1.0):
 
     charge = RieszCharge(radial=(RadialDensity(
         profile=lambda s: sigma * rho * rho * np.asarray(s, dtype=float) ** (rho - 2.0),
-        cumulative=lambda t: sigma * rho * t ** rho),))
+        cumulative=lambda t: sigma * rho * t ** rho,
+        log_mass=lambda a: sigma * a ** rho),))
 
     exact = None
     if rho == 2.0:
@@ -239,14 +241,16 @@ def _cluster_roots(raw, tol):
 
 
 def make_log_poly_growth():
-    """ln(1 + |z|^2): smooth, with charge density 4 / (1 + s^2)^2 dA/(2 pi)."""
+    """ln(1 + |z|^2): smooth, with charge density 4 / (1 + s^2)^2 dA/(2 pi),
+    disk mass 2 t^2 / (1 + t^2) and log-mass ln(1 + a^2)."""
 
     def ev(z):
         return np.log1p(np.abs(z) ** 2)
 
     charge = RieszCharge(radial=(RadialDensity(
         profile=lambda s: 4.0 / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2,
-        cumulative=lambda t: 2.0 * t * t / (1.0 + t * t)),))
+        cumulative=lambda t: 2.0 * t * t / (1.0 + t * t),
+        log_mass=lambda a: np.log1p(a * a)),))
     return _validate_submean(SubharmonicModel(
         kind="log-poly-growth", params={}, eval=ev, riesz=charge))
 
@@ -270,7 +274,10 @@ def make_custom_radial(phi, dphi, params=None):
     """phi(ln |z|) with radial derivative dphi supplied by the caller.
 
     The disk mass function is t -> dphi(ln t); phi must be convex and
-    dphi nonnegative and nondecreasing (spot checked).
+    dphi nonnegative and nondecreasing (spot checked).  The density is
+    dphi'(ln s) / s^2, with dphi' from a central difference of step 1e-5
+    in ln s, which a nondecreasing dphi never makes negative.  No
+    log-mass is declared.
     """
     xs = [-3.0, -1.0, 0.0, 1.0, 2.5]
     vals = [float(dphi(x)) for x in xs]

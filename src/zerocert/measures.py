@@ -4,14 +4,19 @@ Charges follow the potential-theory normalization: the charge of a
 subharmonic function is 1/(2 pi) times its distributional Laplacian, so
 ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
 rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
-about its own centre.  Regions are closed disks.  Zero
-distributions are explicit point sets or lattices, enumerated disk by
-disk through ``points_up_to``; a radial sum over them reads only their
-sorted radii with multiplicities, through ``radii_up_to``.
+about its own centre.  A density may declare its disk mass
+``cumulative`` and its log-mass ``log_mass`` in closed form; radial
+spikes read the latter for their exact-log cores, all spikes of a sweep
+in one call of ``RieszCharge.integrate_radial``.  Regions are closed
+disks.  Zero distributions are explicit point sets or lattices,
+enumerated disk by disk through ``points_up_to``; a radial sum over them
+reads only their sorted radii with multiplicities, through
+``radii_up_to``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EngineError, NotSummable
-from .quadrature import integrate, integrate_circle_means
+from .quadrature import (ToleranceFailure, integrate, integrate_circle_means,
+                         panel_estimates, panel_nodes)
 
 
 # ulps of each closed-form core term that integrate_radial adds to its
@@ -233,20 +239,37 @@ class GaussianIntegers(_Lattice):
         super().__init__(max_radius)
 
     def _points_within(self, r):
-        n = int(math.floor(r / self.scale)) + 1
-        g = np.arange(-n, n + 1, dtype=float)
+        """Lattice points (x + y i) * scale with |z| <= r, z != 0, real part
+        outermost and y increasing within a row.
 
-        # one row of the (2n+1)^2 square at a time, real part outermost;
-        # rows are counted first so the points fill one array
-        def row(x):
-            z = (x + 1j * g) * self.scale
-            return z[(np.abs(z) <= r) & (z != 0)]
-
-        counts = [row(x).size for x in g]
-        pts = np.empty(sum(counts), dtype=complex)
+        Each row's half-width is counted in integers: isqrt of one norm
+        past (r/scale)^2, as in radii_up_to, then narrowed while the
+        float modulus of the row's outermost point exceeds r, so the float
+        test |z| <= r decides at the circle.  The points then fill one
+        array, row by row.
+        """
+        top = int(math.floor((r / self.scale) ** 2)) + 1
+        n = math.isqrt(top)
+        xs = np.arange(-n, n + 1, dtype=float)
+        half = np.array([math.isqrt(top - x * x) for x in range(-n, n + 1)])
+        while True:
+            edge = (xs + 1j * half) * self.scale
+            over = (np.abs(edge) > r) & (half >= 0)
+            if not over.any():
+                break
+            half[over] -= 1
+        # a row holds 2 half + 1 points (none at half = -1), less the
+        # origin in row 0, whose half is never negative
+        counts = np.maximum(2 * half + 1, 0) - (xs == 0)
+        pts = np.empty(int(counts.sum()), dtype=complex)
         at = 0
-        for x, c in zip(g, counts):
-            pts[at:at + c] = row(x)
+        for x, h, c in zip(xs, half, counts):
+            if c <= 0:
+                continue
+            y = np.arange(-h, h + 1, dtype=float)
+            if x == 0:
+                y = y[y != 0]
+            pts[at:at + c] = (x + 1j * y) * self.scale
             at += c
         return pts, np.ones(pts.size, dtype=int)
 
@@ -301,6 +324,9 @@ class RadialDensity:
     [0, t], i.e. d(charge) = profile(|z - center|) dArea / (2 pi).
     ``cumulative``, when given, must equal that disk mass in closed form,
     evaluated elementwise on an array of radii inside the support.
+    ``log_mass``, when given, must equal the log-mass
+    L(a) = int_lo^a mass_in(s) / s ds, with lo the support's inner edge,
+    in closed form on the same arrays.
     """
 
     profile: Callable
@@ -308,6 +334,7 @@ class RadialDensity:
     center: complex = 0j
     support: tuple = (0.0, math.inf)
     cumulative: Callable | None = None
+    log_mass: Callable | None = None
 
     def mass_in(self, t):
         """Unsigned mass of the centred disk of radius t (float or array)."""
@@ -329,6 +356,110 @@ def _coerce_points(arr):
     return np.asarray(arr, dtype=complex).ravel()
 
 
+def _add_cores(dens, spikes, cores, share, val, err, failed):
+    """Add each spike's core (c - k ln a) mu(a) + k L(a) on the density.
+
+    cores lists (spike index, core edge a).  L is the declared log-mass,
+    evaluated once for all the edges, or else an adaptive quadrature per
+    spike; a spike whose quadrature fails is marked failed.
+    """
+    idx = np.array([i for i, _ in cores])
+    a = np.array([edge for _, edge in cores])
+    c = np.array([float(spikes[i].log_constant) for i in idx])
+    k = np.array([float(spikes[i].pole_coefficient) for i in idx])
+    quad_err = np.zeros(a.shape)
+    if dens.log_mass is not None:
+        log_mass = np.asarray(dens.log_mass(a), dtype=float)
+    else:
+        log_mass = np.full(a.shape, math.nan)
+        for j, i in enumerate(idx):
+            if failed[i] is not None:
+                continue
+            try:
+                log_mass[j], quad_err[j] = integrate(
+                    lambda s: dens.mass_in(s) / s, dens.support[0], a[j],
+                    tol=share[i] / max(1.0, abs(k[j])))
+            except ToleranceFailure as exc:
+                failed[i] = exc
+    edge = (c - k * np.log(a)) * dens.mass_in(a)
+    tail = k * log_mass
+    val[idx] += dens.sign * (edge + tail)
+    # a rounding floor: a closed form has no estimate, and the
+    # quadrature's is exactly 0 when mu(s)/s is constant
+    err[idx] += np.abs(k) * quad_err + _CORE_ULPS * (
+        np.spacing(np.abs(edge)) + np.spacing(np.abs(tail)))
+
+
+def _band_profiles(spikes, idx, s):
+    """Each band's spike profile on its row of radii s: through the log
+    shape in one call for all the spikes that share it, and through the
+    spike's own profile for one that declares none."""
+    g = np.empty(s.shape)
+    by_shape = {}
+    for j, i in enumerate(idx):
+        shape = getattr(spikes[i], "log_shape", None)
+        if shape is None:
+            g[j] = np.asarray(spikes[i].radial_profile(s[j]), dtype=float)
+        else:
+            by_shape.setdefault(shape, []).append(j)
+    for shape, rows in by_shape.items():
+        # psi(ln(e^c / s)) rather than psi(c - ln s): in the blend, where
+        # the argument is small, a difference of two logs loses low bits
+        scale = np.exp([float(spikes[idx[j]].log_constant) for j in rows])
+        g[rows] = np.asarray(shape(np.log(scale[:, None] * (1.0 / s[rows]))),
+                             dtype=float)
+    return g
+
+
+def _band_integrand(dens, spikes, idx, s):
+    """g(s) s profile(s) for the bands of spikes idx, on the rows of s."""
+    y = _band_profiles(spikes, idx, s)
+    y *= s
+    y *= np.asarray(dens.profile(s), dtype=float)
+    return y
+
+
+def _add_bands(dens, spikes, bands, share, val, err, failed):
+    """Add each spike's band integral of g(s) s profile(s) ds.
+
+    bands lists (spike index, lo, hi).  Every band's first Gauss panel is
+    evaluated in one call of the density's profile and one call per log
+    shape; a band that misses its share of tol there, or holds a declared
+    kink strictly inside, runs adaptive quadrature alone.  Returns the
+    number of bands that ran adaptively.
+    """
+    idx = np.array([i for i, _, _ in bands])
+    lo = np.array([b[1] for b in bands])
+    hi = np.array([b[2] for b in bands])
+    with np.errstate(all="ignore"):
+        y = _band_integrand(dens, spikes, idx, panel_nodes(lo, hi))
+    v, e = panel_estimates(y, lo, hi)
+    kinked = np.array([any(a < r < b for r in spikes[i].kink_radii)
+                       for i, a, b in bands])
+    ok = np.isfinite(y).all(axis=1) & (e <= share[idx]) & ~kinked
+    val[idx[ok]] += dens.sign * v[ok]
+    err[idx[ok]] += e[ok]
+    adaptive = 0
+    for j in np.flatnonzero(~ok):
+        i = idx[j]
+        if failed[i] is not None:
+            continue
+        adaptive += 1
+        row = slice(j, j + 1)
+        kinks = [r for r in spikes[i].kink_radii if lo[j] < r < hi[j]]
+        try:
+            vj, ej = integrate(
+                lambda x: _band_integrand(dens, spikes, idx[row],
+                                          x[None, :])[0],
+                lo[j], hi[j], tol=share[i], singularities=kinks)
+        except ToleranceFailure as exc:
+            failed[i] = exc
+            continue
+        val[i] += dens.sign * vj
+        err[i] += ej
+    return adaptive
+
+
 @dataclass(frozen=True, eq=False)
 class RieszCharge:
     """Signed charge: point atoms and radial densities."""
@@ -348,8 +479,7 @@ class RieszCharge:
     def __neg__(self):
         return RieszCharge(
             self.atom_points, -self.atom_masses,
-            tuple(RadialDensity(d.profile, -d.sign, d.center, d.support,
-                                d.cumulative) for d in self.radial))
+            tuple(dataclasses.replace(d, sign=-d.sign) for d in self.radial))
 
     def __add__(self, other):
         if not isinstance(other, RieszCharge):
@@ -367,7 +497,7 @@ class RieszCharge:
         keep = self.atom_masses < 0
         return RieszCharge(
             self.atom_points[keep], -self.atom_masses[keep],
-            tuple(RadialDensity(d.profile, 1, d.center, d.support, d.cumulative)
+            tuple(dataclasses.replace(d, sign=1)
                   for d in self.radial if d.sign < 0))
 
     # -- mass ---------------------------------------------------------------
@@ -388,83 +518,100 @@ class RieszCharge:
 
     # -- integrals ----------------------------------------------------------
 
-    def integrate_radial(self, spike, *, tol=1e-9):
-        """Integral of a radial spike against the charge.
+    def integrate_radial(self, spikes, *, tol=1e-9):
+        """Integrals of radial spikes against the charge, all in one pass.
 
-        The spike declares its profile g = ``radial_profile`` as a function
-        of the distance to its ``pole``, the ``support_radius`` beyond
-        which g vanishes, the ``kink_radii`` where it loses smoothness,
-        and its exact-log core: g(s) = c - k ln s for 0 < s <= a, with
-        a = ``log_core`` (0 declares no core), c = ``log_constant`` and
-        k = ``pole_coefficient``.  Radial densities must be centered at
-        the pole; atoms may sit anywhere.  Each radial density takes the
-        core by parts from its disk mass mu(s) = mass_in(s),
+        Each spike declares its profile g = ``radial_profile`` as a
+        function of the distance to its ``pole``, the ``support_radius``
+        beyond which g vanishes, the ``kink_radii`` where it loses
+        smoothness, and its exact-log core: g(s) = c - k ln s for
+        0 < s <= a, with a = ``log_core`` (0 declares no core),
+        c = ``log_constant`` and k = ``pole_coefficient``.  It may declare
+        its ``log_shape`` psi, with g(s) = psi(c - ln s).  Radial densities
+        must be centered at the poles; atoms may sit anywhere.
 
-            int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k int_lo^a mu(s)/s ds,
+        Each radial density takes the core by parts from its disk mass
+        mu(s) = mass_in(s),
 
-        whose integrand has no logarithmic singularity, and adaptive
-        quadrature of g runs only on [a, support].  Each quadrature gets an
-        equal share of tol, so the error budget stays within tol, apart
-        from a few ulps of each closed-form term.  Returns
-        (value, error_budget).
+            int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k L(a),
+
+        with L(a) = int_lo^a mu(s)/s ds the density's ``log_mass``: in
+        closed form for every spike at once where the density declares
+        it, by adaptive quadrature of mu(s)/s (no log singularity left)
+        where it does not.  The band from the core, or from the density's
+        inner edge, out to the support takes integrate's first panel, a
+        16- and 32-point Gauss pair on the band's own radii, for every
+        spike in one call of the density's profile, with g from one call
+        of psi for all the spikes that share it, or else from the spike's
+        own profile.  (The band stays in s rather than x = c - ln s, so
+        its edges are the declared radii exactly.)  A band whose two rules
+        differ by more than its share of tol, or with a declared kink
+        strictly inside, is integrated adaptively on its own.  Each core
+        quadrature and band of a spike gets an equal share of tol, so the
+        spike's budget stays within tol, apart from a few ulps of each
+        closed-form term.
+
+        Returns (results, adaptive_bands): one result per spike, its
+        (value, error_budget) or the NotSummable or ToleranceFailure it
+        raised, and the number of bands integrated adaptively.  A density
+        off a spike's pole, or a band with no finite end, raises for the
+        whole batch.
         """
-        center = complex(spike.pole)
-        g = spike.radial_profile
-        val = 0.0
-        err = 0.0
-        if self.atom_points.size:
-            r = np.abs(self.atom_points - center)
-            with np.errstate(all="ignore"):
-                gv = np.asarray(g(r), dtype=float)
-            live = self.atom_masses != 0
-            if not np.all(np.isfinite(gv[live])):
-                raise NotSummable("test function unbounded at an atom")
-            val += float(np.sum(self.atom_masses[live] * gv[live]))
+        spikes = list(spikes)
+        n = len(spikes)
+        val = np.zeros(n)
+        err = np.zeros(n)
+        failed = [None] * n
+        live = self.atom_masses != 0
+        if live.any():
+            pts = self.atom_points[live]
+            masses = self.atom_masses[live]
+            for i, spike in enumerate(spikes):
+                with np.errstate(all="ignore"):
+                    gv = np.asarray(spike.radial_profile(
+                        np.abs(pts - complex(spike.pole))), dtype=float)
+                if np.all(np.isfinite(gv)):
+                    val[i] = float(np.sum(masses * gv))
+                else:
+                    failed[i] = NotSummable("test function unbounded at an atom")
         pieces = []
+        calls = np.zeros(n)
         for dens in self.radial:
-            if abs(dens.center - center) > 1e-12:
-                raise EngineError("radial density not concentric; use integrate()")
             lo = dens.support[0]
-            hi = min(dens.support[1], float(spike.support_radius))
-            if hi <= lo:
-                continue
-            if not math.isfinite(hi):
-                raise DomainError("unbounded radial integral: the spike "
-                                  "declares no finite support")
-            a = None
-            if spike.log_core > lo:
-                a = min(float(spike.log_core), hi)
-            pieces.append((dens, lo, a, hi))
-        # an equal share of tol per core and band quadrature keeps their
-        # summed error estimates within tol
-        calls = sum((a is not None) + (a is None or a < hi)
-                    for _, _, a, hi in pieces)
-        share = tol / max(calls, 1)
-        for dens, lo, a, hi in pieces:
-            if a is not None:
-                c, k = spike.log_constant, spike.pole_coefficient
-                v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
-                                 lo, a, tol=share / max(1.0, abs(k)))
-                edge = (c - k * math.log(a)) * dens.mass_in(a)
-                val += dens.sign * (edge + k * v)
-                # a rounding floor: the quadrature's estimate is exactly 0
-                # when mu(s)/s is constant
-                err += abs(k) * e + _CORE_ULPS * (math.ulp(edge)
-                                                  + math.ulp(k * v))
-                lo = a
+            cores = []
+            bands = []
+            for i, spike in enumerate(spikes):
+                if abs(dens.center - complex(spike.pole)) > 1e-12:
+                    raise EngineError("radial density not concentric; "
+                                      "use integrate()")
+                hi = min(dens.support[1], float(spike.support_radius))
                 if hi <= lo:
                     continue
-
-            def f(svec, _d=dens):
-                return (np.asarray(g(svec), dtype=float)
-                        * svec * np.asarray(_d.profile(svec), dtype=float))
-
-            v, e = integrate(f, lo, hi, tol=share,
-                             singularities=[s for s in spike.kink_radii
-                                            if lo < s < hi])
-            val += dens.sign * v
-            err += e
-        return val, err
+                if not math.isfinite(hi):
+                    raise DomainError("unbounded radial integral: the spike "
+                                      "declares no finite support")
+                start = lo
+                if spike.log_core > lo:
+                    start = min(float(spike.log_core), hi)
+                    cores.append((i, start))
+                    calls[i] += dens.log_mass is None
+                if start < hi:
+                    bands.append((i, start, hi))
+                    calls[i] += 1
+            pieces.append((dens, cores, bands))
+        # an equal share of tol per core quadrature and band keeps each
+        # spike's summed error estimates within tol
+        share = tol / np.maximum(calls, 1.0)
+        adaptive = 0
+        for dens, cores, bands in pieces:
+            if cores:
+                _add_cores(dens, spikes, cores, share, val, err, failed)
+            if bands:
+                adaptive += _add_bands(dens, spikes, bands, share, val, err,
+                                       failed)
+        results = [exc if exc is not None else (float(v), float(e))
+                   for exc, v, e in zip(failed, val, err)]
+        return results, adaptive
 
     def integrate(self, f, *, tol=1e-9, include=None, exclude_interior=None,
                   exclude_points=()):

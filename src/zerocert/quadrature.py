@@ -15,15 +15,23 @@ takes instead of quadrature; ``singular_points``, the points where it is
 singular; and ``kink_circles``, (center, radius) pairs of circles across
 which it loses smoothness.  A radial spike integrated against a charge
 (RieszCharge.integrate_radial) declares ``pole``, ``radial_profile``,
-``support_radius``, ``kink_radii`` and its exact-log core ``log_core``,
-``log_constant`` and ``pole_coefficient``.
+``support_radius``, ``kink_radii``, its exact-log core ``log_core``,
+``log_constant`` and ``pole_coefficient``, and optionally its
+``log_shape``, the profile as a function of log_constant - ln d; a
+radial density declares its ``log_mass`` (measures.RadialDensity).
+Those integrals run the first panel of ``integrate`` on many intervals
+at once (``panel_nodes`` and ``panel_estimates``, which also give every
+panel of ``integrate`` and the whole-circle rows of ``mean_on_circle``
+their Gauss pair).
+
+The Gauss-Legendre tables are literals: the nodes and weights of numpy's
+leggauss(16) and leggauss(32), bit for bit.
 """
 
 import heapq
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import EngineError
 
@@ -49,14 +57,70 @@ class ToleranceFailure(EngineError):
 # it), and the narrowest panel that refinement still splits
 _ORDER = 16
 _MIN_WIDTH = 1e-14
-_NODES = {}
+
+# (node, weight) for the nonnegative nodes of the 16- and 32-point rules;
+# the rules are symmetric, and negation is exact
+_HALF_16 = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_HALF_32 = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+)
 
 
-def _nodes(order):
-    got = _NODES.get(order)
-    if got is None:
-        got = _NODES[order] = leggauss(order)
-    return got
+def _rule(half):
+    """Nodes in increasing order and their weights, from the upper half."""
+    x, w = np.array(half).T
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+_X16, _W16 = _rule(_HALF_16)
+_X32, _W32 = _rule(_HALF_32)
+_X48 = np.concatenate((_X16, _X32))
+
+
+def panel_nodes(lo, hi):
+    """Nodes of integrate's first panel on each interval [lo, hi] (floats,
+    or float arrays of one shape): the 16-point rule's, then the 32-point
+    rule's, along a new last axis."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    if np.ndim(mid):
+        mid = mid[..., None]
+        half = half[..., None]
+    return mid + half * _X48
+
+
+def panel_estimates(y, lo, hi):
+    """integrate's first-panel value and error estimate on each interval,
+    from y, the integrand on the panel_nodes of the intervals: the 32-point
+    value and its distance from the 16-point one, each of lo's shape."""
+    half = 0.5 * (hi - lo)
+    v_lo = half * (y[..., :_ORDER] @ _W16)
+    v_hi = half * (y[..., _ORDER:] @ _W32)
+    return v_hi, np.abs(v_hi - v_lo)
 
 
 def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
@@ -76,13 +140,9 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
         if b == a:
             return 0.0, 0.0
         raise ValueError("integration interval is reversed")
-    x_lo, w_lo = _nodes(_ORDER)
-    x_hi, w_hi = _nodes(2 * _ORDER)
 
     def estimates(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = np.concatenate((mid + half * x_lo, mid + half * x_hi))
+        pts = panel_nodes(lo, hi)
         y = np.asarray(f(pts), dtype=float)
         if y.shape != pts.shape:
             raise ValueError("integrand must return an array matching its input")
@@ -90,9 +150,8 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
         if not finite.all():
             bad = pts[int(np.flatnonzero(~finite)[0])]
             return 0.0, 0.0, float(bad)
-        v_lo = half * float(w_lo @ y[:_ORDER])
-        v_hi = half * float(w_hi @ y[_ORDER:])
-        return v_hi, abs(v_hi - v_lo), None
+        val, err = panel_estimates(y, lo, hi)
+        return float(val), float(err), None
 
     iso = isolation if isolation is not None else 1e-4 * (b - a)
     cuts = sorted({float(s) for s in singularities if a < s < b})
@@ -222,11 +281,8 @@ def mean_on_circle(f, center, radius, *, tol=1e-10):
     done = np.zeros(rs.shape, dtype=bool)
     batch = [i for i in np.flatnonzero(rs > 0) if i not in angles]
     if batch:
-        x_lo, w_lo = _nodes(_ORDER)
-        x_hi, w_hi = _nodes(2 * _ORDER)
-        # integrate's first panel on [0, 2 pi]: midpoint and half-width pi
-        half = 0.5 * TWO_PI
-        theta = np.concatenate((half + half * x_lo, half + half * x_hi))
+        # integrate's first panel on [0, 2 pi]
+        theta = panel_nodes(0.0, TWO_PI)
         pts = cs[batch, None] + rs[batch, None] * np.exp(1j * theta)
         y = np.asarray(f(pts), dtype=float)
         if y.shape != pts.shape:
@@ -235,13 +291,12 @@ def mean_on_circle(f, center, radius, *, tol=1e-10):
         for i, yi, ok in zip(batch, y, finite):
             if not ok:
                 continue
-            v_lo = half * float(w_lo @ yi[:_ORDER])
-            v_hi = half * float(w_hi @ yi[_ORDER:])
-            err = abs(v_hi - v_lo)
+            # row by row, as integrate sums one panel
+            val, err = panel_estimates(yi, 0.0, TWO_PI)
             if err <= tol * TWO_PI:
                 # integrate starts its running sum at 0.0
-                means[i] = (0.0 + v_hi) / TWO_PI
-                errs[i] = err / TWO_PI
+                means[i] = (0.0 + float(val)) / TWO_PI
+                errs[i] = float(err) / TWO_PI
                 done[i] = True
     for i in np.flatnonzero(~done):
         c = complex(cs[i])

@@ -4,11 +4,16 @@ Plane members are subharmonic, vanish near the origin, and grow at most
 logarithmically; inversion w -> 1/w pulls them back to radial spikes at
 the origin that are integrated against zero distributions and majorant
 charges.  Members carry their radial profiles and the radii and constants
-the sweep reads, not charges of their own.
+the sweep reads, not charges of their own.  A member's ``log_shape`` psi
+gives its profile as psi(ln(t |w|)), which the pullback reads as
+psi(log_constant - ln d); each family builds its psi once, so all of its
+members share one object, and the charge side evaluates it once for them
+all (RieszCharge.integrate_radial).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +45,8 @@ class TestPotential:
 
     A plane member that is exactly growth_coefficient * ln|w| +
     log_constant for |w| >= log_radius declares it (inf: no declaration).
+    ``log_shape`` psi, when given, has radial_profile(s) = psi(log_constant
+    + ln s).
     """
 
     params: dict
@@ -50,6 +57,7 @@ class TestPotential:
     kink_radii: tuple = ()
     log_radius: float = math.inf
     log_constant: float = 0.0
+    log_shape: Callable | None = None
 
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
@@ -63,7 +71,9 @@ class PulledBackTest:
 
     Within log_core of the pole the profile is exactly
     log_constant - pole_coefficient * ln d; a log_core of 0 declares no
-    such core.
+    such core.  ``log_shape`` psi, when given, has
+    radial_profile(d) = psi(log_constant - ln d); margin_sweep reads the
+    zeros in the band through it, so a family it sweeps declares one.
     """
 
     pole: complex
@@ -74,6 +84,7 @@ class PulledBackTest:
     kink_radii: tuple = ()
     log_core: float = 0.0
     log_constant: float = 0.0
+    log_shape: Callable | None = None
 
     def __call__(self, z):
         d = np.abs(np.asarray(z, dtype=complex) - self.pole)
@@ -82,6 +93,21 @@ class PulledBackTest:
 
 # ---------------------------------------------------------------------------
 # plane members
+
+
+def _positive_part(x):
+    """The truncated log's shape: max(0, x)."""
+    return np.maximum(np.asarray(x, dtype=float), 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_shape(eps):
+    """The smooth capped log's shape eps * B(x / eps), one per eps."""
+
+    def shape(x):
+        return eps * bump_cdf_integral(x / eps)
+
+    return shape
 
 
 def truncated_log_plane(t):
@@ -102,7 +128,8 @@ def truncated_log_plane(t):
         zero_radius=1.0 / t,
         kink_radii=(1.0 / t,),
         log_radius=1.0 / t,
-        log_constant=math.log(t))
+        log_constant=math.log(t),
+        log_shape=_positive_part)
 
 
 def smooth_capped_log(t, eps=0.25):
@@ -113,11 +140,13 @@ def smooth_capped_log(t, eps=0.25):
     if t <= 0 or eps <= 0:
         raise InvalidPotential("needs t > 0 and eps > 0")
 
+    shape = _capped_shape(eps)
+
     def profile(s):
         # ln 0 = -inf clamps to the flat end of the blend
         with np.errstate(divide="ignore"):
             x = np.log(t * np.asarray(s, dtype=float))
-        return eps * bump_cdf_integral(x / eps)
+        return shape(x)
 
     inner = math.exp(-eps) / t
     outer = math.exp(eps) / t
@@ -130,7 +159,8 @@ def smooth_capped_log(t, eps=0.25):
         zero_radius=inner,
         kink_radii=(inner, outer),
         log_radius=outer,
-        log_constant=math.log(t))
+        log_constant=math.log(t),
+        log_shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +174,8 @@ def inversion_pullback(p):
     1 / zero_radius, and blows up at the pole like
     growth_coefficient * ln(1/|z|); a plane test that is exactly
     logarithmic beyond log_radius gives a closed-form core of radius
-    1 / log_radius.
+    1 / log_radius.  Its log_shape carries over unchanged, since
+    ln(t |w|) = log_constant - ln d at d = 1/|w|.
     """
     if p.zero_radius <= 0:
         raise InvalidPotential("plane test must vanish near the origin")
@@ -163,7 +194,8 @@ def inversion_pullback(p):
         pole_coefficient=p.growth_coefficient,
         kink_radii=tuple(1.0 / k for k in p.kink_radii),
         log_core=1.0 / p.log_radius,
-        log_constant=p.log_constant)
+        log_constant=p.log_constant,
+        log_shape=p.log_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -288,3 +288,92 @@ def lemma1_c_majorant_by_quadrature(d_tilde, s_region, z0, M, tol=1e-9):
         plain, tol=tol, include=d_tilde, exclude_interior=s_region)
     v3 = max(0.0, float(M(np.array([complex(z0)]))[0]))
     return v1 + v2 + v3, e1 + e2
+
+
+def integrate_radial_reference(charge, spike, tol=1e-9):
+    """Integral of one radial spike against a charge, spike by spike and
+    panel by panel: the route RieszCharge.integrate_radial took before it
+    integrated many spikes at once.
+
+    Atoms are summed directly.  Each radial density takes the spike's
+    exact-log core by parts from its disk mass, with int mu(s)/s ds by
+    adaptive quadrature even where the density declares it in closed
+    form, and the band out to the support by adaptive quadrature of the
+    spike's own profile.  Each quadrature gets an equal share of tol, and
+    each closed-form core term adds 4 ulps.  Returns (value, budget);
+    raises ToleranceFailure, NotSummable or DomainError as that route did.
+    """
+    from zerocert import DomainError, EngineError, NotSummable, integrate
+
+    center = complex(spike.pole)
+    g = spike.radial_profile
+    val = 0.0
+    err = 0.0
+    if charge.atom_points.size:
+        r = np.abs(charge.atom_points - center)
+        with np.errstate(all="ignore"):
+            gv = np.asarray(g(r), dtype=float)
+        live = charge.atom_masses != 0
+        if not np.all(np.isfinite(gv[live])):
+            raise NotSummable("test function unbounded at an atom")
+        val += float(np.sum(charge.atom_masses[live] * gv[live]))
+    pieces = []
+    for dens in charge.radial:
+        if abs(dens.center - center) > 1e-12:
+            raise EngineError("radial density not concentric")
+        lo = dens.support[0]
+        hi = min(dens.support[1], float(spike.support_radius))
+        if hi <= lo:
+            continue
+        if not math.isfinite(hi):
+            raise DomainError("unbounded radial integral")
+        a = None
+        if spike.log_core > lo:
+            a = min(float(spike.log_core), hi)
+        pieces.append((dens, lo, a, hi))
+    calls = sum((a is not None) + (a is None or a < hi)
+                for _, _, a, hi in pieces)
+    share = tol / max(calls, 1)
+    for dens, lo, a, hi in pieces:
+        if a is not None:
+            c, k = spike.log_constant, spike.pole_coefficient
+            v, e = integrate(lambda s, _d=dens: _d.mass_in(s) / s,
+                             lo, a, tol=share / max(1.0, abs(k)))
+            edge = (c - k * math.log(a)) * dens.mass_in(a)
+            val += dens.sign * (edge + k * v)
+            err += abs(k) * e + 4 * (math.ulp(edge) + math.ulp(k * v))
+            lo = a
+            if hi <= lo:
+                continue
+
+        def f(svec, _d=dens):
+            return (np.asarray(g(svec), dtype=float)
+                    * svec * np.asarray(_d.profile(svec), dtype=float))
+
+        v, e = integrate(f, lo, hi, tol=share,
+                         singularities=[s for s in spike.kink_radii
+                                        if lo < s < hi])
+        val += dens.sign * v
+        err += e
+    return val, err
+
+
+def gaussian_points_by_rows(scale, r):
+    """The Gaussian lattice points (x + y i) * scale with |z| <= r, z != 0,
+    as the two-pass row enumeration built them: every row of the square
+    of half-width floor(r / scale) + 1 is formed and masked once to count
+    its points and again to fill them, real part outermost."""
+    n = int(math.floor(r / scale)) + 1
+    g = np.arange(-n, n + 1, dtype=float)
+
+    def row(x):
+        z = (x + 1j * g) * scale
+        return z[(np.abs(z) <= r) & (z != 0)]
+
+    counts = [row(x).size for x in g]
+    pts = np.empty(sum(counts), dtype=complex)
+    at = 0
+    for x, c in zip(g, counts):
+        pts[at:at + c] = row(x)
+        at += c
+    return pts

@@ -278,6 +278,8 @@ def test_necessary_details_count_the_zeros_swept(tmp_path):
     assert details["zeros"] == oracles.gauss_lattice_radii(reach).size
     # one radius per norm: points of equal norm are read once
     assert 0 < details["radii"] < details["zeros"]
+    # every tau's band took the one-panel rule
+    assert details["adaptive_bands"] == 0
 
 
 def test_sufficiency_seed(tmp_path):

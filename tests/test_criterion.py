@@ -68,16 +68,86 @@ def test_margin_rhs_budget_covers_rounding():
     assert curve.verdict == "consistent"
 
 
+def _custom_root_majorant():
+    """|z|^0.5 as a custom radial model: it declares no log-mass, so the
+    core quadrature of mu(s)/s ~ s^(-1/2) stalls at tol 1e-9."""
+    from zerocert import make_custom_radial
+
+    return DSubharmonicMajorant(up=make_custom_radial(
+        lambda x: np.exp(0.5 * np.asarray(x, dtype=float)),
+        lambda x: 0.5 * np.exp(0.5 * np.asarray(x, dtype=float))))
+
+
 def test_margin_needs_three_top_samples_for_a_verdict():
-    # under |z|^0.5 the rhs quadrature stalls at all but the last tau; one
-    # kept sample (margin about +20) used to read "consistent" vacuously
+    # under |z|^0.5 with no declared log-mass the rhs quadrature stalls at
+    # all but the last tau; one kept sample (margin about +20) used to read
+    # "consistent" vacuously
     Z = ZeroDistribution.real_multiples(step=np.pi, max_radius=np.pi * 1e4)
-    M = DSubharmonicMajorant(up=make_radial_power(1.0, 0.5))
+    M = _custom_root_majorant()
     curve = margin_sweep(Z, M, TruncatedLogFamily(0.5, 50.0, ratio=1.4))
     kept = [s for s in curve.samples if not s.note]
     assert len(kept) < 3
     assert curve.details["kept"] == len(kept)
     assert curve.verdict == "inconclusive"
+
+
+def test_margin_root_majorant_keeps_every_sample():
+    # |z|^0.5 declares its log-mass L(a) = a^0.5, so each truncated-log core
+    # is closed form: no sample is dropped, and rhs = sigma tau^rho
+    Z = ZeroDistribution.real_multiples(step=np.pi, max_radius=np.pi * 1e4)
+    M = DSubharmonicMajorant(up=make_radial_power(1.0, 0.5))
+    curve = margin_sweep(Z, M, TruncatedLogFamily(0.5, 50.0, ratio=1.4))
+    assert curve.details["dropped"] == 0
+    assert curve.details["kept"] == len(curve.samples) == 15
+    for s in curve.samples:
+        want = s.tau ** 0.5
+        assert abs(s.rhs - want) <= 4.0 * math.ulp(want)
+        assert abs(s.rhs - want) <= s.rhs_budget
+
+
+def _bench_scenario(tmp_path, name, seed=7):
+    """A benchmark workload's scenario, written and loaded as the CLI
+    loads it."""
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    from zerocert import load_scenario
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    doc = tmp_path / ("%s.json" % name)
+    doc.write_text(json.dumps(mod.WORKLOADS[name](seed)), encoding="utf-8")
+    return load_scenario(str(doc))
+
+
+@pytest.mark.parametrize("name,taus", [("gauss-smooth-violate", 124),
+                                       ("sine-certify", 15)])
+def test_margin_sweep_integrates_the_charge_in_one_call(tmp_path, monkeypatch,
+                                                        name, taus):
+    # every tau's charge integral comes from one integrate_radial call, and
+    # on the benchmark workloads no band or core needs adaptive quadrature
+    sc = _bench_scenario(tmp_path, name)
+    calls = {"radial": 0, "integrate": 0}
+    radial = measures.RieszCharge.integrate_radial
+
+    def count_radial(self, spikes, **kw):
+        calls["radial"] += 1
+        return radial(self, spikes, **kw)
+
+    def count_integrate(*args, **kw):
+        calls["integrate"] += 1
+        return quadrature.integrate(*args, **kw)
+
+    monkeypatch.setattr(measures.RieszCharge, "integrate_radial", count_radial)
+    monkeypatch.setattr(measures, "integrate", count_integrate)
+    curve = margin_sweep(sc.zeros, sc.majorant, sc.family,
+                         tol=sc.tol("margin"))
+    assert calls == {"radial": 1, "integrate": 0}
+    assert len(curve.samples) == taus and curve.details["dropped"] == 0
+    assert curve.details["adaptive_bands"] == 0
 
 
 def test_margin_lhs_matches_direct_sum():

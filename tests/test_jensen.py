@@ -18,6 +18,7 @@ from zerocert import (
     eval_M,
     green_disk,
     log_potential,
+    make_custom_radial,
     make_log_abs_poly,
     make_radial_power,
     poisson_jensen_check,
@@ -191,13 +192,28 @@ def test_poisson_jensen_radial_route_takes_the_log_core(rho):
 
 def test_poisson_jensen_concentric_charge_keeps_the_radial_route(monkeypatch):
     # a density centred on the pole takes the radial route, and its
-    # quadrature failure is reported rather than rerun by circle means
+    # quadrature failure is reported rather than rerun by circle means:
+    # |z|^0.5 as a custom radial model declares no log-mass, and its core
+    # quadrature of mu(s)/s ~ s^(-1/2) stalls
     def circle_means(*args, **kwargs):
         raise AssertionError("circle-mean route taken")
 
+    u = make_custom_radial(lambda x: np.exp(0.5 * np.asarray(x, dtype=float)),
+                           lambda x: 0.5 * np.exp(0.5 * np.asarray(x, dtype=float)))
     monkeypatch.setattr(RieszCharge, "integrate", circle_means)
     with pytest.raises(ToleranceFailure):
-        poisson_jensen_check(make_radial_power(1.0, 0.5), uniform_circle(0j, 2.0))
+        poisson_jensen_check(u, uniform_circle(0j, 2.0))
+
+
+def test_poisson_jensen_root_charge_takes_the_declared_log_mass():
+    # |z|^0.5 declares L(a) = a^0.5: below the circle V is ln 2 - ln d, so
+    # the charge term is L(2) = sqrt 2 in closed form, where quadrature of
+    # mu(s)/s ~ s^(-1/2) used to stall above tol
+    rep = poisson_jensen_check(make_radial_power(1.0, 0.5),
+                               uniform_circle(0j, 2.0))
+    assert abs(rep.charge_term - math.sqrt(2.0)) <= 4.0 * math.ulp(math.sqrt(2.0))
+    assert abs(rep.residual) <= rep.budget
+    assert rep.budget <= 1e-9
 
 
 def test_poisson_jensen_rejects_pole_at_root():

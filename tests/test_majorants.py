@@ -166,6 +166,27 @@ def test_custom_radial_rejects_decreasing_derivative():
         make_custom_radial(lambda x: np.exp(2.0 * np.asarray(x)), lambda x: -2.0 * np.exp(2.0 * np.asarray(x)))
 
 
+def test_custom_radial_density_is_nonnegative_across_a_kink():
+    # phi = (x - 0.3)_+^2 / 2 + x: dphi is nondecreasing with a kink at
+    # x = 0.3, where a difference stencil with negative weights would dip
+    # below 0; away from the kink the density is 0 or exactly 1/s^2
+    def dphi(x):
+        return 1.0 + np.maximum(np.asarray(x, dtype=float) - 0.3, 0.0)
+
+    m = make_custom_radial(
+        lambda x: 0.5 * np.maximum(np.asarray(x) - 0.3, 0.0) ** 2 + x, dphi)
+    (dens,) = m.riesz.radial
+    x = 0.3 + np.concatenate((np.linspace(-0.1, 0.1, 2001),
+                              np.linspace(-1e-4, 1e-4, 2001)))
+    s = np.exp(x)
+    got = dens.profile(s)
+    assert np.all(got >= 0.0)
+    below = x < 0.3 - 2e-5
+    above = x > 0.3 + 2e-5
+    assert np.all(got[below] == 0.0)
+    assert np.allclose(got[above] * s[above] ** 2, 1.0, rtol=1e-9, atol=0.0)
+
+
 def test_model_sum_evaluates_and_adds_charge():
     a = make_radial_power(1.0, 2.0)
     b = make_log_abs_poly(roots=[1.0 + 0j], mults=[1])

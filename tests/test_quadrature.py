@@ -11,6 +11,32 @@ from zerocert.quadrature import _break_radii, integrate_circle_means
 import oracles
 
 
+@pytest.mark.parametrize("order", [16, 32])
+def test_gauss_tables_are_leggauss_bit_for_bit(order):
+    # the literal tables replace numpy.polynomial, which stays the oracle
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(order)
+    got_x, got_w = {16: (quadrature._X16, quadrature._W16),
+                    32: (quadrature._X32, quadrature._W32)}[order]
+    assert got_x.dtype == got_w.dtype == np.float64
+    assert np.array_equal(got_x.view(np.uint64), x.view(np.uint64))
+    assert np.array_equal(got_w.view(np.uint64), w.view(np.uint64))
+
+
+def test_panel_estimates_match_integrates_first_panel():
+    # one batched first panel per interval gives integrate's own answer
+    # wherever integrate accepts its first panel
+    lo = np.array([0.0, 0.5, -2.0])
+    hi = np.array([1.0, 3.0, 0.25])
+    y = np.cos(quadrature.panel_nodes(lo, hi))
+    val, est = quadrature.panel_estimates(y, lo, hi)
+    for a, b, v, e in zip(lo, hi, val, est):
+        want, want_err = integrate(np.cos, a, b, tol=1.0)
+        assert abs(v - want) <= 1e-15 * (1.0 + abs(want))
+        assert abs(e - want_err) <= 1e-15
+
+
 def test_integrate_smooth():
     val, err = integrate(np.sin, 0.0, np.pi)
     assert abs(val - 2.0) <= max(err, 1e-12)
