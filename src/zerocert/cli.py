@@ -32,7 +32,8 @@ from .means import (DiskFractionProfile, PlanePowerProfile, check_mean_chain,
                     disk_mean, hat_radius, mollified_mean)
 from .measures import Region
 from .errors import PreconditionViolation
-from .scenario import build_sufficiency_grid, load_scenario
+from .scenario import (build_sufficiency_grid, describe_sufficiency_grid,
+                       load_scenario)
 from .testfam import TruncatedLogFamily
 
 
@@ -164,11 +165,11 @@ def _m0_stage(sc, args, outdir):
 
 
 def _sufficiency_stage(sc, args, outdir, curve=None):
-    grid = sc.sufficiency_grid
+    grid, spec = sc.sufficiency_grid, sc.sufficiency_spec
     if grid is None:
-        grid = build_sufficiency_grid(
-            {"kind": "random-disk", "radius": 3.0, "count": 40},
-            seed=args.seed)
+        blk = {"kind": "random-disk", "radius": 3.0, "count": 40}
+        grid = build_sufficiency_grid(blk, seed=args.seed)
+        spec = describe_sufficiency_grid(blk, seed=args.seed)
     profile = sc.profile or PlanePowerProfile(1.0)
     tol = args.tol if args.tol is not None else sc.tol("sufficiency")
     # the construction defers to the margin verdict of the scenario's
@@ -201,6 +202,7 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
             "tail_budget_max": rep.tail_budget_max,
             "balance_used": rep.balance_used,
             "balance_coeffs": list(rep.balance_coeffs),
+            "grid": spec,
             "outputs": [path]}
 
 
@@ -318,6 +320,9 @@ def _means_selftest(args, outdir):
 def _load(args):
     if not args.scenario:
         raise SchemaError(["/: this command needs --scenario"])
+    if args.seed is not None and args.seed < 0:
+        raise SchemaError(["--seed: %d is less than the minimum of 0"
+                           % args.seed])
     return load_scenario(args.scenario, tau_max=args.tau_max, seed=args.seed)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,16 +314,33 @@ def _make_family(blk, tau_max=None):
     return SmoothCappedLogFamily(eps=blk.get("eps", 0.25), **common)
 
 
+def describe_sufficiency_grid(blk, seed=None):
+    """The grid a sufficiency block asks for, with ``seed`` (--seed) in
+    place of the block's own: kind and count, and for a random disk its
+    radius, center and seed."""
+    if blk["kind"] == "explicit":
+        return {"kind": "explicit", "count": len(blk["points"])}
+    # the schema admits integral floats such as 6.0 as integers
+    seed = int(blk.get("seed", 0) if seed is None else seed)
+    if seed < 0:
+        raise ValueError("random-disk seed must be >= 0, got %d" % seed)
+    return {"kind": "random-disk", "count": int(blk["count"]),
+            "radius": float(blk["radius"]), "center": _cx(blk.get("center")),
+            "seed": seed}
+
+
 def build_sufficiency_grid(blk, seed=None):
+    """The probe points of a sufficiency block.  A random disk draws its
+    radii, then its angles, from the stdlib Mersenne Twister
+    ``random.Random(seed)``, so a seed gives the same points everywhere."""
     if blk["kind"] == "explicit":
         return np.asarray([_cx(p) for p in blk["points"]], dtype=complex)
-    # the schema admits integral floats such as 6.0 as integers
-    rng = np.random.default_rng(int(blk.get("seed", 0)) if seed is None
-                                else seed)
-    n = int(blk["count"])
-    r = blk["radius"] * np.sqrt(rng.uniform(0.0, 1.0, n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    return _cx(blk.get("center")) + r * np.exp(1j * theta)
+    spec = describe_sufficiency_grid(blk, seed)
+    draw = random.Random(spec["seed"]).random
+    n = spec["count"]
+    r = spec["radius"] * np.sqrt(np.array([draw() for _ in range(n)]))
+    theta = 2.0 * math.pi * np.array([draw() for _ in range(n)])
+    return spec["center"] + r * np.exp(1j * theta)
 
 
 @dataclass(frozen=True)
@@ -337,6 +355,8 @@ class Scenario:
     m0_power: float | None
     lemma1: dict | None
     tolerances: dict = field(default_factory=dict)
+    # describe_sufficiency_grid of the block the sufficiency grid came from
+    sufficiency_spec: dict | None = None
 
     def tol(self, stage):
         return self.tolerances.get(stage, self.tolerances.get("default", 1e-9))
@@ -464,9 +484,10 @@ def load_scenario(path, *, tau_max=None, seed=None):
     profile = _make_profile(doc.get("profile"))
     family = _make_family(doc.get("family"), tau_max=tau_max)
     grids = doc.get("grids", {})
-    grid_s = None
+    grid_s = spec_s = None
     if "sufficiency" in grids:
         grid_s = build_sufficiency_grid(grids["sufficiency"], seed=seed)
+        spec_s = describe_sufficiency_grid(grids["sufficiency"], seed=seed)
     grid_m = None
     power = None
     if "m0" in grids:
@@ -502,4 +523,4 @@ def load_scenario(path, *, tau_max=None, seed=None):
         label=doc.get("label", ""), zeros=zeros, majorant=majorant,
         profile=profile, family=family, sufficiency_grid=grid_s,
         m0_grid=grid_m, m0_power=power, lemma1=lemma1,
-        tolerances=dict(doc.get("tolerances", {})))
+        tolerances=dict(doc.get("tolerances", {})), sufficiency_spec=spec_s)

@@ -121,6 +121,27 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert (tmp_path / "run" / "margin.csv").exists()
 
 
+def test_all_leaves_numpy_random_unimported(tmp_path):
+    # random-disk grids draw from the stdlib generator; importing
+    # numpy.random would add about 6 MB to every run's peak RSS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys\n"
+        "import zerocert.cli\n"
+        "assert zerocert.cli.main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
+    sc = _write(tmp_path, _pi_scenario())
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "all", "--scenario", sc,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "sufficiency.csv").exists()
+
+
 def test_schema_failure_exits_2(tmp_path, capsys):
     sc = _write(tmp_path, {"zeros": {"points": [{"re": 1.0}]}})
     out = tmp_path / "run"
@@ -293,6 +314,50 @@ def test_sufficiency_seed(tmp_path):
         (b / "sufficiency.csv").read_bytes()
     assert (a / "sufficiency.csv").read_bytes() != \
         (c / "sufficiency.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["construct-verify", "all",
+                                     "check-necessary"])
+def test_negative_seed_exits_2_by_name(tmp_path, capsys, command):
+    sc = _write(tmp_path, _toy_scenario())
+    out = tmp_path / "run"
+    assert main([command, "--scenario", sc, "--out", str(out),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "schema: --seed: -1 is less than the minimum of 0" in err
+    assert not (out / "report.json").exists()
+
+
+def _grid_report(tmp_path, doc, *flags, command="construct-verify"):
+    out = tmp_path / ("run%d" % len(list(tmp_path.iterdir())))
+    assert main([command, "--scenario", _write(tmp_path, doc), "--out",
+                 str(out), *flags]) == 0
+    return json.loads((out / "report.json").read_text())[
+        "stages"]["sufficiency"]["grid"]
+
+
+def test_report_names_the_probe_grid(tmp_path):
+    doc = _toy_scenario()
+    disk = {"kind": "random-disk", "count": 24, "radius": 4.0,
+            "center": {"re": 0.0, "im": 0.0}, "seed": 7}
+    assert _grid_report(tmp_path, doc) == disk
+    assert _grid_report(tmp_path, doc, command="all") == disk
+    # --seed replaces the block's seed, and the report names the one used
+    assert _grid_report(tmp_path, doc, "--seed", "9") == dict(disk, seed=9)
+    doc["grids"]["sufficiency"] = {"kind": "random-disk", "radius": 2.5,
+                                   "count": 5.0, "center": {"re": -1.0}}
+    assert _grid_report(tmp_path, doc) == {
+        "kind": "random-disk", "count": 5, "radius": 2.5,
+        "center": {"re": -1.0, "im": 0.0}, "seed": 0}
+    doc["grids"]["sufficiency"] = {"kind": "explicit", "points": [
+        {"re": 1.0}, {"re": 0.5, "im": 2.0}]}
+    assert _grid_report(tmp_path, doc) == {"kind": "explicit", "count": 2}
+    # no sufficiency block: construct-verify probes its default grid
+    del doc["grids"]["sufficiency"]
+    default = {"kind": "random-disk", "count": 40, "radius": 3.0,
+               "center": {"re": 0.0, "im": 0.0}, "seed": 0}
+    assert _grid_report(tmp_path, doc) == default
+    assert _grid_report(tmp_path, doc, "--seed", "4") == dict(default, seed=4)
 
 
 @pytest.mark.parametrize("name,csvfile", [

@@ -161,6 +161,46 @@ def test_sufficiency_grid_seed_determinism():
     assert np.all(np.abs(a) <= 2.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(1e-3, 1e3), count=st.integers(1, 300),
+       seed=st.integers(0, 2**64), re=st.floats(-1e3, 1e3),
+       im=st.floats(-1e3, 1e3))
+def test_sufficiency_grid_fills_its_closed_disk(radius, count, seed, re, im):
+    blk = {"kind": "random-disk", "radius": radius, "count": count,
+           "seed": seed, "center": {"re": re, "im": im}}
+    g = build_sufficiency_grid(blk)
+    assert g.shape == (count,) and g.dtype == complex
+    # the closed disk, up to the rounding of center + r e^(i theta)
+    c = complex(re, im)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(g - c) <= radius * (1 + 4 * eps) + 4 * eps * abs(c))
+    assert np.array_equal(build_sufficiency_grid(blk), g)
+    # the block's seed and the seed= override draw the same grid
+    del blk["seed"]
+    assert np.array_equal(build_sufficiency_grid(blk, seed=seed), g)
+    assert np.array_equal(build_sufficiency_grid(dict(blk, seed=seed + 1),
+                                                 seed=seed), g)
+    if count > 1:
+        assert not np.array_equal(build_sufficiency_grid(blk, seed=seed + 1),
+                                  g)
+
+
+def test_sufficiency_grid_takes_an_integral_float_seed():
+    # the schema admits 7.0 as an integer; it must draw the grid of 7
+    blk = {"kind": "random-disk", "radius": 3.0, "count": 50}
+    g = build_sufficiency_grid(dict(blk, seed=7))
+    assert np.array_equal(build_sufficiency_grid(dict(blk, seed=7.0)), g)
+    assert np.array_equal(build_sufficiency_grid(blk, seed=7.0), g)
+    assert not np.array_equal(build_sufficiency_grid(dict(blk, seed=8)), g)
+
+
+def test_sufficiency_grid_rejects_a_negative_seed():
+    # random.Random would quietly draw the grid of |seed|
+    blk = {"kind": "random-disk", "radius": 1.0, "count": 3}
+    with pytest.raises(ValueError, match="must be >= 0"):
+        build_sufficiency_grid(blk, seed=-1)
+
+
 def test_sufficiency_grid_center_offset():
     blk = {"kind": "random-disk", "radius": 0.5, "count": 8, "seed": 0,
             "center": {"re": 10.0, "im": -3.0}}
