@@ -10,9 +10,8 @@ from .quadrature import (ToleranceFailure, circle_mean, integrate,
                          mean_on_circle)
 from .measures import RadialDensity, Region, RieszCharge, ZeroDistribution
 from .majorants import (DSubharmonicMajorant, SubharmonicModel, eval_M,
-                        make_custom_radial, make_harmonic, make_log_abs_poly,
-                        make_log_poly_growth, make_radial_power,
-                        make_zero_model, model_sum)
+                        make_harmonic, make_log_abs_poly, make_log_poly_growth,
+                        make_radial_power, make_zero_model, model_sum)
 from .means import (SQRT_E, DiskFractionProfile, HatRadius, MeanChainReport,
                     PlanePowerProfile, check_mean_chain, default_kernel,
                     disk_mean, hat_radius, mollified_mean)
@@ -50,9 +49,9 @@ __all__ = [
     "check_mean_chain", "circle_mean", "default_kernel", "disk_mean",
     "eval_M", "genus", "green_disk", "hat_radius", "integrate",
     "inversion_pullback", "lemma1_constants", "load_scenario",
-    "log_potential", "m0_dyadic_grid", "make_custom_radial",
-    "make_harmonic", "make_log_abs_poly", "make_log_poly_growth",
-    "make_radial_power", "make_zero_model", "margin_sweep",
+    "log_potential", "m0_dyadic_grid", "make_harmonic",
+    "make_log_abs_poly", "make_log_poly_growth", "make_radial_power",
+    "make_zero_model", "margin_sweep",
     "mean_on_circle", "model_sum", "mollified_mean",
     "poisson_jensen_check", "potential_to_measure",
     "smooth_capped_log", "truncated_log_plane", "uniform_circle",

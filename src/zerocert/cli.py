@@ -206,15 +206,14 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
             "outputs": [path]}
 
 
-def _lemma1_stage(sc, args, outdir):
+def _lemma1_stage(sc, outdir):
     if sc.lemma1 is not None:
         blk = sc.lemma1
     else:
         blk = {"d_tilde": Region.disk(0j, 1.0), "s": Region.disk(0j, 0.5),
                "z0": 0j, "b": 1.0}
-    tol = args.tol if args.tol is not None else sc.tol("default")
     consts = lemma1_constants(blk["d_tilde"], blk["s"], blk["z0"], blk["b"],
-                              sc.majorant, tol=tol)
+                              sc.majorant)
     rows = [("c_test", consts.c_test, 0.0),
             ("inf_green", consts.inf_green, 0.0),
             ("c_majorant", consts.c_majorant, consts.budget)]
@@ -378,7 +377,7 @@ def main(argv=None):
                            lambda: _sufficiency_stage(sc, args, outdir))
             elif args.command == "lemma1":
                 _run_stage(report, "lemma1",
-                           lambda: _lemma1_stage(sc, args, outdir))
+                           lambda: _lemma1_stage(sc, outdir))
             elif args.command == "all":
                 kept = {}
                 _run_stage(report, "necessary",
@@ -392,7 +391,7 @@ def main(argv=None):
                                    sc, args, outdir, kept["curve"]))
                 if sc.lemma1 is not None:
                     _run_stage(report, "lemma1",
-                               lambda: _lemma1_stage(sc, args, outdir))
+                               lambda: _lemma1_stage(sc, outdir))
     except SchemaError as exc:
         for msg in exc.messages:
             print("schema: %s" % msg, file=sys.stderr)

@@ -19,7 +19,9 @@ only over the band: one Gauss pair per cutoff, with the family's shared
 check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii.  lemma1_constants extracts the
 comparison constants of the disk-regime necessity bound from a Green
-function and the majorant's charge.
+function and the majorant's charge: atoms by direct sums, and each
+radial density, concentric with the disk, by a difference of its
+declared log-masses, with no quadrature.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EngineError
+from .errors import DomainError, EngineError, NotSummable
 from .jensen import green_disk
 from .majorants import eval_M
 from .means import PlanePowerProfile
-from .measures import Region
+from .measures import _CORE_ULPS, Region
 from .quadrature import TWO_PI, mean_on_circle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -328,13 +330,48 @@ def _green_floor_on_circle(g, center, radius):
     return -math.log(abs(image) + abs(phi(c + radius) - image))
 
 
-def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
+def _green_term(g, charge, atoms, r0):
+    """Integral of the disk Green function g against a charge: over its
+    atoms where ``atoms`` holds, and over each radial density on the
+    annulus r0 <= s <= R about g's centre.
+
+    About that centre the circle means of g are
+    m(s) = ln R - ln max(s, |a|), with a the pole taken from the centre
+    (GreenFunction.exact_circle_mean).  By parts against the density's
+    disk mass mu and log-mass L (RadialDensity.mass_in, log_mass_in),
+    int_r0^R m dmu = L(R) - L(max(r0, |a|)) - m(r0) mu(r0), with no
+    last term for r0 = 0.  Each closed-form term adds _CORE_ULPS ulps to
+    the budget.  Returns (value, budget).
+    """
+    val = 0.0
+    err = 0.0
+    if atoms.any():
+        with np.errstate(all="ignore"):
+            gv = np.asarray(g(charge.atom_points[atoms]), dtype=float)
+        if not np.all(np.isfinite(gv)):
+            raise NotSummable("integrand unbounded at an atom")
+        val += float(np.sum(charge.atom_masses[atoms] * gv))
+    a = abs(g.pole - g.center)
+    lo = max(r0, a)
+    for dens in charge.radial:
+        terms = [dens.log_mass_in(g.R), -dens.log_mass_in(lo)]
+        if r0 > 0:
+            terms.append(-(math.log(g.R) - math.log(lo)) * dens.mass_in(r0))
+        val += dens.sign * sum(terms)
+        err += _CORE_ULPS * sum(math.ulp(t) for t in terms)
+    return val, err
+
+
+def lemma1_constants(d_tilde, s_region, z0, b, M):
     """Comparison constants for the disk-regime necessity bound.
 
     c_test scales the capped test b against the Green function's floor
     on the inner boundary; c_majorant collects the Green integral of the
-    majorant's charge, the negative charge outside the inner region, and
-    the positive part of the majorant at the pole.
+    majorant's charge over the closed ambient disk less the pole, the
+    negative charge outside the open inner disk, and the positive part of
+    the majorant at the pole.  Each radial density must be centred on the
+    ambient disk, and a negative one also on the inner disk; every term is
+    closed form (_green_term), with a budget of a few ulps.
     """
     if not isinstance(d_tilde, Region):
         raise DomainError("ambient region must be a disk")
@@ -357,11 +394,19 @@ def lemma1_constants(d_tilde, s_region, z0, b, M, *, tol=1e-9):
     c_test = b / inf_green
 
     charge = M.charge
-    v1, e1 = charge.integrate(g, tol=tol, include=d_tilde,
-                              exclude_points=(z0,))
+    for dens in charge.radial:
+        if abs(dens.center - d_tilde.center) > 1e-12:
+            raise EngineError("radial density off the ambient disk's center")
+        if dens.sign < 0 and abs(dens.center - s_region.center) > 1e-12:
+            raise EngineError("negative radial density off the inner disk's "
+                              "center")
+    pts = charge.atom_points
+    live = (charge.atom_masses != 0) & d_tilde.contains(pts)
+    v1, e1 = _green_term(g, charge, live & (np.abs(pts - z0) > 1e-14), 0.0)
     neg = charge.negative_part()
-    v2, e2 = neg.integrate(g, tol=tol, include=d_tilde,
-                           exclude_interior=s_region)
+    outside = (d_tilde.contains(neg.atom_points)
+               & ~s_region.interior_contains(neg.atom_points))
+    v2, e2 = _green_term(g, neg, outside, s_region.radius)
     pole_value = float(eval_M(M, np.array([z0]))[0])
     v3 = max(0.0, pole_value)
     parts = {"charge-term": v1, "negative-term": v2, "pole-term": v3}

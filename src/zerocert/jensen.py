@@ -18,9 +18,9 @@ The Green function of the disk |w - center| < R with pole a is
     g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|
 (w and a taken from the center), a difference of two log potentials of
 points, so Jensen's formula gives each of its circle means in closed form.
-GreenFunction declares them as exact_circle_mean, and integrals of g
-against a charge (lemma1's charge term) take them instead of nested
-quadrature; quadrature of g stays the test oracle.
+GreenFunction declares them as exact_circle_mean.  About the centre they
+are ln R - ln max(s, |a|), which lemma1 integrates by parts against each
+concentric density's log-mass; quadrature of g stays the test oracle.
 """
 
 from __future__ import annotations

@@ -270,42 +270,6 @@ def make_harmonic(h, params=None, kind="harmonic"):
         riesz=RieszCharge(), exact_circle_mean=exact), two_sided=True)
 
 
-def make_custom_radial(phi, dphi, params=None):
-    """phi(ln |z|) with radial derivative dphi supplied by the caller.
-
-    The disk mass function is t -> dphi(ln t); phi must be convex and
-    dphi nonnegative and nondecreasing (spot checked).  The density is
-    dphi'(ln s) / s^2, with dphi' from a central difference of step 1e-5
-    in ln s, which a nondecreasing dphi never makes negative.  No
-    log-mass is declared.
-    """
-    xs = [-3.0, -1.0, 0.0, 1.0, 2.5]
-    vals = [float(dphi(x)) for x in xs]
-    if any(v < -1e-12 for v in vals) or any(
-            b < a - 1e-12 for a, b in zip(vals, vals[1:])):
-        raise InvalidModel("dphi must be nonnegative and nondecreasing")
-
-    def ev(z):
-        with np.errstate(divide="ignore"):
-            x = np.log(np.abs(np.asarray(z, dtype=complex)))
-        return np.asarray(phi(x), dtype=float)
-
-    h = 1e-5
-
-    def profile(s):
-        s = np.asarray(s, dtype=float)
-        x = np.log(s)
-        second = (np.asarray(dphi(x + h), dtype=float)
-                  - np.asarray(dphi(x - h), dtype=float)) / (2.0 * h)
-        return second / s ** 2
-
-    charge = RieszCharge(radial=(RadialDensity(
-        profile=profile,
-        cumulative=lambda t: np.asarray(dphi(np.log(t)), dtype=float)),))
-    return _validate_submean(SubharmonicModel(
-        kind="custom-radial", params=dict(params or {}), eval=ev, riesz=charge))
-
-
 def make_zero_model():
     def ev(z):
         return np.zeros(np.asarray(z).shape, dtype=float)

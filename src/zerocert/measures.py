@@ -4,11 +4,13 @@ Charges follow the potential-theory normalization: the charge of a
 subharmonic function is 1/(2 pi) times its distributional Laplacian, so
 ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
 rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
-about its own centre.  A density may declare its disk mass
+about its own centre.  Every density declares its disk mass
 ``cumulative`` and its log-mass ``log_mass`` in closed form; radial
-spikes read the latter for their exact-log cores, all spikes of a sweep
-in one call of ``RieszCharge.integrate_radial``.  Regions are closed
-disks.  Zero distributions are explicit point sets or lattices,
+spikes read them for their exact-log cores, all spikes of a sweep in one
+call of ``RieszCharge.integrate_radial``, and lemma1 integrates a
+concentric disk's Green function against a density as a difference of
+log-masses (``RadialDensity.log_mass_in``).  Regions are closed disks.
+Zero distributions are explicit point sets or lattices,
 enumerated disk by disk through ``points_up_to``; a radial sum over them
 reads only their sorted radii with multiplicities, through
 ``radii_up_to``.
@@ -28,8 +30,8 @@ from .quadrature import (ToleranceFailure, integrate, integrate_circle_means,
                          panel_estimates, panel_nodes)
 
 
-# ulps of each closed-form core term that integrate_radial adds to its
-# budget for rounding
+# ulps of each closed-form term that a charge integral adds to its budget
+# for rounding
 _CORE_ULPS = 4
 
 
@@ -322,19 +324,18 @@ class RadialDensity:
     ``profile(s) >= 0`` is the radial Laplacian density: the unsigned mass of
     the centered disk of radius t is the integral of s * profile(s) over
     [0, t], i.e. d(charge) = profile(|z - center|) dArea / (2 pi).
-    ``cumulative``, when given, must equal that disk mass in closed form,
-    evaluated elementwise on an array of radii inside the support.
-    ``log_mass``, when given, must equal the log-mass
-    L(a) = int_lo^a mass_in(s) / s ds, with lo the support's inner edge,
-    in closed form on the same arrays.
+    ``cumulative`` is that disk mass in closed form, and ``log_mass`` the
+    log-mass L(a) = int_lo^a mass_in(s) / s ds, with lo the support's
+    inner edge; both are evaluated elementwise on arrays of radii inside
+    the support, and both are required.
     """
 
     profile: Callable
+    cumulative: Callable
+    log_mass: Callable
     sign: int = 1
     center: complex = 0j
     support: tuple = (0.0, math.inf)
-    cumulative: Callable | None = None
-    log_mass: Callable | None = None
 
     def mass_in(self, t):
         """Unsigned mass of the centred disk of radius t (float or array)."""
@@ -342,13 +343,22 @@ class RadialDensity:
         t = np.minimum(np.asarray(t, dtype=float), hi)
         out = np.zeros(t.shape)
         live = t > lo
-        if live.any():
-            if self.cumulative is not None:
-                out[live] = self.cumulative(t[live])
-            else:
-                out[live] = [integrate(
-                    lambda s: s * np.asarray(self.profile(s), dtype=float),
-                    lo, x, tol=1e-12 * max(1.0, x))[0] for x in t[live]]
+        out[live] = self.cumulative(t[live])
+        return float(out) if out.ndim == 0 else out
+
+    def log_mass_in(self, t):
+        """int_0^t mass_in(s) / s ds (float or array): 0 up to the inner
+        edge lo, L(t) inside the support, and L(hi) + mu(hi) ln(t / hi)
+        past its outer edge hi."""
+        lo, hi = self.support
+        t = np.asarray(t, dtype=float)
+        inside = np.minimum(t, hi)
+        out = np.zeros(t.shape)
+        live = inside > lo
+        out[live] = self.log_mass(inside[live])
+        past = t > hi
+        if past.any():
+            out[past] += self.mass_in(hi) * np.log(t[past] / hi)
         return float(out) if out.ndim == 0 else out
 
 
@@ -356,38 +366,22 @@ def _coerce_points(arr):
     return np.asarray(arr, dtype=complex).ravel()
 
 
-def _add_cores(dens, spikes, cores, share, val, err, failed):
+def _add_cores(dens, spikes, cores, val, err):
     """Add each spike's core (c - k ln a) mu(a) + k L(a) on the density.
 
     cores lists (spike index, core edge a).  L is the declared log-mass,
-    evaluated once for all the edges, or else an adaptive quadrature per
-    spike; a spike whose quadrature fails is marked failed.
+    evaluated once for all the edges.
     """
     idx = np.array([i for i, _ in cores])
     a = np.array([edge for _, edge in cores])
     c = np.array([float(spikes[i].log_constant) for i in idx])
     k = np.array([float(spikes[i].pole_coefficient) for i in idx])
-    quad_err = np.zeros(a.shape)
-    if dens.log_mass is not None:
-        log_mass = np.asarray(dens.log_mass(a), dtype=float)
-    else:
-        log_mass = np.full(a.shape, math.nan)
-        for j, i in enumerate(idx):
-            if failed[i] is not None:
-                continue
-            try:
-                log_mass[j], quad_err[j] = integrate(
-                    lambda s: dens.mass_in(s) / s, dens.support[0], a[j],
-                    tol=share[i] / max(1.0, abs(k[j])))
-            except ToleranceFailure as exc:
-                failed[i] = exc
     edge = (c - k * np.log(a)) * dens.mass_in(a)
-    tail = k * log_mass
+    tail = k * np.asarray(dens.log_mass(a), dtype=float)
     val[idx] += dens.sign * (edge + tail)
-    # a rounding floor: a closed form has no estimate, and the
-    # quadrature's is exactly 0 when mu(s)/s is constant
-    err[idx] += np.abs(k) * quad_err + _CORE_ULPS * (
-        np.spacing(np.abs(edge)) + np.spacing(np.abs(tail)))
+    # a closed form has no estimate: only a rounding floor
+    err[idx] += _CORE_ULPS * (np.spacing(np.abs(edge))
+                              + np.spacing(np.abs(tail)))
 
 
 def _band_profiles(spikes, idx, s):
@@ -535,21 +529,19 @@ class RieszCharge:
 
             int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k L(a),
 
-        with L(a) = int_lo^a mu(s)/s ds the density's ``log_mass``: in
-        closed form for every spike at once where the density declares
-        it, by adaptive quadrature of mu(s)/s (no log singularity left)
-        where it does not.  The band from the core, or from the density's
-        inner edge, out to the support takes integrate's first panel, a
-        16- and 32-point Gauss pair on the band's own radii, for every
-        spike in one call of the density's profile, with g from one call
-        of psi for all the spikes that share it, or else from the spike's
-        own profile.  (The band stays in s rather than x = c - ln s, so
-        its edges are the declared radii exactly.)  A band whose two rules
-        differ by more than its share of tol, or with a declared kink
-        strictly inside, is integrated adaptively on its own.  Each core
-        quadrature and band of a spike gets an equal share of tol, so the
-        spike's budget stays within tol, apart from a few ulps of each
-        closed-form term.
+        with L(a) = int_lo^a mu(s)/s ds the density's declared
+        ``log_mass``, in closed form for every spike at once.  The band
+        from the core, or from the density's inner edge, out to the
+        support takes integrate's first panel, a 16- and 32-point Gauss
+        pair on the band's own radii, for every spike in one call of the
+        density's profile, with g from one call of psi for all the spikes
+        that share it, or else from the spike's own profile.  (The band
+        stays in s rather than x = c - ln s, so its edges are the declared
+        radii exactly.)  A band whose two rules differ by more than its
+        share of tol, or with a declared kink strictly inside, is
+        integrated adaptively on its own.  Each band of a spike gets an
+        equal share of tol, so the spike's budget stays within tol, apart
+        from a few ulps of each closed-form core term.
 
         Returns (results, adaptive_bands): one result per spike, its
         (value, error_budget) or the NotSummable or ToleranceFailure it
@@ -594,18 +586,17 @@ class RieszCharge:
                 if spike.log_core > lo:
                     start = min(float(spike.log_core), hi)
                     cores.append((i, start))
-                    calls[i] += dens.log_mass is None
                 if start < hi:
                     bands.append((i, start, hi))
                     calls[i] += 1
             pieces.append((dens, cores, bands))
-        # an equal share of tol per core quadrature and band keeps each
-        # spike's summed error estimates within tol
+        # an equal share of tol per band keeps each spike's summed error
+        # estimates within tol
         share = tol / np.maximum(calls, 1.0)
         adaptive = 0
         for dens, cores, bands in pieces:
             if cores:
-                _add_cores(dens, spikes, cores, share, val, err, failed)
+                _add_cores(dens, spikes, cores, val, err)
             if bands:
                 adaptive += _add_bands(dens, spikes, bands, share, val, err,
                                        failed)
@@ -613,48 +604,32 @@ class RieszCharge:
                    for exc, v, e in zip(failed, val, err)]
         return results, adaptive
 
-    def integrate(self, f, *, tol=1e-9, include=None, exclude_interior=None,
-                  exclude_points=()):
-        """Integral of f against the charge, optionally restricted.
+    def integrate(self, f, *, tol):
+        """Integral of f against the charge; returns (value, error_budget).
 
-        ``include`` keeps only the closed region; ``exclude_interior``
-        removes the open interior of another region; ``exclude_points``
-        drops atoms sitting at the listed points.  Within radial densities
-        f enters through its circle means (quadrature.circle_mean), whose
-        panels break where f's declared singular points and kink circles
-        meet the charge's circles.  Radial densities must be concentric
-        with the restriction regions.  Returns (value, error_budget).
+        Atoms are summed directly.  Within radial densities f enters
+        through its circle means about the density's centre
+        (quadrature.circle_mean), whose panels break where f's declared
+        singular points and kink circles meet the charge's circles.  Each
+        density is integrated over its whole support, which must be
+        bounded.
         """
         val = 0.0
         err = 0.0
-        if self.atom_points.size:
-            keep = self.atom_masses != 0
-            if include is not None:
-                keep &= include.contains(self.atom_points)
-            if exclude_interior is not None:
-                keep &= ~exclude_interior.interior_contains(self.atom_points)
-            for p in exclude_points:
-                keep &= np.abs(self.atom_points - complex(p)) > 1e-14
-            if keep.any():
-                with np.errstate(all="ignore"):
-                    fv = np.asarray(f(self.atom_points[keep]), dtype=float)
-                if not np.all(np.isfinite(fv)):
-                    raise NotSummable("integrand unbounded at an atom")
-                val += float(np.sum(self.atom_masses[keep] * fv))
+        keep = self.atom_masses != 0
+        if keep.any():
+            with np.errstate(all="ignore"):
+                fv = np.asarray(f(self.atom_points[keep]), dtype=float)
+            if not np.all(np.isfinite(fv)):
+                raise NotSummable("integrand unbounded at an atom")
+            val += float(np.sum(self.atom_masses[keep] * fv))
         for dens in self.radial:
             lo, hi = dens.support
-            if include is not None:
-                if abs(dens.center - include.center) > 1e-12:
-                    raise EngineError("radial density off the include center")
-                hi = min(hi, include.radius)
-            if exclude_interior is not None:
-                if abs(dens.center - exclude_interior.center) > 1e-12:
-                    raise EngineError("radial density off the exclusion center")
-                lo = max(lo, exclude_interior.radius)
             if hi <= lo:
                 continue
             if not math.isfinite(hi):
-                raise DomainError("unbounded radial integral needs a bounded region")
+                raise DomainError("unbounded radial integral needs a bounded "
+                                  "support")
             approx_mass = abs(dens.mass_in(hi) - dens.mass_in(lo))
             inner_tol = tol / (4.0 * (1.0 + approx_mass))
             v, e, inner = integrate_circle_means(
@@ -663,4 +638,3 @@ class RieszCharge:
             val += dens.sign * v
             err += e + inner * approx_mass
         return val, err
-

@@ -18,7 +18,8 @@ which it loses smoothness.  A radial spike integrated against a charge
 ``support_radius``, ``kink_radii``, its exact-log core ``log_core``,
 ``log_constant`` and ``pole_coefficient``, and optionally its
 ``log_shape``, the profile as a function of log_constant - ln d; a
-radial density declares its ``log_mass`` (measures.RadialDensity).
+radial density declares its disk mass and its log-mass
+(measures.RadialDensity), which take the core with no quadrature.
 Those integrals run the first panel of ``integrate`` on many intervals
 at once (``panel_nodes`` and ``panel_estimates``, which also give every
 panel of ``integrate`` and the whole-circle rows of ``mean_on_circle``

@@ -6,7 +6,7 @@ from different arithmetic, so agreement is evidence rather than echo.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -269,25 +269,26 @@ def min_green_on_circle(g, center, radius, grid=2048):
 
 
 def lemma1_c_majorant_by_quadrature(d_tilde, s_region, z0, M, tol=1e-9):
-    """lemma1's c_majorant with the Green function wrapped so that it
-    declares no closed-form circle mean: every circle mean of g inside
-    the charge integrals is then taken by adaptive quadrature.
-    Returns (value, budget)."""
-    from zerocert import green_disk
+    """lemma1's (c_majorant, budget) by quadrature of the Green function's
+    circle means, on the charge cut to each term's atoms and radii."""
+    from zerocert import RieszCharge, green_disk
 
     g = green_disk(d_tilde.radius, z0, d_tilde.center)
-
-    def plain(z):
-        return g(z)
-
+    plain = lambda z: g(z)
     plain.singular_points = (z0,)
-    charge = M.charge
-    v1, e1 = charge.integrate(plain, tol=tol, include=d_tilde,
-                              exclude_points=(z0,))
-    v2, e2 = charge.negative_part().integrate(
-        plain, tol=tol, include=d_tilde, exclude_interior=s_region)
-    v3 = max(0.0, float(M(np.array([complex(z0)]))[0]))
-    return v1 + v2 + v3, e1 + e2
+
+    def term(ch, keep, lo):
+        keep &= d_tilde.contains(ch.atom_points)
+        cut = tuple(replace(d, support=(max(d.support[0], lo), min(
+            d.support[1], d_tilde.radius))) for d in ch.radial)
+        return RieszCharge(ch.atom_points[keep], ch.atom_masses[keep],
+                           cut).integrate(plain, tol=tol)
+
+    v1, e1 = term(M.charge, np.abs(M.charge.atom_points - z0) > 1e-14, 0.0)
+    neg = M.charge.negative_part()
+    v2, e2 = term(neg, ~s_region.interior_contains(neg.atom_points),
+                  s_region.radius)
+    return v1 + v2 + max(0.0, float(M(np.array([z0]))[0])), e1 + e2
 
 
 def integrate_radial_reference(charge, spike, tol=1e-9):
@@ -297,11 +298,11 @@ def integrate_radial_reference(charge, spike, tol=1e-9):
 
     Atoms are summed directly.  Each radial density takes the spike's
     exact-log core by parts from its disk mass, with int mu(s)/s ds by
-    adaptive quadrature even where the density declares it in closed
-    form, and the band out to the support by adaptive quadrature of the
-    spike's own profile.  Each quadrature gets an equal share of tol, and
-    each closed-form core term adds 4 ulps.  Returns (value, budget);
-    raises ToleranceFailure, NotSummable or DomainError as that route did.
+    adaptive quadrature, and the band out to the support by adaptive
+    quadrature of the spike's own profile.  Each quadrature gets an equal
+    share of tol, and each closed-form core term adds 4 ulps.  Returns
+    (value, budget); raises ToleranceFailure, NotSummable or DomainError
+    as that route did.
     """
     from zerocert import DomainError, EngineError, NotSummable, integrate
 

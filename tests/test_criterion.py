@@ -5,15 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
     EngineError,
     Region,
+    RieszCharge,
     SmoothCappedLogFamily,
-    ToleranceFailure,
+    SubharmonicModel,
     TruncatedLogFamily,
     ZeroDistribution,
     check_m0,
@@ -34,6 +35,7 @@ from zerocert import measures, quadrature
 from zerocert.criterion import m0_shell_count
 
 import oracles
+from test_measures import _ANNULAR
 
 
 def _abs_majorant(sigma=1.0):
@@ -68,23 +70,12 @@ def test_margin_rhs_budget_covers_rounding():
     assert curve.verdict == "consistent"
 
 
-def _custom_root_majorant():
-    """|z|^0.5 as a custom radial model: it declares no log-mass, so the
-    core quadrature of mu(s)/s ~ s^(-1/2) stalls at tol 1e-9."""
-    from zerocert import make_custom_radial
-
-    return DSubharmonicMajorant(up=make_custom_radial(
-        lambda x: np.exp(0.5 * np.asarray(x, dtype=float)),
-        lambda x: 0.5 * np.exp(0.5 * np.asarray(x, dtype=float))))
-
-
 def test_margin_needs_three_top_samples_for_a_verdict():
-    # under |z|^0.5 with no declared log-mass the rhs quadrature stalls at
-    # all but the last tau; one kept sample (margin about +20) used to read
-    # "consistent" vacuously
+    # a family of one tau under |z|^0.5: its one sample (margin about +20)
+    # used to read "consistent" vacuously
     Z = ZeroDistribution.real_multiples(step=np.pi, max_radius=np.pi * 1e4)
-    M = _custom_root_majorant()
-    curve = margin_sweep(Z, M, TruncatedLogFamily(0.5, 50.0, ratio=1.4))
+    M = DSubharmonicMajorant(up=make_radial_power(1.0, 0.5))
+    curve = margin_sweep(Z, M, TruncatedLogFamily(50.0, 50.0, ratio=1.4))
     kept = [s for s in curve.samples if not s.note]
     assert len(kept) < 3
     assert curve.details["kept"] == len(kept)
@@ -375,19 +366,10 @@ def test_m0_square_constant_deviation():
 
 
 def test_m0_quartic_unbounded():
-    up = make_custom_quartic()
+    up = make_radial_power(1.0, 4.0)
     rep = check_m0(up, 0.0, m0_dyadic_grid(60.0, per_shell=6))
     assert not rep.bounded
     assert len(rep.flagged) > 0
-
-
-def make_custom_quartic():
-    from zerocert import make_custom_radial
-
-    return make_custom_radial(
-        lambda x: np.exp(4.0 * np.asarray(x, dtype=float)),
-        lambda x: 4.0 * np.exp(4.0 * np.asarray(x, dtype=float)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +490,122 @@ def test_lemma1_takes_no_circle_quadrature(monkeypatch):
     M = DSubharmonicMajorant(up=make_radial_power(1.0, 1.0))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("lemma1 took a circle mean by quadrature")
+        raise AssertionError("lemma1 ran a quadrature")
 
-    # wherever a circle quadrature can be reached from the charge integrals
+    # wherever a quadrature can be reached from the charge integrals
     monkeypatch.setattr(quadrature, "mean_on_circle", refuse)
-    monkeypatch.setattr(measures, "mean_on_circle", refuse, raising=False)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(measures, "integrate", refuse)
+    monkeypatch.setattr(measures, "integrate_circle_means", refuse)
     c = lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0j,
                          1.0, M)
     assert abs(c.c_majorant - 1.0) <= c.budget
+    assert c.c_majorant == 1.0
 
 
-def test_lemma1_power_below_one_fails_by_name():
-    # the outer radial integral of s^(rho - 1) stalls at rho = 0.5; it
-    # must end as a named error, and quickly now that the inner circle
-    # means are closed form
+def test_lemma1_power_below_one_is_closed_form():
+    # the charge term of 2|z|^0.5 is L(1) - L(|z0|) = 2 - 2 sqrt(0.1), with
+    # no quadrature of the s^(rho - 1) endpoint singularity; the pole term
+    # 2 sqrt(0.1) brings c_majorant to 2
     M = DSubharmonicMajorant(up=make_radial_power(2.0, 0.5))
-    with pytest.raises(ToleranceFailure) as exc:
-        lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0.1j,
+    c = lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0.1j,
                          1.0, M)
-    assert isinstance(exc.value, EngineError)
+    want = 2.0 - 2.0 * math.sqrt(0.1)
+    assert abs(c.parts["charge-term"] - want) <= 4.0 * math.ulp(want)
+    assert c.c_majorant == 2.0
+
+
+# majorants for the property test against the nested route; the
+# annular density's support ends at 2.5, which R falls on both sides of.
+# As the lower model its log-mass at R cancels between the charge term
+# and the negative term, so it also enters as the upper one.
+_ANNULAR_MODEL = SubharmonicModel(
+    kind="annular", params={}, eval=lambda z: _ANNULAR.log_mass_in(np.abs(z)),
+    riesz=RieszCharge(radial=(_ANNULAR,)))
+_LEMMA1_CHARGES = {
+    "abs": DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)),
+    "square": DSubharmonicMajorant(up=make_radial_power(0.7, 2.0)),
+    "log-poly-growth": DSubharmonicMajorant(up=make_log_poly_growth()),
+    "d-subharmonic": DSubharmonicMajorant(up=make_radial_power(1.0, 1.0),
+                                          low=make_log_poly_growth()),
+    "annular-low": DSubharmonicMajorant(up=make_radial_power(1.0, 1.0),
+                                        low=_ANNULAR_MODEL),
+    "annular-up": DSubharmonicMajorant(up=_ANNULAR_MODEL),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(_LEMMA1_CHARGES)),
+       R=st.floats(0.5, 4.0),
+       rho_frac=st.floats(0.02, 0.95),
+       pole_frac=st.floats(0.0, 0.95),
+       pole_angle=st.floats(0.0, 2 * math.pi))
+# R past the annulus, and inside it with S inside its hole
+@example(name="annular-low", R=3.0, rho_frac=0.5, pole_frac=0.5,
+         pole_angle=1.0)
+@example(name="annular-low", R=2.0, rho_frac=0.1, pole_frac=0.5,
+         pole_angle=1.0)
+@example(name="annular-up", R=3.0, rho_frac=0.5, pole_frac=0.5,
+         pole_angle=1.0)
+def test_lemma1_matches_the_nested_route(name, R, rho_frac, pole_frac,
+                                         pole_angle):
+    # log-mass differences against nested quadrature of the Green
+    # function's circle means over the restricted charge, with S
+    # concentric with the ambient disk and the pole inside S
+    M = _LEMMA1_CHARGES[name]
+    rho = rho_frac * R
+    z0 = pole_frac * rho * complex(math.cos(pole_angle), math.sin(pole_angle))
+    d_tilde = Region.disk(0j, R)
+    s_region = Region.disk(0j, rho)
+    c = lemma1_constants(d_tilde, s_region, z0, 1.0, M)
+    want, want_budget = oracles.lemma1_c_majorant_by_quadrature(
+        d_tilde, s_region, z0, M)
+    assert abs(c.c_majorant - want) <= c.budget + want_budget + 1e-14
+
+
+def test_lemma1_masks_atoms():
+    # unit atoms at 0.2 and 5: one outside the ambient disk is dropped
+    g = green_disk(1.0, 0j)
+    M = DSubharmonicMajorant(up=make_log_abs_poly(roots=[0.2, 5.0]))
+    c = lemma1_constants(Region.disk(0j, 1.0), Region.disk(0j, 0.5), 0j,
+                         1.0, M)
+    assert abs(c.parts["charge-term"] - float(g(np.array([0.2]))[0])) <= 1e-15
+    # the atom at the pole is dropped, where g is infinite
+    g = green_disk(10.0, 5.0)
+    c = lemma1_constants(Region.disk(0j, 10.0), Region.disk(0j, 6.0), 5.0,
+                         1.0, M)
+    assert abs(c.parts["charge-term"] - float(g(np.array([0.2]))[0])) <= 1e-15
+    # as negative atoms: the one on the boundary of S stays in the negative
+    # term, the one inside S leaves it
+    g = green_disk(10.0, 0j)
+    M = DSubharmonicMajorant(up=make_zero_model(),
+                             low=make_log_abs_poly(roots=[0.2, 5.0]))
+    c = lemma1_constants(Region.disk(0j, 10.0), Region.disk(0j, 5.0), 0j,
+                         1.0, M)
+    assert abs(c.parts["negative-term"] - math.log(2.0)) <= 1e-15
+    c = lemma1_constants(Region.disk(0j, 10.0), Region.disk(0j, 0.1), 0j,
+                         1.0, M)
+    want = float(np.sum(g(np.array([0.2, 5.0]))))
+    assert abs(c.parts["negative-term"] - want) <= 1e-15
+
+
+# name -> (majorant, ambient disk centre); the inner disk is centred at 0.3
+_OFF_CENTER = {
+    "off-ambient-center": (
+        DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)), 0.1 + 0j),
+    # a negative density must also be centred on the inner disk
+    "negative-off-inner-center": (
+        DSubharmonicMajorant(up=make_zero_model(), low=make_log_poly_growth()),
+        0j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_CENTER))
+def test_lemma1_rejects_a_density_off_its_disk(name):
+    M, center = _OFF_CENTER[name]
+    with pytest.raises(EngineError):
+        lemma1_constants(Region.disk(center, 2.0), Region.disk(0.3, 0.5),
+                         0.3, 1.0, M)
 
 
 def test_lemma1_geometry_validation():

@@ -13,12 +13,13 @@ from zerocert import (
     DSubharmonicMajorant,
     InvalidPotential,
     JensenMeasure,
+    RadialDensity,
     RieszCharge,
+    SubharmonicModel,
     ToleranceFailure,
     eval_M,
     green_disk,
     log_potential,
-    make_custom_radial,
     make_log_abs_poly,
     make_radial_power,
     poisson_jensen_check,
@@ -190,19 +191,36 @@ def test_poisson_jensen_radial_route_takes_the_log_core(rho):
     assert abs(rep.residual) <= 1e-13
 
 
+def _edge_root_density(c=1.2, hi=1.8):
+    """Mass 2 sqrt(t - c) on the annulus c < s <= hi: its profile
+    (s - c)^(-1/2) / s is infinite at the inner edge, and the log-mass is
+    4 (sqrt(a - c) - sqrt(c) atan(sqrt((a - c) / c)))."""
+    def log_mass(a):
+        x = np.sqrt(np.asarray(a, dtype=float) - c)
+        return 4.0 * (x - math.sqrt(c) * np.arctan(x / math.sqrt(c)))
+
+    return RadialDensity(
+        profile=lambda s: (np.asarray(s, dtype=float) - c) ** -0.5 / s,
+        cumulative=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float) - c),
+        log_mass=log_mass, support=(c, hi))
+
+
 def test_poisson_jensen_concentric_charge_keeps_the_radial_route(monkeypatch):
     # a density centred on the pole takes the radial route, and its
     # quadrature failure is reported rather than rerun by circle means:
-    # |z|^0.5 as a custom radial model declares no log-mass, and its core
-    # quadrature of mu(s)/s ~ s^(-1/2) stalls
+    # between the circles at 1 and 2 the band of the density above runs
+    # into its inverse square root at 1.2 and cannot meet tol
     def circle_means(*args, **kwargs):
         raise AssertionError("circle-mean route taken")
 
-    u = make_custom_radial(lambda x: np.exp(0.5 * np.asarray(x, dtype=float)),
-                           lambda x: 0.5 * np.exp(0.5 * np.asarray(x, dtype=float)))
+    dens = _edge_root_density()
+    u = SubharmonicModel(kind="edge-root", params={},
+                         eval=lambda z: dens.log_mass_in(np.abs(z)),
+                         riesz=RieszCharge(radial=(dens,)))
+    mu = JensenMeasure(0j, (CirclePart(1.0, 0.5), CirclePart(2.0, 0.5)))
     monkeypatch.setattr(RieszCharge, "integrate", circle_means)
     with pytest.raises(ToleranceFailure):
-        poisson_jensen_check(u, uniform_circle(0j, 2.0))
+        poisson_jensen_check(u, mu)
 
 
 def test_poisson_jensen_root_charge_takes_the_declared_log_mass():

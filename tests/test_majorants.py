@@ -9,7 +9,6 @@ from zerocert import (
     InvalidModel,
     Region,
     eval_M,
-    make_custom_radial,
     make_harmonic,
     make_log_abs_poly,
     make_log_poly_growth,
@@ -149,42 +148,6 @@ def test_log_poly_growth_mass():
         flux = oracles.flux_mass(lambda z: np.log1p(np.abs(z) ** 2), 0j, t)
         assert abs(got - want) <= 1e-9
         assert abs(got - flux) <= 1e-7
-
-
-def test_custom_radial_matches_power():
-    # phi acts on x = ln|z|, so |z|^2 is phi(x) = e^(2x) with mass 2t^2
-    m = make_custom_radial(lambda x: np.exp(2.0 * np.asarray(x)), lambda x: 2.0 * np.exp(2.0 * np.asarray(x)))
-    ref = make_radial_power(1.0, 2.0)
-    zs = np.array([0.3 + 0.1j, 2.0 - 2j])
-    assert np.allclose(m(zs), ref(zs))
-    got = m.riesz.total_mass_in(Region.disk(0.0, 1.5))
-    assert abs(got - 4.5) <= 1e-5
-
-
-def test_custom_radial_rejects_decreasing_derivative():
-    with pytest.raises(InvalidModel):
-        make_custom_radial(lambda x: np.exp(2.0 * np.asarray(x)), lambda x: -2.0 * np.exp(2.0 * np.asarray(x)))
-
-
-def test_custom_radial_density_is_nonnegative_across_a_kink():
-    # phi = (x - 0.3)_+^2 / 2 + x: dphi is nondecreasing with a kink at
-    # x = 0.3, where a difference stencil with negative weights would dip
-    # below 0; away from the kink the density is 0 or exactly 1/s^2
-    def dphi(x):
-        return 1.0 + np.maximum(np.asarray(x, dtype=float) - 0.3, 0.0)
-
-    m = make_custom_radial(
-        lambda x: 0.5 * np.maximum(np.asarray(x) - 0.3, 0.0) ** 2 + x, dphi)
-    (dens,) = m.riesz.radial
-    x = 0.3 + np.concatenate((np.linspace(-0.1, 0.1, 2001),
-                              np.linspace(-1e-4, 1e-4, 2001)))
-    s = np.exp(x)
-    got = dens.profile(s)
-    assert np.all(got >= 0.0)
-    below = x < 0.3 - 2e-5
-    above = x > 0.3 + 2e-5
-    assert np.all(got[below] == 0.0)
-    assert np.allclose(got[above] * s[above] ** 2, 1.0, rtol=1e-9, atol=0.0)
 
 
 def test_model_sum_evaluates_and_adds_charge():

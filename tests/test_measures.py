@@ -18,9 +18,9 @@ from zerocert import (
     RieszCharge,
     RadialDensity,
     ZeroDistribution,
+    integrate,
     inversion_pullback,
     log_potential,
-    make_custom_radial,
     make_log_poly_growth,
     make_radial_power,
     smooth_capped_log,
@@ -237,7 +237,9 @@ def _radial_square_charge():
     return RieszCharge(
         atom_points=(),
         atom_masses=(),
-        radial=(RadialDensity(profile=lambda s: 4.0 + 0.0 * s, cumulative=lambda t: 2.0 * t * t),),
+        radial=(RadialDensity(profile=lambda s: 4.0 + 0.0 * s,
+                              cumulative=lambda t: 2.0 * t * t,
+                              log_mass=lambda a: a * a),),
     )
 
 
@@ -319,7 +321,9 @@ def test_integrate_radial_requires_support_for_unbounded_density():
 _ANNULAR = RadialDensity(
     profile=lambda s: 4.0 + 0.0 * np.asarray(s, dtype=float),
     support=(0.3, 2.5),
-    cumulative=lambda t: 2.0 * (np.asarray(t, dtype=float) ** 2 - 0.09))
+    cumulative=lambda t: 2.0 * (np.asarray(t, dtype=float) ** 2 - 0.09),
+    log_mass=lambda a: (np.asarray(a, dtype=float) ** 2 - 0.09
+                        - 0.18 * np.log(np.asarray(a, dtype=float) / 0.3)))
 
 # name -> (charge, tol); |z|^0.5 adds a power singularity at 0, where the
 # no-core route stalls near 3e-8 and overruns its own budget by about 10 %
@@ -329,15 +333,10 @@ _CORE_CHARGES = {
     "radial-power-1": (make_radial_power(1.0, 1.0).riesz, 1e-9),
     "radial-power-2": (make_radial_power(0.7, 2.0).riesz, 1e-9),
     "log-poly-growth": (make_log_poly_growth().riesz, 1e-9),
-    "custom-radial": (make_custom_radial(
-        lambda x: np.log1p(np.exp(2.0 * np.asarray(x))),
-        lambda x: 2.0 / (1.0 + np.exp(-2.0 * np.asarray(x)))).riesz, 1e-9),
     "d-subharmonic": (DSubharmonicMajorant(
         up=make_radial_power(2.0, 1.0), low=make_log_poly_growth()).charge,
         1e-9),
     "support-from-0.3": (RieszCharge(radial=(_ANNULAR,)), 1e-9),
-    "support-from-0.3-no-cumulative": (RieszCharge(radial=(
-        dataclasses.replace(_ANNULAR, cumulative=None),)), 1e-9),
 }
 
 
@@ -349,12 +348,9 @@ _CORE_CHARGES = {
 # the truncated log's core is its whole support: past the annulus at 5
 @example(name="support-from-0.3", smooth=False, tau=5.0, eps=0.25)
 @example(name="support-from-0.3", smooth=False, tau=1.5, eps=0.25)
-@example(name="support-from-0.3-no-cumulative", smooth=True, tau=1.5,
-         eps=0.25)
-# a core and a band quadrature per density share tol; each of these summed
-# two full-tol budgets above tol when every call took all of it
+# the bands of a spike share tol; this one summed two full-tol budgets
+# above tol when every call took all of it
 @example(name="d-subharmonic", smooth=True, tau=4.0, eps=0.9375)
-@example(name="custom-radial", smooth=True, tau=11.0, eps=1.0)
 # the reference's panels straddled the blend edge at tau e^-eps until the
 # smooth capped log declared both edges as kinks
 @example(name="support-from-0.3", smooth=True, tau=0.75, eps=0.75)
@@ -474,9 +470,8 @@ def test_integrate_radial_log_core_linear_mass_is_exact():
         assert err <= 1e-15 * a
 
 
-@pytest.mark.parametrize("dens", [_ANNULAR, dataclasses.replace(
-    _ANNULAR, cumulative=None)])
-def test_mass_in_takes_arrays(dens):
+def test_mass_in_takes_arrays():
+    dens = _ANNULAR
     t = np.array([0.0, 0.3, 0.31, 1.0, 2.5, 7.0])
     got = dens.mass_in(t)
     assert got.shape == t.shape
@@ -487,21 +482,24 @@ def test_mass_in_takes_arrays(dens):
     assert isinstance(dens.mass_in(1.0), float)
 
 
-def test_integrate_region_masking():
-    ch = RieszCharge(
-        atom_points=(0.2 + 0j, 5.0 + 0j),
-        atom_masses=(1.0, 1.0),
-    )
-    f = lambda z: np.abs(z)
-    val, err = ch.integrate(f, tol=1e-10, include=Region.disk(0.0, 1.0))
-    assert abs(val - 0.2) <= 1e-12
-    val, err = ch.integrate(
-        f, tol=1e-10, include=Region.disk(0.0, 10.0), exclude_points=(5.0 + 0j,)
-    )
-    assert abs(val - 0.2) <= 1e-12
-    # exclude_interior drops the atoms in the open disk, not on its boundary
-    val, err = ch.integrate(f, exclude_interior=Region.disk(0.0, 5.0))
-    assert val == 5.0
-    val, err = ch.integrate(f, exclude_interior=Region.disk(0.0, 0.1))
-    assert abs(val - 5.2) <= 1e-12
+def test_radial_density_declares_both_masses():
+    # the charge integrals read both in closed form, with no quadrature
+    # fallback for either
+    with pytest.raises(TypeError):
+        RadialDensity(profile=lambda s: 4.0 + 0.0 * s)
+    with pytest.raises(TypeError):
+        RadialDensity(profile=lambda s: 4.0 + 0.0 * s,
+                      cumulative=lambda t: 2.0 * t * t)
 
+
+def test_log_mass_in_matches_quadrature():
+    # int_0^t mass_in(s)/s ds: 0 below the annulus, its declared log-mass
+    # inside it, and past it the constant mass over s
+    t = np.array([0.0, 0.3, 0.31, 1.0, 2.5, 7.0])
+    got = _ANNULAR.log_mass_in(t)
+    assert got[0] == got[1] == 0.0
+    for x, v in zip(t[2:], got[2:]):
+        want, err = integrate(lambda s: _ANNULAR.mass_in(s) / s, 0.3, x,
+                              tol=1e-13, singularities=[2.5])
+        assert abs(v - want) <= err + 1e-14 * (1.0 + abs(want))
+    assert isinstance(_ANNULAR.log_mass_in(7.0), float)

@@ -307,6 +307,23 @@ def _base(i, **over):
     return doc
 
 
+def test_every_public_builder_is_reached():
+    # a public make_* that no scenario block builds and no acceptance
+    # criterion calls is code that no verdict rests on
+    import inspect
+    import re
+
+    import zerocert
+    from zerocert import scenario
+
+    callers = (inspect.getsource(scenario._make_model)
+               + (Path(__file__).parent / "test_acceptance.py").read_text(
+                   encoding="utf-8"))
+    unreached = [name for name in zerocert.__all__ if name.startswith("make_")
+                 and not re.search(r"\b%s\(" % name, callers)]
+    assert unreached == []
+
+
 def test_validator_bases_are_valid():
     for doc in _BASES:
         validate_scenario(doc)
