@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands either run one stage against a scenario file or, with
+Commands either run one stage against a scenario file or, with
 ``all``, every stage the scenario describes.  CSV outputs are
 deterministic for a fixed scenario and seed (floats are written with
 repr); wall-clock timings only ever land in report.json.
@@ -37,24 +37,22 @@ from .scenario import (build_sufficiency_grid, describe_sufficiency_grid,
 from .testfam import TruncatedLogFamily
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _column_text(col):
+    """A column's cells as text, with one formatter for the whole column:
+    repr for floats, str for bools (True/False), integers and strings."""
+    values = np.asarray(col)
+    fmt = repr if values.dtype.kind == "f" else str
+    return map(fmt, values.tolist())
 
 
-def _write_csv(path, header, rows):
-    """Write the CSV; return its file name, which report.json lists
-    relative to --out so the report does not depend on where it runs."""
+def _write_csv(path, header, columns):
+    """Write the CSV from its columns, each holding one kind of value;
+    return its file name, which report.json lists relative to --out so
+    the report does not depend on where it runs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(zip(*map(_column_text, columns)))
     return path.name
 
 
@@ -125,8 +123,8 @@ def _margin_stage(sc, args, outdir, keep=None):
     path = _write_csv(
         outdir / "margin.csv",
         ["tau", "lhs", "rhs", "margin", "rhs_budget", "note"],
-        [(s.tau, s.lhs, s.rhs, s.margin, s.rhs_budget, s.note)
-         for s in curve.samples])
+        zip(*[(s.tau, s.lhs, s.rhs, s.margin, s.rhs_budget, s.note)
+              for s in curve.samples]))
     print("necessary criterion: %s  (growth exponent %s, budget %.3g)"
           % (curve.verdict,
              "n/a" if curve.growth_exponent is None
@@ -152,8 +150,8 @@ def _m0_stage(sc, args, outdir):
     path = _write_csv(
         outdir / "m0.csv",
         ["z_re", "z_im", "shell", "deviation", "budget"],
-        [(s["z"].real, s["z"].imag, s["shell"], s["deviation"], s["budget"])
-         for s in rep.samples])
+        zip(*[(s["z"].real, s["z"].imag, s["shell"], s["deviation"],
+               s["budget"]) for s in rep.samples]))
     print("regularity probe: bounded=%s  sup estimate %.6g over %d shells"
           % (rep.bounded, rep.c_estimate, len(rep.shell_sups)))
     return {"bounded": rep.bounded,
@@ -183,8 +181,8 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
     path = _write_csv(
         outdir / "sufficiency.csv",
         ["z_re", "z_im", "log_abs", "tail", "bound", "excess", "ok"],
-        [(r_["z"].real, r_["z"].imag, r_["log_abs"], r_["tail"], r_["bound"],
-          r_["excess"], r_["ok"]) for r_ in rep.rows])
+        [rep.z.real, rep.z.imag, rep.log_abs, rep.tail, rep.bound,
+         rep.excess, rep.ok])
     print("sufficiency: certified=%s (%s)  genus %d, retained %d, "
           "violations %d/%d"
           % (rep.certified, rep.reason, rep.genus, rep.retained,
@@ -202,6 +200,8 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
             "tail_budget_max": rep.tail_budget_max,
             "balance_used": rep.balance_used,
             "balance_coeffs": list(rep.balance_coeffs),
+            "far_zeros": rep.far_zeros,
+            "far_terms": rep.far_terms,
             "grid": spec,
             "outputs": [path]}
 
@@ -218,7 +218,8 @@ def _lemma1_stage(sc, outdir):
             ("inf_green", consts.inf_green, 0.0),
             ("c_majorant", consts.c_majorant, consts.budget)]
     rows += [(k, v, 0.0) for k, v in sorted(consts.parts.items())]
-    path = _write_csv(outdir / "lemma1.csv", ["name", "value", "budget"], rows)
+    path = _write_csv(outdir / "lemma1.csv", ["name", "value", "budget"],
+                      zip(*rows))
     print("comparison constants: c_test %.6g  c_majorant %.6g "
           "(green floor %.6g)"
           % (consts.c_test, consts.c_majorant, consts.inf_green))
@@ -236,7 +237,7 @@ def _selftest_report(name, rows, outdir):
     every check passed."""
     ok = all(r[3] for r in rows)
     path = _write_csv(outdir / ("%s_selftest.csv" % name),
-                      ["check", "value", "tolerance", "ok"], rows)
+                      ["check", "value", "tolerance", "ok"], zip(*rows))
     for check, val, tol, good in rows:
         print("  %-34s %10.3e <= %8.1e  %s"
               % (check, val, tol, "ok" if good else "FAIL"))
@@ -331,27 +332,31 @@ def _finish(report, outdir):
         fh.write("\n")
 
 
-def main(argv=None):
+COMMANDS = ("check-necessary", "check-m0", "construct-verify", "lemma1",
+            "all", "jensen-selftest", "means-selftest")
+
+
+def _parser():
     parser = argparse.ArgumentParser(
         prog="zerocert",
         description="Certification engine for candidate zero distributions "
                     "under a growth majorant.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["check-necessary", "check-m0", "construct-verify", "lemma1",
-                "all", "jensen-selftest", "means-selftest"]
-    for name in commands:
-        sp = sub.add_parser(name)
-        sp.add_argument("--scenario", default=None,
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--scenario", default=None,
                         help="scenario JSON file")
-        sp.add_argument("--out", default="zerocert-out",
+    parser.add_argument("--out", default="zerocert-out",
                         help="output directory (default zerocert-out)")
-        sp.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=None,
                         help="override stage tolerance")
-        sp.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="seed for generated grids")
-        sp.add_argument("--tau-max", type=float, default=None, dest="tau_max",
+    parser.add_argument("--tau-max", type=float, default=None, dest="tau_max",
                         help="override the sweep's largest cutoff")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,25 @@ power series in z, and the finite product carries a certified bound for
 everything it discarded or truncated.  verify_sufficiency then
 checks ln|f| against the enlarged-mean envelope pointwise, refusing to
 certify anything whose margin sweep already rules it out.
+
+Each far zero a (beyond R = 2 max|z|) keeps its own number of series
+orders.  With v = R / a and |v| < 2^e (e <= 0, read off by frexp), every
+z asked for has q = |z / a| <= |v| / 2 < 2^(e-1), and the zero's terms
+past order p + T add at most
+
+    sum_{m > p+T} q^m / m <= 2 q^(p+1) q^T / (p+T+1).
+
+Taking T_a = min(64, ceil((64 + log2(p + 65)) / (1 - e))) makes
+q^T_a < 2^-64 / (p + 65), so that tail stays under
+2^(1-64) / (p+65) |z|^(p+1) |a|^-(p+1), the zero's share of the series
+term ProductRepresentation.budget charges for 64 orders.  A zero with
+|v| >= 1/2 keeps all 64; most far zeros of a lattice need under ten.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,31 +108,56 @@ _BLOCK_ELEMS = 1 << 22
 _FAR_TERMS = 64
 
 
-def _sum_log_E(zflat, points, mults, p):
+def _far_orders(v, p):
+    """Series orders T_a each far zero keeps, from |v| = R / |a| (see the
+    module docstring): min(64, ceil((64 + log2(p + 65)) / (1 - e)))
+    with |v| < 2^e."""
+    e = np.frexp(v)[1]
+    need = _FAR_TERMS + math.log2(p + _FAR_TERMS + 1)
+    return np.minimum(np.ceil(need / (1 - e)), _FAR_TERMS).astype(np.int8)
+
+
+def _sum_log_E(zflat, points, mults, p, work=None):
     """Sum of mult * log E_p(z / a) over the retained zeros.
 
     Zeros beyond R = 2 max|z| enter through the far-field series
     -sum_{m=p+1}^{p+T} w^m S_m / m with w = z / R and the scaled power
     sums S_m = sum mult (R / a)^m, formed once and applied to every z by
-    Horner (the multipole idea of Greengard and Rokhlin).  Both w and R / a
-    lie in the unit disk, so no power overflows, and one that underflows
-    is negligible.  The nearer zeros are summed factor by factor,
-    blockwise.
+    Horner (the multipole idea of Greengard and Rokhlin).  Zero a enters
+    S_m only for its first T_a orders (_far_orders): sorted by T_a, the
+    zeros order m takes are a prefix, so each power is one in-place
+    product on it.  Both w and R / a lie in the unit disk, so no power
+    overflows, and one that underflows is negligible.  The nearer zeros
+    are summed factor by factor, blockwise.  ``work``, a dict if given,
+    receives ``far_zeros`` and ``far_terms`` (the sum of the T_a).
     """
     n = zflat.size
     out = np.zeros(n, dtype=complex)
+    if work is not None:
+        work["far_zeros"] = work["far_terms"] = 0
     if n == 0:
         return out
     R = 2.0 * float(np.abs(zflat).max())
-    near = np.abs(points) <= R
+    ra = np.abs(points)
+    near = ra <= R
     if R > 0 and not near.all():
-        v = R / points[~near]
-        mf = mults[~near]
+        far = np.flatnonzero(~near)
+        T = _far_orders(R / ra[far], p)
+        order = np.argsort(_FAR_TERMS - T, kind="stable")
+        far, T = far[order], T[order]
+        del ra, order  # freed before the complex powers are made
+        # live[j]: the zeros with T_a > j, a prefix of them
+        live = np.searchsorted(-T, -np.arange(T[0], dtype=T.dtype))
+        if work is not None:
+            work["far_zeros"], work["far_terms"] = far.size, int(T.sum())
+        v = R / points[far]
         vm = v ** (p + 1)
-        coef = np.empty(_FAR_TERMS, dtype=complex)
-        for j in range(_FAR_TERMS):
-            coef[j] = np.sum(mf * vm) / (p + 1 + j)
-            vm = vm * v
+        vm *= mults[far]
+        coef = np.empty(live.size, dtype=complex)
+        for j, k in enumerate(live):
+            if j:
+                vm[:k] *= v[:k]
+            coef[j] = vm[:k].sum() / (p + 1 + j)
         w = zflat / R
         acc = np.full(n, coef[-1])
         for c in coef[-2::-1]:
@@ -176,11 +214,13 @@ class ProductRepresentation:
             near |= np.abs(z) <= self.guard
         return near
 
-    def log_abs(self, z):
-        """ln of the absolute value of the finite product, -inf in guard zones."""
+    def log_abs(self, z, work=None):
+        """ln of the absolute value of the finite product, -inf in guard
+        zones; ``work`` is passed on to _sum_log_E."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        out = _sum_log_E(flat, self.points, self.mults, self.genus).real
+        out = _sum_log_E(flat, self.points, self.mults, self.genus,
+                         work).real
         if self.origin_mult:
             with np.errstate(divide="ignore"):
                 out += self.origin_mult * np.log(np.abs(flat))
@@ -207,8 +247,12 @@ class ProductRepresentation:
 
         A zero beyond the split radius R >= 2|z| has |z/a| <= 1/2, so its
         series terms past m = p + T add at most
-        2^(1-T)/(p+T+1) |z|^(p+1) |a|^-(p+1); summing that over every
-        retained zero covers any R.
+        2^(1-T)/(p+T+1) |z|^(p+1) |a|^-(p+1) with T = 64; summing that
+        over every retained zero covers any R.  A zero with |R/a| < 2^e
+        stops after T_a = min(64, ceil((64 + log2(p + 65)) / (1 - e)))
+        orders instead: its |z/a| < 2^(e-1) makes (|z/a|)^T_a smaller
+        than 2^-64 / (p + 65), so its own tail stays within the same
+        share, and the bound is unchanged.
         """
         z = np.asarray(z, dtype=complex)
         p = self.genus
@@ -245,8 +289,15 @@ def weierstrass_log_abs(Z, p, z, *, K=10000, guard=1e-12):
 # the sufficiency bound
 
 
-@dataclass(frozen=True)
+def _no_points(dtype=float):
+    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+
+
+@dataclass(frozen=True, eq=False)
 class SufficiencyReport:
+    """The verdict, its counters, and one entry per checked grid point in
+    each of the arrays z, log_abs, tail, bound, excess and ok."""
+
     certified: bool
     reason: str
     margin_verdict: str | None
@@ -259,7 +310,24 @@ class SufficiencyReport:
     tail_budget_max: float
     balance_used: bool
     balance_coeffs: tuple
-    rows: tuple
+    far_zeros: int = 0
+    far_terms: int = 0
+    z: np.ndarray = _no_points(complex)
+    log_abs: np.ndarray = _no_points()
+    tail: np.ndarray = _no_points()
+    bound: np.ndarray = _no_points()
+    excess: np.ndarray = _no_points()
+    ok: np.ndarray = _no_points(bool)
+
+    @property
+    def rows(self):
+        """One dict per checked point, in grid order."""
+        return tuple(
+            {"z": z, "log_abs": la, "tail": t, "bound": b, "excess": e,
+             "ok": ok}
+            for z, la, t, b, e, ok in zip(
+                self.z.tolist(), self.log_abs.tolist(), self.tail.tolist(),
+                self.bound.tolist(), self.excess.tolist(), self.ok.tolist()))
 
 
 def _balance_matrix(z, p):
@@ -293,8 +361,7 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
             certified=False, reason="margin-violated",
             margin_verdict=margin_verdict, genus=-1, retained=0, checked=0,
             violations=0, skipped_guard=0, max_excess=math.nan,
-            tail_budget_max=math.nan, balance_used=False, balance_coeffs=(),
-            rows=())
+            tail_budget_max=math.nan, balance_used=False, balance_coeffs=())
     p = genus(Z)
     product = build_product(Z, p, K=K)
     grid = np.asarray(grid_points, dtype=complex).ravel()
@@ -302,10 +369,10 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
     skipped = int(near.sum())
     grid = grid[~near]
 
-    log_abs = product.log_abs(grid)
+    work = {}
+    log_abs = product.log_abs(grid, work)
     tails = product.budget(grid)
-    hats = np.array([hat_radius(profile, complex(z)).certified_upper
-                     for z in grid])
+    hats = hat_radius(profile, grid).certified_upper
     m_up, budgets = circle_mean(M.up, grid, hats, tol=tol / 4.0)
     low = np.asarray(M.low(grid), dtype=float)
     bounds = np.where(np.isneginf(low), math.inf,
@@ -332,11 +399,6 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
 
     n_viol = int(viol.sum())
     certified = n_viol == 0
-    rows = tuple(
-        {"z": complex(z), "log_abs": float(log_abs[i]),
-         "tail": float(tails[i]), "bound": float(bounds[i]),
-         "excess": float(exc[i]), "ok": not bool(viol[i])}
-        for i, z in enumerate(grid))
     finite_tails = tails[np.isfinite(tails)]
     return SufficiencyReport(
         certified=certified,
@@ -345,4 +407,6 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
         checked=int(grid.size), violations=n_viol, skipped_guard=skipped,
         max_excess=float(exc.max()) if grid.size else -math.inf,
         tail_budget_max=float(finite_tails.max()) if finite_tails.size else 0.0,
-        balance_used=used_balance, balance_coeffs=coeffs, rows=rows)
+        balance_used=used_balance, balance_coeffs=coeffs,
+        far_zeros=work["far_zeros"], far_terms=work["far_terms"], z=grid,
+        log_abs=log_abs, tail=tails, bound=bounds, excess=exc, ok=~viol)

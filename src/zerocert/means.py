@@ -97,28 +97,36 @@ class HatRadius:
 
 
 def hat_radius(profile, z):
-    """Enlarged radius with a certified upper bound.
+    """Enlarged radius with a certified upper bound, at a point or at each
+    point of an array (floats for a point, arrays of z's shape otherwise).
 
-    Raises PreconditionViolation when the point is outside the profile's
-    domain or the closed disk of the certified enlarged radius is not
-    contained in it.
+    Raises PreconditionViolation, naming the first such point, when a point
+    is outside the profile's domain or the closed disk of its certified
+    enlarged radius is not contained in it.
     """
-    z = complex(z)
-    r0 = float(profile.radius(z))
-    if not r0 > 0:
-        raise PreconditionViolation("profile radius vanishes at %r" % (z,))
-    value = r0 + float(profile.sup_on_circle(z, r0))
+    z = np.asarray(z, dtype=complex)
+    r0 = np.asarray(profile.radius(z), dtype=float)
+    value = r0 + profile.sup_on_circle(z, r0)
     # the closed forms round a handful of times on numbers no larger than
     # |z| + r0 + extent; an L-Lipschitz profile passes an error in its
     # argument on at most L-fold, and r0 enters twice (as a term and as the
     # circle's radius), so 8 (1 + L)^2 ulps of that size cover them all
-    size = abs(z) + r0 + profile.extent()
-    certified = value + 8.0 * (1.0 + profile.lipschitz()) ** 2 * math.ulp(size)
-    dist = float(profile.dist_to_boundary(z))
-    if certified >= dist:
+    size = np.abs(z) + r0 + profile.extent()
+    certified = value + 8.0 * (1.0 + profile.lipschitz()) ** 2 * np.spacing(size)
+    dist = np.broadcast_to(profile.dist_to_boundary(z), z.shape)
+    dead = ~(r0 > 0)
+    bad = dead | (certified >= dist)
+    if bad.any():
+        i = np.argmax(bad)
+        if dead.flat[i]:
+            raise PreconditionViolation("profile radius vanishes at %r"
+                                        % (complex(z.flat[i]),))
         raise PreconditionViolation(
             "enlarged radius %.6g reaches the domain boundary "
-            "(distance %.6g at %r)" % (certified, dist, z))
+            "(distance %.6g at %r)" % (certified.flat[i], dist.flat[i],
+                                        complex(z.flat[i])))
+    if z.ndim == 0:
+        return HatRadius(value=float(value), certified_upper=float(certified))
     return HatRadius(value=value, certified_upper=certified)
 
 

@@ -325,9 +325,11 @@ class RadialDensity:
     the centered disk of radius t is the integral of s * profile(s) over
     [0, t], i.e. d(charge) = profile(|z - center|) dArea / (2 pi).
     ``cumulative`` is that disk mass in closed form, and ``log_mass`` the
-    log-mass L(a) = int_lo^a mass_in(s) / s ds, with lo the support's
-    inner edge; both are evaluated elementwise on arrays of radii inside
-    the support, and both are required.
+    log-mass L(a) = int_0^a cumulative(s) / s ds; both are evaluated
+    elementwise on arrays of radii inside the support, and both are
+    required.  A support cut at an inner edge lo > 0 (say with
+    dataclasses.replace) may keep them: mass_in and log_mass_in subtract
+    what lies below lo.
     """
 
     profile: Callable
@@ -338,24 +340,32 @@ class RadialDensity:
     support: tuple = (0.0, math.inf)
 
     def mass_in(self, t):
-        """Unsigned mass of the centred disk of radius t (float or array)."""
+        """Unsigned mass of the centred disk of radius t (float or array):
+        cumulative(t) - cumulative(lo) inside the support, so a support
+        cut at an inner edge lo > 0 drops the mass below it."""
         lo, hi = self.support
         t = np.minimum(np.asarray(t, dtype=float), hi)
         out = np.zeros(t.shape)
         live = t > lo
         out[live] = self.cumulative(t[live])
+        if lo > 0:
+            out[live] -= self.cumulative(lo)
         return float(out) if out.ndim == 0 else out
 
     def log_mass_in(self, t):
         """int_0^t mass_in(s) / s ds (float or array): 0 up to the inner
-        edge lo, L(t) inside the support, and L(hi) + mu(hi) ln(t / hi)
-        past its outer edge hi."""
+        edge lo, L(t) - L(lo) - mu(lo) ln(t / lo) inside the support (just
+        L(t) when lo = 0), and its value at hi plus mass_in(hi) ln(t / hi)
+        past the outer edge hi."""
         lo, hi = self.support
         t = np.asarray(t, dtype=float)
         inside = np.minimum(t, hi)
         out = np.zeros(t.shape)
         live = inside > lo
         out[live] = self.log_mass(inside[live])
+        if lo > 0:
+            out[live] -= (self.log_mass(lo)
+                          + self.cumulative(lo) * np.log(inside[live] / lo))
         past = t > hi
         if past.any():
             out[past] += self.mass_in(hi) * np.log(t[past] / hi)

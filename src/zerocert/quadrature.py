@@ -178,9 +178,12 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
             panels += 1
             if bad is not None:
                 if phi - plo <= _MIN_WIDTH or panels >= max_panels:
-                    raise ToleranceFailure(
-                        "integrand not finite near x=%r" % bad,
-                        value=total, residual=math.inf)
+                    # the narrowest panels' nodes may round onto an edge
+                    msg = ("quadrature stalled at the panel edge x=%r, where "
+                           "the integrand is not finite" if bad in (plo, phi)
+                           else "integrand not finite near x=%r")
+                    raise ToleranceFailure(msg % bad, value=total,
+                                           residual=math.inf)
                 # undeclared singular point: make it a panel edge, nudged off
                 # the panel boundary so both children keep positive width
                 c = min(max(bad, plo + 0.25 * (phi - plo)),

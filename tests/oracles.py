@@ -122,6 +122,28 @@ def log_E_series(u, p, terms=400):
     return out
 
 
+def far_series_fixed(zflat, points, mults, p, terms=64):
+    """The far-field series of construct._sum_log_E with every zero beyond
+    R = 2 max|z| kept to the same number of orders: -sum_{m=p+1}^{p+terms}
+    w^m S_m / m with w = z / R and S_m = sum mult (R / a)^m over those
+    zeros, by Horner."""
+    zflat = np.asarray(zflat, dtype=complex)
+    R = 2.0 * float(np.abs(zflat).max())
+    far = np.abs(points) > R
+    v = R / np.asarray(points)[far]
+    mf = np.asarray(mults, dtype=float)[far]
+    vm = v ** (p + 1)
+    coef = np.empty(terms, dtype=complex)
+    for j in range(terms):
+        coef[j] = np.sum(mf * vm) / (p + 1 + j)
+        vm = vm * v
+    w = zflat / R
+    acc = np.zeros(zflat.size, dtype=complex)
+    for c in coef[::-1]:
+        acc = acc * w + c
+    return -(w ** (p + 1)) * acc
+
+
 def hat_radius_bnb(profile, z, grid=512, rounds=60):
     """r0 + sup of the profile on the circle |w - z| = r0, by branch-and-bound.
 

@@ -2,15 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zerocert import SmoothCappedLogFamily
-from zerocert.cli import main
+from zerocert.cli import COMMANDS, _parser, _write_csv, main
 
 import oracles
 
@@ -381,3 +383,76 @@ def test_means_selftest_pins_hat_radius_origin(tmp_path):
     rows = {r[0]: r for r in _read_csv(out / "means_selftest.csv")[1:]}
     assert float(rows["hat-radius-origin"][1]) == 0.0
     assert rows["hat-radius-origin"][3] == "True"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_parses_every_flag(command):
+    args = _parser().parse_args(
+        [command, "--scenario", "sc.json", "--out", "o", "--tol", "1e-8",
+         "--seed", "3", "--tau-max", "60"])
+    assert (args.command, args.scenario, args.out, args.tol, args.seed,
+            args.tau_max) == (command, "sc.json", "o", 1e-8, 3, 60.0)
+    bare = _parser().parse_args([command])
+    assert (bare.scenario, bare.out, bare.tol, bare.seed, bare.tau_max) == \
+        (None, "zerocert-out", None, None, None)
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check-everything", "--out", str(tmp_path / "run")])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def _write_csv_cellwise(path, header, rows):
+    # the reference: each cell formatted on its own, str as it is, bools
+    # as True/False, integers by str, everything else by repr of its float
+    def fmt(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (bool, np.bool_)):
+            return str(bool(x))
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(v) for v in row])
+
+
+def test_write_csv_matches_cellwise_formatting(tmp_path):
+    # one formatter per column gives what formatting each cell on its own
+    # gives, through the same csv quoting
+    rows = [
+        ("plain", 1.5, np.float64(-0.0), 3, np.int64(-7), True),
+        ('comma, "quoted"', np.float64(math.nan), math.inf, np.int32(0), 12, np.bool_(False)),
+        ("line\nbreak", -math.inf, 1e-300, 2**40, np.uint8(255), False),
+        ("", np.float64(0.1), -0.0, -1, 0, np.bool_(True)),
+    ]
+    header = ["s", "f", "g", "i", "j", "b"]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _write_csv_cellwise(want, header, rows)
+    assert _write_csv(got, header, zip(*rows)) == "got.csv"
+    assert got.read_bytes() == want.read_bytes()
+    # numpy columns, as the sufficiency stage passes them
+    cols = [np.array([0.25, -0.0, np.nan]), np.array([1, -2, 3]),
+            np.array([True, False, True])]
+    _write_csv_cellwise(want, ["a", "b", "c"], zip(*cols))
+    _write_csv(got, ["a", "b", "c"], cols)
+    assert got.read_bytes() == want.read_bytes()
+    _write_csv(got, header, zip(*[]))
+    assert got.read_bytes() == b"s,f,g,i,j,b\r\n"
+
+
+def test_report_counts_the_far_series_work(tmp_path):
+    # the README scenario: 19996 zeros beyond twice the grid's largest |z|,
+    # which keep 139578 series orders between them (64 each would be
+    # 1279744); a longer series shows here
+    sc = _write(tmp_path, _pi_scenario())
+    out = tmp_path / "run"
+    assert main(["construct-verify", "--scenario", sc, "--out", str(out)]) == 0
+    info = json.loads((out / "report.json").read_text())["stages"]["sufficiency"]
+    assert (info["far_zeros"], info["far_terms"]) == (19996, 139578)

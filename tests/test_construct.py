@@ -1,5 +1,7 @@
 """Canonical products, genus selection, and the sufficiency verifier."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from zerocert import (
 from zerocert.construct import (
     _FAR_TERMS,
     ProductRepresentation,
+    _far_orders,
     _log_E_complex,
     _sum_log_E,
 )
@@ -210,6 +213,60 @@ def test_sum_log_E_edge_cases(p):
     _check_sum_log_E(z, far, np.ones(far.size), p)
     # a grid at the origin only: every factor is exactly 1
     assert np.all(_sum_log_E(np.zeros(3, dtype=complex), far, np.ones(far.size), p) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       n_near=st.integers(0, 5), n_far=st.integers(0, 200))
+def test_sum_log_E_matches_the_fixed_series(p, seed, n_near, n_far):
+    # each far zero stops after its own T_a orders; the 64-order series of
+    # every far zero differs from it by at most the budget's series term
+    # (plus rounding)
+    rng = np.random.default_rng(seed)
+    z = 2.0 * np.sqrt(rng.uniform(0, 1, 25)) * np.exp(2j * np.pi * rng.uniform(0, 1, 25))
+    R = 2.0 * np.abs(z).max()
+    v = np.concatenate((
+        [0.5 * (1 - 2.0 ** -52), 0.5, 0.5 * (1 + 1e-12), 0.5 * (1 - 1e-12),
+         1e-8, 1e-8 * (1 + 1e-9), 1 - 1e-12],
+        np.exp(-rng.exponential(3.0, n_far))))
+    radii = np.concatenate((rng.uniform(0.05, R, n_near), R / v))
+    pts = radii * np.exp(2j * np.pi * rng.uniform(0, 1, radii.size))
+    mults = rng.integers(1, 4, pts.size)
+    near = np.abs(pts) <= R
+    got = _sum_log_E(z, pts, mults, p)
+    far = oracles.far_series_fixed(z, pts, mults, p)
+    # with every term positive the series' size is the sum of its terms' sizes
+    scale = -oracles.far_series_fixed(np.abs(z), np.abs(pts), mults, p).real
+    nearby = _sum_log_E(z, pts[near], mults[near], p)
+    power_sum = np.sum(mults * np.abs(pts) ** -(p + 1.0))
+    series = 2.0 ** (1 - _FAR_TERMS) / (p + _FAR_TERMS + 1) * power_sum * np.abs(z) ** (p + 1)
+    rounding = 64 * np.finfo(float).eps * (scale + np.abs(nearby))
+    assert np.all(np.abs(got - (far + nearby)) <= series + rounding)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(0, 8), v=st.floats(1e-300, 1.0, exclude_max=True))
+def test_far_orders_keep_each_tail_within_its_share(p, v):
+    # |z/a| <= |v|/2, and (|v|/2)^T_a must stay under 2^-64 / (p + 65)
+    T = int(_far_orders(np.array([v]), p)[0])
+    assert 1 <= T <= _FAR_TERMS
+    if v >= 0.5:
+        assert T == _FAR_TERMS
+    else:
+        assert T * math.log2(v / 2.0) <= -_FAR_TERMS - math.log2(p + _FAR_TERMS + 1)
+
+
+def test_far_series_work_counts():
+    # sum_log_E reports the far zeros and the orders they keep: at p = 1,
+    # |R/a| in [1/2, 1) keeps 64, [1/4, 1/2) 36, [1/8, 1/4) 24, and
+    # 1e-8 < 2^-26 keeps ceil((64 + log2 66) / 27) = 3
+    z = np.array([1.0 + 0j, -0.5j])
+    pts = 2.0 / np.array([0.75, 0.5, 0.4999, 0.2, 1e-8])
+    work = {}
+    _sum_log_E(z, np.concatenate((pts, [0.5j])), np.ones(6), 1, work)
+    assert work == {"far_zeros": 5, "far_terms": 64 + 64 + 36 + 24 + 3}
+    _sum_log_E(np.zeros(0, dtype=complex), pts, np.ones(5), 1, work)
+    assert work == {"far_zeros": 0, "far_terms": 0}
 
 
 def test_guard_mask_near_zeros_only_matches_full():

@@ -227,6 +227,42 @@ def test_disk_profile_enlargement_reaches_boundary():
         hat_radius(prof, 0.5 + 0j)
 
 
+@settings(max_examples=30, deadline=None)
+@given(power=st.floats(0.0, 3.0), fraction=st.floats(0.05, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_hat_radius_arrays_match_scalar_calls(power, fraction, seed):
+    rng = np.random.default_rng(seed)
+    dprof = DiskFractionProfile(fraction, 0.5 - 1j, 3.0)
+    for prof, pts in (
+            (PlanePowerProfile(power),
+             rng.uniform(-6, 6, 40) + 1j * rng.uniform(-6, 6, 40)),
+            (dprof, dprof.center + 2.9 * np.sqrt(rng.uniform(0, 1, 40))
+             * np.exp(2j * np.pi * rng.uniform(0, 1, 40)))):
+        hats = hat_radius(prof, pts.reshape(5, 8))
+        assert hats.value.shape == hats.certified_upper.shape == (5, 8)
+        for z, value, upper in zip(pts, hats.value.ravel(),
+                                   hats.certified_upper.ravel()):
+            one = hat_radius(prof, z)
+            assert type(one.value) is float and type(one.certified_upper) is float
+            # both bound the same supremum: each lies within the other's slack
+            slack = one.certified_upper - one.value
+            assert abs(value - one.value) <= slack
+            assert value <= one.certified_upper and one.value <= upper
+
+
+def test_hat_radius_array_names_the_first_bad_point():
+    prof = DiskFractionProfile(0.5, 0j, 1.0)
+    # 0.05 passes, 0.5 and 0.6 escape the disk, 2.0 lies outside it
+    with pytest.raises(PreconditionViolation, match=r"at \(0\.5\+0j\)"):
+        hat_radius(prof, np.array([0.05, 0.5, 0.6, 2.0], dtype=complex))
+    with pytest.raises(PreconditionViolation,
+                       match=r"radius vanishes at \(2\+0j\)"):
+        hat_radius(prof, np.array([0.05, 2.0, 0.5], dtype=complex))
+    # a scalar raises as before
+    with pytest.raises(PreconditionViolation, match=r"at \(0\.6\+0j\)"):
+        hat_radius(prof, 0.6)
+
+
 def test_profile_radius_values():
     assert PlanePowerProfile(1.0).radius(3.0 + 0j) == 0.25
     prof = DiskFractionProfile(0.5, 1.0 + 0j, 2.0)

@@ -503,3 +503,17 @@ def test_log_mass_in_matches_quadrature():
                               tol=1e-13, singularities=[2.5])
         assert abs(v - want) <= err + 1e-14 * (1.0 + abs(want))
     assert isinstance(_ANNULAR.log_mass_in(7.0), float)
+
+
+def test_inner_edge_cut_drops_the_mass_below_it():
+    # |z| has disk mass t and log-mass t; cut to (0.3, 2.0] the disk of
+    # radius 1 holds 1 - 0.3, and int_0.3^1 (s - 0.3) / s ds remains
+    dens = dataclasses.replace(make_radial_power(1.0, 1.0).riesz.radial[0],
+                               support=(0.3, 2.0))
+    assert dens.mass_in(1.0) == pytest.approx(0.7, abs=1e-15)
+    assert dens.log_mass_in(1.0) == pytest.approx(
+        0.7 - 0.3 * math.log(1.0 / 0.3), abs=1e-15)
+    assert dens.mass_in(0.2) == 0.0 and dens.log_mass_in(0.3) == 0.0
+    # past the outer edge the mass stays 1.7 and the log-mass grows by it
+    assert dens.log_mass_in(3.0) == pytest.approx(
+        1.7 - 0.3 * math.log(2.0 / 0.3) + 1.7 * math.log(1.5), abs=1e-14)

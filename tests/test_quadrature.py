@@ -69,6 +69,18 @@ def test_integrate_tolerance_failure():
         integrate(f, 0.0, 1.0, tol=1e-12, max_panels=2)
 
 
+def test_integrate_names_a_stall_at_a_panel_edge():
+    # (s - 1.2)^(-1/2) / s: the narrowest panels' outermost nodes round onto
+    # the edge 1.2 itself, and the failure says so
+    f = lambda s: (s - 1.2) ** -0.5 / s
+    with pytest.raises(ToleranceFailure,
+                       match=r"stalled at the panel edge x=1\.2\b") as info:
+        integrate(f, 1.2, 1.8, tol=1e-10)
+    assert "not finite near" not in str(info.value)
+    assert info.value.residual == np.inf
+    assert abs(info.value.value - 1.12294) <= 1e-3
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c=st.floats(-3, 3),
