@@ -150,8 +150,7 @@ def _m0_stage(sc, args, outdir):
     path = _write_csv(
         outdir / "m0.csv",
         ["z_re", "z_im", "shell", "deviation", "budget"],
-        zip(*[(s["z"].real, s["z"].imag, s["shell"], s["deviation"],
-               s["budget"]) for s in rep.samples]))
+        [rep.z.real, rep.z.imag, rep.shell, rep.deviation, rep.budget])
     print("regularity probe: bounded=%s  sup estimate %.6g over %d shells"
           % (rep.bounded, rep.c_estimate, len(rep.shell_sups)))
     return {"bounded": rep.bounded,

@@ -319,16 +319,6 @@ class SufficiencyReport:
     excess: np.ndarray = _no_points()
     ok: np.ndarray = _no_points(bool)
 
-    @property
-    def rows(self):
-        """One dict per checked point, in grid order."""
-        return tuple(
-            {"z": z, "log_abs": la, "tail": t, "bound": b, "excess": e,
-             "ok": ok}
-            for z, la, t, b, e, ok in zip(
-                self.z.tolist(), self.log_abs.tolist(), self.tail.tolist(),
-                self.bound.tolist(), self.excess.tolist(), self.ok.tolist()))
-
 
 def _balance_matrix(z, p):
     z = np.asarray(z, dtype=complex)

@@ -17,11 +17,12 @@ no log singularity for quadrature to chase, and integrates the profile
 only over the band: one Gauss pair per cutoff, with the family's shared
 ``log_shape`` evaluated once for all of them.
 check_m0 probes the regularity of the upper envelope by comparing it to
-its own circle means at profile radii.  lemma1_constants extracts the
-comparison constants of the disk-regime necessity bound from a Green
-function and the majorant's charge: atoms by direct sums, and each
-radial density, concentric with the disk, by a difference of its
-declared log-masses, with no quadrature.
+its own circle means at profile radii, closed form where the envelope
+declares one, on whole columns of probe points.  lemma1_constants
+extracts the comparison constants of the disk-regime necessity bound
+from a Green function and the majorant's charge: atoms by direct sums,
+and each radial density, concentric with the disk, by a difference of
+its declared log-masses, with no quadrature.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .jensen import green_disk
 from .majorants import eval_M
 from .means import PlanePowerProfile
 from .measures import _CORE_ULPS, Region
-from .quadrature import TWO_PI, mean_on_circle
+from .quadrature import TWO_PI, circle_mean
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -207,14 +208,20 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 # upper-envelope regularity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class M0Report:
+    """The estimate and its verdict, and one entry per probe point in
+    each of the arrays z, shell, deviation and budget."""
+
     c_estimate: float
     bounded: bool
-    samples: tuple
     flagged: tuple
     shell_sups: tuple
     power: float
+    z: np.ndarray
+    shell: np.ndarray
+    deviation: np.ndarray
+    budget: np.ndarray
 
 
 def m0_shell_count(r_max):
@@ -252,48 +259,34 @@ def check_m0(M_up, P, points, *, tol=1e-8):
     deviation(z) = mean of M_up on the circle of radius (1 + |z|)^-P
     about z, minus M_up(z); always nonnegative for subharmonic M_up,
     and its boundedness over the plane is the regularity being probed.
-    The estimate is the running supremum over dyadic shells; bounded is
-    declared when the supremum moves by at most 1% across the two
-    outermost shells.
+    The means are circle_mean's, so a declared closed form is read with
+    a budget of 0 and tol reaches only quadrature.  The estimate is the
+    running supremum over the dyadic shells floor(log2(1 + |z|));
+    bounded is declared when the supremum moves by at most 1% across
+    the two outermost shells.
     """
-    profile = PlanePowerProfile(P)
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise DomainError("need at least one probe point")
-    # r point by point: numpy's scalar and array powers can differ in the
-    # last bit; the means by quadrature even when M_up has a closed form
-    radii = np.array([float(profile.radius(complex(z))) for z in pts])
-    means, errs = mean_on_circle(M_up, pts, radii, tol=tol)
-    u0 = np.asarray(M_up(pts), dtype=float)
-    samples = []
-    for z, m, err, v in zip(pts, means, errs, u0):
-        z = complex(z)
-        shell = int(math.floor(math.log2(1.0 + abs(z))))
-        samples.append({"z": z, "deviation": float(m - v),
-                        "budget": float(err), "shell": shell})
-    shells = sorted({s["shell"] for s in samples})
-    shell_sups = tuple(max(s["deviation"] for s in samples
-                           if s["shell"] == k) for k in shells)
-    running = []
-    cur = -math.inf
-    for v in shell_sups:
-        cur = max(cur, v)
-        running.append(cur)
-    c_estimate = running[-1]
-    if len(running) >= 2:
-        prev = running[-2]
-        bounded = (running[-1] - prev) <= 0.01 * (1.0 + abs(prev))
-    else:
-        bounded = True
+    radii = PlanePowerProfile(P).radius(pts)
+    means, budget = circle_mean(M_up, pts, radii, tol=tol)
+    deviation = means - np.asarray(M_up(pts), dtype=float)
+    # exact shells: log2(x) rounds up to k for x just below 2^k
+    shell = np.searchsorted(2.0 ** np.arange(1.0, 1024.0),
+                            1.0 + np.abs(pts), side="right")
+    # per shell, as np.maximum.at and np.unique map code no other stage runs
+    in_shell = [shell == k for k in range(shell.max() + 1)]
+    shell_sups = [float(deviation[m].max()) for m in in_shell if m.any()]
+    running = np.maximum.accumulate(shell_sups).tolist()
+    bounded = len(running) < 2 or (
+        running[-1] - running[-2] <= 0.01 * (1.0 + abs(running[-2])))
     flagged = ()
     if not bounded:
-        prev = running[-2]
-        flagged = tuple((s["z"], s["deviation"]) for s in samples
-                        if s["shell"] == shells[-1]
-                        and s["deviation"] > prev * 1.01)
-    return M0Report(c_estimate=c_estimate, bounded=bounded,
-                    samples=tuple(samples), flagged=flagged,
-                    shell_sups=shell_sups, power=float(P))
+        hit = in_shell[-1] & (deviation > running[-2] * 1.01)
+        flagged = tuple(zip(pts[hit].tolist(), deviation[hit].tolist()))
+    return M0Report(c_estimate=running[-1], bounded=bounded, flagged=flagged,
+                    shell_sups=tuple(shell_sups), power=float(P),
+                    z=pts, shell=shell, deviation=deviation, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +329,10 @@ def _green_term(g, charge, atoms, r0):
     annulus r0 <= s <= R about g's centre.
 
     About that centre the circle means of g are
-    m(s) = ln R - ln max(s, |a|), with a the pole taken from the centre
-    (GreenFunction.exact_circle_mean).  By parts against the density's
-    disk mass mu and log-mass L (RadialDensity.mass_in, log_mass_in),
+    m(s) = ln R - ln max(s, |a|), with a the pole taken from the centre,
+    by Jensen's formula on g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|.
+    By parts against the density's disk mass mu and log-mass L
+    (RadialDensity.mass_in, log_mass_in),
     int_r0^R m dmu = L(R) - L(max(r0, |a|)) - m(r0) mu(r0), with no
     last term for r0 = 0.  Each closed-form term adds _CORE_ULPS ulps to
     the budget.  Returns (value, budget).

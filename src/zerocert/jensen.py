@@ -14,13 +14,16 @@ and measuring the pole mass off V's logarithmic pole.  The identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
 is checked numerically by two independent routes.
 
+A JensenMeasure integrates u through its circle means, closed form
+where u declares one (quadrature.circle_mean).
+
 The Green function of the disk |w - center| < R with pole a is
     g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|
 (w and a taken from the center), a difference of two log potentials of
 points, so Jensen's formula gives each of its circle means in closed form.
-GreenFunction declares them as exact_circle_mean.  About the centre they
-are ln R - ln max(s, |a|), which lemma1 integrates by parts against each
-concentric density's log-mass; quadrature of g stays the test oracle.
+About the centre they are ln R - ln max(s, |a|), which lemma1 integrates
+by parts against each concentric density's log-mass; quadrature of g
+stays the test oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, EngineError, InvalidPotential
 from .measures import RieszCharge
-from .quadrature import mean_on_circle
+from .quadrature import circle_mean
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class JensenMeasure:
         if self.pole_mass > 0:
             u0 = float(np.asarray(u(np.array([self.pole])), dtype=float)[0])
             val += self.pole_mass * u0
-        means, errs = mean_on_circle(
+        means, errs = circle_mean(
             u, self.pole, np.array([p.radius for p in self.parts]), tol=tol)
         for p, m, e in zip(self.parts, means, errs):
             val += p.weight * float(m)
@@ -288,38 +291,12 @@ class GreenFunction:
         if abs(self.pole - self.center) >= self.R:
             raise DomainError("pole must lie inside the disk")
 
-    @property
-    def singular_points(self):
-        """The pole, and its reflection R^2 / conj(a) in the circle."""
-        a = self.pole - self.center
-        if a == 0:
-            return (self.pole,)
-        return (self.pole, self.center + self.R ** 2 / a.conjugate())
-
     def __call__(self, z):
         w = np.asarray(z, dtype=complex) - self.center
         a = self.pole - self.center
         with np.errstate(divide="ignore"):
             return (np.log(np.abs(self.R ** 2 - np.conj(a) * w))
                     - np.log(self.R * np.abs(w - a)))
-
-    def exact_circle_mean(self, z, t):
-        """Mean of g over the circles |w - z| = t, by Jensen's formula.
-
-        The mean of ln|w - p| over such a circle is ln max(t, |z - p|), so
-        with w0 = z - center the mean is
-            ln max(|R^2 - conj(a) w0|, |a| t) - ln R - ln max(t, |w0 - a|)
-        for every circle: inside the disk, across its boundary, around the
-        pole, and past the reflected pole R^2 / conj(a).
-        """
-        w0 = np.asarray(z, dtype=complex) - self.center
-        t = np.asarray(t, dtype=float)
-        a = self.pole - self.center
-        with np.errstate(divide="ignore"):
-            return (np.log(np.maximum(np.abs(self.R ** 2 - np.conj(a) * w0),
-                                      abs(a) * t))
-                    - math.log(self.R)
-                    - np.log(np.maximum(t, np.abs(w0 - a))))
 
 
 def green_disk(R, z0, center=0j):

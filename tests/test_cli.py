@@ -86,6 +86,23 @@ def test_all_pipeline(tmp_path, capsys):
     assert _read_csv(out / "lemma1.csv")[0] == ["name", "value", "budget"]
 
 
+def test_all_m0_rows_meet_the_submean_check(tmp_path):
+    # the README scenario's m0 block (r_max 40, per_shell 6) is also the
+    # benchmark's, whose check fails a row with deviation < -budget.  The
+    # circle means of |z| are closed form, with budget 0, so each
+    # deviation must itself be nonnegative, as for any subharmonic M_up
+    out = tmp_path / "run"
+    assert main(["all", "--scenario", _write(tmp_path, _pi_scenario()),
+                 "--out", str(out)]) == 0
+    rows = _read_csv(out / "m0.csv")
+    assert rows[0][3:] == ["deviation", "budget"]
+    assert len(rows) == 1 + 6 * 6
+    for row in rows[1:]:
+        deviation, budget = float(row[3]), float(row[4])
+        assert budget == 0.0
+        assert deviation >= -budget
+
+
 def test_integral_floats_run_as_integers(tmp_path):
     # the schema counts 6.0 as an integer, so the builders must take it
     doc = _toy_scenario()

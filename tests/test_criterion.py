@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
     EngineError,
+    PlanePowerProfile,
     Region,
     RieszCharge,
     SmoothCappedLogFamily,
@@ -28,6 +29,8 @@ from zerocert import (
     make_radial_power,
     make_zero_model,
     margin_sweep,
+    mean_on_circle,
+    model_sum,
     smooth_capped_log,
 )
 
@@ -370,6 +373,109 @@ def test_m0_quartic_unbounded():
     rep = check_m0(up, 0.0, m0_dyadic_grid(60.0, per_shell=6))
     assert not rep.bounded
     assert len(rep.flagged) > 0
+
+
+def test_m0_shells_are_exact_below_a_power_of_two():
+    # 1 + |z| = 8 - 2^-50 lies in shell 2, where floor(log2) reads 3
+    z = np.nextafter(7.0, 0.0)
+    assert math.floor(math.log2(1.0 + z)) == 3
+    rep = check_m0(make_radial_power(1.0, 1.0), 1.0, np.array([z, 7.0]))
+    assert rep.shell.tolist() == [2, 3]
+    assert len(rep.shell_sups) == 2
+
+# models that declare closed-form circle means, which check_m0 and
+# JensenMeasure.integrate read in place of quadrature
+_CLOSED_FORM_MODELS = {
+    "abs": make_radial_power(1.0, 1.0),
+    "square": make_radial_power(0.7, 2.0),
+    "log-abs-poly": make_log_abs_poly(roots=[1.0 + 0j, -2.0 + 1.5j],
+                                      mults=[2, 1]),
+    "harmonic": make_harmonic(
+        lambda z: np.real(np.asarray(z, dtype=complex)), kind="re-z"),
+    "sum": model_sum(
+        make_radial_power(1.0, 1.0),
+        make_harmonic(lambda z: np.imag(np.asarray(z, dtype=complex)),
+                      kind="im-z")),
+}
+
+
+def _m0_by_quadrature(M_up, P, pts, tol=1e-12):
+    """check_m0's route before closed forms: a radius per point,
+    deviations from mean_on_circle, shell suprema over the sorted shells.
+    Returns (deviation, budget, shell, shell_sups, bounded).
+
+    Two changes keep the quadrature's error estimates honest on circles
+    that pass close to a singular point.  Its panels also break where a
+    circle passes the origin, the kink of |z| that the radial powers do
+    not declare: about 1e-4 + 1j with radius 1 the mean is otherwise off
+    by 1.6e-9 against an estimate of 1.8e-16.  And it runs at tol 1e-12,
+    not check_m0's 1e-8: about 1e-5j with radius (1 + 1e-5)^-2, a circle
+    passing 1e-5 from the double root of ln|(z - 1)^2 (z + 2 - 1.5i)|,
+    the mean at 1e-8 is off by 1.4e-8 against an estimate of 9.1e-10.
+    Shells are exact, from math.frexp, where math.log2 would round up to k
+    just below 2^k."""
+    profile = PlanePowerProfile(P)
+    radii = np.array([float(profile.radius(complex(z))) for z in pts])
+    kinked = lambda z: M_up(z)
+    kinked.singular_points = (*M_up.singular_points, 0j)
+    means, budget = mean_on_circle(kinked, pts, radii, tol=tol)
+    deviation = means - np.asarray(M_up(pts), dtype=float)
+    shell = [math.frexp(1.0 + abs(complex(z)))[1] - 1 for z in pts]
+    sups = [max(d for d, k in zip(deviation, shell) if k == j)
+            for j in sorted(set(shell))]
+    running = np.maximum.accumulate(sups)
+    bounded = (len(running) < 2 or running[-1] - running[-2]
+               <= 0.01 * (1.0 + abs(running[-2])))
+    return deviation, budget, shell, sups, bounded
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CLOSED_FORM_MODELS)),
+    power=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    pts=st.lists(st.complex_numbers(max_magnitude=40.0, allow_nan=False,
+                                    allow_infinity=False),
+                 min_size=1, max_size=24),
+)
+def test_check_m0_closed_form_matches_quadrature(name, power, pts):
+    up = _CLOSED_FORM_MODELS[name]
+    pts = np.array(pts, dtype=complex)
+    # a probe on a root of ln|poly| has deviation +inf on both routes
+    assume(np.all(np.isfinite(up(pts))))
+    rep = check_m0(up, power, pts)
+    dev, budget, shell, sups, bounded = _m0_by_quadrature(up, power, pts)
+    assert not rep.budget.any()
+    # neither budget covers the rounding of mean - M_up(z), which cancels
+    # two values of size |M_up(z)|: allow 16 ulps of it on top
+    bound = budget + 1e-13 + 16.0 * np.spacing(np.abs(up(pts)))
+    assert np.all(np.abs(rep.deviation - dev) <= bound)
+    assert rep.shell.tolist() == shell
+    assert rep.bounded == bounded
+    assert len(rep.shell_sups) == len(sups)
+    assert np.all(np.abs(np.array(rep.shell_sups) - sups) <= bound.max())
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_MODELS))
+def test_check_m0_closed_form_takes_no_quadrature(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_m0 ran a quadrature")
+
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(quadrature, "mean_on_circle", refuse)
+    rep = check_m0(_CLOSED_FORM_MODELS[name], 1.0, m0_dyadic_grid(40.0, per_shell=6))
+    assert rep.z.size == rep.deviation.size == 36
+    assert not rep.budget.any()
+
+
+def test_check_m0_without_closed_form_keeps_budgets():
+    # |z|^0.5 declares no closed-form circle mean: its deviations come
+    # from quadrature, with its budgets (0 where the Gauss pair agrees)
+    up = make_radial_power(1.0, 0.5)
+    assert up.exact_circle_mean is None
+    rep = check_m0(up, 1.0, m0_dyadic_grid(40.0, per_shell=6))
+    assert rep.budget.any()
+    assert np.all(rep.deviation >= -rep.budget)
+    assert rep.bounded
 
 
 # ---------------------------------------------------------------------------

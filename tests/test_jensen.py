@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zerocert
 from zerocert import (
@@ -26,9 +26,11 @@ from zerocert import (
     potential_to_measure,
     uniform_circle,
 )
+from zerocert import quadrature
 from zerocert.quadrature import mean_on_circle
 
 import oracles
+from test_criterion import _CLOSED_FORM_MODELS
 
 
 def test_uniform_circle_potential_closed_form():
@@ -56,6 +58,43 @@ def test_measure_total_mass_validation():
 def test_measure_parts_are_circles():
     with pytest.raises(DomainError):
         JensenMeasure(pole=0j, parts=((1.0, 1.0),))
+
+
+def test_jensen_measure_reads_closed_form_means(monkeypatch):
+    # circle means about c of |z|^2 are |c|^2 + t^2, and of ln|z - 1|
+    # about 0.5 are ln max(t, 0.5): both are read without quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("JensenMeasure.integrate ran a quadrature")
+
+    square = make_radial_power(1.0, 2.0)
+    log_abs = make_log_abs_poly(roots=[1.0 + 0j], mults=[1])
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(quadrature, "mean_on_circle", refuse)
+    mu = JensenMeasure(pole=0.5 + 0j, parts=(CirclePart(0.25, 0.25),
+                                             CirclePart(2.0, 0.5)),
+                       pole_mass=0.25)
+    val, err = mu.integrate(square)
+    assert err == 0.0
+    assert abs(val - (0.25 * 0.25 + 0.25 * (0.25 + 0.0625)
+                      + 0.5 * (0.25 + 4.0))) <= 1e-14
+    val, err = mu.integrate(log_abs)
+    assert err == 0.0
+    assert abs(val) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_MODELS))
+def test_jensen_measure_closed_form_matches_quadrature(name):
+    u = _CLOSED_FORM_MODELS[name]
+    mu = JensenMeasure(pole=0.3 - 0.2j, parts=(CirclePart(0.5, 0.3),
+                                               CirclePart(1.7, 0.45)),
+                       pole_mass=0.25)
+    val, err = mu.integrate(u)
+    means, errs = mean_on_circle(u, mu.pole, np.array([0.5, 1.7]),
+                                 tol=1e-12)
+    weights = np.array([0.3, 0.45])
+    want = 0.25 * float(u(np.array([mu.pole]))[0]) + float(weights @ means)
+    assert err == 0.0
+    assert abs(val - want) <= float(weights @ errs) + 1e-13
 
 
 def test_potential_with_nonpositive_part_is_rejected():
@@ -243,10 +282,6 @@ def test_poisson_jensen_rejects_pole_at_root():
 def test_green_disk_values():
     g = green_disk(1.0, 0.5 + 0j)
     assert abs(g(0j) - np.log(2.0)) <= 1e-12
-    # its declared singular points: the pole and its reflection 1 / conj(a)
-    assert g.singular_points == (0.5 + 0j, 2.0 + 0j)
-    assert list(g(np.array(g.singular_points))) == [np.inf, -np.inf]
-    assert green_disk(2.0, 1j, center=1j).singular_points == (1j,)
     th = np.linspace(0, 2 * np.pi, 64)
     on_boundary = np.asarray(g(np.exp(1j * th)), dtype=float)
     assert np.max(np.abs(on_boundary)) <= 1e-10
@@ -276,52 +311,6 @@ def test_green_disk_symmetry(ax, ay, bx, by):
     ga = green_disk(1.0, a)
     gb = green_disk(1.0, b)
     assert abs(float(ga(b)) - float(gb(a))) <= 1e-10
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    R=st.floats(0.2, 5.0),
-    cx=st.floats(-2.0, 2.0),
-    cy=st.floats(-2.0, 2.0),
-    # offsets and radii far below the disk's scale (subnormal ones at the
-    # extreme) leave the circle points and g's own evaluation too few bits
-    # to resolve ln|w - a|, which the closed form does not share
-    pole_frac=st.one_of(st.just(0.0), st.floats(1e-6, 0.98)),
-    pole_angle=st.floats(0.0, 2 * math.pi),
-    off_frac=st.one_of(st.just(0.0), st.floats(1e-6, 1.5)),
-    off_angle=st.floats(0.0, 2 * math.pi),
-    t_frac=st.one_of(st.just(0.0), st.floats(1e-2, 2.0)),
-)
-# inside the disk, away from the pole
-@example(R=1.0, cx=0.0, cy=0.0, pole_frac=0.5, pole_angle=0.0, off_frac=0.3,
-         off_angle=math.pi, t_frac=0.2)
-# around the pole
-@example(R=2.0, cx=0.5, cy=-1.0, pole_frac=0.4, pole_angle=1.0,
-         off_frac=0.35, off_angle=1.1, t_frac=0.3)
-# across the boundary
-@example(R=1.0, cx=0.0, cy=0.0, pole_frac=0.9, pole_angle=2.0,
-         off_frac=0.8, off_angle=2.5, t_frac=0.5)
-# around the whole disk, pole at the center
-@example(R=0.7, cx=1.0, cy=1.0, pole_frac=0.0, pole_angle=0.0,
-         off_frac=0.2, off_angle=0.3, t_frac=1.9)
-# a point value off the pole
-@example(R=3.0, cx=-1.0, cy=0.5, pole_frac=0.6, pole_angle=4.0,
-         off_frac=1.2, off_angle=0.7, t_frac=0.0)
-def test_green_exact_circle_mean_matches_quadrature(
-        R, cx, cy, pole_frac, pole_angle, off_frac, off_angle, t_frac):
-    # Jensen's closed form against adaptive quadrature of g on the circle,
-    # which also meets g's second singular point R^2 / conj(a) outside
-    # the disk
-    center = complex(cx, cy)
-    a = pole_frac * R * complex(math.cos(pole_angle), math.sin(pole_angle))
-    g = green_disk(R, center + a, center)
-    z = center + off_frac * R * complex(math.cos(off_angle),
-                                        math.sin(off_angle))
-    t = t_frac * R
-    want, _ = mean_on_circle(g, z, t, tol=1e-13)
-    got = float(g.exact_circle_mean(np.array([z]), t)[0])
-    # t = 0 at the pole: both read +inf
-    assert got == want or abs(got - want) <= 1e-12
 
 
 def test_green_disk_rejects_outside_pole():
