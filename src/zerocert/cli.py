@@ -24,14 +24,13 @@ import numpy as np
 
 from .criterion import check_m0, lemma1_constants, m0_dyadic_grid, margin_sweep
 from .construct import verify_sufficiency
-from .errors import EngineError, SchemaError
+from .errors import EngineError, PreconditionViolation, SchemaError
 from .jensen import (green_disk, log_potential, poisson_jensen_check,
                      potential_to_measure, uniform_circle)
 from .majorants import make_log_abs_poly, make_radial_power
 from .means import (DiskFractionProfile, PlanePowerProfile, check_mean_chain,
                     disk_mean, hat_radius, mollified_mean)
 from .measures import Region
-from .errors import PreconditionViolation
 from .scenario import (build_sufficiency_grid, describe_sufficiency_grid,
                        load_scenario)
 from .testfam import TruncatedLogFamily
@@ -247,7 +246,7 @@ def _selftest_report(name, rows, outdir):
                        for n, v, t, o in rows], "outputs": [path]}
 
 
-def _jensen_selftest(args, outdir):
+def _jensen_selftest(outdir):
     rows = []
 
     mu = uniform_circle(0j, 2.0)
@@ -284,7 +283,7 @@ def _jensen_selftest(args, outdir):
     return _selftest_report("jensen", rows, outdir)
 
 
-def _means_selftest(args, outdir):
+def _means_selftest(outdir):
     rows = []
 
     sq = make_radial_power(1.0, 2.0)
@@ -364,10 +363,10 @@ def main(argv=None):
     try:
         if args.command == "jensen-selftest":
             _run_stage(report, "jensen-selftest",
-                       lambda: _jensen_selftest(args, outdir))
+                       lambda: _jensen_selftest(outdir))
         elif args.command == "means-selftest":
             _run_stage(report, "means-selftest",
-                       lambda: _means_selftest(args, outdir))
+                       lambda: _means_selftest(outdir))
         else:
             sc = _load(args)
             report["label"] = sc.label

@@ -34,14 +34,15 @@ from .means import hat_radius
 from .quadrature import circle_mean
 
 _SERIES_TERMS = 60
+_PROBE_RADIUS = 4096.0
 
 
-def genus(Z, *, max_genus=8, probe_radius=4096.0):
+def genus(Z, *, max_genus=8):
     """Smallest p making sum of mult * |z_j|^-(p+1) converge.
 
     Unbounded lattices answer through their density exponent; other
     distributions are probed through dyadic block sums over the points
-    within ``Z.genus_reach(probe_radius)``, accepting p once the last
+    within ``Z.genus_reach(_PROBE_RADIUS)``, accepting p once the last
     three block ratios decay below 0.8.
     """
     if Z.unbounded:
@@ -49,7 +50,7 @@ def genus(Z, *, max_genus=8, probe_radius=4096.0):
         if p > max_genus:
             raise GenusOverflow("genus %d exceeds cap %d" % (p, max_genus))
         return p
-    pts, ml = Z.points_up_to(Z.genus_reach(probe_radius))
+    pts, ml = Z.points_up_to(Z.genus_reach(_PROBE_RADIUS))
     r = np.abs(pts)
     keep = r >= 1.0
     r = r[keep]
@@ -261,13 +262,13 @@ class ProductRepresentation:
         return self.tail_budget(z) + series * np.abs(z) ** (p + 1)
 
 
-def build_product(Z, p=None, *, K=10000, guard=1e-12):
+def build_product(Z, p=None, *, K=10000):
     """Retain about K zeros nearest the origin and bound the rest."""
     if p is None:
         p = genus(Z)
     cutoff = Z.retaining_radius(K)
     pts, ml = Z.points_up_to(cutoff)
-    at_origin = np.abs(pts) <= guard
+    at_origin = np.abs(pts) <= ProductRepresentation.guard
     origin_mult = int(ml[at_origin].sum()) if at_origin.any() else 0
     pts, ml = pts[~at_origin], ml[~at_origin]
     tail = Z.tail_power_sum_bound(p + 1, cutoff)
@@ -277,11 +278,11 @@ def build_product(Z, p=None, *, K=10000, guard=1e-12):
     return ProductRepresentation(
         genus=int(p), points=pts, mults=np.asarray(ml, dtype=float),
         origin_mult=origin_mult, cutoff_radius=float(cutoff),
-        tail_sum_bound=float(tail), guard=guard)
+        tail_sum_bound=float(tail))
 
 
-def weierstrass_log_abs(Z, p, z, *, K=10000, guard=1e-12):
-    prod = build_product(Z, p, K=K, guard=guard)
+def weierstrass_log_abs(Z, p, z, *, K=10000):
+    prod = build_product(Z, p, K=K)
     return prod.log_abs(z), prod.budget(z)
 
 
@@ -338,10 +339,12 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
     necessary criterion is violated, no construction is attempted.
     Otherwise the finite product plus its tail budget is compared with
     circle means of the upper part at the certified enlarged radius,
-    minus the lower part, plus the domain remainder.  A polynomial
-    balancing factor of degree up to the genus may be fitted when a few
-    grid points stick out; it is kept only when it clears every one of
-    them.  The certificate is strict: one grid point in excess refuses it.
+    minus the lower part, plus the domain remainder.  A factor exp(Re P),
+    deg P <= genus, is fitted by least squares to the points in excess
+    and kept only when it clears every point; its constant term makes the
+    fitted residuals sum to 0, so it can only put each such point at an
+    excess of 0, spending all of ``tol`` there.  The certificate is
+    strict: one grid point in excess refuses it.
     """
     if margin_verdict is None and family is not None:
         from .criterion import margin_sweep
@@ -368,24 +371,15 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
     bounds = np.where(np.isneginf(low), math.inf,
                       m_up - low + profile.remainder(grid))
 
-    def excesses(shift):
-        return (log_abs + shift) + tails - bounds - budgets - tol
-
-    exc = excesses(0.0)
+    exc = log_abs + tails - bounds - budgets - tol
     viol = exc > 0
     coeffs = ()
-    used_balance = False
-    if viol.any() and balance and grid.size:
-        A_v = _balance_matrix(grid[viol], p)
-        target = -exc[viol]
-        sol, *_ = np.linalg.lstsq(A_v, target, rcond=None)
-        shift = _balance_matrix(grid, p) @ sol
-        exc2 = excesses(shift)
-        if not (exc2 > 0).any():
-            exc = exc2
-            viol = exc2 > 0
-            coeffs = tuple(float(c) for c in sol)
-            used_balance = True
+    if viol.any() and balance:
+        A = _balance_matrix(grid, p)
+        sol = np.linalg.lstsq(A[viol], -exc[viol], rcond=None)[0]
+        shifted = (log_abs + A @ sol) + tails - bounds - budgets - tol
+        if not (shifted > 0).any():
+            exc, viol, coeffs = shifted, shifted > 0, tuple(map(float, sol))
 
     n_viol = int(viol.sum())
     certified = n_viol == 0
@@ -397,6 +391,6 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
         checked=int(grid.size), violations=n_viol, skipped_guard=skipped,
         max_excess=float(exc.max()) if grid.size else -math.inf,
         tail_budget_max=float(finite_tails.max()) if finite_tails.size else 0.0,
-        balance_used=used_balance, balance_coeffs=coeffs,
+        balance_used=bool(coeffs), balance_coeffs=coeffs,
         far_zeros=work["far_zeros"], far_terms=work["far_terms"], z=grid,
         log_abs=log_abs, tail=tails, bound=bounds, excess=exc, ok=~viol)

@@ -169,7 +169,8 @@ def make_radial_power(sigma=1.0, rho=1.0):
 
     return _validate_submean(SubharmonicModel(
         kind="radial-power", params={"sigma": sigma, "rho": rho},
-        eval=ev, riesz=charge, exact_circle_mean=exact))
+        eval=ev, riesz=charge, singular_points=(0j,),
+        exact_circle_mean=exact))
 
 
 def make_log_abs_poly(coeffs=None, roots=None, mults=None, lead=1.0):

@@ -14,7 +14,9 @@ from zerocert import (
     TruncatedLogFamily,
     ZeroDistribution,
     build_product,
+    build_sufficiency_grid,
     genus,
+    make_log_abs_poly,
     make_radial_power,
     verify_sufficiency,
     weierstrass_log_abs,
@@ -372,3 +374,46 @@ def test_sufficiency_fails_for_undersized_majorant():
     )
     assert not rep.certified
     assert rep.violations > 0
+
+
+def test_balance_factor_rescues_a_grid_certificate():
+    # the unit Gaussian integers under 1.4|z|^2 on 200 random points of
+    # radius 3 (seed 7): the canonical product alone has one point in
+    # excess, and exp(Re P) with deg P <= 2 clears it at the default tol.
+    # The fit leaves that point at an excess of 0 up to rounding, so the
+    # rescue turns on the last bit: at tol 1.3e-7 it is left at +9.8e-17
+    Z = ZeroDistribution.gaussian_integers()
+    M = DSubharmonicMajorant(up=make_radial_power(1.4, 2.0))
+    pts = build_sufficiency_grid(
+        {"kind": "random-disk", "radius": 3.0, "count": 200}, seed=7)
+    plain = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts,
+                               balance=False)
+    assert plain.violations == 1
+    assert 0.05 < plain.max_excess < 0.1
+    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts)
+    assert rep.certified and rep.balance_used
+    assert rep.violations == 0
+    assert len(rep.balance_coeffs) == 2 * rep.genus + 1 == 5
+    assert -1e-14 < rep.max_excess <= 0.0
+    # the product's own values are reported, the factor only in excess
+    assert np.array_equal(rep.log_abs, plain.log_abs)
+
+
+def test_sufficiency_certifies_under_a_lower_part():
+    # pi k under |z| - ln|z - (0.5 + 0.5i)|: the lower part lowers the
+    # bound by ln|z - a| at every point and still leaves room on 100
+    # random points of radius 4
+    Z = ZeroDistribution.real_multiples(step=np.pi)
+    a = 0.5 + 0.5j
+    up = make_radial_power(1.0, 1.0)
+    M = DSubharmonicMajorant(up=up, low=make_log_abs_poly(roots=[a]))
+    pts = build_sufficiency_grid(
+        {"kind": "random-disk", "radius": 4.0, "count": 100}, seed=0)
+    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=2000)
+    assert rep.certified and rep.violations == 0 and rep.checked == 100
+    assert not rep.balance_used
+    assert -0.6 < rep.max_excess < -0.5
+    plain = verify_sufficiency(Z, DSubharmonicMajorant(up=up),
+                               PlanePowerProfile(1.0), pts, K=2000)
+    want = plain.bound - np.log(np.abs(rep.z - a))
+    assert np.allclose(rep.bound, want, rtol=0.0, atol=1e-13)

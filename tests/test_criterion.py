@@ -332,6 +332,42 @@ def test_margin_truncated_lhs_is_nevanlinna_N():
             assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want))
 
 
+_ROOTS = st.complex_numbers(min_magnitude=0.05, max_magnitude=20.0,
+                            allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(st.tuples(_ROOTS, st.integers(1, 3)), min_size=1,
+                      max_size=3, unique_by=lambda r: r[0]),
+       sigma=st.floats(0.3, 2.0), rho=st.sampled_from([1.0, 1.5]),
+       kind=st.sampled_from(["truncated-log", "smooth-capped-log"]))
+@example(roots=[(0.5 + 0.5j, 1), (-2.0 + 1j, 2)], sigma=0.7, rho=1.0,
+         kind="truncated-log")
+@example(roots=[(0.5 + 0.5j, 1), (-2.0 + 1j, 2)], sigma=0.7, rho=1.0,
+         kind="smooth-capped-log")
+def test_margin_division_identity(roots, sigma, rho, kind):
+    # f vanishes on Z with ln|f| <= u - ln|p| exactly when f p vanishes on
+    # Z and the roots of p with ln|f p| <= u.  The lower part's charge is
+    # the roots as atoms, so it lowers every rhs, and raises every margin,
+    # by the spike's value at each root, counted with multiplicity
+    fam = (TruncatedLogFamily(t_min=0.5, t_max=500.0, ratio=1.4)
+           if kind == "truncated-log"
+           else SmoothCappedLogFamily(t_min=0.5, t_max=500.0, ratio=1.4))
+    Z = ZeroDistribution.real_multiples(step=np.pi)
+    up = make_radial_power(sigma, rho)
+    low = make_log_abs_poly(roots=[a for a, _ in roots],
+                            mults=[m for _, m in roots])
+    plain = margin_sweep(Z, DSubharmonicMajorant(up=up), fam)
+    lowered = margin_sweep(Z, DSubharmonicMajorant(up=up, low=low), fam)
+    for s0, s1 in zip(plain.samples, lowered.samples):
+        assert s0.tau == s1.tau and not s0.note and not s1.note
+        spike = fam.applied(s0.tau).radial_profile
+        want = sum(m * float(spike(np.array([abs(a)]))[0]) for a, m in roots)
+        scale = max(abs(s0.lhs), abs(s0.rhs), abs(s1.rhs), abs(want))
+        slack = s0.rhs_budget + s1.rhs_budget + 8.0 * np.spacing(scale)
+        assert abs((s1.margin - s0.margin) - want) <= slack
+
+
 # ---------------------------------------------------------------------------
 # (M0) regularity probe
 

@@ -112,6 +112,38 @@ def test_radial_power_exact_mean_at_tiny_and_huge_radii():
     assert abs(far[0] / 1e200 - want[0]) <= 1e-15
 
 
+def _split_quad_mean(f, center, radius):
+    # scipy's quad over one turn that starts at the angle nearest the
+    # origin, so the kink of |w|^rho sits at the ends of the interval.  On
+    # the |w|^3 circle below it agrees with a 30-digit mpmath quadrature
+    # to the last bit
+    from scipy.integrate import quad
+
+    phi = np.angle(-center)
+    val, _ = quad(lambda th: float(f(center + radius * np.exp(1j * th))),
+                  phi, phi + 2.0 * np.pi, epsabs=0.0, epsrel=3e-14,
+                  limit=500)
+    return val / (2.0 * np.pi)
+
+
+def test_radial_power_declares_the_origin_singular():
+    # circles passing within 1e-4 of the kink of |w|^rho at 0: the error
+    # estimate of mean_on_circle must bound the error, up to the rounding
+    # of the mean itself, which no budget counts yet
+    m1 = make_radial_power(1.0, 1.0)
+    assert m1.singular_points == (0j,)
+    c = 1e-4 + 1j
+    got, est = mean_on_circle(m1, c, 1.0, tol=1e-8)
+    want = float(m1.exact_circle_mean(np.array([c]), np.array([1.0]))[0])
+    assert abs(got - want) <= est + 4.0 * np.spacing(abs(want))
+
+    m3 = make_radial_power(1.0, 3.0)
+    c = 1e-3 + 1j
+    got, est = mean_on_circle(m3, c, 1.0, tol=1e-8)
+    want = _split_quad_mean(m3, c, 1.0)
+    assert abs(got - want) <= est + 4.0 * np.spacing(abs(want))
+
+
 def test_log_abs_poly_from_roots():
     roots = [1.0 + 0j, -0.3j]
     m = make_log_abs_poly(roots=roots, mults=[2, 1], lead=3.0)
