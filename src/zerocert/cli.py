@@ -196,8 +196,6 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
             "skipped_guard": rep.skipped_guard,
             "max_excess": rep.max_excess,
             "tail_budget_max": rep.tail_budget_max,
-            "balance_used": rep.balance_used,
-            "balance_coeffs": list(rep.balance_coeffs),
             "far_zeros": rep.far_zeros,
             "far_terms": rep.far_terms,
             "grid": spec,

@@ -309,8 +309,6 @@ class SufficiencyReport:
     skipped_guard: int
     max_excess: float
     tail_budget_max: float
-    balance_used: bool
-    balance_coeffs: tuple
     far_zeros: int = 0
     far_terms: int = 0
     z: np.ndarray = _no_points(complex)
@@ -321,29 +319,15 @@ class SufficiencyReport:
     ok: np.ndarray = _no_points(bool)
 
 
-def _balance_matrix(z, p):
-    z = np.asarray(z, dtype=complex)
-    cols = [np.ones(z.shape, dtype=float)]
-    for m in range(1, p + 1):
-        zm = z ** m
-        cols.append(zm.real)
-        cols.append(-zm.imag)
-    return np.vstack(cols).T
-
-
 def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
-                       family=None, margin_verdict=None, balance=True):
+                       family=None, margin_verdict=None):
     """Check ln|f| <= enlarged-mean envelope on a grid of points.
 
     When a margin verdict (or a family to compute one) says the
     necessary criterion is violated, no construction is attempted.
     Otherwise the finite product plus its tail budget is compared with
     circle means of the upper part at the certified enlarged radius,
-    minus the lower part, plus the domain remainder.  A factor exp(Re P),
-    deg P <= genus, is fitted by least squares to the points in excess
-    and kept only when it clears every point; its constant term makes the
-    fitted residuals sum to 0, so it can only put each such point at an
-    excess of 0, spending all of ``tol`` there.  The certificate is
+    minus the lower part, plus the domain remainder.  The certificate is
     strict: one grid point in excess refuses it.
     """
     if margin_verdict is None and family is not None:
@@ -354,7 +338,7 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
             certified=False, reason="margin-violated",
             margin_verdict=margin_verdict, genus=-1, retained=0, checked=0,
             violations=0, skipped_guard=0, max_excess=math.nan,
-            tail_budget_max=math.nan, balance_used=False, balance_coeffs=())
+            tail_budget_max=math.nan)
     p = genus(Z)
     product = build_product(Z, p, K=K)
     grid = np.asarray(grid_points, dtype=complex).ravel()
@@ -373,14 +357,6 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
 
     exc = log_abs + tails - bounds - budgets - tol
     viol = exc > 0
-    coeffs = ()
-    if viol.any() and balance:
-        A = _balance_matrix(grid, p)
-        sol = np.linalg.lstsq(A[viol], -exc[viol], rcond=None)[0]
-        shifted = (log_abs + A @ sol) + tails - bounds - budgets - tol
-        if not (shifted > 0).any():
-            exc, viol, coeffs = shifted, shifted > 0, tuple(map(float, sol))
-
     n_viol = int(viol.sum())
     certified = n_viol == 0
     finite_tails = tails[np.isfinite(tails)]
@@ -391,6 +367,5 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
         checked=int(grid.size), violations=n_viol, skipped_guard=skipped,
         max_excess=float(exc.max()) if grid.size else -math.inf,
         tail_budget_max=float(finite_tails.max()) if finite_tails.size else 0.0,
-        balance_used=bool(coeffs), balance_coeffs=coeffs,
         far_zeros=work["far_zeros"], far_terms=work["far_terms"], z=grid,
         log_abs=log_abs, tail=tails, bound=bounds, excess=exc, ok=~viol)

@@ -76,10 +76,9 @@ def test_all_pipeline(tmp_path, capsys):
     assert report["stages"]["m0"]["bounded"] is True
     assert report["stages"]["sufficiency"]["violations"] == 0
     assert sorted(report["stages"]["sufficiency"]) == [
-        "balance_coeffs", "balance_used", "certified", "checked",
-        "far_terms", "far_zeros", "genus", "grid", "margin_source",
-        "margin_verdict", "max_excess", "outputs", "reason", "retained",
-        "seconds", "skipped_guard", "status", "tail_budget_max",
+        "certified", "checked", "far_terms", "far_zeros", "genus", "grid",
+        "margin_source", "margin_verdict", "max_excess", "outputs", "reason",
+        "retained", "seconds", "skipped_guard", "status", "tail_budget_max",
         "violations"]
     assert report["stages"]["lemma1"]["c_test"] > 0.0
 

@@ -354,7 +354,7 @@ def test_sufficiency_certificate_is_strict():
     rng = np.random.default_rng(2)
     pts = np.concatenate((rng.uniform(-3.0, 3.0, 1000) + 0.01j, [5.0j]))
     rep = verify_sufficiency(
-        Z, M, PlanePowerProfile(1.0), pts, K=2000, balance=False
+        Z, M, PlanePowerProfile(1.0), pts, K=2000
     )
     assert rep.checked == 1001
     assert rep.violations == 1
@@ -370,33 +370,27 @@ def test_sufficiency_fails_for_undersized_majorant():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-6, 6, 40) + 1j * rng.uniform(-6, 6, 40)
     rep = verify_sufficiency(
-        Z, M, PlanePowerProfile(1.0), pts, K=2000, balance=False
+        Z, M, PlanePowerProfile(1.0), pts, K=2000
     )
     assert not rep.certified
     assert rep.violations > 0
 
 
-def test_balance_factor_rescues_a_grid_certificate():
+def test_sufficiency_refuses_a_grid_with_one_point_in_excess():
     # the unit Gaussian integers under 1.4|z|^2 on 200 random points of
-    # radius 3 (seed 7): the canonical product alone has one point in
-    # excess, and exp(Re P) with deg P <= 2 clears it at the default tol.
-    # The fit leaves that point at an excess of 0 up to rounding, so the
-    # rescue turns on the last bit: at tol 1.3e-7 it is left at +9.8e-17
+    # radius 3 (seed 7): the canonical product clears every point but one,
+    # which sticks out by about 0.08, far more than rounding, so the
+    # certificate is refused
     Z = ZeroDistribution.gaussian_integers()
     M = DSubharmonicMajorant(up=make_radial_power(1.4, 2.0))
     pts = build_sufficiency_grid(
         {"kind": "random-disk", "radius": 3.0, "count": 200}, seed=7)
-    plain = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts,
-                               balance=False)
-    assert plain.violations == 1
-    assert 0.05 < plain.max_excess < 0.1
     rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts)
-    assert rep.certified and rep.balance_used
-    assert rep.violations == 0
-    assert len(rep.balance_coeffs) == 2 * rep.genus + 1 == 5
-    assert -1e-14 < rep.max_excess <= 0.0
-    # the product's own values are reported, the factor only in excess
-    assert np.array_equal(rep.log_abs, plain.log_abs)
+    assert not rep.certified and rep.reason == "excess-at-grid"
+    assert rep.genus == 2 and rep.checked == 200
+    assert rep.violations == 1
+    assert 0.05 < rep.max_excess < 0.1
+    assert np.array_equal(rep.ok, rep.excess <= 0)
 
 
 def test_sufficiency_certifies_under_a_lower_part():
@@ -411,7 +405,6 @@ def test_sufficiency_certifies_under_a_lower_part():
         {"kind": "random-disk", "radius": 4.0, "count": 100}, seed=0)
     rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=2000)
     assert rep.certified and rep.violations == 0 and rep.checked == 100
-    assert not rep.balance_used
     assert -0.6 < rep.max_excess < -0.5
     plain = verify_sufficiency(Z, DSubharmonicMajorant(up=up),
                                PlanePowerProfile(1.0), pts, K=2000)
