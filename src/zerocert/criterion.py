@@ -7,9 +7,9 @@ vanishing on the candidate set.  Each spike is exactly c - g ln s in a
 core about the origin.  Its zero-side sum sees the zeros only through
 their radii counted with multiplicity (a Gaussian lattice gives one
 radius per norm, not one per point).  It is taken from prefix sums of
-mult and mult * ln|z| over that core, with direct evaluation only over
-the blend band between the core and the support, through the family's
-``log_shape`` on one ln|z| array shared by every cutoff.
+mult and mult * ln|z| over that core, and over the blend band between
+the core and the support from moments of ln|z| on the segments that
+the cutoffs' bands and log-shape pieces cut, read once for every cutoff.
 Its charge-side integral, one RieszCharge.integrate_radial call for
 every cutoff, takes the core by parts against each radial density's
 disk mass and declared ``log_mass`` L(a) = int mu(s)/s ds, which leaves
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EngineError, NotSummable
+from .errors import DomainError, EngineError, InvalidPotential, NotSummable
 from .jensen import green_disk
 from .majorants import eval_M
 from .means import PlanePowerProfile
@@ -66,26 +66,110 @@ class MarginCurve:
     details: dict
 
 
-# radii per profile call in the blend band: each temporary stays in cache,
-# and none is band-sized (a dense lattice puts most zeros in the band)
-_BAND_BLOCK = 8192
 # fewest kept samples in the top decade of taus that can carry a verdict;
 # the growth fit needs as many
 _MIN_TOP = 3
+# moments per band segment: every declared log-shape piece has lower degree
+_MOMENTS = 9
+_POW = np.arange(_MOMENTS)
+# the Taylor shift sum_k a_k (d - u)^k = sum_ij d^j a_(i+j) _SHIFT[j, i] u^i
+_SHIFT = np.array([[(-1) ** i * math.comb(i + j, i) for i in _POW]
+                   for j in _POW])
+# roundings in a band pair besides its segment's sums, with room to spare
+_BAND_OPS = 48
+
+
+def _powers(x):
+    """x^j for j < _MOMENTS, one row per power."""
+    out = np.empty((_MOMENTS, x.size))
+    out[0] = 1.0
+    for j in range(1, _MOMENTS):
+        np.multiply(out[j - 1], x, out=out[j])
+    return out
+
+
+def _band_sums(log_r, m, tests, core, band):
+    """Each test's sum of m * psi(c - ln r) over its band, a bound on its
+    rounding, and the numbers of segments and (piece, segment) pairs.
+
+    On a piece with edge e, psi is sum_k a_k y^k in y = x - e.  Segment s
+    between two cuts (the pieces' ends) carries mu_i = sum m u^i in
+    u = ln r - A_s, A_s the midpoint of its ln r, and a pair adds
+    (d^j) @ (_SHIFT * a) . mu at d = c - A_s - e.  With h the
+    half-width of s and rho = |d| + h, a pair's rounding bound,
+    2^-52 mu_0 ((n_s + pairs + _BAND_OPS) sum_k |a_k| rho^k
+    + (|c| + |A_s| + h + |e|) sum_k k |a_k| rho^(k-1)), covers the sums of
+    its n_s radii in any order and the roundings of ln tau, ln r and d.
+    """
+    c = np.array([t.log_constant for t in tests])
+    banded = np.flatnonzero(band > core).tolist()
+    spans, declared = [], []
+    for shape in dict.fromkeys(tests[i].log_shape for i in banded):
+        pieces = getattr(shape, "pieces", None)
+        if pieces is None or max(len(a) for _, a in pieces) > _MOMENTS:
+            raise InvalidPotential("a test with zeros in its band needs "
+                                   f"log-shape pieces of degree < {_MOMENTS}")
+        idx = np.array([i for i in banded if tests[i].log_shape is shape])
+        # x = c - ln r falls as r grows: the top piece starts at the core
+        lo = core[idx]
+        for edge, coeffs in reversed(pieces):
+            hi = np.clip(np.searchsorted(log_r, c[idx] - edge, side="right"),
+                         lo, band[idx])
+            spans.append((idx, lo, hi, np.full(idx.size, len(declared))))
+            declared.append((edge, np.append(
+                coeffs, np.zeros(2 * _MOMENTS - len(coeffs)))))
+            lo = hi
+    if not spans:
+        return np.zeros(len(tests)), np.zeros(len(tests)), 0, 0
+    idx, lo, hi, piece = map(np.concatenate, zip(*spans))
+    cuts = np.array(sorted(set(np.concatenate((lo, hi)).tolist())))
+    lo_r, hi_r = log_r[cuts[:-1]], log_r[cuts[1:] - 1]
+    anchor, half = 0.5 * (lo_r + hi_r), 0.5 * (hi_r - lo_r)
+    u = log_r[cuts[0]:cuts[-1]] - np.repeat(anchor, np.diff(cuts))
+    w = np.asarray(m[cuts[0]:cuts[-1]], dtype=float)
+    mu = []
+    for _ in _POW:
+        mu.append(np.add.reduceat(w, cuts[:-1] - cuts[0]))
+        w = w * u
+    # one pair per segment of each (test, piece) row; each pair's values
+    # are taken for every declared piece, and its own picked out (mine)
+    s_lo = np.searchsorted(cuts, lo)
+    count = np.searchsorted(cuts, hi) - s_lo
+    seg = np.arange(count.sum()) - np.repeat(
+        np.cumsum(count) - count - s_lo, count)
+    test, piece = np.repeat(idx, count), np.repeat(piece, count)
+    mine = (piece, np.arange(piece.size))
+    edge = np.array([e for e, _ in declared])[piece]
+    a = np.array([coeffs for _, coeffs in declared])
+    shift = (_SHIFT * a[:, _POW[:, None] + _POW]).transpose(0, 2, 1)
+    d = c[test] - anchor[seg] - edge
+    mu = np.array(mu)[:, seg]
+    value = np.einsum("sip,ip->sp", shift @ _powers(d), mu)[mine]
+    # sum_k |a_k| rho^k and its slope bound a piece on a segment
+    rho = _powers(abs(d) + half[seg])
+    size = (abs(a[:, :_MOMENTS]) @ rho)[mine]
+    slope = ((abs(a[:, 1:_MOMENTS]) * _POW[1:]) @ rho[:-1])[mine]
+    spread = abs(c[test]) + abs(anchor[seg]) + half[seg] + abs(edge)
+    ops = np.diff(cuts)[seg] + np.bincount(test)[test] + _BAND_OPS
+    return (np.bincount(test, value, len(tests)),
+            2.0 ** -52 * np.bincount(
+                test, mu[0] * (ops * size + spread * slope), len(tests)),
+            cuts.size - 1, test.size)
 
 
 def _sweep_lhs(r, m, tests):
-    """sum of m * profile(r) over sorted radii r, for every test.
+    """sum of m * profile(r) over sorted radii r, for every test, and the
+    work details.
 
     Within a test's log_core the profile is
     log_constant - pole_coefficient * ln d, so that part is
     c * M(a) - g * L(a) with M and L the prefix sums of mult and
     mult * ln r up to the core edge a.  The band out to support_radius
-    is evaluated directly, block by block, and nothing beyond it
-    contributes: through the test's log_shape psi(c - ln r), on one ln r
-    array shared by every test.
-    Prefix sums are formed only at the core edges: pairwise segment sums,
-    then an exact running total.
+    comes from segment moments (_band_sums), and nothing beyond it
+    contributes.  Prefix sums are formed only at the core edges: pairwise
+    segment sums, then an exact running total.  lhs_rounding is the
+    largest bound on an lhs's rounding: its band's, plus _CORE_ULPS ulps
+    of each closed-form core term.
     """
     core = np.searchsorted(r, [t.log_core for t in tests], side="right")
     band = np.searchsorted(r, [t.support_radius for t in tests],
@@ -100,21 +184,19 @@ def _sweep_lhs(r, m, tests):
         seg_l = np.add.reduceat(log_r[:top] * m[:top], starts)
         for k, e in enumerate(edges):
             prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
+    sums, bounds, segments, pairs = _band_sums(log_r, m, tests, core, band)
     out = []
-    for test, a, b in zip(tests, core, band):
+    for k, (test, a, extra) in enumerate(zip(tests, core, sums.tolist())):
         lhs = 0.0
         if a:
             mass, log_mass = prefix[int(a)]
-            lhs = test.log_constant * mass - test.pole_coefficient * log_mass
-        blocks = []
-        for lo in range(a, b, _BAND_BLOCK):
-            hi = min(lo + _BAND_BLOCK, b)
-            vals = np.asarray(test.log_shape(test.log_constant - log_r[lo:hi]),
-                              dtype=float)
-            vals *= m[lo:hi]
-            blocks.append(float(np.sum(vals)))
-        out.append(lhs + math.fsum(blocks))
-    return out
+            head = test.log_constant * mass
+            tail = test.pole_coefficient * log_mass
+            lhs = head - tail
+            bounds[k] += _CORE_ULPS * (math.ulp(head) + math.ulp(tail))
+        out.append(lhs + extra)
+    return out, {"band_segments": segments, "band_pairs": pairs,
+                 "lhs_rounding": float(bounds.max(initial=0.0))}
 
 
 def margin_sweep(Z, M, family, *, tol=1e-9):
@@ -131,17 +213,18 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     ``details`` records the total multiplicity swept (``zeros``), the
     number of radii read (``radii``), and the number of charge bands
     that missed the one-panel rule and ran adaptive quadrature
-    (``adaptive_bands``).
+    (``adaptive_bands``), and the lhs's band counts and rounding bound
+    (_sweep_lhs).
     """
     if Z.has_point_at_origin():
         raise DomainError("candidate zeros must avoid the origin")
     tests = [family.applied(t) for t in family.taus()]
     reach = 1.05 * max(t.support_radius for t in tests)
     radii, mults = Z.radii_up_to(reach)
-    lhs_all = _sweep_lhs(radii, mults, tests)
+    lhs_all, work = _sweep_lhs(radii, mults, tests)
     rhs_all, adaptive = M.charge.integrate_radial(tests, tol=tol)
     swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
-             "adaptive_bands": adaptive}
+             "adaptive_bands": adaptive, **work}
 
     samples = []
     for test, lhs, got in zip(tests, lhs_all, rhs_all):

@@ -8,7 +8,9 @@ the sweep reads, not charges of their own.  A member's ``log_shape`` psi
 gives its profile as psi(ln(t |w|)), which the pullback reads as
 psi(log_constant - ln d); each family builds its psi once, so all of its
 members share one object, and the charge side evaluates it once for them
-all (RieszCharge.integrate_radial).
+all (RieszCharge.integrate_radial).  A psi's ``pieces``, the margin
+sweep's view of it, are (edge e, coefficients a) in increasing e: psi is
+sum a_k (x - e)^k from e to the next edge, and 0 below the first.
 """
 
 from __future__ import annotations
@@ -100,13 +102,23 @@ def _positive_part(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
+_positive_part.pieces = ((0.0, (0.0, 1.0)),)
+
+
 @functools.lru_cache(maxsize=None)
 def _capped_shape(eps):
-    """The smooth capped log's shape eps * B(x / eps), one per eps."""
+    """The smooth capped log's shape eps * B(x / eps), one per eps.  Its
+    piece on [-eps, 0) expands B about -eps, where B vanishes to fifth
+    order, so that sums over it keep their relative accuracy."""
 
     def shape(x):
         return eps * bump_cdf_integral(x / eps)
 
+    shape.pieces = tuple(
+        (e, tuple(eps * b / 256.0 / eps ** k for k, b in enumerate(bs)))
+        for e, bs in ((-eps, (0, 0, 0, 0, 0, 112, -112, 40, -5)),
+                      (0.0, (35, 128, 140, 0, -70, 0, 28, 0, -5)))
+    ) + ((eps, (eps, 1.0)),)
     return shape
 
 

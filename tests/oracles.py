@@ -61,6 +61,41 @@ def margin_lhs_direct(radii, mults, tau):
     return float(np.sum(m * np.maximum(np.log(tau / r), 0.0)))
 
 
+def sweep_lhs_blocks(r, m, tests, block=8192):
+    """The margin sweep's lhs for every test as the sweep once formed it:
+    the core from prefix sums of mult and mult * ln r, and the blend band
+    through each test's log_shape, evaluated block by block on one ln r
+    array.  The reference for the sweep's moment route."""
+    core = np.searchsorted(r, [t.log_core for t in tests], side="right")
+    band = np.searchsorted(r, [t.support_radius for t in tests],
+                           side="right")
+    log_r = np.log(r[:max(core.max(initial=0), band.max(initial=0))])
+    edges = sorted(set(core[core > 0].tolist()))
+    prefix = {}
+    if edges:
+        top = edges[-1]
+        starts = [0] + edges[:-1]
+        seg_m = np.add.reduceat(m[:top], starts)
+        seg_l = np.add.reduceat(log_r[:top] * m[:top], starts)
+        for k, e in enumerate(edges):
+            prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
+    out = []
+    for test, a, b in zip(tests, core, band):
+        lhs = 0.0
+        if a:
+            mass, log_mass = prefix[int(a)]
+            lhs = test.log_constant * mass - test.pole_coefficient * log_mass
+        blocks = []
+        for lo in range(a, b, block):
+            hi = min(lo + block, b)
+            vals = np.asarray(test.log_shape(test.log_constant - log_r[lo:hi]),
+                              dtype=float)
+            vals *= m[lo:hi]
+            blocks.append(float(np.sum(vals)))
+        out.append(lhs + math.fsum(blocks))
+    return out
+
+
 def pi_lattice_radii(k_max):
     """|pi k| for 0 < k <= k_max; each radius occurs with multiplicity 2."""
     return np.pi * np.arange(1, k_max + 1, dtype=float)

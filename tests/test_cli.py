@@ -145,9 +145,19 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert (tmp_path / "run" / "margin.csv").exists()
 
 
+def _smooth_lattice_scenario():
+    doc = _toy_scenario()
+    doc["zeros"] = {"generator": {"kind": "gaussian-integers", "scale": 1.0}}
+    doc["family"] = {"kind": "smooth-capped-log", "t_min": 0.5,
+                     "t_max": 20.0, "ratio": 1.25, "eps": 0.25}
+    return doc
+
+
 def test_all_leaves_numpy_random_unimported(tmp_path):
     # random-disk grids draw from the stdlib generator; importing
-    # numpy.random would add about 6 MB to every run's peak RSS
+    # numpy.random would add about 6 MB to every run's peak RSS.  np.unique
+    # imports numpy.ma on its first call, which costs tens of ms; the
+    # smooth-capped-log lattice takes the sweep's band path
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -156,14 +166,17 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
         "import sys\n"
         "import zerocert.cli\n"
         "assert zerocert.cli.main(sys.argv[1:]) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
-    sc = _write(tmp_path, _pi_scenario())
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "all", "--scenario", sc,
-         "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "run" / "sufficiency.csv").exists()
+        "for name in ('numpy.random', 'numpy.ma', 'numpy.polynomial'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n")
+    for k, doc in enumerate((_pi_scenario(), _smooth_lattice_scenario())):
+        sc = _write(tmp_path, doc, name=f"sc{k}.json")
+        out = tmp_path / f"run{k}"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "all", "--scenario", sc,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "sufficiency.csv").exists()
 
 
 def test_schema_failure_exits_2(tmp_path, capsys):
@@ -305,17 +318,18 @@ def test_report_does_not_depend_on_the_out_path(tmp_path):
     assert reports[0]["stages"]["necessary"]["outputs"] == ["margin.csv"]
 
 
-def test_necessary_details_count_the_zeros_swept(tmp_path):
-    family = {"kind": "smooth-capped-log", "t_min": 0.5, "t_max": 20.0,
-              "ratio": 1.25, "eps": 0.25}
-    doc = _toy_scenario()
-    doc["zeros"] = {"generator": {"kind": "gaussian-integers", "scale": 1.0}}
-    doc["family"] = family
+def _necessary_details(tmp_path, doc):
     out = tmp_path / "run"
     assert main(["check-necessary", "--scenario", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
-    details = json.loads((out / "report.json").read_text())[
+    return json.loads((out / "report.json").read_text())[
         "stages"]["necessary"]["details"]
+
+
+def test_necessary_details_count_the_zeros_swept(tmp_path):
+    doc = _smooth_lattice_scenario()
+    family = doc["family"]
+    details = _necessary_details(tmp_path, doc)
     # the sweep reads the zeros out to 1.05 times the largest support
     fam = SmoothCappedLogFamily(**{k: v for k, v in family.items()
                                    if k != "kind"})
@@ -325,6 +339,15 @@ def test_necessary_details_count_the_zeros_swept(tmp_path):
     assert 0 < details["radii"] < details["zeros"]
     # every tau's band took the one-panel rule
     assert details["adaptive_bands"] == 0
+    # the blend bands are summed from segment moments, with a rounding
+    # bound below the sweep's threshold
+    assert details["band_segments"] > 0 and details["band_pairs"] > 0
+    assert 0.0 < details["lhs_rounding"] < details["threshold"]
+    # a truncated log has no band: its lhs is the core's closed form
+    doc["family"] = dict(family, kind="truncated-log")
+    del doc["family"]["eps"]
+    details = _necessary_details(tmp_path, doc)
+    assert details["band_segments"] == details["band_pairs"] == 0
 
 
 def test_sufficiency_seed(tmp_path):

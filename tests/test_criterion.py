@@ -11,6 +11,7 @@ from zerocert import (
     DomainError,
     DSubharmonicMajorant,
     EngineError,
+    InvalidPotential,
     PlanePowerProfile,
     Region,
     RieszCharge,
@@ -318,6 +319,98 @@ def test_margin_lhs_undeclared_core_agrees_with_closed_form():
     for sa, sb in zip(a.samples, b.samples):
         assert abs(sa.lhs - sb.lhs) <= 1e-12 * (1.0 + abs(sb.lhs))
         assert abs(sa.rhs - sb.rhs) <= sb.rhs_budget
+
+
+def _edge_radii(fam):
+    """Every cutoff's core and support radius and the radii of its log
+    shape's piece edges, c - ln r = e."""
+    out = []
+    for tau in fam.taus():
+        test = fam.applied(tau)
+        out += [test.log_core, test.support_radius]
+        out += [math.exp(test.log_constant - e)
+                for e, _ in test.log_shape.pieces]
+    return [r for r in out if r > 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["truncated", "smooth", "undeclared"]),
+    t_min=st.floats(0.2, 3.0),
+    ratio=st.floats(1.02, 3.0),
+    n_taus=st.integers(1, 40),
+    eps=st.floats(0.05, 1.0),
+    zeros=st.one_of(
+        st.sampled_from([0.37, 1.0, 2.3]),
+        st.lists(st.tuples(st.floats(0.01, 60.0), st.integers(1, 5)),
+                 max_size=20)),
+    on_edges=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 4)),
+                      max_size=12),
+)
+@example(kind="undeclared", t_min=0.5, ratio=1.05, n_taus=40, eps=0.25,
+         zeros=1.0, on_edges=[])
+def test_margin_moment_lhs_matches_block_oracle(kind, t_min, ratio, n_taus,
+                                                eps, zeros, on_edges):
+    # the band sums come from per-segment moments; the references are the
+    # block-by-block profile evaluation they replaced and the exact sum of
+    # the declared profile, c - g ln|z| in the core and profile(|z|)
+    # beyond, both within the sweep's rounding bound and 1e-15 of the
+    # summed terms.  A zero within rounding of a support edge may fall on
+    # either side of it, where the blend is below 1e-60
+    n_taus = min(n_taus, 1 + int(math.log(20.0 / t_min) / math.log(ratio)))
+    fam = _family("smooth" if kind == "undeclared" else kind, t_min, ratio,
+                  n_taus, eps)
+    if kind == "undeclared":
+        fam = _UndeclaredFamily(fam)
+    if isinstance(zeros, float):
+        Z = ZeroDistribution.gaussian_integers(scale=zeros)
+    else:
+        edges = _edge_radii(fam.inner if kind == "undeclared" else fam)
+        points = [radius for radius, _ in zeros]
+        points += [edges[k % len(edges)] for k, _ in on_edges]
+        mults = [m for _, m in zeros] + [m for _, m in on_edges]
+        Z = ZeroDistribution.from_points(np.asarray(points, dtype=complex),
+                                         mults)
+    curve = margin_sweep(Z, _abs_majorant(), fam)
+    tests = [fam.applied(t) for t in fam.taus()]
+    r, m = Z.radii_up_to(1.05 * max(t.support_radius for t in tests))
+    blocks = oracles.sweep_lhs_blocks(r, m, tests)
+    rounding = curve.details["lhs_rounding"]
+    for s, test, want in zip(curve.samples, tests, blocks):
+        terms = m * np.where(
+            r <= test.log_core,
+            test.log_constant - test.pole_coefficient * np.log(r),
+            np.asarray(test.radial_profile(r), dtype=float))
+        slack = rounding + 1e-15 * math.fsum(np.abs(terms)) + 1e-60
+        assert abs(s.lhs - want) <= slack, (s.tau, s.lhs, want)
+        assert abs(s.lhs - math.fsum(terms)) <= slack, (s.tau, s.lhs)
+
+
+@dataclasses.dataclass(frozen=True)
+class _BareShapeFamily:
+    """Members whose log shape hides its piece declaration."""
+
+    inner: object
+    kind = "bare-shape"
+
+    def taus(self):
+        return self.inner.taus()
+
+    def applied(self, tau):
+        test = self.inner.applied(tau)
+        shape = test.log_shape
+        return dataclasses.replace(test, log_shape=lambda x: shape(x))
+
+
+def test_margin_band_without_declared_pieces_raises_by_name():
+    Z = ZeroDistribution.gaussian_integers(max_radius=30.0)
+    with pytest.raises(InvalidPotential, match="pieces"):
+        margin_sweep(Z, _abs_majorant(),
+                     _BareShapeFamily(_family("smooth", 0.5, 1.5, 6)))
+    # a truncated log's bands are empty: nothing reads its pieces
+    curve = margin_sweep(Z, _abs_majorant(),
+                         _BareShapeFamily(_family("truncated", 0.5, 1.5, 6)))
+    assert curve.details["band_pairs"] == 0
 
 
 def test_margin_truncated_lhs_is_nevanlinna_N():

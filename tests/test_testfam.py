@@ -61,6 +61,31 @@ def test_bump_cdf_integral_dominated_by_plus_part(x):
     assert v <= max(x, 0.0) + 1.0
 
 
+def _eval_pieces(pieces, x):
+    val = 0.0
+    for edge, coeffs in pieces:
+        if x >= edge:
+            val = sum(c * (x - edge) ** k for k, c in enumerate(coeffs))
+    return val
+
+
+@settings(max_examples=80, deadline=None)
+@given(eps=st.floats(0.05, 1.0), x=st.floats(-3.0, 3.0),
+       at=st.sampled_from([None, -1, 0, 1]))
+def test_log_shapes_declare_their_pieces(eps, x, at):
+    # each plane member's log shape is the polynomial its piece at x
+    # declares, and 0 below its first edge; at puts x on an edge
+    for p in (truncated_log_plane(1.7), smooth_capped_log(1.7, eps)):
+        shape = p.log_shape
+        edges = [e for e, _ in shape.pieces]
+        assert edges == sorted(edges)
+        if at is not None:
+            x = at * eps if p.params.get("eps") else float(at)
+        want = float(shape(x))
+        assert abs(_eval_pieces(shape.pieces, x) - want) <= 1e-15 * max(
+            1.0, abs(x)), (x, want)
+
+
 # ---------------------------------------------------------------------------
 # plane members
 
