@@ -15,10 +15,9 @@ from .majorants import (DSubharmonicMajorant, SubharmonicModel, eval_M,
 from .means import (SQRT_E, DiskFractionProfile, HatRadius, MeanChainReport,
                     PlanePowerProfile, check_mean_chain, default_kernel,
                     disk_mean, hat_radius, mollified_mean)
-from .jensen import (CirclePart, GreenFunction, JensenMeasure,
-                     JensenPotential, PJReport, green_disk, log_potential,
-                     poisson_jensen_check, potential_to_measure,
-                     uniform_circle)
+from .jensen import (CirclePart, JensenMeasure, JensenPotential, PJReport,
+                     green_disk, log_potential, poisson_jensen_check,
+                     potential_to_measure, uniform_circle)
 from .testfam import (PulledBackTest, SmoothCappedLogFamily, TestPotential,
                       TruncatedLogFamily, inversion_pullback,
                       smooth_capped_log, truncated_log_plane)
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SQRT_E", "CirclePart", "DiskFractionProfile",
     "DomainError", "DSubharmonicMajorant", "EngineError", "GenusOverflow",
-    "GreenFunction", "HatRadius", "InvalidModel",
+    "HatRadius", "InvalidModel",
     "InvalidPotential", "JensenMeasure", "JensenPotential",
     "Lemma1Constants", "M0Report", "MarginCurve", "MarginSample",
     "MeanChainReport", "NotSummable", "PJReport", "PlanePowerProfile",

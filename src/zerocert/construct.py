@@ -1,12 +1,13 @@
 """Construction side: canonical products and the sufficiency bound.
 
-The genus is probed from dyadic block sums (or read off an unbounded
-lattice's density exponent), elementary factors are evaluated through a
+The genus is probed from dyadic block sums over the zeros' radii (or
+read off an unbounded lattice's density exponent); only the product
+forms the zeros' points.  Elementary factors are evaluated through a
 tail series that stays accurate near u = 0, far zeros are summed as one
 power series in z, and the finite product carries a certified bound for
-everything it discarded or truncated.  verify_sufficiency then
-checks ln|f| against the enlarged-mean envelope pointwise, refusing to
-certify anything whose margin sweep already rules it out.
+everything it discarded or truncated.  verify_sufficiency then checks
+ln|f| against the enlarged-mean envelope pointwise, refusing to certify
+anything whose margin sweep already rules it out.
 
 Each far zero a (beyond R = 2 max|z|) keeps its own number of series
 orders.  With v = R / a and |v| < 2^e (e <= 0, read off by frexp), every
@@ -41,17 +42,18 @@ def genus(Z, *, max_genus=8):
     """Smallest p making sum of mult * |z_j|^-(p+1) converge.
 
     Unbounded lattices answer through their density exponent; other
-    distributions are probed through dyadic block sums over the points
-    within ``Z.genus_reach(_PROBE_RADIUS)``, accepting p once the last
-    three block ratios decay below 0.8.
+    distributions are probed through dyadic block sums over the radii
+    within ``Z.genus_reach(_PROBE_RADIUS)``, read with their
+    multiplicities from ``Z.radii_up_to`` (a Gaussian lattice counts its
+    norms and forms no point), accepting p once the last three block
+    ratios decay below 0.8.
     """
     if Z.unbounded:
         p = int(math.floor(Z.density_exponent))
         if p > max_genus:
             raise GenusOverflow("genus %d exceeds cap %d" % (p, max_genus))
         return p
-    pts, ml = Z.points_up_to(Z.genus_reach(_PROBE_RADIUS))
-    r = np.abs(pts)
+    r, ml = Z.radii_up_to(Z.genus_reach(_PROBE_RADIUS))
     keep = r >= 1.0
     r = r[keep]
     ml = ml[keep]

@@ -210,17 +210,19 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     (for a Gaussian lattice, one entry per norm), and the rhs of all
     cutoffs from one integrate_radial call; a cutoff whose integral
     fails is kept as a dropped sample with the failure's name as note.
-    ``details`` records the total multiplicity swept (``zeros``), the
-    number of radii read (``radii``), and the number of charge bands
-    that missed the one-panel rule and ran adaptive quadrature
-    (``adaptive_bands``), and the lhs's band counts and rounding bound
-    (_sweep_lhs).
+    The same radii show a zero at the origin, which no sweep allows;
+    no point of Z is formed.  A margin counts only above the threshold
+    10 max(budget + lhs rounding bound, tol).  ``details`` records the
+    total multiplicity swept (``zeros``), the number of radii read
+    (``radii``), and the number of charge bands that missed the
+    one-panel rule and ran adaptive quadrature (``adaptive_bands``), and
+    the lhs's band counts and rounding bound (_sweep_lhs).
     """
-    if Z.has_point_at_origin():
-        raise DomainError("candidate zeros must avoid the origin")
     tests = [family.applied(t) for t in family.taus()]
     reach = 1.05 * max(t.support_radius for t in tests)
     radii, mults = Z.radii_up_to(reach)
+    if radii.size and radii[0] <= 1e-15:
+        raise DomainError("candidate zeros must avoid the origin")
     lhs_all, work = _sweep_lhs(radii, mults, tests)
     rhs_all, adaptive = M.charge.integrate_radial(tests, tol=tol)
     swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
@@ -249,7 +251,7 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     budget = max(s.rhs_budget for s in kept)
     tau_max = max(s.tau for s in kept)
     top = [s for s in kept if s.tau >= tau_max / 10.0]
-    threshold = 10.0 * max(budget, tol)
+    threshold = 10.0 * max(budget + work["lhs_rounding"], tol)
 
     exponent = None
     r2 = None
@@ -385,18 +387,16 @@ class Lemma1Constants:
     budget: float
 
 
-def _green_floor_on_circle(g, center, radius):
-    """Minimum of the disk Green function g on a circle inside its disk.
+def _green_floor_on_circle(R, a, c, radius):
+    """Minimum of the Green function g of the disk |w| < R with pole a on
+    the circle |w - c| = radius inside it, both taken from the disk's
+    center.
 
-    g = -ln|phi| for the Moebius map phi(w) = R (w - a) / (R^2 - conj(a) w),
-    with w and the pole a taken from the disk's center.  phi sends the
-    circle |w - c| = radius to a circle whose centre is phi at the
+    g = -ln|phi| for the Moebius map phi(w) = R (w - a) / (R^2 - conj(a) w).
+    phi sends the circle to a circle whose centre is phi at the
     reflection of phi's pole R^2 / conj(a) in it (phi(c) when a = 0), so
     the floor is -ln(|image centre| + image radius).
     """
-    R = g.R
-    a = g.pole - g.center
-    c = complex(center) - g.center
     reflected = c + radius * radius * a / (R * R - a * c.conjugate())
 
     def phi(w):
@@ -406,10 +406,11 @@ def _green_floor_on_circle(g, center, radius):
     return -math.log(abs(image) + abs(phi(c + radius) - image))
 
 
-def _green_term(g, charge, atoms, r0):
-    """Integral of the disk Green function g against a charge: over its
-    atoms where ``atoms`` holds, and over each radial density on the
-    annulus r0 <= s <= R about g's centre.
+def _green_term(R, z0, center, charge, atoms, r0):
+    """Integral of the Green function g of the disk |w - center| < R with
+    pole z0 against a charge: over its atoms where ``atoms`` holds, and
+    over each radial density on the annulus r0 <= s <= R about the
+    centre.
 
     About that centre the circle means of g are
     m(s) = ln R - ln max(s, |a|), with a the pole taken from the centre,
@@ -424,16 +425,16 @@ def _green_term(g, charge, atoms, r0):
     err = 0.0
     if atoms.any():
         with np.errstate(all="ignore"):
-            gv = np.asarray(g(charge.atom_points[atoms]), dtype=float)
+            gv = np.asarray(green_disk(R, z0, center)(
+                charge.atom_points[atoms]), dtype=float)
         if not np.all(np.isfinite(gv)):
             raise NotSummable("integrand unbounded at an atom")
         val += float(np.sum(charge.atom_masses[atoms] * gv))
-    a = abs(g.pole - g.center)
-    lo = max(r0, a)
+    lo = max(r0, abs(z0 - center))
     for dens in charge.radial:
-        terms = [dens.log_mass_in(g.R), -dens.log_mass_in(lo)]
+        terms = [dens.log_mass_in(R), -dens.log_mass_in(lo)]
         if r0 > 0:
-            terms.append(-(math.log(g.R) - math.log(lo)) * dens.mass_in(r0))
+            terms.append(-(math.log(R) - math.log(lo)) * dens.mass_in(r0))
         val += dens.sign * sum(terms)
         err += _CORE_ULPS * sum(math.ulp(t) for t in terms)
     return val, err
@@ -464,8 +465,10 @@ def lemma1_constants(d_tilde, s_region, z0, b, M):
         raise DomainError("inner region must sit strictly inside the ambient disk")
     if abs(z0 - s_region.center) >= s_region.radius:
         raise DomainError("pole must lie in the interior of the inner region")
-    g = green_disk(d_tilde.radius, z0, d_tilde.center)
-    inf_green = _green_floor_on_circle(g, s_region.center, s_region.radius)
+    R, center = d_tilde.radius, d_tilde.center
+    inf_green = _green_floor_on_circle(R, z0 - center,
+                                       s_region.center - center,
+                                       s_region.radius)
     if inf_green <= 0:
         raise DomainError("Green floor is not positive; geometry too tight")
     c_test = b / inf_green
@@ -479,11 +482,12 @@ def lemma1_constants(d_tilde, s_region, z0, b, M):
                               "center")
     pts = charge.atom_points
     live = (charge.atom_masses != 0) & d_tilde.contains(pts)
-    v1, e1 = _green_term(g, charge, live & (np.abs(pts - z0) > 1e-14), 0.0)
+    v1, e1 = _green_term(R, z0, center, charge,
+                         live & (np.abs(pts - z0) > 1e-14), 0.0)
     neg = charge.negative_part()
     outside = (d_tilde.contains(neg.atom_points)
                & ~s_region.interior_contains(neg.atom_points))
-    v2, e2 = _green_term(g, neg, outside, s_region.radius)
+    v2, e2 = _green_term(R, z0, center, neg, outside, s_region.radius)
     pole_value = float(eval_M(M, np.array([z0]))[0])
     v3 = max(0.0, pole_value)
     parts = {"charge-term": v1, "negative-term": v2, "pole-term": v3}

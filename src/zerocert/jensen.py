@@ -276,28 +276,20 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
 # Green function of a disk
 
 
-@dataclass(frozen=True)
-class GreenFunction:
-    """Green function of the disk |w - center| < R with the given pole.
-
-    The formula is evaluated everywhere, inside the disk and out.
-    """
-
-    R: float
-    pole: complex
-    center: complex = 0j
-
-    def __post_init__(self):
-        if abs(self.pole - self.center) >= self.R:
-            raise DomainError("pole must lie inside the disk")
-
-    def __call__(self, z):
-        w = np.asarray(z, dtype=complex) - self.center
-        a = self.pole - self.center
-        with np.errstate(divide="ignore"):
-            return (np.log(np.abs(self.R ** 2 - np.conj(a) * w))
-                    - np.log(self.R * np.abs(w - a)))
-
-
 def green_disk(R, z0, center=0j):
-    return GreenFunction(R=float(R), pole=complex(z0), center=complex(center))
+    """Green function of the disk |w - center| < R with pole z0, as a
+    function of w.  The formula is evaluated everywhere, inside the disk
+    and out."""
+    R = float(R)
+    center = complex(center)
+    a = complex(z0) - center
+    if abs(a) >= R:
+        raise DomainError("pole must lie inside the disk")
+
+    def g(z):
+        w = np.asarray(z, dtype=complex) - center
+        with np.errstate(divide="ignore"):
+            return (np.log(np.abs(R ** 2 - np.conj(a) * w))
+                    - np.log(R * np.abs(w - a)))
+
+    return g

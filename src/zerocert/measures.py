@@ -10,10 +10,11 @@ spikes read them for their exact-log cores, all spikes of a sweep in one
 call of ``RieszCharge.integrate_radial``, and lemma1 integrates a
 concentric disk's Green function against a density as a difference of
 log-masses (``RadialDensity.log_mass_in``).  Regions are closed disks.
-Zero distributions are explicit point sets or lattices,
-enumerated disk by disk through ``points_up_to``; a radial sum over them
-reads only their sorted radii with multiplicities, through
-``radii_up_to``.
+Zero distributions are explicit point sets or lattices.  Every radial
+question about them (the genus probe, the margin sweep) reads only
+their sorted radii with multiplicities, through ``radii_up_to``; only
+the canonical product enumerates points, disk by disk, through
+``points_up_to``.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class ZeroDistribution:
     Each kind enumerates its points disk by disk, bounds the power sums
     of the points beyond a radius, and names the radius that retains
     about K zeros and the reach over which a genus probe reads them.
-    Every enumeration of points goes through ``points_up_to``; a sum of
-    a function of |z| asks ``radii_up_to`` instead, which a lattice can
-    answer from its norms without forming a point.
+    A question about |z| alone asks ``radii_up_to``, which a lattice can
+    answer from its norms without forming a point; ``points_up_to``
+    serves the canonical product, which needs the positions.
     """
 
     unbounded = False
@@ -112,10 +113,6 @@ class ZeroDistribution:
         order = np.argsort(radii, kind="stable")
         ml = np.asarray(ml)
         return radii[order], ml if np.all(ml == 1) else ml[order]
-
-    def has_point_at_origin(self, tol=1e-15):
-        pts, _ = self.points_up_to(tol)
-        return bool(pts.size)
 
     def tail_power_sum_bound(self, q, radius):
         """Upper bound on sum of mult * |z_j|^(-q) over |z_j| > radius."""
@@ -242,37 +239,13 @@ class GaussianIntegers(_Lattice):
 
     def _points_within(self, r):
         """Lattice points (x + y i) * scale with |z| <= r, z != 0, real part
-        outermost and y increasing within a row.
-
-        Each row's half-width is counted in integers: isqrt of one norm
-        past (r/scale)^2, as in radii_up_to, then narrowed while the
-        float modulus of the row's outermost point exceeds r, so the float
-        test |z| <= r decides at the circle.  The points then fill one
-        array, row by row.
-        """
-        top = int(math.floor((r / self.scale) ** 2)) + 1
-        n = math.isqrt(top)
-        xs = np.arange(-n, n + 1, dtype=float)
-        half = np.array([math.isqrt(top - x * x) for x in range(-n, n + 1)])
-        while True:
-            edge = (xs + 1j * half) * self.scale
-            over = (np.abs(edge) > r) & (half >= 0)
-            if not over.any():
-                break
-            half[over] -= 1
-        # a row holds 2 half + 1 points (none at half = -1), less the
-        # origin in row 0, whose half is never negative
-        counts = np.maximum(2 * half + 1, 0) - (xs == 0)
-        pts = np.empty(int(counts.sum()), dtype=complex)
-        at = 0
-        for x, h, c in zip(xs, half, counts):
-            if c <= 0:
-                continue
-            y = np.arange(-h, h + 1, dtype=float)
-            if x == 0:
-                y = y[y != 0]
-            pts[at:at + c] = (x + 1j * y) * self.scale
-            at += c
+        outermost: the square of half-width isqrt of one norm past
+        (r/scale)^2, as in radii_up_to, masked by the float test
+        |z| <= r."""
+        n = math.isqrt(int(math.floor((r / self.scale) ** 2)) + 1)
+        k = np.arange(-n, n + 1, dtype=float)
+        pts = ((k[:, None] + 1j * k[None, :]) * self.scale).ravel()
+        pts = pts[(np.abs(pts) <= r) & (pts != 0)]
         return pts, np.ones(pts.size, dtype=int)
 
     def radii_up_to(self, radius):

@@ -47,6 +47,22 @@ def test_genus_overflow():
         genus(ZeroDistribution.real_multiples(step=np.pi), max_genus=0)
 
 
+def test_genus_reads_radii_not_points(monkeypatch):
+    # a bounded Gaussian lattice reaching past the probe radius is probed
+    # through its norms: no point is formed
+    asked = []
+    enumerate_points = ZeroDistribution.points_up_to
+
+    def recording(self, radius):
+        asked.append(radius)
+        return enumerate_points(self, radius)
+
+    monkeypatch.setattr(ZeroDistribution, "points_up_to", recording)
+    Z = ZeroDistribution.gaussian_integers(scale=4.0, max_radius=5000.0)
+    assert genus(Z) == 2
+    assert asked == []
+
+
 _DYADIC = [2.0 ** k for k in range(12)]
 
 

@@ -68,7 +68,8 @@ def test_counting_gaussian_disk_matches_loop():
 
 @pytest.mark.parametrize("scale", [1.0, 0.3, 2.7, 1.0 / 3.0])
 def test_gaussian_rows_match_meshgrid(scale):
-    # the row-by-row enumeration returns the square meshgrid's points, in order
+    # the masked square returns the meshgrid's points, in order, whatever
+    # its half-width
     Z = ZeroDistribution.gaussian_integers(scale=scale)
     for radius in (0.0, 0.5, scale, 5.0, 17.3, 60.0):
         got, mults = Z.points_up_to(radius)
@@ -84,9 +85,9 @@ def test_gaussian_rows_match_meshgrid(scale):
 
 @pytest.mark.parametrize("scale", [1.0, 0.5, 0.37, 2.3])
 def test_gaussian_points_match_the_two_pass_rows(scale):
-    # rows counted in integers and filled once give the points, order and
-    # dtype of the enumeration that built every row twice, on and next to
-    # the lattice circles too
+    # the masked square gives the points, order and dtype of the
+    # enumeration that built every row twice, on and next to the lattice
+    # circles too
     Z = ZeroDistribution.gaussian_integers(scale=scale)
     radii = [0.0, 0.5 * scale, 17.3, 60.0]
     for n in (1, 2, 5, 25, 50, 65):
