@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -25,8 +26,6 @@ import numpy as np
 from .criterion import check_m0, lemma1_constants, m0_dyadic_grid, margin_sweep
 from .construct import verify_sufficiency
 from .errors import EngineError, PreconditionViolation, SchemaError
-from .jensen import (green_disk, log_potential, poisson_jensen_check,
-                     potential_to_measure, uniform_circle)
 from .majorants import make_log_abs_poly, make_radial_power
 from .means import (DiskFractionProfile, PlanePowerProfile, check_mean_chain,
                     disk_mean, hat_radius, mollified_mean)
@@ -245,6 +244,9 @@ def _selftest_report(name, rows, outdir):
 
 
 def _jensen_selftest(outdir):
+    from .jensen import (green_disk, log_potential, poisson_jensen_check,
+                         potential_to_measure, uniform_circle)
+
     rows = []
 
     mu = uniform_circle(0j, 2.0)
@@ -352,6 +354,17 @@ def _parser():
 
 
 def main(argv=None):
+    # a run never frees the heap that import built, so the collector's
+    # older-generation passes need not rescan it mid-run; unfreeze hands an
+    # in-process caller its collector back
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv):
     args = _parser().parse_args(argv)
 
     outdir = Path(args.out)

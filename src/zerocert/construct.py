@@ -26,10 +26,10 @@ term ProductRepresentation.budget charges for 64 orders.  A zero with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, setfield
 from .errors import GenusOverflow, NotSummable
 from .means import hat_radius
 from .quadrature import circle_mean
@@ -182,17 +182,25 @@ def _sum_log_E(zflat, points, mults, p, work=None):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ProductRepresentation:
+# radius about each zero (and the origin) inside which ln|f| reads -inf
+_GUARD = 1e-12
+
+
+class ProductRepresentation(Record):
     """Finite canonical product with a certified bound on its tail."""
 
-    genus: int
-    points: np.ndarray
-    mults: np.ndarray
-    origin_mult: int
-    cutoff_radius: float
-    tail_sum_bound: float
-    guard: float = 1e-12
+    __slots__ = ("genus", "points", "mults", "origin_mult", "cutoff_radius",
+                 "tail_sum_bound", "guard")
+
+    def __init__(self, genus, points, mults, origin_mult, cutoff_radius,
+                 tail_sum_bound, guard=_GUARD):
+        setfield(self, "genus", genus)
+        setfield(self, "points", points)
+        setfield(self, "mults", mults)
+        setfield(self, "origin_mult", origin_mult)
+        setfield(self, "cutoff_radius", cutoff_radius)
+        setfield(self, "tail_sum_bound", tail_sum_bound)
+        setfield(self, "guard", guard)
 
     @property
     def retained(self):
@@ -270,7 +278,7 @@ def build_product(Z, p=None, *, K=10000):
         p = genus(Z)
     cutoff = Z.retaining_radius(K)
     pts, ml = Z.points_up_to(cutoff)
-    at_origin = np.abs(pts) <= ProductRepresentation.guard
+    at_origin = np.abs(pts) <= _GUARD
     origin_mult = int(ml[at_origin].sum()) if at_origin.any() else 0
     pts, ml = pts[~at_origin], ml[~at_origin]
     tail = Z.tail_power_sum_bound(p + 1, cutoff)
@@ -292,33 +300,42 @@ def weierstrass_log_abs(Z, p, z, *, K=10000):
 # the sufficiency bound
 
 
-def _no_points(dtype=float):
-    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+def _or_empty(values, dtype=float):
+    return np.empty(0, dtype=dtype) if values is None else values
 
 
-@dataclass(frozen=True, eq=False)
-class SufficiencyReport:
+class SufficiencyReport(Record):
     """The verdict, its counters, and one entry per checked grid point in
-    each of the arrays z, log_abs, tail, bound, excess and ok."""
+    each of the arrays z, log_abs, tail, bound, excess and ok (fresh empty
+    arrays unless given)."""
 
-    certified: bool
-    reason: str
-    margin_verdict: str | None
-    genus: int
-    retained: int
-    checked: int
-    violations: int
-    skipped_guard: int
-    max_excess: float
-    tail_budget_max: float
-    far_zeros: int = 0
-    far_terms: int = 0
-    z: np.ndarray = _no_points(complex)
-    log_abs: np.ndarray = _no_points()
-    tail: np.ndarray = _no_points()
-    bound: np.ndarray = _no_points()
-    excess: np.ndarray = _no_points()
-    ok: np.ndarray = _no_points(bool)
+    __slots__ = ("certified", "reason", "margin_verdict", "genus", "retained",
+                 "checked", "violations", "skipped_guard", "max_excess",
+                 "tail_budget_max", "far_zeros", "far_terms", "z", "log_abs",
+                 "tail", "bound", "excess", "ok")
+
+    def __init__(self, certified, reason, margin_verdict, genus, retained,
+                 checked, violations, skipped_guard, max_excess,
+                 tail_budget_max, far_zeros=0, far_terms=0, z=None,
+                 log_abs=None, tail=None, bound=None, excess=None, ok=None):
+        setfield(self, "certified", certified)
+        setfield(self, "reason", reason)
+        setfield(self, "margin_verdict", margin_verdict)
+        setfield(self, "genus", genus)
+        setfield(self, "retained", retained)
+        setfield(self, "checked", checked)
+        setfield(self, "violations", violations)
+        setfield(self, "skipped_guard", skipped_guard)
+        setfield(self, "max_excess", max_excess)
+        setfield(self, "tail_budget_max", tail_budget_max)
+        setfield(self, "far_zeros", far_zeros)
+        setfield(self, "far_terms", far_terms)
+        setfield(self, "z", _or_empty(z, complex))
+        setfield(self, "log_abs", _or_empty(log_abs))
+        setfield(self, "tail", _or_empty(tail))
+        setfield(self, "bound", _or_empty(bound))
+        setfield(self, "excess", _or_empty(excess))
+        setfield(self, "ok", _or_empty(ok, bool))
 
 
 def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,

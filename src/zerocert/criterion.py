@@ -28,12 +28,11 @@ its declared log-masses, with no quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, EngineError, InvalidPotential, NotSummable
-from .jensen import green_disk
 from .majorants import eval_M
 from .means import PlanePowerProfile
 from .measures import _CORE_ULPS, Region
@@ -46,24 +45,32 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # margin sweep
 
 
-@dataclass(frozen=True)
-class MarginSample:
-    tau: float
-    lhs: float
-    rhs: float
-    margin: float
-    rhs_budget: float
-    note: str = ""
+class MarginSample(ValueRecord):
+    __slots__ = ("tau", "lhs", "rhs", "margin", "rhs_budget", "note")
+
+    def __init__(self, tau, lhs, rhs, margin, rhs_budget, note=""):
+        setfield(self, "tau", tau)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+        setfield(self, "margin", margin)
+        setfield(self, "rhs_budget", rhs_budget)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class MarginCurve:
-    samples: tuple
-    verdict: str
-    growth_exponent: float | None
-    fit_r2: float | None
-    budget: float
-    details: dict
+class MarginCurve(ValueRecord):
+    """growth_exponent and fit_r2 are None when no growth fit was made."""
+
+    __slots__ = ("samples", "verdict", "growth_exponent", "fit_r2", "budget",
+                 "details")
+
+    def __init__(self, samples, verdict, growth_exponent, fit_r2, budget,
+                 details):
+        setfield(self, "samples", samples)
+        setfield(self, "verdict", verdict)
+        setfield(self, "growth_exponent", growth_exponent)
+        setfield(self, "fit_r2", fit_r2)
+        setfield(self, "budget", budget)
+        setfield(self, "details", details)
 
 
 # fewest kept samples in the top decade of taus that can carry a verdict;
@@ -293,20 +300,24 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 # upper-envelope regularity
 
 
-@dataclass(frozen=True, eq=False)
-class M0Report:
+class M0Report(Record):
     """The estimate and its verdict, and one entry per probe point in
     each of the arrays z, shell, deviation and budget."""
 
-    c_estimate: float
-    bounded: bool
-    flagged: tuple
-    shell_sups: tuple
-    power: float
-    z: np.ndarray
-    shell: np.ndarray
-    deviation: np.ndarray
-    budget: np.ndarray
+    __slots__ = ("c_estimate", "bounded", "flagged", "shell_sups", "power",
+                 "z", "shell", "deviation", "budget")
+
+    def __init__(self, c_estimate, bounded, flagged, shell_sups, power, z,
+                 shell, deviation, budget):
+        setfield(self, "c_estimate", c_estimate)
+        setfield(self, "bounded", bounded)
+        setfield(self, "flagged", flagged)
+        setfield(self, "shell_sups", shell_sups)
+        setfield(self, "power", power)
+        setfield(self, "z", z)
+        setfield(self, "shell", shell)
+        setfield(self, "deviation", deviation)
+        setfield(self, "budget", budget)
 
 
 def m0_shell_count(r_max):
@@ -378,13 +389,15 @@ def check_m0(M_up, P, points, *, tol=1e-8):
 # disk-regime comparison constants
 
 
-@dataclass(frozen=True)
-class Lemma1Constants:
-    c_test: float
-    inf_green: float
-    c_majorant: float
-    parts: dict
-    budget: float
+class Lemma1Constants(ValueRecord):
+    __slots__ = ("c_test", "inf_green", "c_majorant", "parts", "budget")
+
+    def __init__(self, c_test, inf_green, c_majorant, parts, budget):
+        setfield(self, "c_test", c_test)
+        setfield(self, "inf_green", inf_green)
+        setfield(self, "c_majorant", c_majorant)
+        setfield(self, "parts", parts)
+        setfield(self, "budget", budget)
 
 
 def _green_floor_on_circle(R, a, c, radius):
@@ -424,6 +437,7 @@ def _green_term(R, z0, center, charge, atoms, r0):
     val = 0.0
     err = 0.0
     if atoms.any():
+        from .jensen import green_disk
         with np.errstate(all="ignore"):
             gv = np.asarray(green_disk(R, z0, center)(
                 charge.atom_points[atoms]), dtype=float)

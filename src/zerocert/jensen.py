@@ -30,33 +30,32 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, EngineError, InvalidPotential
 from .measures import RieszCharge
 from .quadrature import circle_mean
 
 
-@dataclass(frozen=True)
-class CirclePart:
-    radius: float
-    weight: float
+class CirclePart(ValueRecord):
+    __slots__ = ("radius", "weight")
+
+    def __init__(self, radius, weight):
+        setfield(self, "radius", radius)
+        setfield(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class JensenMeasure:
+class JensenMeasure(ValueRecord):
     """Probability measure from the circle catalogue, pole included."""
 
-    pole: complex
-    parts: tuple
-    pole_mass: float = 0.0
+    __slots__ = ("pole", "parts", "pole_mass")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pole", complex(self.pole))
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, pole, parts, pole_mass=0.0):
+        setfield(self, "pole", complex(pole))
+        setfield(self, "parts", tuple(parts))
+        setfield(self, "pole_mass", pole_mass)
         if self.pole_mass < 0:
             raise DomainError("pole mass must be nonnegative")
         total = self.pole_mass
@@ -92,8 +91,7 @@ def uniform_circle(z0, t):
 # log potentials
 
 
-@dataclass(frozen=True, eq=False)
-class JensenPotential:
+class JensenPotential(Record):
     """Radial potential of a catalogue measure, with its circle parts.
 
     It declares what the charge integrals read off it: a log singularity
@@ -102,10 +100,13 @@ class JensenPotential:
     log_constant - pole_coefficient * ln d.
     """
 
-    pole: complex
-    radial_profile: Callable
-    parts: tuple
-    pole_coefficient: float
+    __slots__ = ("pole", "radial_profile", "parts", "pole_coefficient")
+
+    def __init__(self, pole, radial_profile, parts, pole_coefficient):
+        setfield(self, "pole", pole)
+        setfield(self, "radial_profile", radial_profile)
+        setfield(self, "parts", parts)
+        setfield(self, "pole_coefficient", pole_coefficient)
 
     @property
     def support_radius(self):
@@ -224,13 +225,15 @@ def _truncate_radial(charge, pole, support_radius):
     return RieszCharge(charge.atom_points, charge.atom_masses, tuple(radial))
 
 
-@dataclass(frozen=True)
-class PJReport:
-    u_pole: float
-    mean_term: float
-    charge_term: float
-    residual: float
-    budget: float
+class PJReport(ValueRecord):
+    __slots__ = ("u_pole", "mean_term", "charge_term", "residual", "budget")
+
+    def __init__(self, u_pole, mean_term, charge_term, residual, budget):
+        setfield(self, "u_pole", u_pole)
+        setfield(self, "mean_term", mean_term)
+        setfield(self, "charge_term", charge_term)
+        setfield(self, "residual", residual)
+        setfield(self, "budget", budget)
 
 
 def poisson_jensen_check(u, mu, *, tol=1e-9):

@@ -10,11 +10,10 @@ construction time instead of deep inside a sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from ._record import Record, setfield
 from .errors import InvalidModel
 from .measures import RadialDensity, RieszCharge
 from .quadrature import mean_on_circle
@@ -84,16 +83,20 @@ _SPOT_CENTERS = np.array([
 _SPOT_RADII = np.array([0.3, 0.7, 0.4, 0.9, 0.25, 0.6, 0.45, 0.8])
 
 
-@dataclass(frozen=True, eq=False)
-class SubharmonicModel:
+class SubharmonicModel(Record):
     """Subharmonic function with attached charge and optional exact means."""
 
-    kind: str
-    params: dict
-    eval: Callable
-    riesz: RieszCharge
-    singular_points: tuple = ()
-    exact_circle_mean: Callable | None = None
+    __slots__ = ("kind", "params", "eval", "riesz", "singular_points",
+                 "exact_circle_mean")
+
+    def __init__(self, kind, params, eval, riesz, singular_points=(),
+                 exact_circle_mean=None):
+        setfield(self, "kind", kind)
+        setfield(self, "params", params)
+        setfield(self, "eval", eval)
+        setfield(self, "riesz", riesz)
+        setfield(self, "singular_points", singular_points)
+        setfield(self, "exact_circle_mean", exact_circle_mean)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -316,12 +319,15 @@ def model_sum(*models):
 # differences
 
 
-@dataclass(frozen=True, eq=False)
-class DSubharmonicMajorant:
-    """M = up - low with the convention M := +inf wherever low = -inf."""
+class DSubharmonicMajorant(Record):
+    """M = up - low with the convention M := +inf wherever low = -inf; low
+    is a fresh zero model unless given."""
 
-    up: SubharmonicModel
-    low: SubharmonicModel = field(default_factory=make_zero_model)
+    __slots__ = ("up", "low")
+
+    def __init__(self, up, low=None):
+        setfield(self, "up", up)
+        setfield(self, "low", make_zero_model() if low is None else low)
 
     @property
     def charge(self):

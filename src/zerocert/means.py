@@ -12,24 +12,23 @@ preconditions are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import ValueRecord, setfield
 from .errors import PreconditionViolation
 from .quadrature import TWO_PI, circle_mean, integrate_circle_means
 
 SQRT_E = math.sqrt(math.e)
 
 
-@dataclass(frozen=True)
-class PlanePowerProfile:
+class PlanePowerProfile(ValueRecord):
     """r(z) = (1 + |z|) ** (-power) on the whole plane."""
 
-    power: float = 1.0
+    __slots__ = ("power",)
 
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, power=1.0):
+        setfield(self, "power", power)
+        if power < 0:
             raise PreconditionViolation("power must be nonnegative")
 
     def radius(self, z):
@@ -54,16 +53,16 @@ class PlanePowerProfile:
         return np.zeros(np.asarray(z).shape, dtype=float)
 
 
-@dataclass(frozen=True)
-class DiskFractionProfile:
+class DiskFractionProfile(ValueRecord):
     """r(z) = fraction * dist(z, boundary) inside the disk(center, R)."""
 
-    fraction: float
-    center: complex = 0j
-    R: float = 1.0
+    __slots__ = ("fraction", "center", "R")
 
-    def __post_init__(self):
-        if not (0 < self.fraction < 1) or not self.R > 0:
+    def __init__(self, fraction, center=0j, R=1.0):
+        setfield(self, "fraction", fraction)
+        setfield(self, "center", center)
+        setfield(self, "R", R)
+        if not (0 < fraction < 1) or not R > 0:
             raise PreconditionViolation("needs 0 < fraction < 1 and R > 0")
 
     def radius(self, z):
@@ -90,10 +89,12 @@ class DiskFractionProfile:
             return -np.log(np.asarray(self.radius(z), dtype=float))
 
 
-@dataclass(frozen=True)
-class HatRadius:
-    value: float
-    certified_upper: float
+class HatRadius(ValueRecord):
+    __slots__ = ("value", "certified_upper")
+
+    def __init__(self, value, certified_upper):
+        setfield(self, "value", value)
+        setfield(self, "certified_upper", certified_upper)
 
 
 def hat_radius(profile, z):
@@ -168,12 +169,14 @@ def mollified_mean(u, z, t, *, tol=1e-9):
 # chain checks
 
 
-@dataclass(frozen=True)
-class MeanChainReport:
-    rows: tuple
-    ok: bool
-    max_violation: float
-    slack: float
+class MeanChainReport(ValueRecord):
+    __slots__ = ("rows", "ok", "max_violation", "slack")
+
+    def __init__(self, rows, ok, max_violation, slack):
+        setfield(self, "rows", rows)
+        setfield(self, "ok", ok)
+        setfield(self, "max_violation", max_violation)
+        setfield(self, "slack", slack)
 
 
 def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8):

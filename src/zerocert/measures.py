@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, EngineError, NotSummable
 from .quadrature import (ToleranceFailure, integrate, integrate_circle_means,
                          panel_estimates, panel_nodes)
@@ -40,12 +41,14 @@ _CORE_ULPS = 4
 # regions
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(ValueRecord):
     """Closed disk |z - center| <= radius."""
 
-    center: complex
-    radius: float
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center, radius):
+        setfield(self, "center", center)
+        setfield(self, "radius", radius)
 
     @classmethod
     def disk(cls, center, radius):
@@ -437,21 +440,18 @@ def _add_bands(dens, spikes, bands, share, val, err, failed):
     return adaptive
 
 
-@dataclass(frozen=True, eq=False)
-class RieszCharge:
+class RieszCharge(Record):
     """Signed charge: point atoms and radial densities."""
 
-    atom_points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    atom_masses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=float))
-    radial: tuple = ()
+    __slots__ = ("atom_points", "atom_masses", "radial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atom_points", _coerce_points(self.atom_points))
-        object.__setattr__(self, "atom_masses",
-                           np.asarray(self.atom_masses, dtype=float).ravel())
+    def __init__(self, atom_points=(), atom_masses=(), radial=()):
+        setfield(self, "atom_points", _coerce_points(atom_points))
+        setfield(self, "atom_masses",
+                 np.asarray(atom_masses, dtype=float).ravel())
         if self.atom_points.shape != self.atom_masses.shape:
             raise DomainError("atom points and masses differ in length")
-        object.__setattr__(self, "radial", tuple(self.radial))
+        setfield(self, "radial", tuple(radial))
 
     def __neg__(self):
         return RieszCharge(

@@ -12,10 +12,10 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import ValueRecord, setfield
 from .criterion import m0_dyadic_grid, m0_shell_count
 from .errors import SchemaError
 from .majorants import (DSubharmonicMajorant, make_log_abs_poly,
@@ -343,20 +343,30 @@ def build_sufficiency_grid(blk, seed=None):
     return spec["center"] + r * np.exp(1j * theta)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    label: str
-    zeros: ZeroDistribution
-    majorant: DSubharmonicMajorant
-    profile: object | None
-    family: object | None
-    sufficiency_grid: np.ndarray | None
-    m0_grid: np.ndarray | None
-    m0_power: float | None
-    lemma1: dict | None
-    tolerances: dict = field(default_factory=dict)
-    # describe_sufficiency_grid of the block the sufficiency grid came from
-    sufficiency_spec: dict | None = None
+class Scenario(ValueRecord):
+    """A loaded scenario; profile, family, the grids, m0_power and lemma1
+    are None where the file does not give them.  tolerances is a fresh
+    dict unless given, and sufficiency_spec is describe_sufficiency_grid
+    of the block the sufficiency grid came from."""
+
+    __slots__ = ("label", "zeros", "majorant", "profile", "family",
+                 "sufficiency_grid", "m0_grid", "m0_power", "lemma1",
+                 "tolerances", "sufficiency_spec")
+
+    def __init__(self, label, zeros, majorant, profile, family,
+                 sufficiency_grid, m0_grid, m0_power, lemma1, tolerances=None,
+                 sufficiency_spec=None):
+        setfield(self, "label", label)
+        setfield(self, "zeros", zeros)
+        setfield(self, "majorant", majorant)
+        setfield(self, "profile", profile)
+        setfield(self, "family", family)
+        setfield(self, "sufficiency_grid", sufficiency_grid)
+        setfield(self, "m0_grid", m0_grid)
+        setfield(self, "m0_power", m0_power)
+        setfield(self, "lemma1", lemma1)
+        setfield(self, "tolerances", {} if tolerances is None else tolerances)
+        setfield(self, "sufficiency_spec", sufficiency_spec)
 
     def tol(self, stage):
         return self.tolerances.get(stage, self.tolerances.get("default", 1e-9))

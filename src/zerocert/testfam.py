@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._record import ValueRecord, setfield
 from .errors import InvalidPotential
 
 
@@ -132,6 +133,12 @@ def truncated_log_plane(t):
         s = np.asarray(s, dtype=float)
         return np.log(np.maximum(1.0, t * s))
 
+    # the pullback's core ends at 1 / log_radius, which must not pass t,
+    # where the profile is already 0: where 1/(1/t) rounds above t, the
+    # exact-log region is declared from one ulp further out
+    log_radius = 1.0 / t
+    if 1.0 / log_radius > t:
+        log_radius = math.nextafter(log_radius, math.inf)
     return TestPotential(
         params={"t": t},
         eval=lambda w: profile(np.abs(w)),
@@ -139,7 +146,7 @@ def truncated_log_plane(t):
         growth_coefficient=1.0,
         zero_radius=1.0 / t,
         kink_radii=(1.0 / t,),
-        log_radius=1.0 / t,
+        log_radius=log_radius,
         log_constant=math.log(t),
         log_shape=_positive_part)
 
@@ -228,13 +235,15 @@ def _geometric_taus(t_min, t_max, ratio):
     return tuple(taus)
 
 
-@dataclass(frozen=True)
-class TruncatedLogFamily:
-    t_min: float = 0.5
-    t_max: float = 200.0
-    ratio: float = 2.0 ** 0.25
+class TruncatedLogFamily(ValueRecord):
+    __slots__ = ("t_min", "t_max", "ratio")
 
     kind = "truncated-log"
+
+    def __init__(self, t_min=0.5, t_max=200.0, ratio=2.0 ** 0.25):
+        setfield(self, "t_min", t_min)
+        setfield(self, "t_max", t_max)
+        setfield(self, "ratio", ratio)
 
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)
@@ -243,14 +252,16 @@ class TruncatedLogFamily:
         return inversion_pullback(truncated_log_plane(tau))
 
 
-@dataclass(frozen=True)
-class SmoothCappedLogFamily:
-    t_min: float = 0.5
-    t_max: float = 200.0
-    ratio: float = 2.0 ** 0.25
-    eps: float = 0.25
+class SmoothCappedLogFamily(ValueRecord):
+    __slots__ = ("t_min", "t_max", "ratio", "eps")
 
     kind = "smooth-capped-log"
+
+    def __init__(self, t_min=0.5, t_max=200.0, ratio=2.0 ** 0.25, eps=0.25):
+        setfield(self, "t_min", t_min)
+        setfield(self, "t_max", t_max)
+        setfield(self, "ratio", ratio)
+        setfield(self, "eps", eps)
 
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)

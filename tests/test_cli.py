@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, outputs, determinism."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -157,7 +158,8 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
     # random-disk grids draw from the stdlib generator; importing
     # numpy.random would add about 6 MB to every run's peak RSS.  np.unique
     # imports numpy.ma on its first call, which costs tens of ms; the
-    # smooth-capped-log lattice takes the sweep's band path
+    # smooth-capped-log lattice takes the sweep's band path.  No stage of
+    # ``all`` reads a Jensen measure, so zerocert.jensen stays unimported
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -166,7 +168,8 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
         "import sys\n"
         "import zerocert.cli\n"
         "assert zerocert.cli.main(sys.argv[1:]) == 0\n"
-        "for name in ('numpy.random', 'numpy.ma', 'numpy.polynomial'):\n"
+        "for name in ('numpy.random', 'numpy.ma', 'numpy.polynomial',\n"
+        "             'zerocert.jensen'):\n"
         "    assert name not in sys.modules, name + ' imported'\n")
     for k, doc in enumerate((_pi_scenario(), _smooth_lattice_scenario())):
         sc = _write(tmp_path, doc, name=f"sc{k}.json")
@@ -177,6 +180,39 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert (out / "sufficiency.csv").exists()
+
+
+def _stage_failure_scenario():
+    # probe at 0.5 in the unit disk: the enlarged circle reaches the rim
+    return {
+        "label": "disk-bad",
+        "zeros": {"points": [{"re": 0.2}]},
+        "majorant": {"up": {"kind": "zero"}},
+        "profile": {"kind": "disk-fraction", "fraction": 0.5, "R": 1.0},
+        "grids": {"sufficiency": {"kind": "explicit",
+                                  "points": [{"re": 0.5}]}},
+    }
+
+
+@pytest.mark.parametrize("doc, want", [
+    (_toy_scenario(), 0),
+    ({"zeros": {"points": [{"re": 1.0}]}}, 2),
+    (_stage_failure_scenario(), 3),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_the_collector_back(tmp_path, capsys, doc, want, enabled):
+    # main freezes the heap that import built for the run, and unfreezes
+    # it on every exit path
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = main(["all", "--scenario", _write(tmp_path, doc),
+                   "--out", str(tmp_path / "run")])
+        assert rc == want
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_schema_failure_exits_2(tmp_path, capsys):
@@ -217,16 +253,7 @@ def test_missing_scenario_flag_exits_2(tmp_path, capsys):
 
 
 def test_stage_failure_exits_3_but_reports(tmp_path, capsys):
-    # probe at 0.5 in the unit disk: the enlarged circle reaches the rim
-    doc = {
-        "label": "disk-bad",
-        "zeros": {"points": [{"re": 0.2}]},
-        "majorant": {"up": {"kind": "zero"}},
-        "profile": {"kind": "disk-fraction", "fraction": 0.5, "R": 1.0},
-        "grids": {"sufficiency": {"kind": "explicit",
-                                  "points": [{"re": 0.5}]}},
-    }
-    sc = _write(tmp_path, doc)
+    sc = _write(tmp_path, _stage_failure_scenario())
     out = tmp_path / "run"
     rc = main(["construct-verify", "--scenario", sc, "--out", str(out)])
     assert rc == 3

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from zerocert.criterion import margin_sweep
+from zerocert.majorants import DSubharmonicMajorant, make_radial_power
+from zerocert.measures import ZeroDistribution
 from zerocert.testfam import (
     SmoothCappedLogFamily,
     TruncatedLogFamily,
@@ -159,6 +162,24 @@ def test_pullback_log_core_is_exact(make):
     got = np.asarray(pb.radial_profile(d), dtype=float)
     assert np.allclose(got, pb.log_constant - np.log(d), rtol=0.0,
                        atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.05, 50.0))
+# 1/(1/t) rounds one ulp above t, where the profile is already 0
+@example(t=0.9777876609024794)
+# and one ulp below it, where 12 ln(t / r) = 1.33e-15 is the true lhs
+@example(t=0.9993836293623819)
+def test_truncated_log_core_stays_inside_the_kink(t):
+    # the core's closed form holds only up to t; a zero at 1/(1/t) is
+    # swept to its exact value within the sweep's own rounding bound
+    assert inversion_pullback(truncated_log_plane(t)).log_core <= t
+    r = 1.0 / (1.0 / t)
+    Z = ZeroDistribution.from_points([r], [12])
+    curve = margin_sweep(Z, DSubharmonicMajorant(make_radial_power(1.0, 1.0)),
+                         TruncatedLogFamily(t_min=t, t_max=t))
+    want = 12.0 * max(0.0, math.log1p((t - r) / r))
+    assert abs(curve.samples[0].lhs - want) <= curve.details["lhs_rounding"]
 
 
 @pytest.mark.parametrize("make", [truncated_log_plane, smooth_capped_log])
