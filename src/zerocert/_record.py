@@ -1,9 +1,19 @@
 """Frozen record classes, written out rather than generated.
 
-A record's fields are its class's ``__slots__``, in order, and its own
-``__init__`` sets each of them once with ``setfield``
-(object.__setattr__), as a frozen dataclass does.  Assigning or
-deleting an attribute afterwards raises
+A record's fields are its class's ``__slots__``, in order, and the
+class-level dict ``_defaults`` gives the values of those left out; its
+keys are a suffix of ``__slots__``, as a dataclass requires.
+``Record.__init__`` fills the fields from positional arguments, then
+keyword arguments, then ``_defaults``, and sets each of them once with
+``setfield`` (object.__setattr__), as a frozen dataclass does.  A
+default that must be a fresh object for each record is declared None,
+and three classes keep a short ``__init__`` that calls
+``Record.__init__`` and then fills it in: SufficiencyReport's empty
+arrays, DSubharmonicMajorant.low and Scenario.tolerances.  RieszCharge,
+JensenMeasure, PlanePowerProfile and DiskFractionProfile keep their own
+``__init__``, which converts or checks its arguments.
+
+Assigning or deleting an attribute afterwards raises
 dataclasses.FrozenInstanceError.  ``Record`` compares and hashes by
 identity (a dataclass's eq=False); ``ValueRecord`` by the tuple of its
 fields, and only against an instance of the same class.  A copy or a
@@ -25,6 +35,30 @@ def _restore(cls, values):
 
 class Record:
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError("%s takes %d fields but %d were given"
+                            % (cls.__qualname__, len(names), len(args)))
+        for name, value in zip(names, args):
+            setfield(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError("%s missing field %r"
+                                % (cls.__qualname__, name))
+            setfield(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError("%s got field %r %s" % (
+                cls.__qualname__, name,
+                "twice" if name in names else "but has no such field"))
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -191,16 +191,7 @@ class ProductRepresentation(Record):
 
     __slots__ = ("genus", "points", "mults", "origin_mult", "cutoff_radius",
                  "tail_sum_bound", "guard")
-
-    def __init__(self, genus, points, mults, origin_mult, cutoff_radius,
-                 tail_sum_bound, guard=_GUARD):
-        setfield(self, "genus", genus)
-        setfield(self, "points", points)
-        setfield(self, "mults", mults)
-        setfield(self, "origin_mult", origin_mult)
-        setfield(self, "cutoff_radius", cutoff_radius)
-        setfield(self, "tail_sum_bound", tail_sum_bound)
-        setfield(self, "guard", guard)
+    _defaults = {"guard": _GUARD}
 
     @property
     def retained(self):
@@ -300,10 +291,6 @@ def weierstrass_log_abs(Z, p, z, *, K=10000):
 # the sufficiency bound
 
 
-def _or_empty(values, dtype=float):
-    return np.empty(0, dtype=dtype) if values is None else values
-
-
 class SufficiencyReport(Record):
     """The verdict, its counters, and one entry per checked grid point in
     each of the arrays z, log_abs, tail, bound, excess and ok (fresh empty
@@ -313,29 +300,15 @@ class SufficiencyReport(Record):
                  "checked", "violations", "skipped_guard", "max_excess",
                  "tail_budget_max", "far_zeros", "far_terms", "z", "log_abs",
                  "tail", "bound", "excess", "ok")
+    _defaults = {"far_zeros": 0, "far_terms": 0, "z": None, "log_abs": None,
+                 "tail": None, "bound": None, "excess": None, "ok": None}
 
-    def __init__(self, certified, reason, margin_verdict, genus, retained,
-                 checked, violations, skipped_guard, max_excess,
-                 tail_budget_max, far_zeros=0, far_terms=0, z=None,
-                 log_abs=None, tail=None, bound=None, excess=None, ok=None):
-        setfield(self, "certified", certified)
-        setfield(self, "reason", reason)
-        setfield(self, "margin_verdict", margin_verdict)
-        setfield(self, "genus", genus)
-        setfield(self, "retained", retained)
-        setfield(self, "checked", checked)
-        setfield(self, "violations", violations)
-        setfield(self, "skipped_guard", skipped_guard)
-        setfield(self, "max_excess", max_excess)
-        setfield(self, "tail_budget_max", tail_budget_max)
-        setfield(self, "far_zeros", far_zeros)
-        setfield(self, "far_terms", far_terms)
-        setfield(self, "z", _or_empty(z, complex))
-        setfield(self, "log_abs", _or_empty(log_abs))
-        setfield(self, "tail", _or_empty(tail))
-        setfield(self, "bound", _or_empty(bound))
-        setfield(self, "excess", _or_empty(excess))
-        setfield(self, "ok", _or_empty(ok, bool))
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        for name in self.__slots__[-6:]:
+            if getattr(self, name) is None:
+                dtype = {"z": complex, "ok": bool}.get(name, float)
+                setfield(self, name, np.empty(0, dtype=dtype))
 
 
 def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,

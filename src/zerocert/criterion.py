@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from ._record import Record, ValueRecord, setfield
+from ._record import Record, ValueRecord
 from .errors import DomainError, EngineError, InvalidPotential, NotSummable
 from .majorants import eval_M
 from .means import PlanePowerProfile
@@ -47,14 +47,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class MarginSample(ValueRecord):
     __slots__ = ("tau", "lhs", "rhs", "margin", "rhs_budget", "note")
-
-    def __init__(self, tau, lhs, rhs, margin, rhs_budget, note=""):
-        setfield(self, "tau", tau)
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
-        setfield(self, "margin", margin)
-        setfield(self, "rhs_budget", rhs_budget)
-        setfield(self, "note", note)
+    _defaults = {"note": ""}
 
 
 class MarginCurve(ValueRecord):
@@ -62,15 +55,6 @@ class MarginCurve(ValueRecord):
 
     __slots__ = ("samples", "verdict", "growth_exponent", "fit_r2", "budget",
                  "details")
-
-    def __init__(self, samples, verdict, growth_exponent, fit_r2, budget,
-                 details):
-        setfield(self, "samples", samples)
-        setfield(self, "verdict", verdict)
-        setfield(self, "growth_exponent", growth_exponent)
-        setfield(self, "fit_r2", fit_r2)
-        setfield(self, "budget", budget)
-        setfield(self, "details", details)
 
 
 # fewest kept samples in the top decade of taus that can carry a verdict;
@@ -187,8 +171,8 @@ def _sweep_lhs(r, m, tests):
     if edges:
         top = edges[-1]
         starts = [0] + edges[:-1]
-        seg_m = np.add.reduceat(m[:top], starts)
-        seg_l = np.add.reduceat(log_r[:top] * m[:top], starts)
+        seg_m = np.add.reduceat(m[:top], starts).tolist()
+        seg_l = np.add.reduceat(log_r[:top] * m[:top], starts).tolist()
         for k, e in enumerate(edges):
             prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
     sums, bounds, segments, pairs = _band_sums(log_r, m, tests, core, band)
@@ -307,18 +291,6 @@ class M0Report(Record):
     __slots__ = ("c_estimate", "bounded", "flagged", "shell_sups", "power",
                  "z", "shell", "deviation", "budget")
 
-    def __init__(self, c_estimate, bounded, flagged, shell_sups, power, z,
-                 shell, deviation, budget):
-        setfield(self, "c_estimate", c_estimate)
-        setfield(self, "bounded", bounded)
-        setfield(self, "flagged", flagged)
-        setfield(self, "shell_sups", shell_sups)
-        setfield(self, "power", power)
-        setfield(self, "z", z)
-        setfield(self, "shell", shell)
-        setfield(self, "deviation", deviation)
-        setfield(self, "budget", budget)
-
 
 def m0_shell_count(r_max):
     """Number of dyadic shells 2^k - 1 < |z| <= 2^(k+1) - 1 that
@@ -391,13 +363,6 @@ def check_m0(M_up, P, points, *, tol=1e-8):
 
 class Lemma1Constants(ValueRecord):
     __slots__ = ("c_test", "inf_green", "c_majorant", "parts", "budget")
-
-    def __init__(self, c_test, inf_green, c_majorant, parts, budget):
-        setfield(self, "c_test", c_test)
-        setfield(self, "inf_green", inf_green)
-        setfield(self, "c_majorant", c_majorant)
-        setfield(self, "parts", parts)
-        setfield(self, "budget", budget)
 
 
 def _green_floor_on_circle(R, a, c, radius):

@@ -42,10 +42,6 @@ from .quadrature import circle_mean
 class CirclePart(ValueRecord):
     __slots__ = ("radius", "weight")
 
-    def __init__(self, radius, weight):
-        setfield(self, "radius", radius)
-        setfield(self, "weight", weight)
-
 
 class JensenMeasure(ValueRecord):
     """Probability measure from the circle catalogue, pole included."""
@@ -101,12 +97,6 @@ class JensenPotential(Record):
     """
 
     __slots__ = ("pole", "radial_profile", "parts", "pole_coefficient")
-
-    def __init__(self, pole, radial_profile, parts, pole_coefficient):
-        setfield(self, "pole", pole)
-        setfield(self, "radial_profile", radial_profile)
-        setfield(self, "parts", parts)
-        setfield(self, "pole_coefficient", pole_coefficient)
 
     @property
     def support_radius(self):
@@ -227,13 +217,6 @@ def _truncate_radial(charge, pole, support_radius):
 
 class PJReport(ValueRecord):
     __slots__ = ("u_pole", "mean_term", "charge_term", "residual", "budget")
-
-    def __init__(self, u_pole, mean_term, charge_term, residual, budget):
-        setfield(self, "u_pole", u_pole)
-        setfield(self, "mean_term", mean_term)
-        setfield(self, "charge_term", charge_term)
-        setfield(self, "residual", residual)
-        setfield(self, "budget", budget)
 
 
 def poisson_jensen_check(u, mu, *, tol=1e-9):

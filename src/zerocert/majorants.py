@@ -88,15 +88,7 @@ class SubharmonicModel(Record):
 
     __slots__ = ("kind", "params", "eval", "riesz", "singular_points",
                  "exact_circle_mean")
-
-    def __init__(self, kind, params, eval, riesz, singular_points=(),
-                 exact_circle_mean=None):
-        setfield(self, "kind", kind)
-        setfield(self, "params", params)
-        setfield(self, "eval", eval)
-        setfield(self, "riesz", riesz)
-        setfield(self, "singular_points", singular_points)
-        setfield(self, "exact_circle_mean", exact_circle_mean)
+    _defaults = {"singular_points": (), "exact_circle_mean": None}
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -324,10 +316,12 @@ class DSubharmonicMajorant(Record):
     is a fresh zero model unless given."""
 
     __slots__ = ("up", "low")
+    _defaults = {"low": None}
 
-    def __init__(self, up, low=None):
-        setfield(self, "up", up)
-        setfield(self, "low", make_zero_model() if low is None else low)
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        if self.low is None:
+            setfield(self, "low", make_zero_model())
 
     @property
     def charge(self):

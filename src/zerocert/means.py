@@ -92,10 +92,6 @@ class DiskFractionProfile(ValueRecord):
 class HatRadius(ValueRecord):
     __slots__ = ("value", "certified_upper")
 
-    def __init__(self, value, certified_upper):
-        setfield(self, "value", value)
-        setfield(self, "certified_upper", certified_upper)
-
 
 def hat_radius(profile, z):
     """Enlarged radius with a certified upper bound, at a point or at each
@@ -171,12 +167,6 @@ def mollified_mean(u, z, t, *, tol=1e-9):
 
 class MeanChainReport(ValueRecord):
     __slots__ = ("rows", "ok", "max_violation", "slack")
-
-    def __init__(self, rows, ok, max_violation, slack):
-        setfield(self, "rows", rows)
-        setfield(self, "ok", ok)
-        setfield(self, "max_violation", max_violation)
-        setfield(self, "slack", slack)
 
 
 def check_mean_chain(u, profile, points, *, tol=1e-9, slack=1e-8):

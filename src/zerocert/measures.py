@@ -46,10 +46,6 @@ class Region(ValueRecord):
 
     __slots__ = ("center", "radius")
 
-    def __init__(self, center, radius):
-        setfield(self, "center", center)
-        setfield(self, "radius", radius)
-
     @classmethod
     def disk(cls, center, radius):
         radius = float(radius)

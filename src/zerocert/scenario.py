@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from ._record import ValueRecord, setfield
+from ._record import Record, ValueRecord, setfield
 from .criterion import m0_dyadic_grid, m0_shell_count
 from .errors import SchemaError
 from .majorants import (DSubharmonicMajorant, make_log_abs_poly,
@@ -264,12 +264,16 @@ def _cx(obj, default=0j):
     return complex(obj.get("re", 0.0), obj.get("im", 0.0))
 
 
+def _given(blk, *keys):
+    return {key: blk[key] for key in keys if key in blk}
+
+
 def _make_model(blk):
     if blk is None:
         return make_zero_model()
     kind = blk["kind"]
     if kind == "radial-power":
-        return make_radial_power(blk.get("sigma", 1.0), blk["rho"])
+        return make_radial_power(rho=blk["rho"], **_given(blk, "sigma"))
     if kind == "log-abs-poly":
         coeffs = [_cx(c) for c in blk["coeffs"]]
         return make_log_abs_poly(coeffs=coeffs)
@@ -288,10 +292,10 @@ def _make_zeros(blk):
             [int(p.get("mult", 1)) for p in pts])
     gen = blk["generator"]
     if gen["kind"] == "real-multiples":
-        return ZeroDistribution.real_multiples(gen.get("step", math.pi),
-                                               gen.get("max_radius"))
-    return ZeroDistribution.gaussian_integers(gen.get("scale", 1.0),
-                                              gen.get("max_radius"))
+        return ZeroDistribution.real_multiples(
+            **_given(gen, "step", "max_radius"))
+    return ZeroDistribution.gaussian_integers(
+        **_given(gen, "scale", "max_radius"))
 
 
 def _make_profile(blk):
@@ -306,12 +310,11 @@ def _make_profile(blk):
 def _make_family(blk, tau_max=None):
     if blk is None:
         return None
-    t_max = float(tau_max) if tau_max is not None else blk["t_max"]
-    common = {"t_min": blk.get("t_min", 0.5), "t_max": t_max,
-              "ratio": blk.get("ratio", 2.0 ** 0.25)}
+    given = _given(blk, "t_min", "ratio")
+    given["t_max"] = float(tau_max) if tau_max is not None else blk["t_max"]
     if blk["kind"] == "truncated-log":
-        return TruncatedLogFamily(**common)
-    return SmoothCappedLogFamily(eps=blk.get("eps", 0.25), **common)
+        return TruncatedLogFamily(**given)
+    return SmoothCappedLogFamily(**given, **_given(blk, "eps"))
 
 
 def describe_sufficiency_grid(blk, seed=None):
@@ -352,21 +355,12 @@ class Scenario(ValueRecord):
     __slots__ = ("label", "zeros", "majorant", "profile", "family",
                  "sufficiency_grid", "m0_grid", "m0_power", "lemma1",
                  "tolerances", "sufficiency_spec")
+    _defaults = {"tolerances": None, "sufficiency_spec": None}
 
-    def __init__(self, label, zeros, majorant, profile, family,
-                 sufficiency_grid, m0_grid, m0_power, lemma1, tolerances=None,
-                 sufficiency_spec=None):
-        setfield(self, "label", label)
-        setfield(self, "zeros", zeros)
-        setfield(self, "majorant", majorant)
-        setfield(self, "profile", profile)
-        setfield(self, "family", family)
-        setfield(self, "sufficiency_grid", sufficiency_grid)
-        setfield(self, "m0_grid", m0_grid)
-        setfield(self, "m0_power", m0_power)
-        setfield(self, "lemma1", lemma1)
-        setfield(self, "tolerances", {} if tolerances is None else tolerances)
-        setfield(self, "sufficiency_spec", sufficiency_spec)
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        if self.tolerances is None:
+            setfield(self, "tolerances", {})
 
     def tol(self, stage):
         return self.tolerances.get(stage, self.tolerances.get("default", 1e-9))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import ValueRecord, setfield
+from ._record import ValueRecord
 from .errors import InvalidPotential
 
 
@@ -237,13 +237,9 @@ def _geometric_taus(t_min, t_max, ratio):
 
 class TruncatedLogFamily(ValueRecord):
     __slots__ = ("t_min", "t_max", "ratio")
+    _defaults = {"t_min": 0.5, "t_max": 200.0, "ratio": 2.0 ** 0.25}
 
     kind = "truncated-log"
-
-    def __init__(self, t_min=0.5, t_max=200.0, ratio=2.0 ** 0.25):
-        setfield(self, "t_min", t_min)
-        setfield(self, "t_max", t_max)
-        setfield(self, "ratio", ratio)
 
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)
@@ -254,14 +250,9 @@ class TruncatedLogFamily(ValueRecord):
 
 class SmoothCappedLogFamily(ValueRecord):
     __slots__ = ("t_min", "t_max", "ratio", "eps")
+    _defaults = dict(TruncatedLogFamily._defaults, eps=0.25)
 
     kind = "smooth-capped-log"
-
-    def __init__(self, t_min=0.5, t_max=200.0, ratio=2.0 ** 0.25, eps=0.25):
-        setfield(self, "t_min", t_min)
-        setfield(self, "t_max", t_max)
-        setfield(self, "ratio", ratio)
-        setfield(self, "eps", eps)
 
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)

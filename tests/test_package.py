@@ -166,6 +166,14 @@ _RECORDS = [
 
 _IDS = [row[0].__name__ for row in _RECORDS]
 
+# records whose own __init__ converts or checks its arguments
+_CONVERTING = {RieszCharge, JensenMeasure, PlanePowerProfile,
+               DiskFractionProfile}
+# records whose __init__ fills in a fresh default after Record.__init__
+_FRESH = {SufficiencyReport, DSubharmonicMajorant, Scenario}
+_SHARED = [row for row in _RECORDS if row[0] not in _CONVERTING]
+_DECLARED = [row for row in _RECORDS if "_defaults" in vars(row[0])]
+
 
 def test_every_record_class_is_covered():
     records = {cls for cls in _zerocert_classes()
@@ -192,6 +200,41 @@ def test_record_construction(cls, by_value, required, defaults):
         else:
             assert got == want and type(got) is type(want)
     assert not hasattr(by_position, "__dict__")
+
+
+def test_only_the_named_records_write_an_init():
+    own = {row[0] for row in _RECORDS if "__init__" in vars(row[0])}
+    assert own == _CONVERTING | _FRESH
+
+
+@pytest.mark.parametrize("cls, by_value, required, defaults", _SHARED,
+                         ids=[row[0].__name__ for row in _SHARED])
+def test_shared_constructor_rejects_bad_fields(cls, by_value, required,
+                                               defaults):
+    values = [v for _, v in required]
+    if required:
+        with pytest.raises(TypeError, match="missing field %r"
+                           % required[-1][0]):
+            cls(*values[:-1])
+    with pytest.raises(TypeError, match="%r twice" % cls.__slots__[0]):
+        cls(*(values or [0]), **{cls.__slots__[0]: 0})
+    with pytest.raises(TypeError, match="'not_a_field' but has no such"):
+        cls(not_a_field=0, **dict(required))
+    with pytest.raises(TypeError, match="takes %d fields but %d were given"
+                       % (len(cls.__slots__), len(cls.__slots__) + 1)):
+        cls(*[0] * (len(cls.__slots__) + 1))
+
+
+@pytest.mark.parametrize("cls, by_value, required, defaults", _DECLARED,
+                         ids=[row[0].__name__ for row in _DECLARED])
+def test_record_defaults_are_a_hashable_suffix(cls, by_value, required,
+                                                defaults):
+    # as in a dataclass, only trailing fields have defaults; a hashable
+    # default cannot be a mutable object that every record would share
+    names = cls.__slots__
+    assert set(cls._defaults) == set(names[len(names) - len(cls._defaults):])
+    for value in cls._defaults.values():
+        hash(value)
 
 
 @pytest.mark.parametrize("cls, by_value, required, defaults", _RECORDS,
@@ -226,7 +269,8 @@ def test_record_equality_and_hash(cls, by_value, required, defaults):
         assert hash(a) == hash(b) == want
     # a record of another class with the same fields is not equal
     twin = type("Twin", (ValueRecord,),
-                {"__slots__": cls.__slots__, "__init__": cls.__init__})
+                {"__slots__": cls.__slots__, "__init__": cls.__init__,
+                 "_defaults": cls._defaults})
     assert a != twin(**dict(required))
 
 
