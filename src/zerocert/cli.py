@@ -82,10 +82,10 @@ class _StageFailure(Exception):
         self.cause = cause
 
 
-def _run_stage(report, name, fn):
+def _run_stage(report, name, fn, *args):
     t0 = time.perf_counter()
     try:
-        info = fn()
+        info = fn(*args)
     except EngineError as exc:
         report["stages"][name] = {
             "status": "failed",
@@ -103,6 +103,10 @@ def _run_stage(report, name, fn):
 # stages
 
 
+def _tol(sc, args, stage):
+    return args.tol if args.tol is not None else sc.tol(stage)
+
+
 def _sweep(sc, args):
     """The margin curve for the scenario's family (load_scenario has
     applied --tau-max to it), or for a default truncated-log family."""
@@ -110,14 +114,12 @@ def _sweep(sc, args):
     if family is None:
         family = TruncatedLogFamily(
             t_max=200.0 if args.tau_max is None else args.tau_max)
-    tol = args.tol if args.tol is not None else sc.tol("margin")
-    return margin_sweep(sc.zeros, sc.majorant, family, tol=tol)
+    return margin_sweep(sc.zeros, sc.majorant, family,
+                        tol=_tol(sc, args, "margin"))
 
 
-def _margin_stage(sc, args, outdir, keep=None):
-    curve = _sweep(sc, args)
-    if keep is not None:
-        keep["curve"] = curve
+def _margin_stage(sc, args, outdir, done):
+    curve = done["curve"] = _sweep(sc, args)
     path = _write_csv(
         outdir / "margin.csv",
         ["tau", "lhs", "rhs", "margin", "rhs_budget", "note"],
@@ -136,15 +138,14 @@ def _margin_stage(sc, args, outdir, keep=None):
             "outputs": [path]}
 
 
-def _m0_stage(sc, args, outdir):
+def _m0_stage(sc, args, outdir, done):
     grid = sc.m0_grid
     power = sc.m0_power
     if grid is None:
         grid = m0_dyadic_grid(100.0, 8)
         power = sc.profile.power if isinstance(sc.profile, PlanePowerProfile) \
             else 1.0
-    tol = args.tol if args.tol is not None else sc.tol("m0")
-    rep = check_m0(sc.majorant.up, power, grid, tol=tol)
+    rep = check_m0(sc.majorant.up, power, grid, tol=_tol(sc, args, "m0"))
     path = _write_csv(
         outdir / "m0.csv",
         ["z_re", "z_im", "shell", "deviation", "budget"],
@@ -159,22 +160,23 @@ def _m0_stage(sc, args, outdir):
             "outputs": [path]}
 
 
-def _sufficiency_stage(sc, args, outdir, curve=None):
+def _sufficiency_stage(sc, args, outdir, done):
     grid, spec = sc.sufficiency_grid, sc.sufficiency_spec
     if grid is None:
         blk = {"kind": "random-disk", "radius": 3.0, "count": 40}
         grid = build_sufficiency_grid(blk, seed=args.seed)
         spec = describe_sufficiency_grid(blk, seed=args.seed)
     profile = sc.profile or PlanePowerProfile(1.0)
-    tol = args.tol if args.tol is not None else sc.tol("sufficiency")
     # the construction defers to the margin verdict of the scenario's
     # family: the necessary stage's curve when it ran, else a fresh sweep
     verdict, margin_source = None, "none"
     if sc.family is not None:
+        curve = done.get("curve")
         margin_source = "reused" if curve is not None else "recomputed"
         verdict = (curve or _sweep(sc, args)).verdict
     rep = verify_sufficiency(sc.zeros, sc.majorant, profile, grid,
-                             tol=max(tol, 1e-9), margin_verdict=verdict)
+                             tol=max(_tol(sc, args, "sufficiency"), 1e-9),
+                             margin_verdict=verdict)
     path = _write_csv(
         outdir / "sufficiency.csv",
         ["z_re", "z_im", "log_abs", "tail", "bound", "excess", "ok"],
@@ -201,7 +203,7 @@ def _sufficiency_stage(sc, args, outdir, curve=None):
             "outputs": [path]}
 
 
-def _lemma1_stage(sc, outdir):
+def _lemma1_stage(sc, args, outdir, done):
     if sc.lemma1 is not None:
         blk = sc.lemma1
     else:
@@ -330,8 +332,17 @@ def _finish(report, outdir):
         fh.write("\n")
 
 
-COMMANDS = ("check-necessary", "check-m0", "construct-verify", "lemma1",
-            "all", "jensen-selftest", "means-selftest")
+# (command, report stage, stage function, the Scenario field that ``all``
+# needs to run the stage); the function is named, not bound, because
+# bench/tracer.py wraps it on the module after import
+_STAGES = (("check-necessary", "necessary", "_margin_stage", None),
+           ("check-m0", "m0", "_m0_stage", "m0_grid"),
+           ("construct-verify", "sufficiency", "_sufficiency_stage",
+            "sufficiency_grid"),
+           ("lemma1", "lemma1", "_lemma1_stage", "lemma1"))
+_SELFTESTS = {"jensen-selftest": _jensen_selftest,
+              "means-selftest": _means_selftest}
+COMMANDS = tuple(row[0] for row in _STAGES) + ("all",) + tuple(_SELFTESTS)
 
 
 def _parser():
@@ -372,40 +383,17 @@ def _main(argv):
     report = {"command": args.command, "stages": {}}
 
     try:
-        if args.command == "jensen-selftest":
-            _run_stage(report, "jensen-selftest",
-                       lambda: _jensen_selftest(outdir))
-        elif args.command == "means-selftest":
-            _run_stage(report, "means-selftest",
-                       lambda: _means_selftest(outdir))
+        if args.command in _SELFTESTS:
+            _run_stage(report, args.command, _SELFTESTS[args.command], outdir)
         else:
             sc = _load(args)
             report["label"] = sc.label
-            if args.command == "check-necessary":
-                _run_stage(report, "necessary",
-                           lambda: _margin_stage(sc, args, outdir))
-            elif args.command == "check-m0":
-                _run_stage(report, "m0", lambda: _m0_stage(sc, args, outdir))
-            elif args.command == "construct-verify":
-                _run_stage(report, "sufficiency",
-                           lambda: _sufficiency_stage(sc, args, outdir))
-            elif args.command == "lemma1":
-                _run_stage(report, "lemma1",
-                           lambda: _lemma1_stage(sc, outdir))
-            elif args.command == "all":
-                kept = {}
-                _run_stage(report, "necessary",
-                           lambda: _margin_stage(sc, args, outdir, kept))
-                if sc.m0_grid is not None:
-                    _run_stage(report, "m0",
-                               lambda: _m0_stage(sc, args, outdir))
-                if sc.sufficiency_grid is not None:
-                    _run_stage(report, "sufficiency",
-                               lambda: _sufficiency_stage(
-                                   sc, args, outdir, kept["curve"]))
-                if sc.lemma1 is not None:
-                    _run_stage(report, "lemma1",
-                               lambda: _lemma1_stage(sc, outdir))
+            done = {}
+            for command, stage, fn, needs in _STAGES:
+                if args.command == command or (args.command == "all" and (
+                        needs is None or getattr(sc, needs) is not None)):
+                    _run_stage(report, stage, globals()[fn], sc, args, outdir,
+                               done)
     except SchemaError as exc:
         for msg in exc.messages:
             print("schema: %s" % msg, file=sys.stderr)

@@ -247,8 +247,23 @@ def make_log_poly_growth():
         profile=lambda s: 4.0 / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2,
         cumulative=lambda t: 2.0 * t * t / (1.0 + t * t),
         log_mass=lambda a: np.log1p(a * a)),))
+
+    def exact(z, t):
+        # the mean of ln(A + B cos th), A = 1 + a^2 + t^2, B = 2at, is
+        # ln((A + s) / 2), s^2 = A^2 - B^2 = (1 + (a + t)^2)(1 + (a - t)^2);
+        # s - 1 = (2a^2 + 2t^2 + d^2) / (s + 1), d = a^2 - t^2, makes it a
+        # log1p without cancellation.  s as a product of two roots, and d^2
+        # as d (d / (s + 1)) with |d| <= s, stay finite wherever the model is
+        a = np.abs(z)
+        t = np.asarray(t, dtype=float)
+        a2, t2 = a * a, t * t
+        s1 = np.sqrt(1.0 + (a + t) ** 2) * np.sqrt(1.0 + (a - t) ** 2) + 1.0
+        d = a2 - t2
+        return np.log1p((a2 + t2 + 2.0 * (a2 + t2) / s1 + d * (d / s1)) / 2.0)
+
     return _validate_submean(SubharmonicModel(
-        kind="log-poly-growth", params={}, eval=ev, riesz=charge))
+        kind="log-poly-growth", params={}, eval=ev, riesz=charge,
+        exact_circle_mean=exact))
 
 
 def make_harmonic(h, params=None, kind="harmonic"):

@@ -292,10 +292,15 @@ def _make_zeros(blk):
             [int(p.get("mult", 1)) for p in pts])
     gen = blk["generator"]
     if gen["kind"] == "real-multiples":
-        return ZeroDistribution.real_multiples(
-            **_given(gen, "step", "max_radius"))
-    return ZeroDistribution.gaussian_integers(
-        **_given(gen, "scale", "max_radius"))
+        field, other, make = "step", "scale", ZeroDistribution.real_multiples
+    else:
+        field, other = "scale", "step"
+        make = ZeroDistribution.gaussian_integers
+    # the schema admits both fields on either kind
+    if other in gen:
+        raise SchemaError(["/zeros/generator: %r is not a field of %s"
+                           % (other, gen["kind"])])
+    return make(**_given(gen, field, "max_radius"))
 
 
 def _make_profile(blk):

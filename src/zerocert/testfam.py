@@ -44,7 +44,8 @@ def bump_cdf_integral(x):
 
 @dataclass(frozen=True, eq=False)
 class TestPotential:
-    """One catalogue member, evaluated on its own side of the inversion.
+    """One catalogue member, evaluated on its own side of the inversion:
+    a radial profile, which calling the member reads at |w|.
 
     A plane member that is exactly growth_coefficient * ln|w| +
     log_constant for |w| >= log_radius declares it (inf: no declaration).
@@ -53,7 +54,6 @@ class TestPotential:
     """
 
     params: dict
-    eval: Callable
     radial_profile: Callable
     growth_coefficient: float = 0.0
     zero_radius: float = 0.0
@@ -63,9 +63,8 @@ class TestPotential:
     log_shape: Callable | None = None
 
     def __call__(self, w):
-        w = np.asarray(w, dtype=complex)
-        with np.errstate(all="ignore"):
-            return np.asarray(self.eval(w), dtype=float)
+        s = np.abs(np.asarray(w, dtype=complex))
+        return np.asarray(self.radial_profile(s), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,32 +122,37 @@ def _capped_shape(eps):
     return shape
 
 
+def _log_plane(t, shape, params):
+    """The member psi(ln(t |w|)) for the log shape psi, which is 0 below
+    its first piece's edge e0 and x from its last piece's edge e1."""
+    e0, e1 = shape.pieces[0][0], shape.pieces[-1][0]
+
+    def profile(s):
+        # ln 0 = -inf reaches psi's zero end
+        with np.errstate(divide="ignore"):
+            return shape(np.log(t * np.asarray(s, dtype=float)))
+
+    zero_radius = math.exp(e0) / t
+    log_radius = math.exp(e1) / t
+    # each edge is a kink (psi's fifth derivative jumps at the blend's)
+    kinks = (zero_radius,) if e0 == e1 else (zero_radius, log_radius)
+    # the pullback's core ends at 1 / log_radius, which must not pass the
+    # support t e^-e0, where the profile is already 0: where it rounds
+    # past, the exact-log region is declared from one ulp further out
+    if 1.0 / log_radius > t * math.exp(-e0):
+        log_radius = math.nextafter(log_radius, math.inf)
+    return TestPotential(
+        params=params, radial_profile=profile, growth_coefficient=1.0,
+        zero_radius=zero_radius, kink_radii=kinks, log_radius=log_radius,
+        log_constant=math.log(t), log_shape=shape)
+
+
 def truncated_log_plane(t):
     """max(0, ln(t |w|)): kinked at |w| = 1/t, exactly ln(t|w|) outside."""
     t = float(t)
     if t <= 0:
         raise InvalidPotential("needs t > 0")
-
-    def profile(s):
-        s = np.asarray(s, dtype=float)
-        return np.log(np.maximum(1.0, t * s))
-
-    # the pullback's core ends at 1 / log_radius, which must not pass t,
-    # where the profile is already 0: where 1/(1/t) rounds above t, the
-    # exact-log region is declared from one ulp further out
-    log_radius = 1.0 / t
-    if 1.0 / log_radius > t:
-        log_radius = math.nextafter(log_radius, math.inf)
-    return TestPotential(
-        params={"t": t},
-        eval=lambda w: profile(np.abs(w)),
-        radial_profile=profile,
-        growth_coefficient=1.0,
-        zero_radius=1.0 / t,
-        kink_radii=(1.0 / t,),
-        log_radius=log_radius,
-        log_constant=math.log(t),
-        log_shape=_positive_part)
+    return _log_plane(t, _positive_part, {"t": t})
 
 
 def smooth_capped_log(t, eps=0.25):
@@ -158,28 +162,7 @@ def smooth_capped_log(t, eps=0.25):
     eps = float(eps)
     if t <= 0 or eps <= 0:
         raise InvalidPotential("needs t > 0 and eps > 0")
-
-    shape = _capped_shape(eps)
-
-    def profile(s):
-        # ln 0 = -inf clamps to the flat end of the blend
-        with np.errstate(divide="ignore"):
-            x = np.log(t * np.asarray(s, dtype=float))
-        return shape(x)
-
-    inner = math.exp(-eps) / t
-    outer = math.exp(eps) / t
-    # the blend's fifth derivative jumps at both of its edges
-    return TestPotential(
-        params={"t": t, "eps": eps},
-        eval=lambda w: profile(np.abs(w)),
-        radial_profile=profile,
-        growth_coefficient=1.0,
-        zero_radius=inner,
-        kink_radii=(inner, outer),
-        log_radius=outer,
-        log_constant=math.log(t),
-        log_shape=shape)
+    return _log_plane(t, _capped_shape(eps), {"t": t, "eps": eps})
 
 
 # ---------------------------------------------------------------------------

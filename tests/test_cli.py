@@ -246,6 +246,20 @@ def test_huge_m0_radius_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("kind,field", [("gaussian-integers", "step"),
+                                        ("real-multiples", "scale")])
+def test_generator_field_of_the_other_kind_exits_2(tmp_path, capsys, kind,
+                                                   field):
+    doc = _toy_scenario()
+    doc["zeros"]["generator"] = {"kind": kind, field: 2.0}
+    out = tmp_path / "run"
+    rc = main(["all", "--scenario", _write(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert ("schema: /zeros/generator: %r is not a field of %s"
+            % (field, kind)) in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_scenario_flag_exits_2(tmp_path, capsys):
     rc = main(["check-m0", "--out", str(tmp_path / "run")])
     assert rc == 2
@@ -517,6 +531,31 @@ def test_write_csv_matches_cellwise_formatting(tmp_path):
     assert got.read_bytes() == want.read_bytes()
     _write_csv(got, header, zip(*[]))
     assert got.read_bytes() == b"s,f,g,i,j,b\r\n"
+
+
+def test_low_block_takes_its_atom_off_each_rhs(tmp_path):
+    # the README's delta-subharmonic example: M = |z| - ln|z - a| with
+    # a = (1 + i) / 2 keeps both verdicts, and the atom of -low at a
+    # lowers each rhs by ln+(tau / |a|)
+    plain = _pi_scenario()
+    low = _pi_scenario()
+    low["majorant"]["low"] = {"kind": "log-abs-poly", "coeffs": [
+        {"re": 1.0}, {"re": -0.5, "im": -0.5}]}
+    rows = []
+    for name, doc in (("plain", plain), ("low", low)):
+        out = tmp_path / name
+        sc = _write(tmp_path, doc, name + ".json")
+        assert main(["all", "--scenario", sc, "--out", str(out)]) == 0
+        info = json.loads((out / "report.json").read_text())["stages"]
+        assert info["necessary"]["verdict"] == "consistent"
+        assert info["sufficiency"]["certified"] is True
+        assert info["sufficiency"]["violations"] == 0
+        rows.append(_read_csv(out / "margin.csv")[1:])
+    assert len(rows[0]) == len(rows[1]) == 15
+    for (tau, _, rhs, _, _, _), (_, _, rhs_low, _, budget, _) in zip(*rows):
+        gap = float(rhs) - float(rhs_low)
+        want = max(0.0, math.log(float(tau) / abs(0.5 + 0.5j)))
+        assert abs(gap - want) <= float(budget) + 4 * math.ulp(float(rhs))
 
 
 def test_report_counts_the_far_series_work(tmp_path):

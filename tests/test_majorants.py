@@ -182,6 +182,18 @@ def test_log_poly_growth_mass():
         assert abs(got - flux) <= 1e-7
 
 
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(-6.0, 4.0), t=st.floats(-6.0, 4.0),
+       angle=st.floats(0.0, 6.3))
+def test_log_poly_growth_exact_mean_is_quadrature_mean(a, t, angle):
+    # |z| and t log-uniform in [1e-6, 1e4]
+    m = make_log_poly_growth()
+    z, t = 10.0 ** a * np.exp(1j * angle), 10.0 ** t
+    got = float(m.exact_circle_mean(np.array([z]), t)[0])
+    quad, err = mean_on_circle(m, z, t, tol=1e-13)
+    assert abs(got - quad) <= err + 4e-15 * max(1.0, abs(quad))
+
+
 def test_model_sum_evaluates_and_adds_charge():
     a = make_radial_power(1.0, 2.0)
     b = make_log_abs_poly(roots=[1.0 + 0j], mults=[1])
