@@ -28,7 +28,8 @@ _EXPORTS = {
     "jensen": ("CirclePart", "JensenMeasure", "JensenPotential", "PJReport",
                "green_disk", "log_potential", "poisson_jensen_check",
                "potential_to_measure", "uniform_circle"),
-    "testfam": ("PulledBackTest", "SmoothCappedLogFamily", "TestPotential",
+    "testfam": ("PulledBackTest", "SmoothCappedLogFamily", "SpikeTable",
+                "TestPotential",
                 "TruncatedLogFamily", "inversion_pullback",
                 "smooth_capped_log", "truncated_log_plane"),
     "criterion": ("Lemma1Constants", "M0Report", "MarginCurve",

@@ -13,7 +13,6 @@ successful determination), 2 the scenario failed schema validation,
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import math
@@ -35,22 +34,41 @@ from .scenario import (build_sufficiency_grid, describe_sufficiency_grid,
 from .testfam import TruncatedLogFamily
 
 
+def _quoted(text):
+    """A cell as csv.writer's default dialect writes it (QUOTE_MINIMAL):
+    in quotes, with its own quotes doubled, when it holds a comma, a
+    quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _column_text(col):
     """A column's cells as text, with one formatter for the whole column:
-    repr for floats, str for bools (True/False), integers and strings."""
+    repr for floats, str for bools (True/False) and integers, and str,
+    quoted as csv.writer quotes it, for strings."""
     values = np.asarray(col)
-    fmt = repr if values.dtype.kind == "f" else str
-    return map(fmt, values.tolist())
+    kind = values.dtype.kind
+    if kind == "f":
+        return list(map(repr, values.tolist()))
+    cells = list(map(str, values.tolist()))
+    return cells if kind in "biu" else list(map(_quoted, cells))
+
+
+def _csv_line(cells):
+    """One record as csv.writer writes it: a record of one empty cell is
+    written as "", so that it reads back as a cell."""
+    return (",".join(cells) or '""' * len(cells)) + "\r\n"
 
 
 def _write_csv(path, header, columns):
-    """Write the CSV from its columns, each holding one kind of value;
-    return its file name, which report.json lists relative to --out so
-    the report does not depend on where it runs."""
+    """Write the CSV from its columns, each holding one kind of value, as
+    one string; return its file name, which report.json lists relative to
+    --out so the report does not depend on where it runs."""
+    rows = zip(*map(_column_text, columns))
+    text = "".join(map(_csv_line, [list(map(_quoted, header)), *rows]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*map(_column_text, columns)))
+        fh.write(text)
     return path.name
 
 

@@ -234,9 +234,12 @@ class ProductRepresentation(Record):
         """Bound on the discarded factors' effect on ln|f| at z.
 
         Valid when the cutoff dominates 2|z| so every discarded factor
-        sits in the series regime; infinite otherwise.
+        sits in the series regime; infinite otherwise, unless nothing was
+        discarded (a tail sum bound of 0), where it is 0 everywhere.
         """
         z = np.asarray(z, dtype=complex)
+        if self.tail_sum_bound == 0:
+            return np.zeros(z.shape)
         az = np.abs(z)
         p = self.genus
         with np.errstate(over="ignore"):

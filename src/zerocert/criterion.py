@@ -3,18 +3,20 @@
 margin_sweep integrates a family of origin spikes against both the
 candidate zeros and the majorant's charge and watches the gap; a gap
 that grows like a power of the cutoff rules out any admissible function
-vanishing on the candidate set.  Each spike is exactly c - g ln s in a
-core about the origin.  Its zero-side sum sees the zeros only through
-their radii counted with multiplicity (a Gaussian lattice gives one
-radius per norm, not one per point).  It is taken from prefix sums of
-mult and mult * ln|z| over that core, and over the blend band between
-the core and the support from moments of ln|z| on the segments that
-the cutoffs' bands and log-shape pieces cut, read once for every cutoff.
-Its charge-side integral, one RieszCharge.integrate_radial call for
-every cutoff, takes the core by parts against each radial density's
-disk mass and declared ``log_mass`` L(a) = int mu(s)/s ds, which leaves
-no log singularity for quadrature to chase, and integrates the profile
-only over the band: one Gauss pair per cutoff, with the family's shared
+vanishing on the candidate set.  It reads the family's spikes for all
+cutoffs as the columns of one SpikeTable (``family.spikes(taus)``) and
+forms no spike record.  Each spike is exactly c - g ln s in a core
+about the origin.  Its zero-side sum sees the zeros only through their
+radii counted with multiplicity (a Gaussian lattice gives one radius per
+norm, not one per point).  It is taken from prefix sums of mult and
+mult * ln|z| over that core, and over the blend band between the core
+and the support from moments of ln|z| on the segments that the cutoffs'
+bands and log-shape pieces cut, read once for every cutoff.  Its
+charge-side integral, one RieszCharge.integrate_radial call on the
+table, takes the core by parts against each radial density's disk mass
+and declared ``log_mass`` L(a) = int mu(s)/s ds, which leaves no log
+singularity for quadrature to chase, and integrates the profile only
+over the band: one Gauss pair per cutoff, with the family's shared
 ``log_shape`` evaluated once for all of them.
 check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii, closed form where the envelope
@@ -79,8 +81,8 @@ def _powers(x):
     return out
 
 
-def _band_sums(log_r, m, tests, core, band):
-    """Each test's sum of m * psi(c - ln r) over its band, a bound on its
+def _band_sums(log_r, m, table, core, band):
+    """Each row's sum of m * psi(c - ln r) over its band, a bound on its
     rounding, and the numbers of segments and (piece, segment) pairs.
 
     On a piece with edge e, psi is sum_k a_k y^k in y = x - e.  Segment s
@@ -92,15 +94,15 @@ def _band_sums(log_r, m, tests, core, band):
     + (|c| + |A_s| + h + |e|) sum_k k |a_k| rho^(k-1)), covers the sums of
     its n_s radii in any order and the roundings of ln tau, ln r and d.
     """
-    c = np.array([t.log_constant for t in tests])
-    banded = np.flatnonzero(band > core).tolist()
+    c = table.log_constant
+    banded = np.flatnonzero(band > core)
     spans, declared = [], []
-    for shape in dict.fromkeys(tests[i].log_shape for i in banded):
+    for shape, rows in table.by_shape(banded):
         pieces = getattr(shape, "pieces", None)
         if pieces is None or max(len(a) for _, a in pieces) > _MOMENTS:
             raise InvalidPotential("a test with zeros in its band needs "
                                    f"log-shape pieces of degree < {_MOMENTS}")
-        idx = np.array([i for i in banded if tests[i].log_shape is shape])
+        idx = banded[rows]
         # x = c - ln r falls as r grows: the top piece starts at the core
         lo = core[idx]
         for edge, coeffs in reversed(pieces):
@@ -110,8 +112,9 @@ def _band_sums(log_r, m, tests, core, band):
             declared.append((edge, np.append(
                 coeffs, np.zeros(2 * _MOMENTS - len(coeffs)))))
             lo = hi
+    n = len(table)
     if not spans:
-        return np.zeros(len(tests)), np.zeros(len(tests)), 0, 0
+        return np.zeros(n), np.zeros(n), 0, 0
     idx, lo, hi, piece = map(np.concatenate, zip(*spans))
     cuts = np.array(sorted(set(np.concatenate((lo, hi)).tolist())))
     lo_r, hi_r = log_r[cuts[:-1]], log_r[cuts[1:] - 1]
@@ -142,52 +145,73 @@ def _band_sums(log_r, m, tests, core, band):
     slope = ((abs(a[:, 1:_MOMENTS]) * _POW[1:]) @ rho[:-1])[mine]
     spread = abs(c[test]) + abs(anchor[seg]) + half[seg] + abs(edge)
     ops = np.diff(cuts)[seg] + np.bincount(test)[test] + _BAND_OPS
-    return (np.bincount(test, value, len(tests)),
+    return (np.bincount(test, value, n),
             2.0 ** -52 * np.bincount(
-                test, mu[0] * (ops * size + spread * slope), len(tests)),
+                test, mu[0] * (ops * size + spread * slope), n),
             cuts.size - 1, test.size)
 
 
-def _sweep_lhs(r, m, tests):
-    """sum of m * profile(r) over sorted radii r, for every test, and the
-    work details.
+def _prefix_fsums(values):
+    """math.fsum of every prefix of values, in one pass: the running sum
+    is kept exactly as Shewchuk's non-overlapping partials, as fsum keeps
+    it, and each prefix is rounded from them by fsum, so every result has
+    the bits of fsum(values[:k + 1])."""
+    partials = []
+    out = []
+    for x in map(float, values):
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out
 
-    Within a test's log_core the profile is
+
+def _sweep_lhs(r, m, table):
+    """sum of m * profile(r) over sorted radii r, for every row of the
+    spike table, and the work details.
+
+    Within a row's log_core the profile is
     log_constant - pole_coefficient * ln d, so that part is
     c * M(a) - g * L(a) with M and L the prefix sums of mult and
     mult * ln r up to the core edge a.  The band out to support_radius
     comes from segment moments (_band_sums), and nothing beyond it
     contributes.  Prefix sums are formed only at the core edges: pairwise
-    segment sums, then an exact running total.  lhs_rounding is the
-    largest bound on an lhs's rounding: its band's, plus _CORE_ULPS ulps
-    of each closed-form core term.
+    segment sums, then an exact running total (_prefix_fsums).
+    lhs_rounding is the largest bound on an lhs's rounding: its band's,
+    plus _CORE_ULPS ulps of each closed-form core term.
     """
-    core = np.searchsorted(r, [t.log_core for t in tests], side="right")
-    band = np.searchsorted(r, [t.support_radius for t in tests],
-                           side="right")
+    core = np.searchsorted(r, table.log_core, side="right")
+    band = np.searchsorted(r, table.support_radius, side="right")
     log_r = np.log(r[:max(core.max(initial=0), band.max(initial=0))])
-    edges = sorted(set(core[core > 0].tolist()))
-    prefix = {}
-    if edges:
+    cored = core > 0
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    edges = np.array(sorted(set(core[cored].tolist())), dtype=int)
+    mass = np.zeros(core.size)
+    log_mass = np.zeros(core.size)
+    if edges.size:
         top = edges[-1]
-        starts = [0] + edges[:-1]
-        seg_m = np.add.reduceat(m[:top], starts).tolist()
-        seg_l = np.add.reduceat(log_r[:top] * m[:top], starts).tolist()
-        for k, e in enumerate(edges):
-            prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
-    sums, bounds, segments, pairs = _band_sums(log_r, m, tests, core, band)
-    out = []
-    for k, (test, a, extra) in enumerate(zip(tests, core, sums.tolist())):
-        lhs = 0.0
-        if a:
-            mass, log_mass = prefix[int(a)]
-            head = test.log_constant * mass
-            tail = test.pole_coefficient * log_mass
-            lhs = head - tail
-            bounds[k] += _CORE_ULPS * (math.ulp(head) + math.ulp(tail))
-        out.append(lhs + extra)
-    return out, {"band_segments": segments, "band_pairs": pairs,
-                 "lhs_rounding": float(bounds.max(initial=0.0))}
+        starts = np.concatenate(([0], edges[:-1]))
+        at = np.searchsorted(edges, core[cored])
+        mass[cored] = np.array(_prefix_fsums(
+            np.add.reduceat(m[:top], starts).tolist()))[at]
+        log_mass[cored] = np.array(_prefix_fsums(
+            np.add.reduceat(log_r[:top] * m[:top], starts).tolist()))[at]
+    sums, bounds, segments, pairs = _band_sums(log_r, m, table, core, band)
+    head = table.log_constant * mass
+    tail = table.pole_coefficient * log_mass
+    bounds += np.where(cored, _CORE_ULPS * (np.spacing(np.abs(head))
+                                            + np.spacing(np.abs(tail))), 0.0)
+    lhs = np.where(cored, head - tail, 0.0) + sums
+    return lhs.tolist(), {"band_segments": segments, "band_pairs": pairs,
+                          "lhs_rounding": float(bounds.max(initial=0.0))}
 
 
 def margin_sweep(Z, M, family, *, tol=1e-9):
@@ -195,12 +219,14 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
 
     Each cutoff tau yields lhs = sum of mult * spike(z_j) and
     rhs = integral of the spike against the majorant charge; verdicts
-    look at how lhs - rhs behaves as tau grows.  The spikes depend on
-    z_j only through |z_j|, so the lhs of all cutoffs comes from one
-    pass over the sorted radii and multiplicities of ``Z.radii_up_to``
-    (for a Gaussian lattice, one entry per norm), and the rhs of all
-    cutoffs from one integrate_radial call; a cutoff whose integral
-    fails is kept as a dropped sample with the failure's name as note.
+    look at how lhs - rhs behaves as tau grows.  The family gives its
+    spikes for all cutoffs as one SpikeTable, ``family.spikes(taus)``,
+    and both sides read its columns.  The spikes depend on z_j only
+    through |z_j|, so the lhs of all cutoffs comes from one pass over the
+    sorted radii and multiplicities of ``Z.radii_up_to`` (for a Gaussian
+    lattice, one entry per norm), and the rhs of all cutoffs from one
+    integrate_radial call on the table; a cutoff whose integral fails is
+    kept as a dropped sample with the failure's name as note.
     The same radii show a zero at the origin, which no sweep allows;
     no point of Z is formed.  A margin counts only above the threshold
     10 max(budget + lhs rounding bound, tol).  ``details`` records the
@@ -209,26 +235,26 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     one-panel rule and ran adaptive quadrature (``adaptive_bands``), and
     the lhs's band counts and rounding bound (_sweep_lhs).
     """
-    tests = [family.applied(t) for t in family.taus()]
-    reach = 1.05 * max(t.support_radius for t in tests)
+    table = family.spikes(family.taus())
+    reach = 1.05 * float(table.support_radius.max())
     radii, mults = Z.radii_up_to(reach)
     if radii.size and radii[0] <= 1e-15:
         raise DomainError("candidate zeros must avoid the origin")
-    lhs_all, work = _sweep_lhs(radii, mults, tests)
-    rhs_all, adaptive = M.charge.integrate_radial(tests, tol=tol)
+    lhs_all, work = _sweep_lhs(radii, mults, table)
+    rhs_all, adaptive = M.charge.integrate_radial(table, tol=tol)
     swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
              "adaptive_bands": adaptive, **work}
 
     samples = []
-    for test, lhs, got in zip(tests, lhs_all, rhs_all):
+    for tau, lhs, got in zip(table.tau.tolist(), lhs_all, rhs_all):
         if isinstance(got, EngineError):
             samples.append(MarginSample(
-                tau=test.params["t"], lhs=lhs, rhs=math.nan,
+                tau=tau, lhs=lhs, rhs=math.nan,
                 margin=math.nan, rhs_budget=math.nan,
                 note=type(got).__name__))
             continue
         rhs, err = got
-        samples.append(MarginSample(tau=test.params["t"], lhs=lhs, rhs=rhs,
+        samples.append(MarginSample(tau=tau, lhs=lhs, rhs=rhs,
                                     margin=lhs - rhs, rhs_budget=err))
 
     kept = [s for s in samples if not s.note]

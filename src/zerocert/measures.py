@@ -7,7 +7,8 @@ rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
 about its own centre.  Every density declares its disk mass
 ``cumulative`` and its log-mass ``log_mass`` in closed form; radial
 spikes read them for their exact-log cores, all spikes of a sweep in one
-call of ``RieszCharge.integrate_radial``, and lemma1 integrates a
+call of ``RieszCharge.integrate_radial``, as the columns of one
+testfam.SpikeTable, and lemma1 integrates a
 concentric disk's Green function against a density as a difference of
 log-masses (``RadialDensity.log_mass_in``).  Regions are closed disks.
 Zero distributions are explicit point sets or lattices.  Every radial
@@ -30,6 +31,7 @@ from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, EngineError, NotSummable
 from .quadrature import (ToleranceFailure, integrate, integrate_circle_means,
                          panel_estimates, panel_nodes)
+from .testfam import SpikeTable
 
 
 # ulps of each closed-form term that a charge integral adds to its budget
@@ -348,16 +350,12 @@ def _coerce_points(arr):
     return np.asarray(arr, dtype=complex).ravel()
 
 
-def _add_cores(dens, spikes, cores, val, err):
-    """Add each spike's core (c - k ln a) mu(a) + k L(a) on the density.
-
-    cores lists (spike index, core edge a).  L is the declared log-mass,
-    evaluated once for all the edges.
-    """
-    idx = np.array([i for i, _ in cores])
-    a = np.array([edge for _, edge in cores])
-    c = np.array([float(spikes[i].log_constant) for i in idx])
-    k = np.array([float(spikes[i].pole_coefficient) for i in idx])
+def _add_cores(dens, table, idx, a, val, err):
+    """Add the core (c - k ln a) mu(a) + k L(a) on the density to each
+    row idx of the spike table, whose core ends at a.  L is the declared
+    log-mass, evaluated once for all the edges."""
+    c = table.log_constant[idx]
+    k = table.pole_coefficient[idx]
     edge = (c - k * np.log(a)) * dens.mass_in(a)
     tail = k * np.asarray(dens.log_mass(a), dtype=float)
     val[idx] += dens.sign * (edge + tail)
@@ -366,53 +364,50 @@ def _add_cores(dens, spikes, cores, val, err):
                               + np.spacing(np.abs(tail)))
 
 
-def _band_profiles(spikes, idx, s):
+def _band_profiles(table, idx, s):
     """Each band's spike profile on its row of radii s: through the log
-    shape in one call for all the spikes that share it, and through the
-    spike's own profile for one that declares none."""
+    shape in one call for all the rows idx that share it, and through the
+    row's own profile for one that declares none."""
     g = np.empty(s.shape)
-    by_shape = {}
-    for j, i in enumerate(idx):
-        shape = getattr(spikes[i], "log_shape", None)
+    for shape, rows in table.by_shape(idx):
         if shape is None:
-            g[j] = np.asarray(spikes[i].radial_profile(s[j]), dtype=float)
-        else:
-            by_shape.setdefault(shape, []).append(j)
-    for shape, rows in by_shape.items():
+            for j in rows.tolist():
+                g[j] = np.asarray(table.member(idx[j]).radial_profile(s[j]),
+                                  dtype=float)
+            continue
         # psi(ln(e^c / s)) rather than psi(c - ln s): in the blend, where
         # the argument is small, a difference of two logs loses low bits
-        scale = np.exp([float(spikes[idx[j]].log_constant) for j in rows])
+        scale = np.exp(table.log_constant[idx[rows]])
         g[rows] = np.asarray(shape(np.log(scale[:, None] * (1.0 / s[rows]))),
                              dtype=float)
     return g
 
 
-def _band_integrand(dens, spikes, idx, s):
-    """g(s) s profile(s) for the bands of spikes idx, on the rows of s."""
-    y = _band_profiles(spikes, idx, s)
+def _band_integrand(dens, table, idx, s):
+    """g(s) s profile(s) for the bands of rows idx, on the rows of s."""
+    y = _band_profiles(table, idx, s)
     y *= s
     y *= np.asarray(dens.profile(s), dtype=float)
     return y
 
 
-def _add_bands(dens, spikes, bands, share, val, err, failed):
-    """Add each spike's band integral of g(s) s profile(s) ds.
+def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
+    """Add the band integral of g(s) s profile(s) ds from lo to hi to each
+    row idx of the spike table.
 
-    bands lists (spike index, lo, hi).  Every band's first Gauss panel is
-    evaluated in one call of the density's profile and one call per log
-    shape; a band that misses its share of tol there, or holds a declared
-    kink strictly inside, runs adaptive quadrature alone.  Returns the
-    number of bands that ran adaptively.
+    Every band's first Gauss panel is evaluated in one call of the
+    density's profile and one call per log shape; a band that misses its
+    share of tol there, or holds a declared kink strictly inside, runs
+    adaptive quadrature alone.  Returns the number of bands that ran
+    adaptively.
     """
-    idx = np.array([i for i, _, _ in bands])
-    lo = np.array([b[1] for b in bands])
-    hi = np.array([b[2] for b in bands])
     with np.errstate(all="ignore"):
-        y = _band_integrand(dens, spikes, idx, panel_nodes(lo, hi))
+        y = _band_integrand(dens, table, idx, panel_nodes(lo, hi))
     v, e = panel_estimates(y, lo, hi)
-    kinked = np.array([any(a < r < b for r in spikes[i].kink_radii)
-                       for i, a, b in bands])
-    ok = np.isfinite(y).all(axis=1) & (e <= share[idx]) & ~kinked
+    kinks = table.kink_radii[idx]
+    inside = (lo[:, None] < kinks) & (kinks < hi[:, None])
+    ok = (np.isfinite(y).all(axis=1) & (e <= share[idx])
+          & ~inside.any(axis=1))
     val[idx[ok]] += dens.sign * v[ok]
     err[idx[ok]] += e[ok]
     adaptive = 0
@@ -421,13 +416,12 @@ def _add_bands(dens, spikes, bands, share, val, err, failed):
         if failed[i] is not None:
             continue
         adaptive += 1
-        row = slice(j, j + 1)
-        kinks = [r for r in spikes[i].kink_radii if lo[j] < r < hi[j]]
+        row = idx[j:j + 1]
         try:
             vj, ej = integrate(
-                lambda x: _band_integrand(dens, spikes, idx[row],
-                                          x[None, :])[0],
-                lo[j], hi[j], tol=share[i], singularities=kinks)
+                lambda x: _band_integrand(dens, table, row, x[None, :])[0],
+                lo[j], hi[j], tol=share[i],
+                singularities=kinks[j][inside[j]].tolist())
         except ToleranceFailure as exc:
             failed[i] = exc
             continue
@@ -494,11 +488,12 @@ class RieszCharge(Record):
     def integrate_radial(self, spikes, *, tol=1e-9):
         """Integrals of radial spikes against the charge, all in one pass.
 
-        Each spike declares its profile g = ``radial_profile`` as a
-        function of the distance to its ``pole``, the ``support_radius``
-        beyond which g vanishes, the ``kink_radii`` where it loses
-        smoothness, and its exact-log core: g(s) = c - k ln s for
-        0 < s <= a, with a = ``log_core`` (0 declares no core),
+        ``spikes`` is a SpikeTable, or a sequence of spike objects, which
+        is read once into one (SpikeTable.of).  Each row declares its
+        profile g as a function of the distance to its ``pole``, the
+        ``support_radius`` beyond which g vanishes, the ``kink_radii``
+        where it loses smoothness, and its exact-log core: g(s) = c - k ln s
+        for 0 < s <= a, with a = ``log_core`` (0 declares no core),
         c = ``log_constant`` and k = ``pole_coefficient``.  It may declare
         its ``log_shape`` psi, with g(s) = psi(c - ln s).  Radial densities
         must be centered at the poles; atoms may sit anywhere.
@@ -509,27 +504,29 @@ class RieszCharge(Record):
             int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k L(a),
 
         with L(a) = int_lo^a mu(s)/s ds the density's declared
-        ``log_mass``, in closed form for every spike at once.  The band
+        ``log_mass``, in closed form for every row at once.  The band
         from the core, or from the density's inner edge, out to the
         support takes integrate's first panel, a 16- and 32-point Gauss
-        pair on the band's own radii, for every spike in one call of the
-        density's profile, with g from one call of psi for all the spikes
-        that share it, or else from the spike's own profile.  (The band
-        stays in s rather than x = c - ln s, so its edges are the declared
-        radii exactly.)  A band whose two rules differ by more than its
-        share of tol, or with a declared kink strictly inside, is
-        integrated adaptively on its own.  Each band of a spike gets an
-        equal share of tol, so the spike's budget stays within tol, apart
-        from a few ulps of each closed-form core term.
+        pair on the band's own radii, for every row in one call of the
+        density's profile, with g from one call of psi for all the rows
+        that share it.  (The band stays in s rather than x = c - ln s, so
+        its edges are the declared radii exactly.)  A band whose two rules
+        differ by more than its share of tol, or with a declared kink
+        strictly inside, is integrated adaptively on its own.  Each band
+        of a row gets an equal share of tol, so the row's budget stays
+        within tol, apart from a few ulps of each closed-form core term.
+        Three paths read a row's own ``radial_profile`` (table.member):
+        the atoms, an adaptive band, and a row that declares no psi.
 
-        Returns (results, adaptive_bands): one result per spike, its
+        Returns (results, adaptive_bands): one result per row, its
         (value, error_budget) or the NotSummable or ToleranceFailure it
         raised, and the number of bands integrated adaptively.  A density
-        off a spike's pole, or a band with no finite end, raises for the
+        off a row's pole, or a band with no finite end, raises for the
         whole batch.
         """
-        spikes = list(spikes)
-        n = len(spikes)
+        table = (spikes if isinstance(spikes, SpikeTable)
+                 else SpikeTable.of(spikes))
+        n = len(table)
         val = np.zeros(n)
         err = np.zeros(n)
         failed = [None] * n
@@ -537,10 +534,10 @@ class RieszCharge(Record):
         if live.any():
             pts = self.atom_points[live]
             masses = self.atom_masses[live]
-            for i, spike in enumerate(spikes):
+            for i in range(n):
                 with np.errstate(all="ignore"):
-                    gv = np.asarray(spike.radial_profile(
-                        np.abs(pts - complex(spike.pole))), dtype=float)
+                    gv = np.asarray(table.member(i).radial_profile(
+                        np.abs(pts - complex(table.pole[i]))), dtype=float)
                 if np.all(np.isfinite(gv)):
                     val[i] = float(np.sum(masses * gv))
                 else:
@@ -549,36 +546,33 @@ class RieszCharge(Record):
         calls = np.zeros(n)
         for dens in self.radial:
             lo = dens.support[0]
-            cores = []
-            bands = []
-            for i, spike in enumerate(spikes):
-                if abs(dens.center - complex(spike.pole)) > 1e-12:
-                    raise EngineError("radial density not concentric; "
-                                      "use integrate()")
-                hi = min(dens.support[1], float(spike.support_radius))
-                if hi <= lo:
-                    continue
-                if not math.isfinite(hi):
-                    raise DomainError("unbounded radial integral: the spike "
-                                      "declares no finite support")
-                start = lo
-                if spike.log_core > lo:
-                    start = min(float(spike.log_core), hi)
-                    cores.append((i, start))
-                if start < hi:
-                    bands.append((i, start, hi))
-                    calls[i] += 1
-            pieces.append((dens, cores, bands))
-        # an equal share of tol per band keeps each spike's summed error
+            hi = np.minimum(dens.support[1], table.support_radius)
+            off = np.abs(dens.center - table.pole) > 1e-12
+            on = hi > lo
+            bad = np.flatnonzero(off | (on & ~np.isfinite(hi)))
+            if bad.size and off[bad[0]]:
+                raise EngineError("radial density not concentric; "
+                                  "use integrate()")
+            if bad.size:
+                raise DomainError("unbounded radial integral: the spike "
+                                  "declares no finite support")
+            cored = on & (table.log_core > lo)
+            start = np.where(cored, np.minimum(table.log_core, hi), lo)
+            banded = on & (start < hi)
+            calls += banded
+            pieces.append((dens, cored, start, banded, hi))
+        # an equal share of tol per band keeps each row's summed error
         # estimates within tol
         share = tol / np.maximum(calls, 1.0)
         adaptive = 0
-        for dens, cores, bands in pieces:
-            if cores:
-                _add_cores(dens, spikes, cores, val, err)
-            if bands:
-                adaptive += _add_bands(dens, spikes, bands, share, val, err,
-                                       failed)
+        for dens, cored, start, banded, hi in pieces:
+            if cored.any():
+                idx = np.flatnonzero(cored)
+                _add_cores(dens, table, idx, start[idx], val, err)
+            if banded.any():
+                idx = np.flatnonzero(banded)
+                adaptive += _add_bands(dens, table, idx, start[idx], hi[idx],
+                                       share, val, err, failed)
         results = [exc if exc is not None else (float(v), float(e))
                    for exc, v, e in zip(failed, val, err)]
         return results, adaptive

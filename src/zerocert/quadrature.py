@@ -17,7 +17,8 @@ which it loses smoothness.  A radial spike integrated against a charge
 (RieszCharge.integrate_radial) declares ``pole``, ``radial_profile``,
 ``support_radius``, ``kink_radii``, its exact-log core ``log_core``,
 ``log_constant`` and ``pole_coefficient``, and optionally its
-``log_shape``, the profile as a function of log_constant - ln d; a
+``log_shape``, the profile as a function of log_constant - ln d (a
+batch of them is read as the columns of a testfam.SpikeTable); a
 radial density declares its disk mass and its log-mass
 (measures.RadialDensity), which take the core with no quadrature.
 Those integrals run the first panel of ``integrate`` on many intervals

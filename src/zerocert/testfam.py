@@ -7,10 +7,15 @@ charges.  Members carry their radial profiles and the radii and constants
 the sweep reads, not charges of their own.  A member's ``log_shape`` psi
 gives its profile as psi(ln(t |w|)), which the pullback reads as
 psi(log_constant - ln d); each family builds its psi once, so all of its
-members share one object, and the charge side evaluates it once for them
-all (RieszCharge.integrate_radial).  A psi's ``pieces``, the margin
-sweep's view of it, are (edge e, coefficients a) in increasing e: psi is
+members share one object.  A psi's ``pieces``, the margin sweep's view of
+it, are (edge e, coefficients a) in increasing e: psi is
 sum a_k (x - e)^k from e to the next edge, and 0 below the first.
+
+The margin sweep reads a family's pullbacks for all its cutoffs at once,
+as the columns of a SpikeTable (``family.spikes(taus)``), and the charge
+side evaluates the shared psi once for them all
+(RieszCharge.integrate_radial); ``family.applied(tau)`` builds one
+member as a record, from the same radii.
 """
 
 from __future__ import annotations
@@ -122,29 +127,45 @@ def _capped_shape(eps):
     return shape
 
 
-def _log_plane(t, shape, params):
-    """The member psi(ln(t |w|)) for the log shape psi, which is 0 below
-    its first piece's edge e0 and x from its last piece's edge e1."""
+def _log_radii(taus, shape):
+    """The radii and log constant of each member psi(ln(t |w|)) for the
+    cutoffs taus, where psi is 0 below its first piece's edge e0 and x
+    from its last piece's edge e1: one row (zero radius e^e0 / t,
+    exact-log radius e^e1 / t, ln t, kink radii) per cutoff."""
     e0, e1 = shape.pieces[0][0], shape.pieces[-1][0]
+    inner, outer, support = math.exp(e0), math.exp(e1), math.exp(-e0)
+    rows = []
+    for t in taus:
+        zero_radius = inner / t
+        log_radius = outer / t
+        # each edge is a kink (psi's fifth derivative jumps at the blend's)
+        kinks = (zero_radius,) if e0 == e1 else (zero_radius, log_radius)
+        # the pullback's core ends at 1 / log_radius, which must not pass
+        # the support t e^-e0, where the profile is already 0: where it
+        # rounds past, the exact-log region is declared from one ulp
+        # further out
+        if 1.0 / log_radius > t * support:
+            log_radius = math.nextafter(log_radius, math.inf)
+        rows.append((zero_radius, log_radius, math.log(t)) + kinks)
+    return np.array(rows, dtype=float).reshape(len(rows),
+                                               4 if e0 == e1 else 5)
+
+
+def _log_plane(t, shape, params):
+    """The member psi(ln(t |w|)) for the log shape psi, with the radii of
+    _log_radii."""
 
     def profile(s):
         # ln 0 = -inf reaches psi's zero end
         with np.errstate(divide="ignore"):
             return shape(np.log(t * np.asarray(s, dtype=float)))
 
-    zero_radius = math.exp(e0) / t
-    log_radius = math.exp(e1) / t
-    # each edge is a kink (psi's fifth derivative jumps at the blend's)
-    kinks = (zero_radius,) if e0 == e1 else (zero_radius, log_radius)
-    # the pullback's core ends at 1 / log_radius, which must not pass the
-    # support t e^-e0, where the profile is already 0: where it rounds
-    # past, the exact-log region is declared from one ulp further out
-    if 1.0 / log_radius > t * math.exp(-e0):
-        log_radius = math.nextafter(log_radius, math.inf)
+    zero_radius, log_radius, log_constant, *kinks = (
+        _log_radii((t,), shape)[0].tolist())
     return TestPotential(
         params=params, radial_profile=profile, growth_coefficient=1.0,
-        zero_radius=zero_radius, kink_radii=kinks, log_radius=log_radius,
-        log_constant=math.log(t), log_shape=shape)
+        zero_radius=zero_radius, kink_radii=tuple(kinks),
+        log_radius=log_radius, log_constant=log_constant, log_shape=shape)
 
 
 def truncated_log_plane(t):
@@ -201,6 +222,83 @@ def inversion_pullback(p):
 
 
 # ---------------------------------------------------------------------------
+# spike tables
+
+
+class SpikeTable:
+    """Radial spikes as columns, one row per spike: what the margin sweep
+    and RieszCharge.integrate_radial read off a PulledBackTest, for a
+    whole batch at once.
+
+    ``tau`` holds each row's cutoff (nan where none is given), ``pole``
+    its pole, ``log_constant``, ``log_core``, ``support_radius`` and
+    ``pole_coefficient`` its declarations, ``kink_radii`` its kinks,
+    padded with nan to one width, and ``log_shape`` its psi or None, in
+    an object column (a family's rows share one psi).  ``member(i)``
+    returns row i as a spike object, whose own ``radial_profile`` is read
+    where no column serves: at atoms, in a band that runs adaptive
+    quadrature, and for a row with no log_shape.
+    """
+
+    __slots__ = ("tau", "pole", "log_constant", "log_core", "support_radius",
+                 "pole_coefficient", "kink_radii", "log_shape", "member")
+
+    def __init__(self, *columns):
+        # one argument for each name in __slots__, in that order
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, spikes, taus=None):
+        """The table of a sequence of spike objects, which it keeps as its
+        members; taus, when given, fills the tau column."""
+        spikes = tuple(spikes)
+        n = len(spikes)
+        kinks = [tuple(s.kink_radii) for s in spikes]
+        kink_radii = np.full((n, max(map(len, kinks), default=0)), math.nan)
+        for row, k in zip(kink_radii, kinks):
+            row[:len(k)] = k
+        log_shape = np.empty(n, dtype=object)
+        log_shape[:] = [getattr(s, "log_shape", None) for s in spikes]
+
+        def column(name):
+            return np.array([float(getattr(s, name)) for s in spikes])
+
+        return cls(
+            np.full(n, math.nan) if taus is None
+            else np.asarray(taus, dtype=float),
+            np.array([complex(s.pole) for s in spikes], dtype=complex),
+            column("log_constant"), column("log_core"),
+            column("support_radius"), column("pole_coefficient"),
+            kink_radii, log_shape, spikes.__getitem__)
+
+    def __len__(self):
+        return self.tau.size
+
+    def by_shape(self, rows):
+        """(psi, positions in rows of the rows with that log_shape), for
+        each psi among rows in order of first occurrence."""
+        shapes = self.log_shape[rows]
+        return [(shape, np.flatnonzero(shapes == shape))
+                for shape in dict.fromkeys(shapes)]
+
+
+def _pullbacks(taus, shape, applied):
+    """The pullbacks of the members psi(ln(t |w|)) for the cutoffs taus,
+    as a SpikeTable: the radii of _log_radii inverted elementwise, as
+    inversion_pullback inverts them; ``applied`` builds a row's member."""
+    tau = np.asarray(taus, dtype=float)
+    if np.any(tau <= 0):
+        raise InvalidPotential("needs t > 0")
+    plane = _log_radii(tau.tolist(), shape)
+    n = tau.size
+    return SpikeTable(
+        tau, np.zeros(n, dtype=complex), plane[:, 2], 1.0 / plane[:, 1],
+        1.0 / plane[:, 0], np.ones(n), 1.0 / plane[:, 3:],
+        np.full(n, shape, dtype=object), lambda i: applied(float(tau[i])))
+
+
+# ---------------------------------------------------------------------------
 # sweep families
 
 
@@ -230,6 +328,9 @@ class TruncatedLogFamily(ValueRecord):
     def applied(self, tau):
         return inversion_pullback(truncated_log_plane(tau))
 
+    def spikes(self, taus):
+        return _pullbacks(taus, _positive_part, self.applied)
+
 
 class SmoothCappedLogFamily(ValueRecord):
     __slots__ = ("t_min", "t_max", "ratio", "eps")
@@ -242,3 +343,8 @@ class SmoothCappedLogFamily(ValueRecord):
 
     def applied(self, tau):
         return inversion_pullback(smooth_capped_log(tau, self.eps))
+
+    def spikes(self, taus):
+        if self.eps <= 0:
+            raise InvalidPotential("needs t > 0 and eps > 0")
+        return _pullbacks(taus, _capped_shape(float(self.eps)), self.applied)

@@ -16,6 +16,7 @@ from zerocert import (
     Region,
     RieszCharge,
     SmoothCappedLogFamily,
+    SpikeTable,
     SubharmonicModel,
     TruncatedLogFamily,
     ZeroDistribution,
@@ -35,7 +36,7 @@ from zerocert import (
     smooth_capped_log,
 )
 
-from zerocert import measures, quadrature
+from zerocert import measures, quadrature, testfam
 from zerocert.criterion import m0_shell_count
 
 import oracles
@@ -123,10 +124,14 @@ def _bench_scenario(tmp_path, name, seed=7):
 def test_margin_sweep_integrates_the_charge_in_one_call(tmp_path, monkeypatch,
                                                         name, taus):
     # every tau's charge integral comes from one integrate_radial call, and
-    # on the benchmark workloads no band or core needs adaptive quadrature
+    # on the benchmark workloads no band or core needs adaptive quadrature;
+    # the family's members are read as one spike table, with no member
+    # built as a record
     sc = _bench_scenario(tmp_path, name)
-    calls = {"radial": 0, "integrate": 0}
+    calls = {"radial": 0, "integrate": 0, "applied": 0, "pullback": 0}
     radial = measures.RieszCharge.integrate_radial
+    applied = type(sc.family).applied
+    pullback = testfam.inversion_pullback
 
     def count_radial(self, spikes, **kw):
         calls["radial"] += 1
@@ -136,11 +141,22 @@ def test_margin_sweep_integrates_the_charge_in_one_call(tmp_path, monkeypatch,
         calls["integrate"] += 1
         return quadrature.integrate(*args, **kw)
 
+    def count_applied(self, tau):
+        calls["applied"] += 1
+        return applied(self, tau)
+
+    def count_pullback(p):
+        calls["pullback"] += 1
+        return pullback(p)
+
     monkeypatch.setattr(measures.RieszCharge, "integrate_radial", count_radial)
     monkeypatch.setattr(measures, "integrate", count_integrate)
+    monkeypatch.setattr(type(sc.family), "applied", count_applied)
+    monkeypatch.setattr(testfam, "inversion_pullback", count_pullback)
     curve = margin_sweep(sc.zeros, sc.majorant, sc.family,
                          tol=sc.tol("margin"))
-    assert calls == {"radial": 1, "integrate": 0}
+    assert calls == {"radial": 1, "integrate": 0, "applied": 0,
+                     "pullback": 0}
     assert len(curve.samples) == taus and curve.details["dropped"] == 0
     assert curve.details["adaptive_bands"] == 0
 
@@ -214,6 +230,9 @@ class _UndeclaredFamily:
         plane = smooth_capped_log(tau, self.inner.eps)
         return inversion_pullback(
             dataclasses.replace(plane, log_radius=math.inf))
+
+    def spikes(self, taus):
+        return SpikeTable.of([self.applied(t) for t in taus], taus)
 
 
 def _assert_lhs_direct(points, mults, fam):
@@ -400,6 +419,9 @@ class _BareShapeFamily:
         test = self.inner.applied(tau)
         shape = test.log_shape
         return dataclasses.replace(test, log_shape=lambda x: shape(x))
+
+    def spikes(self, taus):
+        return SpikeTable.of([self.applied(t) for t in taus], taus)
 
 
 def test_margin_band_without_declared_pieces_raises_by_name():
