@@ -315,19 +315,16 @@ class SufficiencyReport(Record):
 
 
 def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
-                       family=None, margin_verdict=None):
+                       margin_verdict=None):
     """Check ln|f| <= enlarged-mean envelope on a grid of points.
 
-    When a margin verdict (or a family to compute one) says the
-    necessary criterion is violated, no construction is attempted.
+    When the margin verdict says the necessary criterion is violated,
+    no construction is attempted.
     Otherwise the finite product plus its tail budget is compared with
     circle means of the upper part at the certified enlarged radius,
     minus the lower part, plus the domain remainder.  The certificate is
     strict: one grid point in excess refuses it.
     """
-    if margin_verdict is None and family is not None:
-        from .criterion import margin_sweep
-        margin_verdict = margin_sweep(Z, M, family).verdict
     if margin_verdict == "violated":
         return SufficiencyReport(
             certified=False, reason="margin-violated",

@@ -17,14 +17,17 @@ table, takes the core by parts against each radial density's disk mass
 and declared ``log_mass`` L(a) = int mu(s)/s ds, which leaves no log
 singularity for quadrature to chase, and integrates the profile only
 over the band: one Gauss pair per cutoff, with the family's shared
-``log_shape`` evaluated once for all of them.
+``log_shape`` evaluated once for all of them.  The zero-side band sums
+read that one psi through its declared pieces, each piece on its own
+segments only.
 check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii, closed form where the envelope
 declares one, on whole columns of probe points.  lemma1_constants
 extracts the comparison constants of the disk-regime necessity bound
 from a Green function and the majorant's charge: atoms by direct sums,
 and each radial density, concentric with the disk, by a difference of
-its declared log-masses, with no quadrature.
+its declared log-masses, with no quadrature (_green_term, which also
+gives jensen.poisson_jensen_check its concentric charge term).
 """
 
 from __future__ import annotations
@@ -94,28 +97,22 @@ def _band_sums(log_r, m, table, core, band):
     + (|c| + |A_s| + h + |e|) sum_k k |a_k| rho^(k-1)), covers the sums of
     its n_s radii in any order and the roundings of ln tau, ln r and d.
     """
-    c = table.log_constant
-    banded = np.flatnonzero(band > core)
-    spans, declared = [], []
-    for shape, rows in table.by_shape(banded):
-        pieces = getattr(shape, "pieces", None)
-        if pieces is None or max(len(a) for _, a in pieces) > _MOMENTS:
-            raise InvalidPotential("a test with zeros in its band needs "
-                                   f"log-shape pieces of degree < {_MOMENTS}")
-        idx = banded[rows]
-        # x = c - ln r falls as r grows: the top piece starts at the core
-        lo = core[idx]
-        for edge, coeffs in reversed(pieces):
-            hi = np.clip(np.searchsorted(log_r, c[idx] - edge, side="right"),
-                         lo, band[idx])
-            spans.append((idx, lo, hi, np.full(idx.size, len(declared))))
-            declared.append((edge, np.append(
-                coeffs, np.zeros(2 * _MOMENTS - len(coeffs)))))
-            lo = hi
     n = len(table)
-    if not spans:
+    idx = np.flatnonzero(band > core)
+    if not idx.size:
         return np.zeros(n), np.zeros(n), 0, 0
-    idx, lo, hi, piece = map(np.concatenate, zip(*spans))
+    pieces = getattr(table.log_shape, "pieces", None)
+    if pieces is None or max(len(a) for _, a in pieces) > _MOMENTS:
+        raise InvalidPotential("a test with zeros in its band needs "
+                               f"log-shape pieces of degree < {_MOMENTS}")
+    c = table.log_constant
+    # x = c - ln r falls as r grows: the top piece starts at the core
+    pieces = pieces[::-1]
+    ends = [core[idx]]
+    for edge, _ in pieces:
+        ends.append(np.clip(np.searchsorted(log_r, c[idx] - edge,
+                                            side="right"), ends[-1], band[idx]))
+    lo, hi = np.concatenate(ends[:-1]), np.concatenate(ends[1:])
     cuts = np.array(sorted(set(np.concatenate((lo, hi)).tolist())))
     lo_r, hi_r = log_r[cuts[:-1]], log_r[cuts[1:] - 1]
     anchor, half = 0.5 * (lo_r + hi_r), 0.5 * (hi_r - lo_r)
@@ -125,25 +122,29 @@ def _band_sums(log_r, m, table, core, band):
     for _ in _POW:
         mu.append(np.add.reduceat(w, cuts[:-1] - cuts[0]))
         w = w * u
-    # one pair per segment of each (test, piece) row; each pair's values
-    # are taken for every declared piece, and its own picked out (mine)
+    # one pair per segment of each (test, piece) row, the pairs of each
+    # piece in one run
     s_lo = np.searchsorted(cuts, lo)
     count = np.searchsorted(cuts, hi) - s_lo
     seg = np.arange(count.sum()) - np.repeat(
         np.cumsum(count) - count - s_lo, count)
-    test, piece = np.repeat(idx, count), np.repeat(piece, count)
-    mine = (piece, np.arange(piece.size))
-    edge = np.array([e for e, _ in declared])[piece]
-    a = np.array([coeffs for _, coeffs in declared])
-    shift = (_SHIFT * a[:, _POW[:, None] + _POW]).transpose(0, 2, 1)
-    d = c[test] - anchor[seg] - edge
+    test = np.repeat(np.tile(idx, len(pieces)), count)
     mu = np.array(mu)[:, seg]
-    value = np.einsum("sip,ip->sp", shift @ _powers(d), mu)[mine]
-    # sum_k |a_k| rho^k and its slope bound a piece on a segment
-    rho = _powers(abs(d) + half[seg])
-    size = (abs(a[:, :_MOMENTS]) @ rho)[mine]
-    slope = ((abs(a[:, 1:_MOMENTS]) * _POW[1:]) @ rho[:-1])[mine]
-    spread = abs(c[test]) + abs(anchor[seg]) + half[seg] + abs(edge)
+    value, size, slope, spread = (np.empty(test.size) for _ in range(4))
+    runs = np.cumsum(count.reshape(len(pieces), -1).sum(axis=1))
+    for (edge, coeffs), first, last in zip(pieces, [0, *runs[:-1]], runs):
+        p = slice(first, last)
+        a = np.append(coeffs, np.zeros(2 * _MOMENTS - len(coeffs)))
+        d = c[test[p]] - anchor[seg[p]] - edge
+        value[p] = np.einsum("ip,ip->p",
+                             (_SHIFT * a[_POW[:, None] + _POW]).T @ _powers(d),
+                             mu[:, p])
+        # sum_k |a_k| rho^k and its slope bound the piece on a segment
+        rho = _powers(abs(d) + half[seg[p]])
+        size[p] = abs(a[:_MOMENTS]) @ rho
+        slope[p] = (abs(a[1:_MOMENTS]) * _POW[1:]) @ rho[:-1]
+        spread[p] = (abs(c[test[p]]) + abs(anchor[seg[p]]) + half[seg[p]]
+                     + abs(edge))
     ops = np.diff(cuts)[seg] + np.bincount(test)[test] + _BAND_OPS
     return (np.bincount(test, value, n),
             2.0 ** -52 * np.bincount(

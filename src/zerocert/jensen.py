@@ -12,7 +12,12 @@ circle.  A JensenPotential keeps mu's circle parts, and reads its support
 and kink radii off them; mu is recovered from V by taking those circles
 and measuring the pole mass off V's logarithmic pole.  The identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
-is checked numerically by two independent routes.
+is checked numerically by two independent routes.  Since the weights sum
+to 1 - pole_mass, V = sum of w_k ln+(r_k / d), a sum of Green functions
+of the disks d < r_k, each with its pole at the centre: against a charge
+whose densities are all centred on the pole, the right side is the sum
+of w_k times lemma1's closed form (criterion._green_term), with no
+quadrature.  Any other charge is integrated through circle means.
 
 A JensenMeasure integrates u through its circle means, closed form
 where u declares one (quadrature.circle_mean).
@@ -34,8 +39,9 @@ import math
 import numpy as np
 
 from ._record import Record, ValueRecord, setfield
-from .errors import DomainError, EngineError, InvalidPotential
-from .measures import RieszCharge
+from .errors import DomainError, InvalidPotential
+from .criterion import _green_term
+from .measures import Region, RieszCharge
 from .quadrature import circle_mean
 
 
@@ -90,10 +96,9 @@ def uniform_circle(z0, t):
 class JensenPotential(Record):
     """Radial potential of a catalogue measure, with its circle parts.
 
-    It declares what the charge integrals read off it: a log singularity
-    at the pole, kinks on the circles of its parts, zero beyond the
-    largest of them, and below the smallest its exact-log core
-    log_constant - pole_coefficient * ln d.
+    It declares what circle means read off it: a log singularity at the
+    pole and kinks on the circles of its parts; it is zero beyond the
+    largest of them.
     """
 
     __slots__ = ("pole", "radial_profile", "parts", "pole_coefficient")
@@ -113,14 +118,6 @@ class JensenPotential(Record):
     @property
     def kink_circles(self):
         return tuple((self.pole, r) for r in self.kink_radii)
-
-    @property
-    def log_core(self):
-        return min(self.kink_radii, default=math.inf)
-
-    @property
-    def log_constant(self):
-        return sum(p.weight * math.log(p.radius) for p in self.parts)
 
     def __call__(self, z):
         d = np.abs(np.asarray(z, dtype=complex) - self.pole)
@@ -230,22 +227,26 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
     if not math.isfinite(u_pole):
         raise DomainError("identity needs a finite value at the pole")
     mean_term, e1 = mu.integrate(u, tol=tol)
-    V = log_potential(mu)
     charge = u.riesz
     if all(abs(d.center - mu.pole) <= 1e-12 for d in charge.radial):
         # every density is centred on the pole (atoms may sit anywhere):
-        # integrate the radial V against the charge directly, its exact-log
-        # core below the smallest circle by parts from the densities' disk
-        # masses and log-masses.  (With no circles V vanishes and its
-        # support of 0 skips every density.)
-        (got,), _ = charge.integrate_radial([V], tol=tol)
-        if isinstance(got, EngineError):
-            raise got
-        charge_term, e2 = got
+        # each part's ln+(r / d) is the Green function of the disk d < r
+        # with its pole at the centre, integrated over the atoms in that
+        # disk and by log-masses over the densities
+        charge_term, e2 = 0.0, 0.0
+        live = charge.atom_masses != 0
+        for p in mu.parts:
+            inside = live & Region.disk(mu.pole, p.radius).contains(
+                charge.atom_points)
+            v, e = _green_term(p.radius, mu.pole, mu.pole, charge, inside,
+                               0.0)
+            charge_term += p.weight * v
+            e2 += p.weight * e
     else:
         # charge components off the pole's axis of symmetry: circle means
         # of V around each component's own center, truncating radial
         # supports where V is identically zero
+        V = log_potential(mu)
         trunc = _truncate_radial(charge, mu.pole, V.support_radius)
         coarse, _ = trunc.integrate(V, tol=tol)
         # grazing intersections with the potential's kink circles leave the

@@ -5,12 +5,13 @@ subharmonic function is 1/(2 pi) times its distributional Laplacian, so
 ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
 rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
 about its own centre.  Every density declares its disk mass
-``cumulative`` and its log-mass ``log_mass`` in closed form; radial
-spikes read them for their exact-log cores, all spikes of a sweep in one
-call of ``RieszCharge.integrate_radial``, as the columns of one
-testfam.SpikeTable, and lemma1 integrates a
-concentric disk's Green function against a density as a difference of
-log-masses (``RadialDensity.log_mass_in``).  Regions are closed disks.
+``cumulative`` and its log-mass ``log_mass`` in closed form.  A sweep
+family's radial spikes read them for their exact-log cores, all of them
+in one call of ``RieszCharge.integrate_radial`` on the family's
+testfam.SpikeTable, the one spike form it reads; lemma1, and Jensen's
+identity through it, integrate a concentric disk's Green function
+against a density as a difference of log-masses
+(``RadialDensity.log_mass_in``).  Regions are closed disks.
 Zero distributions are explicit point sets or lattices.  Every radial
 question about them (the genus probe, the margin sweep) reads only
 their sorted radii with multiplicities, through ``radii_up_to``; only
@@ -31,7 +32,6 @@ from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, EngineError, NotSummable
 from .quadrature import (ToleranceFailure, integrate, integrate_circle_means,
                          panel_estimates, panel_nodes)
-from .testfam import SpikeTable
 
 
 # ulps of each closed-form term that a charge integral adds to its budget
@@ -364,28 +364,9 @@ def _add_cores(dens, table, idx, a, val, err):
                               + np.spacing(np.abs(tail)))
 
 
-def _band_profiles(table, idx, s):
-    """Each band's spike profile on its row of radii s: through the log
-    shape in one call for all the rows idx that share it, and through the
-    row's own profile for one that declares none."""
-    g = np.empty(s.shape)
-    for shape, rows in table.by_shape(idx):
-        if shape is None:
-            for j in rows.tolist():
-                g[j] = np.asarray(table.member(idx[j]).radial_profile(s[j]),
-                                  dtype=float)
-            continue
-        # psi(ln(e^c / s)) rather than psi(c - ln s): in the blend, where
-        # the argument is small, a difference of two logs loses low bits
-        scale = np.exp(table.log_constant[idx[rows]])
-        g[rows] = np.asarray(shape(np.log(scale[:, None] * (1.0 / s[rows]))),
-                             dtype=float)
-    return g
-
-
 def _band_integrand(dens, table, idx, s):
     """g(s) s profile(s) for the bands of rows idx, on the rows of s."""
-    y = _band_profiles(table, idx, s)
+    y = table.profile(idx, s)
     y *= s
     y *= np.asarray(dens.profile(s), dtype=float)
     return y
@@ -396,18 +377,15 @@ def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
     row idx of the spike table.
 
     Every band's first Gauss panel is evaluated in one call of the
-    density's profile and one call per log shape; a band that misses its
-    share of tol there, or holds a declared kink strictly inside, runs
-    adaptive quadrature alone.  Returns the number of bands that ran
-    adaptively.
+    density's profile and one of the table's; a band that misses its
+    share of tol there runs adaptive quadrature alone.  No band holds a
+    kink strictly inside: a row's kinks are its band's ends.  Returns the
+    number of bands that ran adaptively.
     """
     with np.errstate(all="ignore"):
         y = _band_integrand(dens, table, idx, panel_nodes(lo, hi))
     v, e = panel_estimates(y, lo, hi)
-    kinks = table.kink_radii[idx]
-    inside = (lo[:, None] < kinks) & (kinks < hi[:, None])
-    ok = (np.isfinite(y).all(axis=1) & (e <= share[idx])
-          & ~inside.any(axis=1))
+    ok = np.isfinite(y).all(axis=1) & (e <= share[idx])
     val[idx[ok]] += dens.sign * v[ok]
     err[idx[ok]] += e[ok]
     adaptive = 0
@@ -420,8 +398,7 @@ def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
         try:
             vj, ej = integrate(
                 lambda x: _band_integrand(dens, table, row, x[None, :])[0],
-                lo[j], hi[j], tol=share[i],
-                singularities=kinks[j][inside[j]].tolist())
+                lo[j], hi[j], tol=share[i])
         except ToleranceFailure as exc:
             failed[i] = exc
             continue
@@ -485,18 +462,17 @@ class RieszCharge(Record):
 
     # -- integrals ----------------------------------------------------------
 
-    def integrate_radial(self, spikes, *, tol=1e-9):
-        """Integrals of radial spikes against the charge, all in one pass.
+    def integrate_radial(self, table, *, tol=1e-9):
+        """Integrals of a family's radial spikes against the charge, all
+        in one pass.
 
-        ``spikes`` is a SpikeTable, or a sequence of spike objects, which
-        is read once into one (SpikeTable.of).  Each row declares its
-        profile g as a function of the distance to its ``pole``, the
-        ``support_radius`` beyond which g vanishes, the ``kink_radii``
-        where it loses smoothness, and its exact-log core: g(s) = c - k ln s
-        for 0 < s <= a, with a = ``log_core`` (0 declares no core),
-        c = ``log_constant`` and k = ``pole_coefficient``.  It may declare
-        its ``log_shape`` psi, with g(s) = psi(c - ln s).  Radial densities
-        must be centered at the poles; atoms may sit anywhere.
+        ``table`` is a testfam.SpikeTable.  Each row is a spike at the
+        origin with profile g(s) = psi(c - ln s), psi the table's
+        ``log_shape`` and c = ``log_constant``; g vanishes beyond
+        ``support_radius`` and has the exact-log core g(s) = c - k ln s
+        for 0 < s <= a, with a = ``log_core`` and k = ``pole_coefficient``.
+        Radial densities must be centred at the origin; atoms may sit
+        anywhere.
 
         Each radial density takes the core by parts from its disk mass
         mu(s) = mass_in(s),
@@ -508,52 +484,44 @@ class RieszCharge(Record):
         from the core, or from the density's inner edge, out to the
         support takes integrate's first panel, a 16- and 32-point Gauss
         pair on the band's own radii, for every row in one call of the
-        density's profile, with g from one call of psi for all the rows
-        that share it.  (The band stays in s rather than x = c - ln s, so
-        its edges are the declared radii exactly.)  A band whose two rules
-        differ by more than its share of tol, or with a declared kink
-        strictly inside, is integrated adaptively on its own.  Each band
-        of a row gets an equal share of tol, so the row's budget stays
-        within tol, apart from a few ulps of each closed-form core term.
-        Three paths read a row's own ``radial_profile`` (table.member):
-        the atoms, an adaptive band, and a row that declares no psi.
+        density's profile and one of psi.  (The band stays in s rather
+        than x = c - ln s, so its edges are the declared radii exactly.)
+        A band whose two rules differ by more than its share of tol is
+        integrated adaptively on its own.  Each band of a row gets an
+        equal share of tol, so the row's budget stays within tol, apart
+        from a few ulps of each closed-form core term.  The atoms take
+        every row's profile in one call (SpikeTable.profile).
 
         Returns (results, adaptive_bands): one result per row, its
         (value, error_budget) or the NotSummable or ToleranceFailure it
         raised, and the number of bands integrated adaptively.  A density
-        off a row's pole, or a band with no finite end, raises for the
+        off the origin, or a band with no finite end, raises for the
         whole batch.
         """
-        table = (spikes if isinstance(spikes, SpikeTable)
-                 else SpikeTable.of(spikes))
         n = len(table)
         val = np.zeros(n)
         err = np.zeros(n)
         failed = [None] * n
         live = self.atom_masses != 0
         if live.any():
-            pts = self.atom_points[live]
-            masses = self.atom_masses[live]
-            for i in range(n):
-                with np.errstate(all="ignore"):
-                    gv = np.asarray(table.member(i).radial_profile(
-                        np.abs(pts - complex(table.pole[i]))), dtype=float)
-                if np.all(np.isfinite(gv)):
-                    val[i] = float(np.sum(masses * gv))
-                else:
-                    failed[i] = NotSummable("test function unbounded at an atom")
+            with np.errstate(all="ignore"):
+                gv = table.profile(slice(None),
+                                   np.abs(self.atom_points[live]))
+            summable = np.isfinite(gv).all(axis=1)
+            val[summable] = np.sum(self.atom_masses[live] * gv[summable],
+                                   axis=1)
+            for i in np.flatnonzero(~summable):
+                failed[i] = NotSummable("test function unbounded at an atom")
         pieces = []
         calls = np.zeros(n)
         for dens in self.radial:
-            lo = dens.support[0]
-            hi = np.minimum(dens.support[1], table.support_radius)
-            off = np.abs(dens.center - table.pole) > 1e-12
-            on = hi > lo
-            bad = np.flatnonzero(off | (on & ~np.isfinite(hi)))
-            if bad.size and off[bad[0]]:
+            if abs(dens.center) > 1e-12:
                 raise EngineError("radial density not concentric; "
                                   "use integrate()")
-            if bad.size:
+            lo = dens.support[0]
+            hi = np.minimum(dens.support[1], table.support_radius)
+            on = hi > lo
+            if not np.isfinite(hi[on]).all():
                 raise DomainError("unbounded radial integral: the spike "
                                   "declares no finite support")
             cored = on & (table.log_core > lo)

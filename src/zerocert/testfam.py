@@ -13,9 +13,10 @@ sum a_k (x - e)^k from e to the next edge, and 0 below the first.
 
 The margin sweep reads a family's pullbacks for all its cutoffs at once,
 as the columns of a SpikeTable (``family.spikes(taus)``), and the charge
-side evaluates the shared psi once for them all
-(RieszCharge.integrate_radial); ``family.applied(tau)`` builds one
-member as a record, from the same radii.
+side reads spikes only in that form: it evaluates the shared psi once
+for all the rows (SpikeTable.profile, RieszCharge.integrate_radial).
+``family.applied(tau)`` builds one member as a record, from the same
+radii; the records and inversion_pullback are the tests' reference.
 """
 
 from __future__ import annotations
@@ -226,76 +227,52 @@ def inversion_pullback(p):
 
 
 class SpikeTable:
-    """Radial spikes as columns, one row per spike: what the margin sweep
-    and RieszCharge.integrate_radial read off a PulledBackTest, for a
-    whole batch at once.
+    """A family's pullbacks as columns, one row per cutoff: what the
+    margin sweep and RieszCharge.integrate_radial read off them, for all
+    the cutoffs at once.
 
-    ``tau`` holds each row's cutoff (nan where none is given), ``pole``
-    its pole, ``log_constant``, ``log_core``, ``support_radius`` and
-    ``pole_coefficient`` its declarations, ``kink_radii`` its kinks,
-    padded with nan to one width, and ``log_shape`` its psi or None, in
-    an object column (a family's rows share one psi).  ``member(i)``
-    returns row i as a spike object, whose own ``radial_profile`` is read
-    where no column serves: at atoms, in a band that runs adaptive
-    quadrature, and for a row with no log_shape.
+    Every row is a radial spike at the origin.  ``tau`` holds its cutoff,
+    ``log_constant``, ``log_core``, ``support_radius`` and
+    ``pole_coefficient`` its declarations, and ``log_shape`` the family's
+    one psi, which all the rows share.  A row's kinks are the ends of its
+    band, ``log_core`` and ``support_radius``, so none lies strictly
+    inside it.
     """
 
-    __slots__ = ("tau", "pole", "log_constant", "log_core", "support_radius",
-                 "pole_coefficient", "kink_radii", "log_shape", "member")
+    __slots__ = ("tau", "log_constant", "log_core", "support_radius",
+                 "pole_coefficient", "log_shape")
 
     def __init__(self, *columns):
         # one argument for each name in __slots__, in that order
         for name, column in zip(self.__slots__, columns, strict=True):
             setattr(self, name, column)
 
-    @classmethod
-    def of(cls, spikes, taus=None):
-        """The table of a sequence of spike objects, which it keeps as its
-        members; taus, when given, fills the tau column."""
-        spikes = tuple(spikes)
-        n = len(spikes)
-        kinks = [tuple(s.kink_radii) for s in spikes]
-        kink_radii = np.full((n, max(map(len, kinks), default=0)), math.nan)
-        for row, k in zip(kink_radii, kinks):
-            row[:len(k)] = k
-        log_shape = np.empty(n, dtype=object)
-        log_shape[:] = [getattr(s, "log_shape", None) for s in spikes]
-
-        def column(name):
-            return np.array([float(getattr(s, name)) for s in spikes])
-
-        return cls(
-            np.full(n, math.nan) if taus is None
-            else np.asarray(taus, dtype=float),
-            np.array([complex(s.pole) for s in spikes], dtype=complex),
-            column("log_constant"), column("log_core"),
-            column("support_radius"), column("pole_coefficient"),
-            kink_radii, log_shape, spikes.__getitem__)
-
     def __len__(self):
         return self.tau.size
 
-    def by_shape(self, rows):
-        """(psi, positions in rows of the rows with that log_shape), for
-        each psi among rows in order of first occurrence."""
-        shapes = self.log_shape[rows]
-        return [(shape, np.flatnonzero(shapes == shape))
-                for shape in dict.fromkeys(shapes)]
+    def profile(self, rows, d):
+        """The profiles psi(log_constant - ln d) of rows at the distances
+        d, one row of d per row (or one row of d for them all).  They are
+        read as psi(ln(e^c / d)): in the blend, where the argument is
+        small, a difference of two logs loses low bits."""
+        scale = np.exp(self.log_constant[rows])
+        # 1/0 = inf reaches psi's end at the pole
+        with np.errstate(divide="ignore"):
+            return np.asarray(
+                self.log_shape(np.log(scale[:, None] * (1.0 / d))),
+                dtype=float)
 
 
-def _pullbacks(taus, shape, applied):
+def _pullbacks(taus, shape):
     """The pullbacks of the members psi(ln(t |w|)) for the cutoffs taus,
     as a SpikeTable: the radii of _log_radii inverted elementwise, as
-    inversion_pullback inverts them; ``applied`` builds a row's member."""
+    inversion_pullback inverts them."""
     tau = np.asarray(taus, dtype=float)
     if np.any(tau <= 0):
         raise InvalidPotential("needs t > 0")
     plane = _log_radii(tau.tolist(), shape)
-    n = tau.size
-    return SpikeTable(
-        tau, np.zeros(n, dtype=complex), plane[:, 2], 1.0 / plane[:, 1],
-        1.0 / plane[:, 0], np.ones(n), 1.0 / plane[:, 3:],
-        np.full(n, shape, dtype=object), lambda i: applied(float(tau[i])))
+    return SpikeTable(tau, plane[:, 2], 1.0 / plane[:, 1], 1.0 / plane[:, 0],
+                      np.ones(tau.size), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +306,7 @@ class TruncatedLogFamily(ValueRecord):
         return inversion_pullback(truncated_log_plane(tau))
 
     def spikes(self, taus):
-        return _pullbacks(taus, _positive_part, self.applied)
+        return _pullbacks(taus, _positive_part)
 
 
 class SmoothCappedLogFamily(ValueRecord):
@@ -347,4 +324,4 @@ class SmoothCappedLogFamily(ValueRecord):
     def spikes(self, taus):
         if self.eps <= 0:
             raise InvalidPotential("needs t > 0 and eps > 0")
-        return _pullbacks(taus, _capped_shape(float(self.eps)), self.applied)
+        return _pullbacks(taus, _capped_shape(float(self.eps)))

@@ -225,7 +225,7 @@ def test_acceptance_8_end_to_end_routes_agree():
         M2 = DSubharmonicMajorant(up=make_radial_power(2.0, 1.0))
         curve = margin_sweep(Z_sin, M2, fam)
         rep = verify_sufficiency(Z_sin, M2, PlanePowerProfile(1.0), pts,
-                                 K=10 ** 4, family=fam)
+                                 K=10 ** 4, margin_verdict=curve.verdict)
         assert curve.verdict == "consistent"
         assert rep.certified and rep.violations == 0
         assert rep.margin_verdict == "consistent"
@@ -233,7 +233,7 @@ def test_acceptance_8_end_to_end_routes_agree():
         Z_g = ZeroDistribution.gaussian_integers(max_radius=300.0)
         curve_g = margin_sweep(Z_g, _abs_majorant(), fam)
         rep_g = verify_sufficiency(Z_g, _abs_majorant(), PlanePowerProfile(1.0),
-                                   pts, K=2000, family=fam)
+                                   pts, K=2000, margin_verdict=curve_g.verdict)
         assert curve_g.verdict == "violated"
         assert not rep_g.certified
         assert rep_g.margin_verdict == "violated"

@@ -18,6 +18,7 @@ from zerocert import (
     genus,
     make_log_abs_poly,
     make_radial_power,
+    margin_sweep,
     verify_sufficiency,
     weierstrass_log_abs,
 )
@@ -343,7 +344,8 @@ def test_sufficiency_certifies_sine_zeros():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-4, 4, 30) + 1j * rng.uniform(-4, 4, 30)
     fam = TruncatedLogFamily(t_min=1.0, t_max=50.0, ratio=2.0**0.5)
-    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=2000, family=fam)
+    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=2000,
+                             margin_verdict=margin_sweep(Z, M, fam).verdict)
     assert rep.certified
     assert rep.reason == "ok"
     assert rep.genus == 1
@@ -356,7 +358,8 @@ def test_sufficiency_refuses_on_violated_margin():
     M = DSubharmonicMajorant(up=make_radial_power(1.0, 1.0))
     pts = np.array([0.5 + 0.5j])
     fam = TruncatedLogFamily(t_min=1.0, t_max=40.0, ratio=2.0**0.5)
-    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=500, family=fam)
+    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=500,
+                             margin_verdict=margin_sweep(Z, M, fam).verdict)
     assert not rep.certified
     assert rep.reason == "margin-violated"
     assert rep.margin_verdict == "violated"

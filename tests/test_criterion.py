@@ -16,13 +16,11 @@ from zerocert import (
     Region,
     RieszCharge,
     SmoothCappedLogFamily,
-    SpikeTable,
     SubharmonicModel,
     TruncatedLogFamily,
     ZeroDistribution,
     check_m0,
     green_disk,
-    inversion_pullback,
     lemma1_constants,
     m0_dyadic_grid,
     make_harmonic,
@@ -33,7 +31,6 @@ from zerocert import (
     margin_sweep,
     mean_on_circle,
     model_sum,
-    smooth_capped_log,
 )
 
 from zerocert import measures, quadrature, testfam
@@ -216,25 +213,6 @@ def _family(kind, t_min, ratio, n_taus, eps=0.25):
                                  eps=eps)
 
 
-@dataclasses.dataclass(frozen=True)
-class _UndeclaredFamily:
-    """Smooth-capped-log members without their exact-log declaration."""
-
-    inner: SmoothCappedLogFamily
-    kind = "undeclared"
-
-    def taus(self):
-        return self.inner.taus()
-
-    def applied(self, tau):
-        plane = smooth_capped_log(tau, self.inner.eps)
-        return inversion_pullback(
-            dataclasses.replace(plane, log_radius=math.inf))
-
-    def spikes(self, taus):
-        return SpikeTable.of([self.applied(t) for t in taus], taus)
-
-
 def _assert_lhs_direct(points, mults, fam):
     Z = ZeroDistribution.from_points(points, mults)
     curve = margin_sweep(Z, _abs_majorant(), fam)
@@ -251,7 +229,7 @@ def _assert_lhs_direct(points, mults, fam):
     zeros=st.lists(st.tuples(st.floats(0.01, 100.0),
                              st.floats(0.0, 2.0 * math.pi),
                              st.integers(1, 5)), max_size=30),
-    kind=st.sampled_from(["truncated", "smooth", "undeclared"]),
+    kind=st.sampled_from(["truncated", "smooth"]),
     t_min=st.floats(0.1, 5.0),
     ratio=st.floats(1.1, 3.0),
     n_taus=st.integers(1, 5),
@@ -261,11 +239,7 @@ def test_margin_lhs_matches_direct_profile_sum(zeros, kind, t_min, ratio,
                                                n_taus, eps):
     points = [r * complex(math.cos(a), math.sin(a)) for r, a, _ in zeros]
     mults = [m for _, _, m in zeros]
-    fam = _family("smooth" if kind == "undeclared" else kind, t_min, ratio,
-                  n_taus, eps)
-    if kind == "undeclared":
-        fam = _UndeclaredFamily(fam)
-    _assert_lhs_direct(points, mults, fam)
+    _assert_lhs_direct(points, mults, _family(kind, t_min, ratio, n_taus, eps))
 
 
 @pytest.mark.parametrize("kind", ["truncated", "smooth"])
@@ -315,29 +289,15 @@ def test_margin_sweep_never_enumerates_lattice_points(monkeypatch):
     assert 0 < curve.details["radii"] < curve.details["zeros"]
 
 
-@pytest.mark.parametrize("kind", ["truncated", "smooth", "undeclared"])
+@pytest.mark.parametrize("kind", ["truncated", "smooth"])
 def test_margin_lhs_empty_core_and_empty_set(kind):
-    fam = _family("smooth" if kind == "undeclared" else kind, 0.5, 2.0, 6)
-    if kind == "undeclared":
-        fam = _UndeclaredFamily(fam)
+    fam = _family(kind, 0.5, 2.0, 6)
     # the first cutoffs hold no zeros in their core (nor anywhere)
     curve = _assert_lhs_direct([9.0 + 0j, -12.0j, 14.0 + 3.0j], [1, 3, 2],
                                fam)
     assert curve.samples[0].lhs == 0.0
     empty = margin_sweep(ZeroDistribution.empty(), _abs_majorant(), fam)
     assert [s.lhs for s in empty.samples] == [0.0] * len(fam.taus())
-
-
-def test_margin_lhs_undeclared_core_agrees_with_closed_form():
-    Z = ZeroDistribution.gaussian_integers(max_radius=30.0)
-    fam = SmoothCappedLogFamily(t_min=1.0, t_max=20.0, ratio=1.5, eps=0.3)
-    a = margin_sweep(Z, _abs_majorant(), fam)
-    b = margin_sweep(Z, _abs_majorant(), _UndeclaredFamily(fam))
-    # only the declared family takes the rhs core in closed form; the
-    # undeclared one integrates the log singularity adaptively
-    for sa, sb in zip(a.samples, b.samples):
-        assert abs(sa.lhs - sb.lhs) <= 1e-12 * (1.0 + abs(sb.lhs))
-        assert abs(sa.rhs - sb.rhs) <= sb.rhs_budget
 
 
 def _edge_radii(fam):
@@ -354,7 +314,7 @@ def _edge_radii(fam):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["truncated", "smooth", "undeclared"]),
+    kind=st.sampled_from(["truncated", "smooth"]),
     t_min=st.floats(0.2, 3.0),
     ratio=st.floats(1.02, 3.0),
     n_taus=st.integers(1, 40),
@@ -366,7 +326,7 @@ def _edge_radii(fam):
     on_edges=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 4)),
                       max_size=12),
 )
-@example(kind="undeclared", t_min=0.5, ratio=1.05, n_taus=40, eps=0.25,
+@example(kind="smooth", t_min=0.5, ratio=1.05, n_taus=40, eps=0.25,
          zeros=1.0, on_edges=[])
 def test_margin_moment_lhs_matches_block_oracle(kind, t_min, ratio, n_taus,
                                                 eps, zeros, on_edges):
@@ -377,14 +337,11 @@ def test_margin_moment_lhs_matches_block_oracle(kind, t_min, ratio, n_taus,
     # summed terms.  A zero within rounding of a support edge may fall on
     # either side of it, where the blend is below 1e-60
     n_taus = min(n_taus, 1 + int(math.log(20.0 / t_min) / math.log(ratio)))
-    fam = _family("smooth" if kind == "undeclared" else kind, t_min, ratio,
-                  n_taus, eps)
-    if kind == "undeclared":
-        fam = _UndeclaredFamily(fam)
+    fam = _family(kind, t_min, ratio, n_taus, eps)
     if isinstance(zeros, float):
         Z = ZeroDistribution.gaussian_integers(scale=zeros)
     else:
-        edges = _edge_radii(fam.inner if kind == "undeclared" else fam)
+        edges = _edge_radii(fam)
         points = [radius for radius, _ in zeros]
         points += [edges[k % len(edges)] for k, _ in on_edges]
         mults = [m for _, m in zeros] + [m for _, m in on_edges]
@@ -415,13 +372,11 @@ class _BareShapeFamily:
     def taus(self):
         return self.inner.taus()
 
-    def applied(self, tau):
-        test = self.inner.applied(tau)
-        shape = test.log_shape
-        return dataclasses.replace(test, log_shape=lambda x: shape(x))
-
     def spikes(self, taus):
-        return SpikeTable.of([self.applied(t) for t in taus], taus)
+        table = self.inner.spikes(taus)
+        shape = table.log_shape
+        table.log_shape = lambda x: shape(x)
+        return table
 
 
 def test_margin_band_without_declared_pieces_raises_by_name():

@@ -13,10 +13,8 @@ from zerocert import (
     DSubharmonicMajorant,
     InvalidPotential,
     JensenMeasure,
-    RadialDensity,
     RieszCharge,
     SubharmonicModel,
-    ToleranceFailure,
     eval_M,
     green_disk,
     log_potential,
@@ -26,11 +24,12 @@ from zerocert import (
     potential_to_measure,
     uniform_circle,
 )
-from zerocert import quadrature
+from zerocert import measures, quadrature
 from zerocert.quadrature import mean_on_circle
 
 import oracles
 from test_criterion import _CLOSED_FORM_MODELS
+from test_measures import _edge_root_density
 
 
 def test_uniform_circle_potential_closed_form():
@@ -174,14 +173,14 @@ def test_potential_declares_its_pole_kinks_and_core():
     V = log_potential(mu)
     assert V.singular_points == (0.5j,)
     assert V.kink_circles == ((0.5j, 2.0), (0.5j, 0.5))
-    assert V.log_core == 0.5
     assert V.pole_coefficient == 1.0 - 0.2
-    # below the smallest circle V is exactly log_constant - k ln d
+    # below the smallest circle, 0.5, V is exactly sum w ln r - k ln d
+    const = 0.5 * math.log(2.0) + 0.3 * math.log(0.5)
     d = np.array([1e-3, 0.1, 0.5])
-    core = V.log_constant - V.pole_coefficient * np.log(d)
+    core = const - V.pole_coefficient * np.log(d)
     assert np.allclose(V.radial_profile(d), core, rtol=0.0, atol=1e-14)
     assert not np.isclose(V.radial_profile(np.array([0.6]))[0],
-                          V.log_constant - V.pole_coefficient * np.log(0.6))
+                          const - V.pole_coefficient * np.log(0.6))
 
 
 def test_potential_rejects_supercritical_pole():
@@ -230,36 +229,24 @@ def test_poisson_jensen_radial_route_takes_the_log_core(rho):
     assert abs(rep.residual) <= 1e-13
 
 
-def _edge_root_density(c=1.2, hi=1.8):
-    """Mass 2 sqrt(t - c) on the annulus c < s <= hi: its profile
-    (s - c)^(-1/2) / s is infinite at the inner edge, and the log-mass is
-    4 (sqrt(a - c) - sqrt(c) atan(sqrt((a - c) / c)))."""
-    def log_mass(a):
-        x = np.sqrt(np.asarray(a, dtype=float) - c)
-        return 4.0 * (x - math.sqrt(c) * np.arctan(x / math.sqrt(c)))
-
-    return RadialDensity(
-        profile=lambda s: (np.asarray(s, dtype=float) - c) ** -0.5 / s,
-        cumulative=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float) - c),
-        log_mass=log_mass, support=(c, hi))
-
-
 def test_poisson_jensen_concentric_charge_keeps_the_radial_route(monkeypatch):
-    # a density centred on the pole takes the radial route, and its
-    # quadrature failure is reported rather than rerun by circle means:
-    # between the circles at 1 and 2 the band of the density above runs
-    # into its inverse square root at 1.2 and cannot meet tol
-    def circle_means(*args, **kwargs):
-        raise AssertionError("circle-mean route taken")
+    # a density centred on the pole takes lemma1's closed form, part by
+    # part, with no quadrature: between the circles at 1 and 2 the density
+    # below is infinite at 1.2, which quadrature cannot pass within tol
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("charge quadrature taken")
 
     dens = _edge_root_density()
     u = SubharmonicModel(kind="edge-root", params={},
                          eval=lambda z: dens.log_mass_in(np.abs(z)),
                          riesz=RieszCharge(radial=(dens,)))
     mu = JensenMeasure(0j, (CirclePart(1.0, 0.5), CirclePart(2.0, 0.5)))
-    monkeypatch.setattr(RieszCharge, "integrate", circle_means)
-    with pytest.raises(ToleranceFailure):
-        poisson_jensen_check(u, mu)
+    monkeypatch.setattr(measures, "integrate", no_quadrature)
+    monkeypatch.setattr(RieszCharge, "integrate", no_quadrature)
+    monkeypatch.setattr(RieszCharge, "integrate_radial", no_quadrature)
+    rep = poisson_jensen_check(u, mu)
+    assert rep.charge_term == (0.5 * dens.log_mass_in(1.0)
+                               + 0.5 * dens.log_mass_in(2.0))
 
 
 def test_poisson_jensen_root_charge_takes_the_declared_log_mass():

@@ -8,23 +8,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from zerocert import (
-    CirclePart,
     DomainError,
     DSubharmonicMajorant,
-    JensenMeasure,
-    NotSummable,
-    PulledBackTest,
     Region,
     RieszCharge,
     RadialDensity,
+    SmoothCappedLogFamily,
+    ToleranceFailure,
+    TruncatedLogFamily,
     ZeroDistribution,
     integrate,
-    inversion_pullback,
-    log_potential,
     make_log_poly_growth,
     make_radial_power,
-    smooth_capped_log,
-    truncated_log_plane,
 )
 
 import oracles
@@ -270,54 +265,72 @@ def test_charge_algebra():
     assert abs((a - sq).negative_part().total_mass_in(d) - 4.5) <= 1e-12
 
 
-def _spike(g, support=math.inf, core=(0.0, 0.0, 0.0)):
-    """g as a radial spike at the origin, with the exact-log core
-    core = (a, c, k): g(s) = c - k ln s for s <= a (a = 0: none)."""
-    a, c, k = core
-    return PulledBackTest(pole=0j, params={}, radial_profile=g,
-                          support_radius=support, pole_coefficient=k,
-                          log_core=a, log_constant=c)
+# The families whose spike tables the charge integrals read, with the
+# cutoffs of a batch: core-only, banded and empty rows against the
+# charges below.
+_FAMILIES = {
+    "truncated": TruncatedLogFamily(),
+    "smooth-0.25": SmoothCappedLogFamily(eps=0.25),
+    "smooth-0.8": SmoothCappedLogFamily(eps=0.8),
+}
+_TAUS = (0.3, 1.7, 6.0, 15.0)
 
 
-def _radial_one(charge, spike, tol=1e-9):
-    """integrate_radial on a batch of one spike: its (value, budget), or
-    the failure it recorded for the spike, raised."""
-    (got,), _ = charge.integrate_radial([spike], tol=tol)
-    if isinstance(got, Exception):
-        raise got
-    return got
+def _radial_rows(charge, fam, taus, tol=1e-9):
+    """integrate_radial on the table of fam's cutoffs taus: each row's
+    (value, budget), or the failure it recorded, raised."""
+    results, _ = charge.integrate_radial(fam.spikes(taus), tol=tol)
+    for got in results:
+        if isinstance(got, Exception):
+            raise got
+    return results
 
 
 def test_integrate_radial_atoms_and_rings():
-    # two atoms, and a ring of eight atoms of total mass 2 on |z| = 0.5
+    # two atoms, and a ring of eight atoms of total mass 2 on |z| = 0.5:
+    # every row is the direct sum over the atoms of its member's profile,
+    # to a few ulps (the table reads e^(ln tau) where the member reads tau)
     ring = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
     ch = RieszCharge(
         atom_points=np.concatenate(([1.0, -2.0], ring)),
         atom_masses=np.concatenate(([1.0, 3.0], np.full(8, 0.25))),
     )
-    g = lambda r: np.exp(-np.asarray(r, dtype=float))
-    val, err = _radial_one(ch, _spike(g), tol=1e-10)
-    want = np.exp(-1.0) + 3.0 * np.exp(-2.0) + 2.0 * np.exp(-0.5)
-    assert abs(val - want) <= 1e-10
+    for fam in _FAMILIES.values():
+        for tau, (val, err) in zip(_TAUS, _radial_rows(ch, fam, _TAUS)):
+            want, _ = oracles.integrate_radial_reference(ch, fam.applied(tau))
+            assert abs(val - want) <= 1e-14 * (1.0 + abs(want))
+            assert err == 0.0
+    # ln+(1.7 / |z|): the atom at -2 lies past the support
+    (val, _), = _radial_rows(ch, _FAMILIES["truncated"], [1.7])
+    assert abs(val - (math.log(1.7) + 2.0 * math.log(3.4))) <= 1e-14
 
 
 def test_integrate_radial_density_matches_closed_form():
+    # the truncated log's core is its whole support: int_0^tau ln(tau / s)
+    # 4s ds = tau^2 by parts, with no quadrature; the smooth capped log's
+    # band against the per-spike adaptive route
     ch = _radial_square_charge()
-    # int_0^1 (1 - s) 4s ds = 2/3 against g(s) = max(0, 1 - s)
-    g = lambda r: np.maximum(0.0, 1.0 - np.asarray(r, dtype=float))
-    val, err = _radial_one(ch, _spike(g, 1.0), tol=1e-10)
-    assert abs(val - 2.0 / 3.0) <= 1e-8
+    for tau, (val, err) in zip(_TAUS, _radial_rows(
+            ch, _FAMILIES["truncated"], _TAUS)):
+        assert abs(val - tau * tau) <= 1e-14 * tau * tau
+        assert err <= 1e-14 * tau * tau
+    fam = _FAMILIES["smooth-0.8"]
+    for tau, (val, err) in zip(_TAUS, _radial_rows(ch, fam, _TAUS)):
+        assert err <= 1e-9
+        ref, ref_err = oracles.integrate_radial_reference(ch, fam.applied(tau))
+        assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
 def test_integrate_radial_requires_support_for_unbounded_density():
     ch = _radial_square_charge()
+    table = TruncatedLogFamily().spikes([1.0])
+    table.support_radius = np.array([math.inf])
     with pytest.raises(DomainError):
-        _radial_one(ch, _spike(lambda r: np.exp(-np.asarray(r))), tol=1e-8)
+        ch.integrate_radial(table, tol=1e-8)
 
 
 # A declared exact-log core is taken by parts from mass_in; the reference
-# is the same integral with no core declared, which runs adaptive
-# quadrature into the log singularity at s = 0.
+# is QUADPACK on the whole integral of the member's own profile.
 
 _ANNULAR = RadialDensity(
     profile=lambda s: 4.0 + 0.0 * np.asarray(s, dtype=float),
@@ -326,9 +339,7 @@ _ANNULAR = RadialDensity(
     log_mass=lambda a: (np.asarray(a, dtype=float) ** 2 - 0.09
                         - 0.18 * np.log(np.asarray(a, dtype=float) / 0.3)))
 
-# name -> (charge, tol); |z|^0.5 adds a power singularity at 0, where the
-# no-core route stalls near 3e-8 and overruns its own budget by about 10 %
-# (its band integrand is s^(-1/2) ln s), so QUADPACK is the reference there
+# name -> (charge, tol)
 _CORE_CHARGES = {
     "radial-power-0.5": (make_radial_power(1.3, 0.5).riesz, 1e-7),
     "radial-power-1": (make_radial_power(1.0, 1.0).riesz, 1e-9),
@@ -360,30 +371,23 @@ _CORE_CHARGES = {
 @example(name="radial-power-0.5", smooth=False, tau=1.0, eps=1.0)
 def test_integrate_radial_log_core_matches_quadrature(name, smooth, tau, eps):
     charge, tol = _CORE_CHARGES[name]
-    plane = smooth_capped_log(tau, eps) if smooth else truncated_log_plane(tau)
-    test = inversion_pullback(plane)
-    if name == "radial-power-0.5":
-        ref, ref_err = _quad_reference(charge, test)
-    else:
-        ref, ref_err = _radial_one(
-            charge, dataclasses.replace(test, log_core=0.0), tol=tol)
-    got, err = _radial_one(charge, test, tol=tol)
+    fam = SmoothCappedLogFamily(eps=eps) if smooth else TruncatedLogFamily()
+    ref, ref_err = _quad_reference(charge, fam.applied(tau))
+    (got, err), = _radial_rows(charge, fam, [tau], tol=tol)
     assert err <= tol
-    # within the reference's budget, plus rounding
-    assert abs(got - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
-
-
-def _three_circle_potential():
-    # circles at 0.5, 1 and 2: the band [0.5, 2] holds a kink at 1
-    return log_potential(JensenMeasure(0j, (
-        CirclePart(0.5, 0.25), CirclePart(1.0, 0.25), CirclePart(2.0, 0.25)),
-        pole_mass=0.25))
+    # within both budgets, plus rounding
+    assert abs(got - ref) <= err + ref_err + 1e-14 * (1.0 + abs(ref))
 
 
 def _quad_reference(charge, spike):
     """QUADPACK on the whole integral of g(s) s profile(s) over each
-    density of an atom-free charge, with the spike's kinks as break
-    points.  Returns (value, summed error estimates)."""
+    density of an atom-free charge, in u = sqrt(s), with the spike's
+    kinks as break points.  Returns (value, summed error estimates).
+
+    In s, the integrand of |z|^0.5 near 0 is s^(-1/2) ln s, where
+    QUADPACK's estimate is optimistic: against tau = 13.861457032214647,
+    eps = 0.05 it was off by 8.7e-14 with an estimate of 1.5e-14.  In u
+    it is 2 u g(u^2) u^2 profile(u^2), which is only log-singular."""
     from scipy.integrate import quad
 
     val, err = 0.0, 0.0
@@ -393,12 +397,14 @@ def _quad_reference(charge, spike):
         if hi <= lo:
             continue
 
-        def f(s):
-            s = np.array([s])
-            return float(spike.radial_profile(s)[0] * s[0] * dens.profile(s)[0])
+        def f(u):
+            s = np.array([u * u])
+            return float(2.0 * u * spike.radial_profile(s)[0] * s[0]
+                         * dens.profile(s)[0])
 
-        v, e = quad(f, lo, hi, points=[k for k in spike.kink_radii
-                                       if lo < k < hi] or None,
+        v, e = quad(f, math.sqrt(lo), math.sqrt(hi),
+                    points=[math.sqrt(k) for k in spike.kink_radii
+                            if lo < k < hi] or None,
                     epsabs=1e-14, epsrel=1e-13, limit=400)
         val += dens.sign * v
         err += e
@@ -406,67 +412,70 @@ def _quad_reference(charge, spike):
     return val, err
 
 
-def _mixed_spikes():
-    spikes = []
-    for tau in (0.3, 1.7, 6.0, 15.0):
-        spikes.append(inversion_pullback(truncated_log_plane(tau)))
-        for eps in (0.25, 0.8):
-            spikes.append(inversion_pullback(smooth_capped_log(tau, eps)))
-    spikes.append(_three_circle_potential())
-    return spikes
-
-
 @pytest.mark.parametrize("name", sorted(_CORE_CHARGES))
 def test_integrate_radial_batch_matches_the_per_spike_route(name):
-    # one call for a batch of both families and a Jensen potential, against
-    # the per-spike adaptive route it replaced.  Under |z|^0.5 that route's
-    # core quadrature of mu(s)/s ~ s^(-1/2) misses its own budget by about
-    # 3 %, so QUADPACK on the whole integral is the reference there.
+    # one call for each family's cutoffs, against the per-spike adaptive
+    # route it replaced.  Under |z|^0.5 that route's core quadrature of
+    # mu(s)/s ~ s^(-1/2) misses its own budget by about 3 %, so QUADPACK
+    # on the whole integral is the reference there.
     charge, tol = _CORE_CHARGES[name]
-    spikes = _mixed_spikes()
-    results, adaptive = charge.integrate_radial(spikes, tol=tol)
-    assert adaptive >= 1  # the Jensen potential's kinked band
-    for spike, got in zip(spikes, results):
-        val, err = got
-        assert err <= tol
-        if name == "radial-power-0.5":
-            ref, ref_err = _quad_reference(charge, spike)
-        else:
-            ref, ref_err = oracles.integrate_radial_reference(charge, spike,
-                                                              tol=tol)
-        assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
+    for fam in _FAMILIES.values():
+        results = _radial_rows(charge, fam, _TAUS, tol=tol)
+        for tau, (val, err) in zip(_TAUS, results):
+            assert err <= tol
+            spike = fam.applied(tau)
+            if name == "radial-power-0.5":
+                ref, ref_err = _quad_reference(charge, spike)
+            else:
+                ref, ref_err = oracles.integrate_radial_reference(
+                    charge, spike, tol=tol)
+            assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
+
+
+def _edge_root_density(c=1.2, hi=1.8):
+    """Mass 2 sqrt(t - c) on the annulus c < s <= hi: its profile
+    (s - c)^(-1/2) / s is infinite at the inner edge, and the log-mass is
+    4 (sqrt(a - c) - sqrt(c) atan(sqrt((a - c) / c)))."""
+    def log_mass(a):
+        x = np.sqrt(np.asarray(a, dtype=float) - c)
+        return 4.0 * (x - math.sqrt(c) * np.arctan(x / math.sqrt(c)))
+
+    return RadialDensity(
+        profile=lambda s: (np.asarray(s, dtype=float) - c) ** -0.5 / s,
+        cumulative=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float) - c),
+        log_mass=log_mass, support=(c, hi))
 
 
 def test_integrate_radial_counts_kinked_bands_and_keeps_failures_apart():
-    charge = make_radial_power(1.0, 1.0).riesz
-    smooth = [inversion_pullback(smooth_capped_log(t, 0.25)) for t in (2.0, 5.0)]
-    # the smooth members take one panel each; the potential's band holds a
-    # kink at 1 and is integrated adaptively
-    _, adaptive = charge.integrate_radial(smooth, tol=1e-9)
-    assert adaptive == 0
-    results, adaptive = charge.integrate_radial(
-        smooth + [_three_circle_potential()], tol=1e-9)
-    assert adaptive == 1
-    # a spike that fails leaves the others their values: an atom at 1,
-    # where the last spike is infinite
-    atoms = charge + RieszCharge(atom_points=(1.0 + 0j,), atom_masses=(1.0,))
-    bad = _spike(lambda r: -np.log(np.abs(1.0 - np.asarray(r, dtype=float))),
-                 3.0)
-    results, _ = atoms.integrate_radial(smooth + [bad], tol=1e-9)
-    assert isinstance(results[-1], NotSummable)
-    for got, spike in zip(results, smooth):
-        want, _ = _radial_one(charge, spike)
-        want += float(spike.radial_profile(np.array([1.0]))[0])
-        assert abs(got[0] - want) <= 1e-14 * (1.0 + abs(want))
+    # a row whose band starts at the density's inverse square root cannot
+    # meet tol; it keeps its failure, and the rows around it (empty, in
+    # the core, and a band near the edge, which runs adaptively) keep the
+    # values they have alone, within the per-spike route's budget
+    charge = RieszCharge(radial=(_edge_root_density(),))
+    fam = SmoothCappedLogFamily(eps=0.25)
+    taus = (0.5, 1.3, 1.6, 2.0, 3.0)
+    tol = 1e-11
+    results, adaptive = charge.integrate_radial(fam.spikes(taus), tol=tol)
+    assert isinstance(results[1], ToleranceFailure)
+    assert adaptive == 2
+    assert results[0] == (0.0, 0.0)
+    for tau, got in zip(taus, results):
+        if tau == 1.3:
+            continue
+        (want,), _ = charge.integrate_radial(fam.spikes([tau]), tol=tol)
+        assert got == want
+        ref, ref_err = oracles.integrate_radial_reference(
+            charge, fam.applied(tau), tol=tol)
+        assert abs(got[0] - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
 def test_integrate_radial_log_core_linear_mass_is_exact():
-    # mu(s) = s makes mu(s)/s constant: int_0^a ln(a/s) ds = a
+    # mu(s) = s makes mu(s)/s constant: int_0^a ln(a/s) ds = a, over the
+    # truncated log's core, which is its whole support
     charge = make_radial_power(1.0, 1.0).riesz
-    for a in (1e-3, 0.7, 50.0):
-        val, err = _radial_one(charge, _spike(
-            lambda s: np.log(a / np.asarray(s, dtype=float)), a,
-            (a, math.log(a), 1.0)))
+    taus = (1e-3, 0.7, 50.0)
+    for a, (val, err) in zip(taus, _radial_rows(
+            charge, TruncatedLogFamily(), taus)):
         assert abs(val - a) <= 1e-15 * a
         assert err <= 1e-15 * a
 

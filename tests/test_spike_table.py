@@ -1,5 +1,6 @@
 """Spike tables: a family's members as columns, against the members
-built one by one (``family.applied``), which stay the reference."""
+built one by one (``family.applied``) and the oracles on them, which
+stay the reference."""
 
 import math
 
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from zerocert import (
     InvalidPotential,
+    NotSummable,
+    RieszCharge,
     SmoothCappedLogFamily,
-    SpikeTable,
     TruncatedLogFamily,
     ZeroDistribution,
     make_log_abs_poly,
@@ -18,21 +20,22 @@ from zerocert import (
 )
 from zerocert.criterion import _CORE_ULPS, _band_sums, _prefix_fsums, _sweep_lhs
 
-from test_measures import _CORE_CHARGES, _mixed_spikes
+import oracles
+from test_measures import _CORE_CHARGES, _FAMILIES, _TAUS
 
 
 def _assert_rows_are_members(table, members, taus):
     assert len(table) == len(members)
     assert table.tau.tolist() == [float(t) for t in taus]
     for i, p in enumerate(members):
-        assert table.pole[i] == p.pole
+        assert p.pole == 0j
         for name in ("log_constant", "log_core", "support_radius",
                      "pole_coefficient"):
             assert getattr(table, name)[i] == getattr(p, name), name
-        kinks = table.kink_radii[i]
-        assert kinks[:len(p.kink_radii)].tolist() == list(p.kink_radii)
-        assert np.isnan(kinks[len(p.kink_radii):]).all()
-        assert table.log_shape[i] is p.log_shape
+        # a row's kinks are its band's ends, which the table need not hold
+        assert set(p.kink_radii) <= {p.log_core, p.support_radius}
+        # a family's rows share its one psi
+        assert table.log_shape is p.log_shape
 
 
 @settings(max_examples=150, deadline=None)
@@ -46,23 +49,6 @@ def test_family_spikes_are_its_members_column_by_column(taus, eps):
         members = [fam.applied(t) for t in taus]
         table = fam.spikes(taus)
         _assert_rows_are_members(table, members, taus)
-        # a family's rows share its one psi
-        assert all(s is members[0].log_shape for s in table.log_shape)
-        # a row's own member is the record applied builds
-        p = table.member(len(taus) - 1)
-        d = np.array([0.0, 0.5 * p.log_core, p.support_radius, 1e300])
-        assert (p.radial_profile(d) == members[-1].radial_profile(d)).all()
-
-
-def test_spike_table_of_keeps_its_spikes():
-    spikes = _mixed_spikes()
-    table = SpikeTable.of(spikes)
-    assert np.isnan(table.tau).all()
-    for i, spike in enumerate(spikes):
-        assert table.member(i) is spike
-        assert table.log_shape[i] is getattr(spike, "log_shape", None)
-        assert table.log_core[i] == spike.log_core
-        assert table.log_constant[i] == spike.log_constant
 
 
 def test_family_spikes_check_their_cutoffs():
@@ -94,10 +80,11 @@ def test_prefix_fsums_read_integers_as_floats():
                                      for k in range(3)]
 
 
-def _sweep_lhs_by_member(r, m, tests):
+def _sweep_lhs_by_member(r, m, tests, table):
     """The sweep's lhs as it was formed member by member: the core from
     fsum of each prefix slice of the segment sums, its rounding bound from
-    math.ulp, one member at a time; the band from _band_sums."""
+    math.ulp, one member at a time; the band from _band_sums on the
+    members' table."""
     core = np.searchsorted(r, [t.log_core for t in tests], side="right")
     band = np.searchsorted(r, [t.support_radius for t in tests],
                            side="right")
@@ -111,8 +98,7 @@ def _sweep_lhs_by_member(r, m, tests):
                                 starts).tolist()
         for k, e in enumerate(edges):
             prefix[e] = (math.fsum(seg_m[:k + 1]), math.fsum(seg_l[:k + 1]))
-    sums, bounds, _, _ = _band_sums(log_r, m, SpikeTable.of(tests), core,
-                                    band)
+    sums, bounds, _, _ = _band_sums(log_r, m, table, core, band)
     out = []
     for k, (test, a, extra) in enumerate(zip(tests, core, sums.tolist())):
         lhs = 0.0
@@ -139,15 +125,11 @@ def test_sweep_lhs_on_a_family_table_is_the_member_loop(Z, fam):
     taus = fam.taus()
     members = [fam.applied(t) for t in taus]
     r, m = Z.radii_up_to(1.05 * max(t.support_radius for t in members))
-    want, want_rounding = _sweep_lhs_by_member(r, m, members)
-    got, work = _sweep_lhs(r, m, fam.spikes(taus))
+    table = fam.spikes(taus)
+    want, want_rounding = _sweep_lhs_by_member(r, m, members, table)
+    got, work = _sweep_lhs(r, m, table)
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert work["lhs_rounding"] == want_rounding
-
-
-def _bits(results):
-    return [r if isinstance(r, Exception) else (r[0].hex(), r[1].hex())
-            for r in results]
 
 
 _ATOMS = make_log_abs_poly(roots=[0.5 + 0.5j, -3.0 + 1.0j, 20.0],
@@ -164,51 +146,82 @@ _ATOMS = make_log_abs_poly(roots=[0.5 + 0.5j, -3.0 + 1.0j, 20.0],
     SmoothCappedLogFamily(0.3, 60.0, 1.3, 0.4),
 ], ids=["truncated", "smooth"])
 def test_integrate_radial_on_a_family_table_is_its_members(charge, fam):
+    # every row within the per-spike route's budget of that route on the
+    # row's member, which reads the member's own profile
     taus = fam.taus()
-    members = [fam.applied(t) for t in taus]
-    want, want_adaptive = charge.integrate_radial(members, tol=1e-9)
     got, adaptive = charge.integrate_radial(fam.spikes(taus), tol=1e-9)
-    assert adaptive == want_adaptive
-    assert _bits(got) == _bits(want)
-
-
-def _stacked(tables):
-    """One table of the rows of tables, in order."""
-    first = np.cumsum([0] + [len(t) for t in tables])
-    width = max(t.kink_radii.shape[1] for t in tables)
-
-    def column(name):
-        return np.concatenate([getattr(t, name) for t in tables])
-
-    def member(i):
-        k = int(np.searchsorted(first, i, side="right")) - 1
-        return tables[k].member(i - first[k])
-
-    return SpikeTable(
-        column("tau"), column("pole"), column("log_constant"),
-        column("log_core"), column("support_radius"),
-        column("pole_coefficient"),
-        np.vstack([np.pad(t.kink_radii,
-                          ((0, 0), (0, width - t.kink_radii.shape[1])),
-                          constant_values=np.nan) for t in tables]),
-        column("log_shape"), member)
+    assert adaptive == 0
+    for tau, (val, err) in zip(taus, got):
+        assert err <= 1e-9
+        ref, ref_err = oracles.integrate_radial_reference(
+            charge, fam.applied(tau), tol=1e-9)
+        assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("name", sorted(_CORE_CHARGES))
 def test_integrate_radial_on_family_rows_of_a_mixed_batch(name):
-    # the batch of test_measures, both families and a Jensen potential,
-    # whose row has no log shape and whose band runs adaptive quadrature:
-    # with each member's row taken from its family's table, the results
-    # have the bits of the batch of members
+    # a batch mixing empty, core-only and banded rows: each row is that
+    # row integrated alone, and the batch counts the adaptive bands of its
+    # rows.  Only the rounding of the Gauss sums may differ, since BLAS
+    # groups the rows of a matrix-vector product by the batch's size
     charge, tol = _CORE_CHARGES[name]
-    spikes = _mixed_spikes()
-    rows = []
-    for tau in (0.3, 1.7, 6.0, 15.0):
-        rows.append(TruncatedLogFamily().spikes([tau]))
-        for eps in (0.25, 0.8):
-            rows.append(SmoothCappedLogFamily(eps=eps).spikes([tau]))
-    rows.append(SpikeTable.of(spikes[-1:]))
-    want, want_adaptive = charge.integrate_radial(spikes, tol=tol)
-    got, adaptive = charge.integrate_radial(_stacked(rows), tol=tol)
-    assert adaptive == want_adaptive >= 1
-    assert _bits(got) == _bits(want)
+    taus = (0.05,) + _TAUS + (40.0,)
+    for fam in _FAMILIES.values():
+        got, adaptive = charge.integrate_radial(fam.spikes(taus), tol=tol)
+        for tau, (val, err) in zip(taus, got):
+            (want,), alone = charge.integrate_radial(fam.spikes([tau]),
+                                                     tol=tol)
+            adaptive -= alone
+            slack = 1e-15 * (1.0 + abs(want[0]))
+            assert abs(val - want[0]) <= slack and abs(err - want[1]) <= slack
+        assert adaptive == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(taus=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=5),
+       eps=st.floats(1e-3, 2.0),
+       between=st.lists(st.floats(1e-12, 1.0), max_size=6))
+@example(taus=[7.378945279999996], eps=0.25, between=[0.5])
+@example(taus=[1e-3, 1e6], eps=2.0, between=[1e-12, 1.0 - 2.0 ** -53])
+def test_spike_table_profile_is_its_members(taus, eps, between):
+    # each row's profile, at the pole, its core edge, its support, past
+    # it and between, against its member's own radial_profile: to a few
+    # ulps, since the table reads e^(ln tau) where the member reads tau.
+    # psi's slope is at most 1, so the ulps are those of its argument and
+    # of ln tau, and the blend's polynomial rounds each argument its own
+    # way: up to 5 ulps apart over 15000 random rows
+    for fam in (TruncatedLogFamily(), SmoothCappedLogFamily(eps=eps)):
+        table = fam.spikes(taus)
+        for i, tau in enumerate(taus):
+            p = fam.applied(tau)
+            d = np.array([0.0, p.log_core, p.support_radius,
+                          2.0 * p.support_radius, 1e300,
+                          *(x * p.support_radius for x in between)])
+            got = table.profile(np.array([i]), d[None, :])[0]
+            want = p.radial_profile(d)
+            assert got[0] == want[0] == math.inf
+            with np.errstate(divide="ignore"):
+                x = np.abs(np.log(tau / d[1:]))
+            slack = 16.0 * np.spacing(np.maximum(max(1.0, abs(math.log(tau))),
+                                                x))
+            assert (np.abs(got[1:] - want[1:]) <= slack).all(), (tau, d)
+            # psi is exactly 0 past the support
+            assert (got[3:5] == 0.0).all()
+
+
+@pytest.mark.parametrize("fam", list(_FAMILIES.values()),
+                         ids=list(_FAMILIES))
+def test_integrate_radial_atom_rows(fam):
+    # an atom at the origin, where every spike is infinite, fails every
+    # row; atoms elsewhere give each row its member's sum over them
+    origin = RieszCharge(atom_points=(0j, 2.0 + 1.0j), atom_masses=(1.0, 2.0))
+    results, _ = origin.integrate_radial(fam.spikes(_TAUS))
+    assert all(isinstance(got, NotSummable) for got in results)
+    atoms = RieszCharge(atom_points=(0.1j, 1.0, -2.0 + 1.0j, 7.0 - 7.0j, 30.0),
+                        atom_masses=(1.0, -2.5, 2.0, 0.5, 3.0))
+    results, adaptive = atoms.integrate_radial(fam.spikes(_TAUS))
+    assert adaptive == 0
+    for tau, (val, err) in zip(_TAUS, results):
+        want, _ = oracles.integrate_radial_reference(atoms, fam.applied(tau))
+        assert abs(val - want) <= 1e-14 * (1.0 + abs(want))
+        assert err == 0.0
