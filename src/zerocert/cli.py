@@ -141,8 +141,8 @@ def _margin_stage(sc, args, outdir, done):
     path = _write_csv(
         outdir / "margin.csv",
         ["tau", "lhs", "rhs", "margin", "rhs_budget", "note"],
-        zip(*[(s.tau, s.lhs, s.rhs, s.margin, s.rhs_budget, s.note)
-              for s in curve.samples]))
+        [curve.tau, curve.lhs, curve.rhs, curve.margin, curve.rhs_budget,
+         curve.note])
     print("necessary criterion: %s  (growth exponent %s, budget %.3g)"
           % (curve.verdict,
              "n/a" if curve.growth_exponent is None

@@ -221,14 +221,19 @@ class ProductRepresentation(Record):
         zones; ``work`` is passed on to _sum_log_E."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
+        out = self._log_abs_unguarded(flat, work)
+        out[self._guard_mask(flat)] = -math.inf
+        return out.reshape(z.shape)
+
+    def _log_abs_unguarded(self, flat, work=None):
+        """log_abs on a flat array of points that lie outside every guard
+        zone, which the caller has masked already."""
         out = _sum_log_E(flat, self.points, self.mults, self.genus,
                          work).real
         if self.origin_mult:
             with np.errstate(divide="ignore"):
                 out += self.origin_mult * np.log(np.abs(flat))
-        near = self._guard_mask(flat)
-        out[near] = -math.inf
-        return out.reshape(z.shape)
+        return out
 
     def tail_budget(self, z):
         """Bound on the discarded factors' effect on ln|f| at z.
@@ -339,7 +344,8 @@ def verify_sufficiency(Z, M, profile, grid_points, *, K=10000, tol=1e-7,
     grid = grid[~near]
 
     work = {}
-    log_abs = product.log_abs(grid, work)
+    # the guard zones are masked once, above
+    log_abs = product._log_abs_unguarded(grid, work)
     tails = product.budget(grid)
     hats = hat_radius(profile, grid).certified_upper
     m_up, budgets = circle_mean(M.up, grid, hats, tol=tol / 4.0)

@@ -19,7 +19,13 @@ singularity for quadrature to chase, and integrates the profile only
 over the band: one Gauss pair per cutoff, with the family's shared
 ``log_shape`` evaluated once for all of them.  The zero-side band sums
 read that one psi through its declared pieces, each piece on its own
-segments only.
+segments only.  The sweep's MarginCurve holds its cutoffs as columns,
+as M0Report holds its probe points: one entry per tau in each of tau,
+lhs, rhs, margin and rhs_budget (float arrays) and note (str, "" for a
+kept sample, else the failure that dropped it).  The verdict rule reads
+those arrays, and the growth exponent is a least-squares slope in
+closed form, about the means; ``curve.samples`` builds one MarginSample
+record per cutoff only when asked.
 check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii, closed form where the envelope
 declares one, on whole columns of probe points.  lemma1_constants
@@ -51,15 +57,29 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class MarginSample(ValueRecord):
+    """One cutoff of a MarginCurve, built by MarginCurve.samples."""
+
     __slots__ = ("tau", "lhs", "rhs", "margin", "rhs_budget", "note")
     _defaults = {"note": ""}
 
 
-class MarginCurve(ValueRecord):
-    """growth_exponent and fit_r2 are None when no growth fit was made."""
+class MarginCurve(Record):
+    """The sweep's verdict, and one entry per cutoff, in increasing tau,
+    in each of the columns tau, lhs, rhs, margin and rhs_budget (float
+    arrays) and note (a str array: "" for a kept sample, else the name of
+    the failure that dropped it, whose rhs, margin and rhs_budget are
+    NaN).  growth_exponent and fit_r2 are None when no growth fit was
+    made.  ``samples`` builds one MarginSample per cutoff from the
+    columns, on demand."""
 
-    __slots__ = ("samples", "verdict", "growth_exponent", "fit_r2", "budget",
-                 "details")
+    __slots__ = ("tau", "lhs", "rhs", "margin", "rhs_budget", "note",
+                 "verdict", "growth_exponent", "fit_r2", "budget", "details")
+
+    @property
+    def samples(self):
+        return tuple(map(MarginSample, self.tau.tolist(), self.lhs.tolist(),
+                         self.rhs.tolist(), self.margin.tolist(),
+                         self.rhs_budget.tolist(), self.note.tolist()))
 
 
 # fewest kept samples in the top decade of taus that can carry a verdict;
@@ -76,11 +96,11 @@ _BAND_OPS = 48
 
 
 def _powers(x):
-    """x^j for j < _MOMENTS, one row per power."""
-    out = np.empty((_MOMENTS, x.size))
-    out[0] = 1.0
+    """x^j for j < _MOMENTS, one row per value of x."""
+    out = np.empty((x.size, _MOMENTS))
+    out[:, 0] = 1.0
     for j in range(1, _MOMENTS):
-        np.multiply(out[j - 1], x, out=out[j])
+        np.multiply(out[:, j - 1], x, out=out[:, j])
     return out
 
 
@@ -96,6 +116,9 @@ def _band_sums(log_r, m, table, core, band):
     2^-52 mu_0 ((n_s + pairs + _BAND_OPS) sum_k |a_k| rho^k
     + (|c| + |A_s| + h + |e|) sum_k k |a_k| rho^(k-1)), covers the sums of
     its n_s radii in any order and the roundings of ln tau, ln r and d.
+    A pair is one row of its arrays, each reduced along that row (einsum,
+    no BLAS), so its bits do not depend on how many pairs there are; a
+    test's sums still depend on the other tests through the cuts.
     """
     n = len(table)
     idx = np.flatnonzero(band > core)
@@ -116,12 +139,16 @@ def _band_sums(log_r, m, table, core, band):
     cuts = np.array(sorted(set(np.concatenate((lo, hi)).tolist())))
     lo_r, hi_r = log_r[cuts[:-1]], log_r[cuts[1:] - 1]
     anchor, half = 0.5 * (lo_r + hi_r), 0.5 * (hi_r - lo_r)
-    u = log_r[cuts[0]:cuts[-1]] - np.repeat(anchor, np.diff(cuts))
-    w = np.asarray(m[cuts[0]:cuts[-1]], dtype=float)
-    mu = []
-    for _ in _POW:
-        mu.append(np.add.reduceat(w, cuts[:-1] - cuts[0]))
-        w = w * u
+    # the moments' terms are formed in place, on two fresh arrays
+    u = np.repeat(anchor, np.diff(cuts))
+    np.subtract(log_r[cuts[0]:cuts[-1]], u, out=u)
+    w = np.array(m[cuts[0]:cuts[-1]], dtype=float)
+    starts = cuts[:-1] - cuts[0]
+    mu = np.empty((starts.size, _MOMENTS))
+    for i in _POW:
+        if i:
+            w *= u
+        np.add.reduceat(w, starts, out=mu[:, i])
     # one pair per segment of each (test, piece) row, the pairs of each
     # piece in one run
     s_lo = np.searchsorted(cuts, lo)
@@ -129,26 +156,29 @@ def _band_sums(log_r, m, table, core, band):
     seg = np.arange(count.sum()) - np.repeat(
         np.cumsum(count) - count - s_lo, count)
     test = np.repeat(np.tile(idx, len(pieces)), count)
-    mu = np.array(mu)[:, seg]
     value, size, slope, spread = (np.empty(test.size) for _ in range(4))
     runs = np.cumsum(count.reshape(len(pieces), -1).sum(axis=1))
     for (edge, coeffs), first, last in zip(pieces, [0, *runs[:-1]], runs):
         p = slice(first, last)
         a = np.append(coeffs, np.zeros(2 * _MOMENTS - len(coeffs)))
         d = c[test[p]] - anchor[seg[p]] - edge
-        value[p] = np.einsum("ip,ip->p",
-                             (_SHIFT * a[_POW[:, None] + _POW]).T @ _powers(d),
-                             mu[:, p])
+        # one expression, so that its (pairs, 9) temporaries are freed
+        # before the next ones are made
+        value[p] = np.einsum(
+            "pi,pi->p", np.einsum("pj,ji->pi", _powers(d),
+                                  _SHIFT * a[_POW[:, None] + _POW]),
+            mu[seg[p]])
         # sum_k |a_k| rho^k and its slope bound the piece on a segment
         rho = _powers(abs(d) + half[seg[p]])
-        size[p] = abs(a[:_MOMENTS]) @ rho
-        slope[p] = (abs(a[1:_MOMENTS]) * _POW[1:]) @ rho[:-1]
+        size[p] = np.einsum("pk,k->p", rho, abs(a[:_MOMENTS]))
+        slope[p] = np.einsum("pk,k->p", rho[:, :-1],
+                             abs(a[1:_MOMENTS]) * _POW[1:])
         spread[p] = (abs(c[test[p]]) + abs(anchor[seg[p]]) + half[seg[p]]
                      + abs(edge))
     ops = np.diff(cuts)[seg] + np.bincount(test)[test] + _BAND_OPS
     return (np.bincount(test, value, n),
             2.0 ** -52 * np.bincount(
-                test, mu[0] * (ops * size + spread * slope), n),
+                test, mu[seg, 0] * (ops * size + spread * slope), n),
             cuts.size - 1, test.size)
 
 
@@ -211,8 +241,8 @@ def _sweep_lhs(r, m, table):
     bounds += np.where(cored, _CORE_ULPS * (np.spacing(np.abs(head))
                                             + np.spacing(np.abs(tail))), 0.0)
     lhs = np.where(cored, head - tail, 0.0) + sums
-    return lhs.tolist(), {"band_segments": segments, "band_pairs": pairs,
-                          "lhs_rounding": float(bounds.max(initial=0.0))}
+    return lhs, {"band_segments": segments, "band_pairs": pairs,
+                 "lhs_rounding": float(bounds.max(initial=0.0))}
 
 
 def margin_sweep(Z, M, family, *, tol=1e-9):
@@ -227,7 +257,9 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     sorted radii and multiplicities of ``Z.radii_up_to`` (for a Gaussian
     lattice, one entry per norm), and the rhs of all cutoffs from one
     integrate_radial call on the table; a cutoff whose integral fails is
-    kept as a dropped sample with the failure's name as note.
+    kept as a dropped sample, with NaN rhs and the failure's name as
+    note.  The result is a MarginCurve of columns, one entry per cutoff,
+    and _margin_verdict reads the verdict off them.
     The same radii show a zero at the origin, which no sweep allows;
     no point of Z is formed.  A margin counts only above the threshold
     10 max(budget + lhs rounding bound, tol).  ``details`` records the
@@ -241,70 +273,85 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     radii, mults = Z.radii_up_to(reach)
     if radii.size and radii[0] <= 1e-15:
         raise DomainError("candidate zeros must avoid the origin")
-    lhs_all, work = _sweep_lhs(radii, mults, table)
+    lhs, work = _sweep_lhs(radii, mults, table)
     rhs_all, adaptive = M.charge.integrate_radial(table, tol=tol)
     swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
              "adaptive_bands": adaptive, **work}
 
-    samples = []
-    for tau, lhs, got in zip(table.tau.tolist(), lhs_all, rhs_all):
-        if isinstance(got, EngineError):
-            samples.append(MarginSample(
-                tau=tau, lhs=lhs, rhs=math.nan,
-                margin=math.nan, rhs_budget=math.nan,
-                note=type(got).__name__))
-            continue
-        rhs, err = got
-        samples.append(MarginSample(tau=tau, lhs=lhs, rhs=rhs,
-                                    margin=lhs - rhs, rhs_budget=err))
+    failed = [isinstance(got, EngineError) for got in rhs_all]
+    rhs, rhs_budget = np.array([(math.nan, math.nan) if bad else got
+                                for bad, got in zip(failed, rhs_all)]
+                               ).reshape(-1, 2).T
+    note = np.array([type(got).__name__ if bad else ""
+                     for bad, got in zip(failed, rhs_all)], dtype=str)
+    margin = lhs - rhs
+    verdict, exponent, r2, budget, details = _margin_verdict(
+        table.tau, margin, rhs_budget, note == "", work["lhs_rounding"], tol)
+    if "reason" not in details:
+        details["family"] = getattr(family, "kind", "unknown")
+    return MarginCurve(tau=table.tau, lhs=lhs, rhs=rhs, margin=margin,
+                       rhs_budget=rhs_budget, note=note, verdict=verdict,
+                       growth_exponent=exponent, fit_r2=r2, budget=budget,
+                       details={**details, **swept})
 
-    kept = [s for s in samples if not s.note]
-    dropped = len(samples) - len(kept)
-    if not kept:
-        return MarginCurve(samples=tuple(samples), verdict="inconclusive",
-                           growth_exponent=None, fit_r2=None, budget=math.nan,
-                           details={"dropped": dropped,
-                                    "reason": "no summable samples",
-                                    **swept})
-    budget = max(s.rhs_budget for s in kept)
-    tau_max = max(s.tau for s in kept)
-    top = [s for s in kept if s.tau >= tau_max / 10.0]
-    threshold = 10.0 * max(budget + work["lhs_rounding"], tol)
 
-    exponent = None
-    r2 = None
-    pos = [(s.tau, s.margin) for s in top if s.margin > threshold]
-    if len(pos) >= _MIN_TOP:
-        lx = np.log([p[0] for p in pos])
-        ly = np.log([p[1] for p in pos])
-        A = np.vstack([lx, np.ones_like(lx)]).T
-        coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-        exponent = float(coef[0])
-        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-        ss_res = float(res[0]) if res.size else float(
-            np.sum((ly - A @ coef) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+def _fit_growth(x, y):
+    """Least-squares slope of y on x and the fit's r^2, in closed form:
+    both columns are centred on their means first."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    resid = dy - slope * dx
+    ss_tot = float(dy @ dy)
+    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
+    return slope, r2
 
-    margins = [s.margin for s in top]
+
+def _margin_verdict(tau, margin, rhs_budget, kept, lhs_rounding, tol):
+    """The sweep's verdict rule on its columns, in cutoff order; kept is
+    False for a dropped sample.
+
+    The budget is the largest kept rhs_budget, and a margin counts only
+    above threshold = 10 max(budget + lhs_rounding, tol).  Only the top
+    decade of kept cutoffs, tau >= max tau / 10, decides, and it needs
+    _MIN_TOP samples.  The growth exponent is the log-log slope of the
+    top margins above threshold, when there are _MIN_TOP of them.
+    "violated": exponent >= 0.5, every top margin positive, and the last
+    above threshold; "consistent": no top margin above threshold, or an
+    exponent below 0.25, or no step up by more than threshold.  Returns
+    (verdict, growth_exponent, fit_r2, budget, details).
+    """
+    dropped = int(kept.size - np.count_nonzero(kept))
+    if dropped == kept.size:
+        return ("inconclusive", None, None, math.nan,
+                {"dropped": dropped, "reason": "no summable samples"})
+    budget = float(rhs_budget[kept].max())
+    tau_max = float(tau[kept].max())
+    top = kept & (tau >= tau_max / 10.0)
+    margins = margin[top]
+    threshold = 10.0 * max(budget + lhs_rounding, tol)
+
+    exponent = r2 = None
+    pos = margins > threshold
+    if np.count_nonzero(pos) >= _MIN_TOP:
+        exponent, r2 = _fit_growth(np.log(tau[top][pos]), np.log(margins[pos]))
+
     verdict = "inconclusive"
-    if len(top) < _MIN_TOP:
+    if margins.size < _MIN_TOP:
         # too few samples to fit or to show a trend: "never increases"
         # would hold vacuously
         pass
     elif (exponent is not None and exponent >= 0.5
-            and margins[-1] > threshold
-            and all(m > 0 for m in margins)):
+            and margins[-1] > threshold and (margins > 0).all()):
         verdict = "violated"
-    elif (all(m <= threshold for m in margins)
+    elif (not pos.any()
           or (exponent is not None and exponent < 0.25)
-          or all(b <= a + threshold for a, b in zip(margins, margins[1:]))):
+          or (margins[1:] <= margins[:-1] + threshold).all()):
         verdict = "consistent"
-    details = {"dropped": dropped, "kept": len(kept), "threshold": threshold,
-               "tau_max": tau_max, "n_top": len(top),
-               "family": getattr(family, "kind", "unknown"), **swept}
-    return MarginCurve(samples=tuple(samples), verdict=verdict,
-                       growth_exponent=exponent, fit_r2=r2,
-                       budget=budget, details=details)
+    return verdict, exponent, r2, budget, {
+        "dropped": dropped, "kept": int(kept.size) - dropped,
+        "threshold": threshold, "tau_max": tau_max,
+        "n_top": int(margins.size)}
 
 
 # ---------------------------------------------------------------------------

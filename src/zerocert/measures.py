@@ -256,19 +256,28 @@ class GaussianIntegers(_Lattice):
         The norms x^2 + y^2 of the quarter x >= 0, y >= 1 are counted by
         one bincount; rotation by i maps that quarter onto the other
         three, so each count is four times its share.  No point is
-        formed and nothing is sorted.
+        formed and nothing is sorted: the norms past the last one wanted
+        are clipped into one spare bin, which is dropped, and the radii,
+        increasing, are cut at r by one search.
         """
         r = self._finite_clamp(float(radius))
         # one norm past (r/scale)^2, so that no rounding of the square
         # drops a norm; the radii themselves decide
         top = int(math.floor((r / self.scale) ** 2)) + 1
         sq = np.arange(math.isqrt(top) + 1) ** 2
-        norms = (sq[:, None] + sq[None, 1:]).ravel()
-        counts = np.bincount(norms[norms <= top])
+        norms = np.add.outer(sq, sq[1:]).ravel()
+        np.minimum(norms, top + 1, out=norms)
+        counts = np.bincount(norms)[:top + 1]
+        # each table is freed once read, for the next arrays to reuse
+        del norms
         n = np.flatnonzero(counts)
-        radii = self.scale * np.sqrt(n)
-        keep = radii <= r
-        return radii[keep], 4 * counts[n[keep]]
+        mults = counts[n]
+        del counts
+        mults *= 4
+        radii = np.sqrt(n)
+        radii *= self.scale
+        keep = np.searchsorted(radii, r, side="right")
+        return radii[:keep], mults[:keep]
 
     def _tail_beyond(self, q, radius):
         # Each lattice point owns a cell of area scale^2 within 0.71*scale of

@@ -118,23 +118,33 @@ def panel_nodes(lo, hi):
 def panel_estimates(y, lo, hi):
     """integrate's first-panel value and error estimate on each interval,
     from y, the integrand on the panel_nodes of the intervals: the 32-point
-    value and its distance from the 16-point one, each of lo's shape."""
+    value and its distance from the 16-point one, each of lo's shape.
+
+    Each interval's sums run along its own row in an order fixed by the
+    rule's length (einsum, which calls no BLAS), so an interval's bits do
+    not depend on how many others share the call; a matrix product would
+    group the rows by their number.
+    """
     half = 0.5 * (hi - lo)
-    v_lo = half * (y[..., :_ORDER] @ _W16)
-    v_hi = half * (y[..., _ORDER:] @ _W32)
+    v_lo = half * np.einsum("...i,i->...", y[..., :_ORDER], _W16)
+    v_hi = half * np.einsum("...i,i->...", y[..., _ORDER:], _W32)
     return v_hi, np.abs(v_hi - v_lo)
 
 
 def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
-              max_panels=4096):
+              max_panels=4096, first_panel=None):
     """Return (value, error_estimate) for the integral of f over [a, b].
 
     f maps a float ndarray to one of the same shape.  The error estimate is
     the summed order-16 vs order-32 Gauss discrepancy over accepted panels.
     ``singularities`` lists abscissae where f is singular but integrable;
     each gets a short isolating panel (width ``isolation``) so refinement
-    concentrates there.  Raises ToleranceFailure when ``max_panels`` panels
-    cannot push the estimate under ``tol``.
+    concentrates there.  ``first_panel`` is the (value, error) pair that
+    panel_estimates gave on f's finite values at panel_nodes(a, b), when
+    the caller has them: the panel [a, b] is taken from it rather than
+    evaluated again, unless a singularity splits [a, b].  Raises
+    ToleranceFailure when ``max_panels`` panels cannot push the estimate
+    under ``tol``.
     """
     a = float(a)
     b = float(b)
@@ -170,8 +180,15 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
     seq = 0
     panels = 0
 
+    def keep(lo, hi, val, err):
+        nonlocal total, err_sum, seq
+        total += val
+        err_sum += err
+        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
+        seq += 1
+
     def push(lo, hi):
-        nonlocal total, err_sum, seq, panels
+        nonlocal panels
         stack = [(lo, hi)]
         while stack:
             plo, phi = stack.pop()
@@ -192,16 +209,17 @@ def integrate(f, a, b, *, tol=1e-10, singularities=(), isolation=None,
                 stack.append((plo, c))
                 stack.append((c, phi))
                 continue
-            total += val
-            err_sum += err
-            heapq.heappush(heap, (-err, seq, plo, phi, val, err))
-            seq += 1
+            keep(plo, phi, val, err)
 
     # one errstate for the whole run, not one per panel: non-finite
     # integrand values are caught panel by panel in estimates()
     with np.errstate(all="ignore"):
-        for i in range(len(edges) - 1):
-            push(edges[i], edges[i + 1])
+        if first_panel is not None and len(edges) == 2:
+            panels += 1
+            keep(a, b, *map(float, first_panel))
+        else:
+            for i in range(len(edges) - 1):
+                push(edges[i], edges[i + 1])
 
         while err_sum > tol and heap and panels < max_panels:
             _, _, lo, hi, val, err = heapq.heappop(heap)
@@ -263,7 +281,9 @@ def mean_on_circle(f, center, radius, *, tol=1e-10):
     whole-circle Gauss pair, which is the first panel ``integrate`` would
     try; a circle whose values there are finite and within tolerance is
     done, bit for bit as ``integrate`` would finish it.  Every other
-    circle goes through ``integrate`` on its own.
+    circle goes through ``integrate`` on its own; one whose values there
+    were finite hands it that pair as its first panel, which is not
+    evaluated again.
     """
     cs, rs = np.broadcast_arrays(np.asarray(center, dtype=complex),
                                  np.asarray(radius, dtype=float))
@@ -284,25 +304,29 @@ def mean_on_circle(f, center, radius, *, tol=1e-10):
             if found:
                 angles[i] = found
     done = np.zeros(rs.shape, dtype=bool)
-    batch = [i for i in np.flatnonzero(rs > 0) if i not in angles]
-    if batch:
+    first = {}
+    batch = np.array([i for i in np.flatnonzero(rs > 0) if i not in angles],
+                     dtype=int)
+    if batch.size:
         # integrate's first panel on [0, 2 pi]
         theta = panel_nodes(0.0, TWO_PI)
         pts = cs[batch, None] + rs[batch, None] * np.exp(1j * theta)
         y = np.asarray(f(pts), dtype=float)
         if y.shape != pts.shape:
             raise ValueError("integrand must return an array matching its input")
+        # each row's sums have the bits of integrate's first panel
         finite = np.isfinite(y).all(axis=1)
-        for i, yi, ok in zip(batch, y, finite):
-            if not ok:
-                continue
-            # row by row, as integrate sums one panel
-            val, err = panel_estimates(yi, 0.0, TWO_PI)
-            if err <= tol * TWO_PI:
-                # integrate starts its running sum at 0.0
-                means[i] = (0.0 + float(val)) / TWO_PI
-                errs[i] = float(err) / TWO_PI
-                done[i] = True
+        with np.errstate(invalid="ignore"):
+            val, err = panel_estimates(y, 0.0, TWO_PI)
+        ok = finite & (err <= tol * TWO_PI)
+        # integrate starts its running sum at 0.0
+        means[batch[ok]] = (0.0 + val[ok]) / TWO_PI
+        errs[batch[ok]] = err[ok] / TWO_PI
+        done[batch[ok]] = True
+        # a finite row that missed tol is integrate's first panel there
+        missed = finite & ~ok
+        first = dict(zip(batch[missed].tolist(),
+                         zip(val[missed].tolist(), err[missed].tolist())))
     for i in np.flatnonzero(~done):
         c = complex(cs[i])
         r = float(rs[i])
@@ -315,7 +339,8 @@ def mean_on_circle(f, center, radius, *, tol=1e-10):
             return f(c + r * np.exp(1j * theta))
 
         val, err = integrate(g, 0.0, TWO_PI, tol=tol * TWO_PI,
-                             singularities=angles.get(i, ()), isolation=1e-3)
+                             singularities=angles.get(i, ()), isolation=1e-3,
+                             first_panel=first.get(i))
         means[i] = val / TWO_PI
         errs[i] = err / TWO_PI
     if not shape:

@@ -389,6 +389,17 @@ def _is_valid(instance, schema, root):
     return next(_iter_errors(instance, schema, root, ()), None) is None
 
 
+def _named_branch(instance, branches):
+    """The one oneOf branch whose ``kind`` const the instance names, or
+    None."""
+    if not isinstance(instance, dict) or "kind" not in instance:
+        return None
+    named = [sub for sub in branches
+             if sub.get("properties", {}).get("kind", {}).get("const")
+             == instance["kind"]]
+    return named[0] if len(named) == 1 else None
+
+
 def _iter_errors(instance, schema, root, path):
     """Yield (path, message) for each violation of ``schema``.
 
@@ -396,7 +407,11 @@ def _iter_errors(instance, schema, root, path):
     its type.  Keywords are visited in schema order and messages follow
     jsonschema's Draft202012Validator word for word, so both report the
     same errors in the same order.  const and enum values are strings
-    here, for which JSON equality is Python's.
+    here, for which JSON equality is Python's.  One rule is the
+    package's own: when no oneOf branch holds and the instance's ``kind``
+    names one branch, that branch's errors are reported, as jsonschema
+    lists them in the oneOf error's context, in place of the oneOf
+    error, so the message names the field that failed.
     """
     for key, value in schema.items():
         if key == "$ref":
@@ -420,8 +435,12 @@ def _iter_errors(instance, schema, root, path):
             first = next((sub for sub in rest
                           if _is_valid(instance, sub, root)), None)
             if first is None:
-                yield path, ("%r is not valid under any of the given schemas"
-                             % (instance,))
+                named = _named_branch(instance, value)
+                if named is not None:
+                    yield from _iter_errors(instance, named, root, path)
+                else:
+                    yield path, ("%r is not valid under any of the given "
+                                 "schemas" % (instance,))
                 continue
             more = [sub for sub in rest if _is_valid(instance, sub, root)]
             if more:

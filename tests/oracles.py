@@ -435,3 +435,72 @@ def gaussian_points_by_rows(scale, r):
         pts[at:at + c] = row(x)
         at += c
     return pts
+
+
+def gaussian_radii_by_mask(scale, r):
+    """Radii scale * sqrt(n) <= r of the Gaussian lattice norms n, with
+    the number of points of each, as the square-and-mask count built
+    them: the norms of the quarter x >= 0, y >= 1 are squared out, masked
+    to those at most one past (r / scale)^2, counted, and the radii past
+    r masked off."""
+    top = int(math.floor((r / scale) ** 2)) + 1
+    sq = np.arange(math.isqrt(top) + 1) ** 2
+    norms = (sq[:, None] + sq[None, 1:]).ravel()
+    counts = np.bincount(norms[norms <= top])
+    n = np.flatnonzero(counts)
+    radii = scale * np.sqrt(n)
+    keep = radii <= r
+    return radii[keep], 4 * counts[n[keep]]
+
+
+@dataclass(frozen=True)
+class _Sample:
+    tau: float
+    margin: float
+    rhs_budget: float
+    note: str
+
+
+def margin_verdict_by_records(tau, margin, rhs_budget, kept, lhs_rounding,
+                              tol, min_top=3):
+    """The margin sweep's verdict rule sample by sample, with the growth
+    fit by np.linalg.lstsq: the route margin_sweep took when it built one
+    record per cutoff.  Returns (verdict, growth_exponent, fit_r2, budget,
+    details) as criterion._margin_verdict does."""
+    samples = [_Sample(t, m, b, "" if k else "dropped")
+               for t, m, b, k in zip(tau, margin, rhs_budget, kept)]
+    kept = [s for s in samples if not s.note]
+    dropped = len(samples) - len(kept)
+    if not kept:
+        return ("inconclusive", None, None, math.nan,
+                {"dropped": dropped, "reason": "no summable samples"})
+    budget = max(s.rhs_budget for s in kept)
+    tau_max = max(s.tau for s in kept)
+    top = [s for s in kept if s.tau >= tau_max / 10.0]
+    threshold = 10.0 * max(budget + lhs_rounding, tol)
+    exponent = r2 = None
+    pos = [(s.tau, s.margin) for s in top if s.margin > threshold]
+    if len(pos) >= min_top:
+        lx = np.log([p[0] for p in pos])
+        ly = np.log([p[1] for p in pos])
+        A = np.vstack([lx, np.ones_like(lx)]).T
+        coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
+        exponent = float(coef[0])
+        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+        ss_res = float(res[0]) if res.size else float(
+            np.sum((ly - A @ coef) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    margins = [s.margin for s in top]
+    verdict = "inconclusive"
+    if len(top) < min_top:
+        pass
+    elif (exponent is not None and exponent >= 0.5
+            and margins[-1] > threshold and all(m > 0 for m in margins)):
+        verdict = "violated"
+    elif (all(m <= threshold for m in margins)
+          or (exponent is not None and exponent < 0.25)
+          or all(b <= a + threshold for a, b in zip(margins, margins[1:]))):
+        verdict = "consistent"
+    return verdict, exponent, r2, budget, {
+        "dropped": dropped, "kept": len(kept), "threshold": threshold,
+        "tau_max": tau_max, "n_top": len(top)}

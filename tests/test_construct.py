@@ -353,6 +353,30 @@ def test_sufficiency_certifies_sine_zeros():
     assert rep.margin_verdict == "consistent"
 
 
+def test_sufficiency_masks_the_guard_zones_once(monkeypatch):
+    # the grid is masked once; the product's values on the points left
+    # are log_abs's, which masks them again, bit for bit.  Two grid points
+    # sit in a guard zone (a zero and one 1e-13 from another)
+    Z = ZeroDistribution.real_multiples(step=np.pi)
+    M = DSubharmonicMajorant(up=make_radial_power(1.0, 1.0))
+    rng = np.random.default_rng(8)
+    pts = np.concatenate((rng.uniform(-4, 4, 30) + 1j * rng.uniform(-4, 4, 30),
+                          [np.pi + 0j, -2.0 * np.pi + 1e-13j]))
+    calls = []
+    guard = ProductRepresentation._guard_mask
+
+    def counted(self, z):
+        calls.append(np.asarray(z).size)
+        return guard(self, z)
+
+    monkeypatch.setattr(ProductRepresentation, "_guard_mask", counted)
+    rep = verify_sufficiency(Z, M, PlanePowerProfile(1.0), pts, K=2000)
+    assert calls == [pts.size]
+    assert rep.skipped_guard == 2 and rep.checked == pts.size - 2
+    prod = build_product(Z, rep.genus, K=2000)
+    assert np.array_equal(rep.log_abs, prod.log_abs(rep.z))
+
+
 def test_sufficiency_refuses_on_violated_margin():
     Z = ZeroDistribution.gaussian_integers(max_radius=120.0)
     M = DSubharmonicMajorant(up=make_radial_power(1.0, 1.0))

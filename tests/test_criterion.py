@@ -33,7 +33,7 @@ from zerocert import (
     model_sum,
 )
 
-from zerocert import measures, quadrature, testfam
+from zerocert import criterion, measures, quadrature, testfam
 from zerocert.criterion import m0_shell_count
 
 import oracles
@@ -441,6 +441,116 @@ def test_margin_division_identity(roots, sigma, rho, kind):
         scale = max(abs(s0.lhs), abs(s0.rhs), abs(s1.rhs), abs(want))
         slack = s0.rhs_budget + s1.rhs_budget + 8.0 * np.spacing(scale)
         assert abs((s1.margin - s0.margin) - want) <= slack
+
+
+def test_margin_curve_is_columns_with_samples_on_demand(tmp_path,
+                                                      monkeypatch):
+    # the gauss benchmark sweep builds no per-cutoff record and calls no
+    # LAPACK routine; curve.samples reads the columns back as records
+    sc = _bench_scenario(tmp_path, "gauss-smooth-violate")
+    built = []
+    init = criterion.MarginSample.__init__
+
+    def counted(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    def no_linalg(*args, **kw):
+        raise AssertionError("np.linalg called")
+
+    monkeypatch.setattr(criterion.MarginSample, "__init__", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", no_linalg)
+    curve = margin_sweep(sc.zeros, sc.majorant, sc.family,
+                         tol=sc.tol("margin"))
+    assert built == [] and curve.verdict == "violated"
+    columns = ("tau", "lhs", "rhs", "margin", "rhs_budget", "note")
+    for name in columns[:-1]:
+        col = getattr(curve, name)
+        assert col.dtype == float and col.shape == (124,)
+    assert curve.note.dtype.kind == "U" and (curve.note == "").all()
+    assert np.array_equal(curve.margin, curve.lhs - curve.rhs)
+    samples = curve.samples
+    assert len(built) == len(samples) == 124
+    for i, s in enumerate(samples):
+        assert s == criterion.MarginSample(
+            *(getattr(curve, name)[i].item() for name in columns))
+
+
+def _exact_fit(x, y):
+    # least squares in exact rationals on the float inputs
+    from fractions import Fraction
+
+    X = [Fraction(v) for v in x]
+    Y = [Fraction(v) for v in y]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(X, Y))
+    syy = sum((b - my) ** 2 for b in Y)
+    slope = sxy / sum((a - mx) ** 2 for a in X)
+    return float(slope), float(1 - (syy - slope * sxy) / syy) if syy else 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ratio=st.floats(1.01, 2.2),
+       tau_max=st.floats(5.0, 1e6))
+@example(seed=0, ratio=2.0, tau_max=10.0)
+def test_growth_fit_closed_form_matches_lstsq(seed, ratio, tau_max):
+    # the top decade of a geometric sweep, as the verdict fits it: the
+    # centred closed form is within 4 ulps of the exact least-squares
+    # slope and r^2, and agrees with np.linalg.lstsq, which solves the
+    # uncentred problem and is the less accurate of the two (up to about
+    # 60 ulps here)
+    rng = np.random.default_rng(seed)
+    x = np.log(tau_max * ratio ** -np.arange(
+        int(math.log(10.0) / math.log(ratio)) + 1))[::-1]
+    assume(x.size >= criterion._MIN_TOP)
+    y = (rng.uniform(-3.0, 3.0) * x + rng.uniform(-30.0, 30.0)
+         + rng.normal(0.0, 10.0 ** rng.uniform(-12.0, 0.0), x.size))
+    slope, r2 = criterion._fit_growth(x, y)
+    want, want_r2 = _exact_fit(x, y)
+    assert abs(slope - want) <= 4.0 * np.spacing(max(1.0, abs(want)))
+    assert abs(r2 - want_r2) <= 4.0 * np.spacing(1.0)
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    assert abs(slope - coef[0]) <= 1e-12 * max(1.0, abs(coef[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       drop=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+       shape=st.sampled_from(["growth", "flat", "signed", "noise"]))
+@example(seed=1, n=2, drop=0.0, shape="growth")
+@example(seed=2, n=12, drop=0.9, shape="growth")
+def test_margin_verdict_rule_matches_records(seed, n, drop, shape):
+    # the array rule against the rule applied sample by sample, on random
+    # columns with dropped samples (NaN rhs and margin) and top decades of
+    # every size, including fewer than _MIN_TOP samples
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(0.1, 5.0) * rng.uniform(1.02, 1.8) ** np.arange(n)
+    tol = 10.0 ** rng.uniform(-10.0, -7.0)
+    lhs_rounding = float(rng.choice([0.0, 10.0 ** rng.uniform(-16.0, -9.0)]))
+    budget = 10.0 ** rng.uniform(-16.0, -8.0, n)
+    thr = 10.0 * max(budget.max() + lhs_rounding, tol)
+    margin = {"growth": thr * rng.uniform(0.5, 5.0)
+              * (tau / tau[0]) ** rng.uniform(-1.0, 3.0),
+              "flat": thr * rng.uniform(-2.0, 2.0, n),
+              "signed": thr * 10.0 ** rng.uniform(-2.0, 4.0, n)
+              * rng.choice([-1.0, 1.0], n),
+              "noise": thr * (1.0 + 0.1 * rng.standard_normal(n))
+              * rng.uniform(0.5, 3.0)}[shape]
+    kept = rng.random(n) >= drop
+    margin[~kept] = math.nan
+    budget[~kept] = math.nan
+    got = criterion._margin_verdict(tau, margin, budget, kept, lhs_rounding,
+                                    tol)
+    want = oracles.margin_verdict_by_records(
+        tau, margin, budget, kept, lhs_rounding, tol,
+        min_top=criterion._MIN_TOP)
+    assert got[0] == want[0] and got[4] == want[4]
+    assert got[3] == want[3] or (math.isnan(got[3]) and math.isnan(want[3]))
+    for a, b in zip(got[1:3], want[1:3]):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
 # ---------------------------------------------------------------------------

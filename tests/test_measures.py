@@ -156,6 +156,30 @@ def test_gaussian_radii_below_scale_and_past_max_radius(scale):
         Z.radii_up_to(math.inf)
 
 
+@settings(max_examples=80, deadline=None)
+@given(scale=st.floats(0.1, 3.0),
+       q=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e3)),
+       norm=st.one_of(st.none(), st.integers(1, 10 ** 5)))
+@example(scale=0.1, q=1e3, norm=None)
+@example(scale=3.0, q=0.5, norm=None)
+@example(scale=0.37, q=0.0, norm=25)
+@example(scale=2.3, q=0.0, norm=3)
+def test_gaussian_radii_are_the_square_and_mask_count(scale, q, norm):
+    # bit for bit against the count that formed every norm of the square
+    # and masked it; norm puts the radius exactly at scale * sqrt(norm)
+    radius = min(scale * q, 1e3) if norm is None else scale * math.sqrt(norm)
+    radii, mults = ZeroDistribution.gaussian_integers(scale).radii_up_to(
+        radius)
+    want, want_mults = oracles.gaussian_radii_by_mask(scale, radius)
+    assert np.array_equal(radii, want) and radii.dtype == want.dtype
+    assert np.array_equal(mults, want_mults) and mults.dtype == want_mults.dtype
+    if norm is not None:
+        # the circle itself is read exactly when some point lies on it
+        on_circle = any(math.isqrt(norm - x * x) ** 2 == norm - x * x
+                        for x in range(math.isqrt(norm) + 1))
+        assert (radii[-1] == radius) == on_circle
+
+
 def test_counting_offcenter_disk_of_lattice():
     Z = ZeroDistribution.real_multiples(step=np.pi)
     want = oracles.count_real_multiples(np.pi, 7.0, 2.5)

@@ -113,9 +113,14 @@ _RECORDS = [
     (MarginSample, True, [("tau", 1.0), ("lhs", 2.0), ("rhs", 3.0),
                           ("margin", -1.0), ("rhs_budget", 1e-12)],
      [("note", "")]),
-    (MarginCurve, True, [("samples", ()), ("verdict", "consistent"),
-                         ("growth_exponent", None), ("fit_r2", None),
-                         ("budget", 1e-9), ("details", {"kept": 0})], []),
+    (MarginCurve, False, [("tau", np.array([1.0])), ("lhs", np.array([2.0])),
+                          ("rhs", np.array([3.0])),
+                          ("margin", np.array([-1.0])),
+                          ("rhs_budget", np.array([1e-12])),
+                          ("note", np.array([""])),
+                          ("verdict", "consistent"),
+                          ("growth_exponent", None), ("fit_r2", None),
+                          ("budget", 1e-9), ("details", {"kept": 1})], []),
     (M0Report, False, [("c_estimate", 0.5), ("bounded", True),
                        ("flagged", ()), ("shell_sups", (0.5,)),
                        ("power", 1.0), ("z", np.array([1j])),

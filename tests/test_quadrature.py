@@ -215,6 +215,78 @@ def test_mean_on_circle_batch_is_the_first_integrate_panel():
         assert m == val / (2.0 * np.pi) and e == err / (2.0 * np.pi)
 
 
+def test_mean_on_circle_fallback_takes_the_batch_pair_as_first_panel():
+    # exp(6 Re z) at tol 1e-13 misses the first Gauss pair on these
+    # circles: each refines from the batch's pair, with the means and
+    # budgets of integrate over [0, 2 pi] run afresh, bit for bit,
+    # and 48 fewer nodes than that run evaluates
+    u = lambda z: np.exp(6.0 * np.real(z)) + np.abs(z) ** 2
+    nodes = []
+
+    def f(z):
+        nodes.append(z.size)
+        return u(z)
+
+    cs = np.array([0.1j, -0.3, 0.4 + 0.2j])
+    rs = np.array([1.5, 2.0, 0.9])
+    means, errs = mean_on_circle(f, cs, rs, tol=1e-13)
+    seeded = sum(nodes)
+    alone = 0
+    for c, r, m, e in zip(cs, rs, means, errs):
+        nodes.clear()
+        val, err = integrate(lambda th: f(c + r * np.exp(1j * th)),
+                             0.0, 2.0 * np.pi, tol=1e-13 * 2.0 * np.pi,
+                             isolation=1e-3)
+        assert m == val / (2.0 * np.pi) and e == err / (2.0 * np.pi)
+        assert sum(nodes) > 48
+        alone += sum(nodes)
+    # the batch evaluates 48 nodes per circle, and no fallback repeats them
+    assert seeded == alone
+
+
+def test_integrate_takes_a_given_first_panel():
+    # the pair panel_estimates gives on [a, b] stands for the first panel;
+    # a singularity that splits [a, b] makes integrate evaluate its own
+    f = lambda x: np.exp(3.0 * x)
+    y = f(quadrature.panel_nodes(0.0, 2.0))
+    pair = quadrature.panel_estimates(y, 0.0, 2.0)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    want = integrate(counted, 0.0, 2.0, tol=1e-14)
+    full = sum(calls)
+    calls.clear()
+    assert integrate(counted, 0.0, 2.0, tol=1e-14, first_panel=pair) == want
+    assert sum(calls) == full - 48
+    calls.clear()
+    split = integrate(counted, 0.0, 2.0, tol=1e-14, singularities=(1.0,),
+                      first_panel=(0.0, 0.0))
+    assert abs(split[0] - want[0]) <= 1e-12 * want[0] and calls[0] == 48
+
+
+@pytest.mark.parametrize("seed", [16, 32])
+def test_panel_estimates_rows_are_their_own(seed):
+    # a row's bits do not depend on how many rows share the call, nor on
+    # where in the batch it sits: one row alone, in a 1-D call, and in
+    # batches of every size from 1 to 40 give the same value and estimate
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-3.0, 0.0, 40)
+    hi = lo + rng.uniform(1e-3, 5.0, 40)
+    y = (rng.standard_normal((40, 48))
+         * np.exp(rng.uniform(-20.0, 20.0, (40, 1))))
+    alone = [quadrature.panel_estimates(y[i], lo[i], hi[i])
+             for i in range(40)]
+    for n in range(1, 41):
+        for start in {0, 40 - n, (40 - n) // 2}:
+            rows = slice(start, start + n)
+            val, est = quadrature.panel_estimates(y[rows], lo[rows], hi[rows])
+            for i, (v, e) in enumerate(zip(val, est)):
+                assert v == alone[start + i][0] and e == alone[start + i][1]
+
+
 def test_mean_on_circle_broadcasts():
     u = lambda z: np.real(z) ** 2 - np.imag(z) ** 2 + 3.0
     cs = np.array([[0.0, 1.0j], [2.0, -1.0 + 1.0j]])

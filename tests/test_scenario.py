@@ -286,8 +286,24 @@ def _mutated(draw):
     return doc
 
 
+def _kind_errors(errors):
+    """jsonschema's errors, each failed oneOf whose instance names one
+    branch's ``kind`` replaced by that branch's errors from its context."""
+    for e in errors:
+        kinds = [sub.get("properties", {}).get("kind", {}).get("const")
+                 for sub in e.validator_value] if e.validator == "oneOf" else []
+        named = [i for i, k in enumerate(kinds)
+                 if isinstance(e.instance, dict) and "kind" in e.instance
+                 and k == e.instance["kind"]]
+        if e.validator == "oneOf" and len(named) == 1 and e.context:
+            yield from _kind_errors(sub for sub in e.context
+                                    if sub.relative_schema_path[0] == named[0])
+        else:
+            yield e
+
+
 def _oracle_messages(doc):
-    errors = sorted(Draft202012Validator(SCHEMA).iter_errors(doc),
+    errors = sorted(_kind_errors(Draft202012Validator(SCHEMA).iter_errors(doc)),
                     key=lambda e: list(e.absolute_path))
     return ["/" + "/".join(str(p) for p in e.absolute_path) + ": " + e.message
             for e in errors]
@@ -352,8 +368,28 @@ def test_validator_bases_are_valid():
 # grid sizes are capped
 @example(doc=_base(2, grids={"m0": {"r_max": 8.0, "per_shell": 1e20}}))
 @example(doc=_base(2, grids={"m0": {"r_max": 1e308, "per_shell": 6}}))
+# a failing branch that the kind names reports its own fields
+@example(doc=_base(2, profile={"kind": "disk-fraction", "fraction": 1.5,
+                               "R": 0, "extra": 1},
+                   majorant={"up": {"kind": "radial-power", "rho": -1},
+                             "low": {"kind": "zero", "sigma": 1}},
+                   grids={"sufficiency": {"kind": "explicit", "points": []}}))
+# a kind that names no branch, or an instance with no kind, does not
+@example(doc=_base(2, profile={"kind": "other", "power": 1.0},
+                   majorant={"up": {"rho": 1.0}}))
 def test_validator_matches_jsonschema(doc):
     assert _messages(doc) == _oracle_messages(doc)
+
+
+def test_a_failing_kind_branch_names_its_field():
+    doc = _base(2, profile={"kind": "disk-fraction", "fraction": 1.5,
+                            "R": 2.0})
+    assert _messages(doc) == [
+        "/profile/fraction: 1.5 is greater than or equal to the maximum of 1"]
+    doc = _base(2, profile={"kind": "other", "fraction": 0.5, "R": 2.0})
+    assert _messages(doc) == [
+        "/profile: %r is not valid under any of the given schemas"
+        % (doc["profile"],)]
 
 
 def _branch(block, i):

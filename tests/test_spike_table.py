@@ -161,9 +161,8 @@ def test_integrate_radial_on_a_family_table_is_its_members(charge, fam):
 @pytest.mark.parametrize("name", sorted(_CORE_CHARGES))
 def test_integrate_radial_on_family_rows_of_a_mixed_batch(name):
     # a batch mixing empty, core-only and banded rows: each row is that
-    # row integrated alone, and the batch counts the adaptive bands of its
-    # rows.  Only the rounding of the Gauss sums may differ, since BLAS
-    # groups the rows of a matrix-vector product by the batch's size
+    # row integrated alone, bit for bit, and the batch counts the adaptive
+    # bands of its rows
     charge, tol = _CORE_CHARGES[name]
     taus = (0.05,) + _TAUS + (40.0,)
     for fam in _FAMILIES.values():
@@ -172,9 +171,25 @@ def test_integrate_radial_on_family_rows_of_a_mixed_batch(name):
             (want,), alone = charge.integrate_radial(fam.spikes([tau]),
                                                      tol=tol)
             adaptive -= alone
-            slack = 1e-15 * (1.0 + abs(want[0]))
-            assert abs(val - want[0]) <= slack and abs(err - want[1]) <= slack
+            assert (val, err) == want
         assert adaptive == 0
+
+
+@pytest.mark.parametrize("fam", [
+    TruncatedLogFamily(0.5, 200.0, 1.15),
+    SmoothCappedLogFamily(0.5, 200.0, 1.15, 0.25),
+], ids=["truncated", "smooth"])
+def test_integrate_radial_row_bits_do_not_depend_on_the_batch(fam):
+    # each row alone and in batches of every size from 1 to 40 of its
+    # neighbours on a 40-cutoff sweep gives the same bits
+    charge = make_radial_power(1.0, 1.0).riesz - _ATOMS
+    taus = fam.taus()[:40]
+    assert len(taus) == 40
+    alone = [charge.integrate_radial(fam.spikes([tau]))[0][0] for tau in taus]
+    for n in range(1, 41):
+        for start in {0, 40 - n}:
+            got, _ = charge.integrate_radial(fam.spikes(taus[start:start + n]))
+            assert got == alone[start:start + n]
 
 
 @settings(max_examples=100, deadline=None)
