@@ -29,9 +29,7 @@ _EXPORTS = {
                "green_disk", "log_potential", "poisson_jensen_check",
                "potential_to_measure", "uniform_circle"),
     "testfam": ("PulledBackTest", "SmoothCappedLogFamily", "SpikeTable",
-                "TestPotential",
-                "TruncatedLogFamily", "inversion_pullback",
-                "smooth_capped_log", "truncated_log_plane"),
+                "TruncatedLogFamily", "inversion_pullback"),
     "criterion": ("Lemma1Constants", "M0Report", "MarginCurve",
                   "MarginSample", "check_m0", "lemma1_constants",
                   "m0_dyadic_grid", "margin_sweep"),

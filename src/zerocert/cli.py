@@ -341,6 +341,10 @@ def _load(args):
     if args.seed is not None and args.seed < 0:
         raise SchemaError(["--seed: %d is less than the minimum of 0"
                            % args.seed])
+    for flag, value in (("--tol", args.tol), ("--tau-max", args.tau_max)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise SchemaError(["%s: %r is not a finite number greater than 0"
+                               % (flag, value)])
     return load_scenario(args.scenario, tau_max=args.tau_max, seed=args.seed)
 
 

@@ -255,11 +255,12 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     and both sides read its columns.  The spikes depend on z_j only
     through |z_j|, so the lhs of all cutoffs comes from one pass over the
     sorted radii and multiplicities of ``Z.radii_up_to`` (for a Gaussian
-    lattice, one entry per norm), and the rhs of all cutoffs from one
-    integrate_radial call on the table; a cutoff whose integral fails is
-    kept as a dropped sample, with NaN rhs and the failure's name as
-    note.  The result is a MarginCurve of columns, one entry per cutoff,
-    and _margin_verdict reads the verdict off them.
+    lattice, one entry per norm), and the rhs of all cutoffs, with its
+    budget and note columns, from one integrate_radial call on the
+    table; a cutoff whose integral fails is kept as a dropped sample,
+    with NaN rhs and the failure's name as note.  The result is a
+    MarginCurve of columns, one entry per cutoff, and _margin_verdict
+    reads the verdict off them.
     The same radii show a zero at the origin, which no sweep allows;
     no point of Z is formed.  A margin counts only above the threshold
     10 max(budget + lhs rounding bound, tol).  ``details`` records the
@@ -274,16 +275,9 @@ def margin_sweep(Z, M, family, *, tol=1e-9):
     if radii.size and radii[0] <= 1e-15:
         raise DomainError("candidate zeros must avoid the origin")
     lhs, work = _sweep_lhs(radii, mults, table)
-    rhs_all, adaptive = M.charge.integrate_radial(table, tol=tol)
+    rhs, rhs_budget, note, adaptive = M.charge.integrate_radial(table, tol=tol)
     swept = {"zeros": int(np.sum(mults)), "radii": int(radii.size),
              "adaptive_bands": adaptive, **work}
-
-    failed = [isinstance(got, EngineError) for got in rhs_all]
-    rhs, rhs_budget = np.array([(math.nan, math.nan) if bad else got
-                                for bad, got in zip(failed, rhs_all)]
-                               ).reshape(-1, 2).T
-    note = np.array([type(got).__name__ if bad else ""
-                     for bad, got in zip(failed, rhs_all)], dtype=str)
     margin = lhs - rhs
     verdict, exponent, r2, budget, details = _margin_verdict(
         table.tau, margin, rhs_budget, note == "", work["lhs_rounding"], tol)

@@ -381,13 +381,14 @@ def _band_integrand(dens, table, idx, s):
     return y
 
 
-def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
+def _add_bands(dens, table, idx, lo, hi, share, val, err, note):
     """Add the band integral of g(s) s profile(s) ds from lo to hi to each
     row idx of the spike table.
 
     Every band's first Gauss panel is evaluated in one call of the
     density's profile and one of the table's; a band that misses its
-    share of tol there runs adaptive quadrature alone.  No band holds a
+    share of tol there runs adaptive quadrature alone, unless its row's
+    note names a failure already, and notes its own.  No band holds a
     kink strictly inside: a row's kinks are its band's ends.  Returns the
     number of bands that ran adaptively.
     """
@@ -400,7 +401,7 @@ def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
     adaptive = 0
     for j in np.flatnonzero(~ok):
         i = idx[j]
-        if failed[i] is not None:
+        if note[i]:
             continue
         adaptive += 1
         row = idx[j:j + 1]
@@ -408,8 +409,8 @@ def _add_bands(dens, table, idx, lo, hi, share, val, err, failed):
             vj, ej = integrate(
                 lambda x: _band_integrand(dens, table, row, x[None, :])[0],
                 lo[j], hi[j], tol=share[i])
-        except ToleranceFailure as exc:
-            failed[i] = exc
+        except ToleranceFailure:
+            note[i] = ToleranceFailure.__name__
             continue
         val[i] += dens.sign * vj
         err[i] += ej
@@ -501,26 +502,23 @@ class RieszCharge(Record):
         from a few ulps of each closed-form core term.  The atoms take
         every row's profile in one call (SpikeTable.profile).
 
-        Returns (results, adaptive_bands): one result per row, its
-        (value, error_budget) or the NotSummable or ToleranceFailure it
-        raised, and the number of bands integrated adaptively.  A density
-        off the origin, or a band with no finite end, raises for the
-        whole batch.
+        Returns columns (value, budget, note), one entry per row, and the
+        number of bands integrated adaptively.  A failed row's note names
+        its failure, "NotSummable" (an atom where the spike is infinite)
+        or "ToleranceFailure", and its value and budget are NaN; a good
+        row's note is "".  A density off the origin, or a band with no
+        finite end, raises for the whole batch.
         """
         n = len(table)
         val = np.zeros(n)
         err = np.zeros(n)
-        failed = [None] * n
+        note = np.zeros(n, dtype="U16")
         live = self.atom_masses != 0
         if live.any():
             with np.errstate(all="ignore"):
-                gv = table.profile(slice(None),
-                                   np.abs(self.atom_points[live]))
-            summable = np.isfinite(gv).all(axis=1)
-            val[summable] = np.sum(self.atom_masses[live] * gv[summable],
-                                   axis=1)
-            for i in np.flatnonzero(~summable):
-                failed[i] = NotSummable("test function unbounded at an atom")
+                gv = table.profile(slice(None), np.abs(self.atom_points[live]))
+                val = np.sum(self.atom_masses[live] * gv, axis=1)
+            note[~np.isfinite(gv).all(axis=1)] = NotSummable.__name__
         pieces = []
         calls = np.zeros(n)
         for dens in self.radial:
@@ -549,10 +547,10 @@ class RieszCharge(Record):
             if banded.any():
                 idx = np.flatnonzero(banded)
                 adaptive += _add_bands(dens, table, idx, start[idx], hi[idx],
-                                       share, val, err, failed)
-        results = [exc if exc is not None else (float(v), float(e))
-                   for exc, v, e in zip(failed, val, err)]
-        return results, adaptive
+                                       share, val, err, note)
+        failed = note != ""
+        val[failed] = err[failed] = math.nan
+        return val, err, note, adaptive
 
     def integrate(self, f, *, tol):
         """Integral of f against the charge; returns (value, error_budget).

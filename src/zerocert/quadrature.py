@@ -13,18 +13,12 @@ each optional, and this module is the one place that reads them:
 ``exact_circle_mean(center, radius)``, a closed form that circle_mean
 takes instead of quadrature; ``singular_points``, the points where it is
 singular; and ``kink_circles``, (center, radius) pairs of circles across
-which it loses smoothness.  Radial spikes integrated against a charge
-(RieszCharge.integrate_radial) are the rows of a testfam.SpikeTable:
-each declares its ``support_radius`` and its exact-log core
-``log_core``, ``log_constant`` and ``pole_coefficient``, and all share
-the table's ``log_shape``, the profile as a function of
-log_constant - ln d.  A radial density declares its disk mass and its
-log-mass (measures.RadialDensity), which take the core with no
-quadrature.
-Those integrals run the first panel of ``integrate`` on many intervals
-at once (``panel_nodes`` and ``panel_estimates``, which also give every
-panel of ``integrate`` and the whole-circle rows of ``mean_on_circle``
-their Gauss pair).
+which it loses smoothness.  The charge integrals of a family's spikes
+(RieszCharge.integrate_radial, on the rows of a testfam.SpikeTable) run
+the first panel of ``integrate`` on many intervals at once
+(``panel_nodes`` and ``panel_estimates``, which also give every panel
+of ``integrate`` and the whole-circle rows of ``mean_on_circle`` their
+Gauss pair).
 
 The Gauss-Legendre tables are literals: the nodes and weights of numpy's
 leggauss(16) and leggauss(32), bit for bit.

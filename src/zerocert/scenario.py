@@ -23,7 +23,8 @@ from .majorants import (DSubharmonicMajorant, make_log_abs_poly,
                         make_zero_model)
 from .means import DiskFractionProfile, PlanePowerProfile
 from .measures import Region, ZeroDistribution
-from .testfam import SmoothCappedLogFamily, TruncatedLogFamily
+from .testfam import (SmoothCappedLogFamily, TruncatedLogFamily,
+                      geometric_tau_count)
 
 _COMPLEX = {
     "type": "object",
@@ -497,12 +498,26 @@ def validate_scenario(doc):
                            for path, msg in errors])
 
 
+def _finite_number(parse):
+    """A json.load hook that reads a number literal with parse, refusing
+    one that no finite float holds: NaN, Infinity, or 1e400."""
+
+    def number(text):
+        if not math.isfinite(float(text)):
+            raise ValueError("%s is not a finite number" % text)
+        return parse(text)
+
+    return number
+
+
 def load_scenario(path, *, tau_max=None, seed=None):
     """Read and validate a scenario file, building the runtime objects."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_float=_finite_number(float),
+                            parse_int=_finite_number(int),
+                            parse_constant=_finite_number(float))
+        except ValueError as exc:
             raise SchemaError(["/: not valid JSON (%s)" % exc]) from exc
     validate_scenario(doc)
     zeros = _make_zeros(doc["zeros"])
@@ -511,6 +526,13 @@ def load_scenario(path, *, tau_max=None, seed=None):
         low=_make_model(doc["majorant"].get("low")))
     profile = _make_profile(doc.get("profile"))
     family = _make_family(doc.get("family"), tau_max=tau_max)
+    # the cutoffs, counted before any is built; a grid that ends below its
+    # start fails at its stage instead, and a NaN end fails both tests
+    if family is not None and not family.t_max < family.t_min:
+        count = geometric_tau_count(family.t_min, family.t_max, family.ratio)
+        if not count <= 100000:
+            raise SchemaError(["/family: about %.3g cutoffs exceed 100000"
+                               % count])
     grids = doc.get("grids", {})
     grid_s = spec_s = None
     if "sufficiency" in grids:

@@ -1,22 +1,19 @@
 """Test potentials for the necessity criterion.
 
-Plane members are subharmonic, vanish near the origin, and grow at most
-logarithmically; inversion w -> 1/w pulls them back to radial spikes at
-the origin that are integrated against zero distributions and majorant
-charges.  Members carry their radial profiles and the radii and constants
-the sweep reads, not charges of their own.  A member's ``log_shape`` psi
-gives its profile as psi(ln(t |w|)), which the pullback reads as
-psi(log_constant - ln d); each family builds its psi once, so all of its
-members share one object.  A psi's ``pieces``, the margin sweep's view of
-it, are (edge e, coefficients a) in increasing e: psi is
-sum a_k (x - e)^k from e to the next edge, and 0 below the first.
+A family's plane members psi(ln(t |w|)) are subharmonic, vanish near the
+origin, and grow like ln|w|; inversion w -> 1/w pulls them back to radial
+spikes psi(log_constant - ln d) at the origin, which are integrated
+against zero distributions and majorant charges.  All of a family's
+members share its one psi, whose ``pieces`` are (edge e, coefficients a)
+in increasing e: psi is sum a_k (x - e)^k from e to the next edge, and 0
+below the first.
 
-The margin sweep reads a family's pullbacks for all its cutoffs at once,
-as the columns of a SpikeTable (``family.spikes(taus)``), and the charge
-side reads spikes only in that form: it evaluates the shared psi once
-for all the rows (SpikeTable.profile, RieszCharge.integrate_radial).
-``family.applied(tau)`` builds one member as a record, from the same
-radii; the records and inversion_pullback are the tests' reference.
+A family gives its pullbacks for all its cutoffs as the columns of a
+SpikeTable (``family.spikes(taus)``), the one form that the margin sweep
+and the charge side read.  PulledBackTest and inversion_pullback, the
+one-spike form, stay because bench/tracer.py names inversion_pullback
+as a target; the tests build single members from their formulas
+(tests/planes.py).
 """
 
 from __future__ import annotations
@@ -49,43 +46,16 @@ def bump_cdf_integral(x):
 
 
 @dataclass(frozen=True, eq=False)
-class TestPotential:
-    """One catalogue member, evaluated on its own side of the inversion:
-    a radial profile, which calling the member reads at |w|.
-
-    A plane member that is exactly growth_coefficient * ln|w| +
-    log_constant for |w| >= log_radius declares it (inf: no declaration).
-    ``log_shape`` psi, when given, has radial_profile(s) = psi(log_constant
-    + ln s).
-    """
-
-    params: dict
-    radial_profile: Callable
-    growth_coefficient: float = 0.0
-    zero_radius: float = 0.0
-    kink_radii: tuple = ()
-    log_radius: float = math.inf
-    log_constant: float = 0.0
-    log_shape: Callable | None = None
-
-    def __call__(self, w):
-        s = np.abs(np.asarray(w, dtype=complex))
-        return np.asarray(self.radial_profile(s), dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
 class PulledBackTest:
     """Inversion pullback: a radial spike at the pole with finite support.
 
     Within log_core of the pole the profile is exactly
     log_constant - pole_coefficient * ln d; a log_core of 0 declares no
     such core.  ``log_shape`` psi, when given, has
-    radial_profile(d) = psi(log_constant - ln d); margin_sweep reads the
-    zeros in the band through it, so a family it sweeps declares one.
+    radial_profile(d) = psi(log_constant - ln d).
     """
 
     pole: complex
-    params: dict
     radial_profile: Callable
     support_radius: float
     pole_coefficient: float
@@ -94,13 +64,9 @@ class PulledBackTest:
     log_constant: float = 0.0
     log_shape: Callable | None = None
 
-    def __call__(self, z):
-        d = np.abs(np.asarray(z, dtype=complex) - self.pole)
-        return np.asarray(self.radial_profile(d), dtype=float)
-
 
 # ---------------------------------------------------------------------------
-# plane members
+# log shapes
 
 
 def _positive_part(x):
@@ -128,65 +94,6 @@ def _capped_shape(eps):
     return shape
 
 
-def _log_radii(taus, shape):
-    """The radii and log constant of each member psi(ln(t |w|)) for the
-    cutoffs taus, where psi is 0 below its first piece's edge e0 and x
-    from its last piece's edge e1: one row (zero radius e^e0 / t,
-    exact-log radius e^e1 / t, ln t, kink radii) per cutoff."""
-    e0, e1 = shape.pieces[0][0], shape.pieces[-1][0]
-    inner, outer, support = math.exp(e0), math.exp(e1), math.exp(-e0)
-    rows = []
-    for t in taus:
-        zero_radius = inner / t
-        log_radius = outer / t
-        # each edge is a kink (psi's fifth derivative jumps at the blend's)
-        kinks = (zero_radius,) if e0 == e1 else (zero_radius, log_radius)
-        # the pullback's core ends at 1 / log_radius, which must not pass
-        # the support t e^-e0, where the profile is already 0: where it
-        # rounds past, the exact-log region is declared from one ulp
-        # further out
-        if 1.0 / log_radius > t * support:
-            log_radius = math.nextafter(log_radius, math.inf)
-        rows.append((zero_radius, log_radius, math.log(t)) + kinks)
-    return np.array(rows, dtype=float).reshape(len(rows),
-                                               4 if e0 == e1 else 5)
-
-
-def _log_plane(t, shape, params):
-    """The member psi(ln(t |w|)) for the log shape psi, with the radii of
-    _log_radii."""
-
-    def profile(s):
-        # ln 0 = -inf reaches psi's zero end
-        with np.errstate(divide="ignore"):
-            return shape(np.log(t * np.asarray(s, dtype=float)))
-
-    zero_radius, log_radius, log_constant, *kinks = (
-        _log_radii((t,), shape)[0].tolist())
-    return TestPotential(
-        params=params, radial_profile=profile, growth_coefficient=1.0,
-        zero_radius=zero_radius, kink_radii=tuple(kinks),
-        log_radius=log_radius, log_constant=log_constant, log_shape=shape)
-
-
-def truncated_log_plane(t):
-    """max(0, ln(t |w|)): kinked at |w| = 1/t, exactly ln(t|w|) outside."""
-    t = float(t)
-    if t <= 0:
-        raise InvalidPotential("needs t > 0")
-    return _log_plane(t, _positive_part, {"t": t})
-
-
-def smooth_capped_log(t, eps=0.25):
-    """Smoothed positive part of ln(t |w|): identical outside e^eps / t,
-    identically zero inside e^-eps / t, convex polynomial blend between."""
-    t = float(t)
-    eps = float(eps)
-    if t <= 0 or eps <= 0:
-        raise InvalidPotential("needs t > 0 and eps > 0")
-    return _log_plane(t, _capped_shape(eps), {"t": t, "eps": eps})
-
-
 # ---------------------------------------------------------------------------
 # inversion
 
@@ -212,8 +119,7 @@ def inversion_pullback(p):
                               dtype=float)
 
     return PulledBackTest(
-        pole=0j, params=dict(p.params),
-        radial_profile=profile,
+        pole=0j, radial_profile=profile,
         support_radius=1.0 / p.zero_radius,
         pole_coefficient=p.growth_coefficient,
         kink_radii=tuple(1.0 / k for k in p.kink_radii),
@@ -265,24 +171,41 @@ class SpikeTable:
 
 def _pullbacks(taus, shape):
     """The pullbacks of the members psi(ln(t |w|)) for the cutoffs taus,
-    as a SpikeTable: the radii of _log_radii inverted elementwise, as
-    inversion_pullback inverts them."""
+    as a SpikeTable.  psi is 0 below its first piece's edge e0 and x from
+    its last piece's edge e1, so each member vanishes inside e^e0 / t and
+    is exactly ln(t |w|) outside e^e1 / t; inverting those radii gives the
+    support and the log core."""
     tau = np.asarray(taus, dtype=float)
     if np.any(tau <= 0):
         raise InvalidPotential("needs t > 0")
-    plane = _log_radii(tau.tolist(), shape)
-    return SpikeTable(tau, plane[:, 2], 1.0 / plane[:, 1], 1.0 / plane[:, 0],
-                      np.ones(tau.size), shape)
+    e0, e1 = shape.pieces[0][0], shape.pieces[-1][0]
+    log_radius = math.exp(e1) / tau
+    # the core ends at 1 / log_radius, which must not pass the support
+    # t e^-e0, where the profile is already 0: where it rounds past, the
+    # exact-log region is declared from one ulp further out
+    past = 1.0 / log_radius > tau * math.exp(-e0)
+    log_radius[past] = np.nextafter(log_radius[past], math.inf)
+    # math.log, not np.log: the two differ in the last bit on some cutoffs
+    log_constant = np.fromiter(map(math.log, tau.tolist()), float, tau.size)
+    return SpikeTable(tau, log_constant, 1.0 / log_radius,
+                      1.0 / (math.exp(e0) / tau), np.ones(tau.size), shape)
 
 
 # ---------------------------------------------------------------------------
 # sweep families
 
 
+def geometric_tau_count(t_min, t_max, ratio):
+    """2 + ln(t_max / t_min) / ln(ratio), a bound on the number of cutoffs
+    _geometric_taus builds, with none built (inf for an unbounded grid)."""
+    return 2.0 + (math.log(t_max) - math.log(t_min)) / math.log1p(ratio - 1.0)
+
+
 def _geometric_taus(t_min, t_max, ratio):
-    if not (t_min > 0 and t_max >= t_min and ratio > 1):
+    if not (t_min > 0 and math.isfinite(t_max) and t_max >= t_min
+            and ratio > 1):
         raise InvalidPotential("family grid needs t_min > 0, t_max >= t_min, "
-                               "ratio > 1")
+                               "t_max finite, ratio > 1")
     taus = []
     t = t_min
     while t <= t_max * (1.0 + 1e-12):
@@ -302,9 +225,6 @@ class TruncatedLogFamily(ValueRecord):
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)
 
-    def applied(self, tau):
-        return inversion_pullback(truncated_log_plane(tau))
-
     def spikes(self, taus):
         return _pullbacks(taus, _positive_part)
 
@@ -317,9 +237,6 @@ class SmoothCappedLogFamily(ValueRecord):
 
     def taus(self):
         return _geometric_taus(self.t_min, self.t_max, self.ratio)
-
-    def applied(self, tau):
-        return inversion_pullback(smooth_capped_log(tau, self.eps))
 
     def spikes(self, taus):
         if self.eps <= 0:

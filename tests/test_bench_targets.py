@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zerocert import inversion_pullback, truncated_log_plane
+from planes import truncated_log_plane
+from zerocert import inversion_pullback
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

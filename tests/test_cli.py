@@ -16,6 +16,7 @@ from zerocert import SmoothCappedLogFamily
 from zerocert.cli import COMMANDS, _parser, _write_csv, main
 
 import oracles
+import planes
 
 
 def _write(tmp_path, doc, name="sc.json"):
@@ -376,7 +377,8 @@ def test_necessary_details_count_the_zeros_swept(tmp_path):
     # the sweep reads the zeros out to 1.05 times the largest support
     fam = SmoothCappedLogFamily(**{k: v for k, v in family.items()
                                    if k != "kind"})
-    reach = 1.05 * max(fam.applied(t).support_radius for t in fam.taus())
+    reach = 1.05 * max(planes.member(fam, t).support_radius
+                       for t in fam.taus())
     assert details["zeros"] == oracles.gauss_lattice_radii(reach).size
     # one radius per norm: points of equal norm are read once
     assert 0 < details["radii"] < details["zeros"]
@@ -483,6 +485,52 @@ def test_each_command_parses_every_flag(command):
     bare = _parser().parse_args([command])
     assert (bare.scenario, bare.out, bare.tol, bare.seed, bare.tau_max) == \
         (None, "zerocert-out", None, None, None)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-9"),
+    ("--tau-max", "inf"), ("--tau-max", "nan"), ("--tau-max", "-4"),
+])
+def test_non_finite_or_non_positive_flags_exit_2_by_name(tmp_path, capsys,
+                                                         flag, value):
+    sc = _write(tmp_path, _toy_scenario())
+    out = tmp_path / "run"
+    assert main(["all", "--scenario", sc, "--out", str(out),
+                 "%s=%s" % (flag, value)]) == 2
+    assert ("schema: %s: %r is not a finite number greater than 0"
+            % (flag, float(value))) in capsys.readouterr().err
+    assert not out.joinpath("report.json").exists()
+
+
+def _failing_grid_scenario():
+    """The README scenario without its family block, at sigma = 0.3: the
+    construction fails on 6 of its 24 grid points."""
+    doc = _pi_scenario()
+    del doc["family"]
+    doc["majorant"]["up"]["sigma"] = 0.3
+    return doc
+
+
+@pytest.mark.parametrize("how", ["scenario", "--tol nan", "--tol inf"])
+def test_a_nan_tolerance_never_certifies_a_failing_grid(tmp_path, capsys,
+                                                        how):
+    out = tmp_path / "run"
+    sc = _write(tmp_path, _failing_grid_scenario())
+    assert main(["construct-verify", "--scenario", sc, "--out", str(out)]) == 0
+    assert ("certified=False (excess-at-grid)  genus 1, retained 20000, "
+            "violations 6/24") in capsys.readouterr().out
+    doc = _failing_grid_scenario()
+    flags = []
+    if how == "scenario":
+        doc["tolerances"] = {"default": math.nan}
+    else:
+        flags = how.split()
+    sc = _write(tmp_path, doc)
+    assert main(["construct-verify", "--scenario", sc, "--out",
+                 str(tmp_path / "again"), *flags]) == 2
+    text = capsys.readouterr()
+    assert "certified" not in text.out and "schema: " in text.err
+    assert not (tmp_path / "again" / "sufficiency.csv").exists()
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):

@@ -37,6 +37,7 @@ from zerocert import criterion, measures, quadrature, testfam
 from zerocert.criterion import m0_shell_count
 
 import oracles
+import planes
 from test_measures import _ANNULAR
 
 
@@ -123,11 +124,10 @@ def test_margin_sweep_integrates_the_charge_in_one_call(tmp_path, monkeypatch,
     # every tau's charge integral comes from one integrate_radial call, and
     # on the benchmark workloads no band or core needs adaptive quadrature;
     # the family's members are read as one spike table, with no member
-    # built as a record
+    # pulled back as a record
     sc = _bench_scenario(tmp_path, name)
-    calls = {"radial": 0, "integrate": 0, "applied": 0, "pullback": 0}
+    calls = {"radial": 0, "integrate": 0, "pullback": 0}
     radial = measures.RieszCharge.integrate_radial
-    applied = type(sc.family).applied
     pullback = testfam.inversion_pullback
 
     def count_radial(self, spikes, **kw):
@@ -138,22 +138,16 @@ def test_margin_sweep_integrates_the_charge_in_one_call(tmp_path, monkeypatch,
         calls["integrate"] += 1
         return quadrature.integrate(*args, **kw)
 
-    def count_applied(self, tau):
-        calls["applied"] += 1
-        return applied(self, tau)
-
     def count_pullback(p):
         calls["pullback"] += 1
         return pullback(p)
 
     monkeypatch.setattr(measures.RieszCharge, "integrate_radial", count_radial)
     monkeypatch.setattr(measures, "integrate", count_integrate)
-    monkeypatch.setattr(type(sc.family), "applied", count_applied)
     monkeypatch.setattr(testfam, "inversion_pullback", count_pullback)
     curve = margin_sweep(sc.zeros, sc.majorant, sc.family,
                          tol=sc.tol("margin"))
-    assert calls == {"radial": 1, "integrate": 0, "applied": 0,
-                     "pullback": 0}
+    assert calls == {"radial": 1, "integrate": 0, "pullback": 0}
     assert len(curve.samples) == taus and curve.details["dropped"] == 0
     assert curve.details["adaptive_bands"] == 0
 
@@ -218,7 +212,7 @@ def _assert_lhs_direct(points, mults, fam):
     curve = margin_sweep(Z, _abs_majorant(), fam)
     assert len(curve.samples) == len(fam.taus())
     for s, tau in zip(curve.samples, fam.taus()):
-        want = _direct_lhs(points, mults, fam.applied(tau))
+        want = _direct_lhs(points, mults, planes.member(fam, tau))
         assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want)), (tau, s.lhs,
                                                                  want)
     return curve
@@ -249,7 +243,7 @@ def test_margin_lhs_ties_on_core_and_support_edges(kind):
     fam = _family(kind, 0.7, 1.5, 6)
     points, mults = [], []
     for tau in fam.taus():
-        test = fam.applied(tau)
+        test = planes.member(fam, tau)
         for j, radius in enumerate((test.log_core, test.support_radius)):
             points += [complex(radius, 0.0), complex(0.0, radius)]
             mults += [j + 1, 2]
@@ -267,7 +261,7 @@ def test_margin_lhs_on_scaled_gaussian_lattices(kind, scale, max_radius):
     curve = margin_sweep(Z, _abs_majorant(), fam)
     assert len(curve.samples) == len(fam.taus())
     for s, tau in zip(curve.samples, fam.taus()):
-        test = fam.applied(tau)
+        test = planes.member(fam, tau)
         want = _direct_lhs(*Z.points_up_to(test.support_radius), test)
         assert abs(s.lhs - want) <= 1e-12 * (1.0 + abs(want)), (tau, s.lhs,
                                                                 want)
@@ -305,7 +299,7 @@ def _edge_radii(fam):
     shape's piece edges, c - ln r = e."""
     out = []
     for tau in fam.taus():
-        test = fam.applied(tau)
+        test = planes.member(fam, tau)
         out += [test.log_core, test.support_radius]
         out += [math.exp(test.log_constant - e)
                 for e, _ in test.log_shape.pieces]
@@ -348,7 +342,7 @@ def test_margin_moment_lhs_matches_block_oracle(kind, t_min, ratio, n_taus,
         Z = ZeroDistribution.from_points(np.asarray(points, dtype=complex),
                                          mults)
     curve = margin_sweep(Z, _abs_majorant(), fam)
-    tests = [fam.applied(t) for t in fam.taus()]
+    tests = [planes.member(fam, t) for t in fam.taus()]
     r, m = Z.radii_up_to(1.05 * max(t.support_radius for t in tests))
     blocks = oracles.sweep_lhs_blocks(r, m, tests)
     rounding = curve.details["lhs_rounding"]
@@ -435,7 +429,7 @@ def test_margin_division_identity(roots, sigma, rho, kind):
     lowered = margin_sweep(Z, DSubharmonicMajorant(up=up, low=low), fam)
     for s0, s1 in zip(plain.samples, lowered.samples):
         assert s0.tau == s1.tau and not s0.note and not s1.note
-        spike = fam.applied(s0.tau).radial_profile
+        spike = planes.member(fam, s0.tau).radial_profile
         want = float(np.sum(low.riesz.atom_masses
                             * spike(np.abs(low.riesz.atom_points))))
         scale = max(abs(s0.lhs), abs(s0.rhs), abs(s1.rhs), abs(want))

@@ -23,6 +23,7 @@ from zerocert import (
 )
 
 import oracles
+import planes
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +303,10 @@ _TAUS = (0.3, 1.7, 6.0, 15.0)
 
 def _radial_rows(charge, fam, taus, tol=1e-9):
     """integrate_radial on the table of fam's cutoffs taus: each row's
-    (value, budget), or the failure it recorded, raised."""
-    results, _ = charge.integrate_radial(fam.spikes(taus), tol=tol)
-    for got in results:
-        if isinstance(got, Exception):
-            raise got
-    return results
+    (value, budget), with no row failed."""
+    val, err, note, _ = charge.integrate_radial(fam.spikes(taus), tol=tol)
+    assert (note == "").all(), note
+    return list(zip(val.tolist(), err.tolist()))
 
 
 def test_integrate_radial_atoms_and_rings():
@@ -321,7 +320,8 @@ def test_integrate_radial_atoms_and_rings():
     )
     for fam in _FAMILIES.values():
         for tau, (val, err) in zip(_TAUS, _radial_rows(ch, fam, _TAUS)):
-            want, _ = oracles.integrate_radial_reference(ch, fam.applied(tau))
+            want, _ = oracles.integrate_radial_reference(
+                ch, planes.member(fam, tau))
             assert abs(val - want) <= 1e-14 * (1.0 + abs(want))
             assert err == 0.0
     # ln+(1.7 / |z|): the atom at -2 lies past the support
@@ -341,7 +341,8 @@ def test_integrate_radial_density_matches_closed_form():
     fam = _FAMILIES["smooth-0.8"]
     for tau, (val, err) in zip(_TAUS, _radial_rows(ch, fam, _TAUS)):
         assert err <= 1e-9
-        ref, ref_err = oracles.integrate_radial_reference(ch, fam.applied(tau))
+        ref, ref_err = oracles.integrate_radial_reference(
+            ch, planes.member(fam, tau))
         assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
@@ -396,7 +397,7 @@ _CORE_CHARGES = {
 def test_integrate_radial_log_core_matches_quadrature(name, smooth, tau, eps):
     charge, tol = _CORE_CHARGES[name]
     fam = SmoothCappedLogFamily(eps=eps) if smooth else TruncatedLogFamily()
-    ref, ref_err = _quad_reference(charge, fam.applied(tau))
+    ref, ref_err = _quad_reference(charge, planes.member(fam, tau))
     (got, err), = _radial_rows(charge, fam, [tau], tol=tol)
     assert err <= tol
     # within both budgets, plus rounding
@@ -447,7 +448,7 @@ def test_integrate_radial_batch_matches_the_per_spike_route(name):
         results = _radial_rows(charge, fam, _TAUS, tol=tol)
         for tau, (val, err) in zip(_TAUS, results):
             assert err <= tol
-            spike = fam.applied(tau)
+            spike = planes.member(fam, tau)
             if name == "radial-power-0.5":
                 ref, ref_err = _quad_reference(charge, spike)
             else:
@@ -479,18 +480,25 @@ def test_integrate_radial_counts_kinked_bands_and_keeps_failures_apart():
     fam = SmoothCappedLogFamily(eps=0.25)
     taus = (0.5, 1.3, 1.6, 2.0, 3.0)
     tol = 1e-11
-    results, adaptive = charge.integrate_radial(fam.spikes(taus), tol=tol)
-    assert isinstance(results[1], ToleranceFailure)
+    val, err, note, adaptive = charge.integrate_radial(fam.spikes(taus),
+                                                       tol=tol)
+    assert note.tolist() == ["", "ToleranceFailure", "", "", ""]
+    assert math.isnan(val[1]) and math.isnan(err[1])
+    with pytest.raises(ToleranceFailure):
+        oracles.integrate_radial_reference(charge, planes.member(fam, 1.3),
+                                           tol=tol)
     assert adaptive == 2
-    assert results[0] == (0.0, 0.0)
-    for tau, got in zip(taus, results):
+    assert (val[0], err[0]) == (0.0, 0.0)
+    for tau, got, got_err in zip(taus, val.tolist(), err.tolist()):
         if tau == 1.3:
             continue
-        (want,), _ = charge.integrate_radial(fam.spikes([tau]), tol=tol)
-        assert got == want
+        want, want_err, want_note, _ = charge.integrate_radial(
+            fam.spikes([tau]), tol=tol)
+        assert (got, got_err) == (want[0], want_err[0])
+        assert want_note.tolist() == [""]
         ref, ref_err = oracles.integrate_radial_reference(
-            charge, fam.applied(tau), tol=tol)
-        assert abs(got[0] - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
+            charge, planes.member(fam, tau), tol=tol)
+        assert abs(got - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
 def test_integrate_radial_log_core_linear_mass_is_exact():

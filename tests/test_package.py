@@ -65,10 +65,10 @@ def test_namespace_names_are_the_modules_own():
 
 def test_only_the_replaced_records_stay_dataclasses():
     # a dataclass declaration generates and compiles code on every import;
-    # these three are copied with dataclasses.replace
+    # these two are copied with dataclasses.replace
     kept = {cls.__name__ for cls in _zerocert_classes()
             if dataclasses.is_dataclass(cls)}
-    assert kept == {"RadialDensity", "TestPotential", "PulledBackTest"}
+    assert kept == {"RadialDensity", "PulledBackTest"}
 
 
 # ---------------------------------------------------------------------------

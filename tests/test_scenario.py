@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from zerocert import (DiskFractionProfile, PlanePowerProfile, SchemaError,
-                      TruncatedLogFamily, build_sufficiency_grid,
-                      load_scenario, validate_scenario)
+from zerocert import (DiskFractionProfile, InvalidPotential,
+                      PlanePowerProfile, SchemaError, TruncatedLogFamily,
+                      build_sufficiency_grid, load_scenario,
+                      validate_scenario)
+from zerocert import testfam
 from zerocert.scenario import SCHEMA, _iter_errors
 
 
@@ -108,6 +111,88 @@ def test_load_rejects_bad_json(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_scenario(p)
     assert "not valid JSON" in exc.value.messages[0]
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "junk.json"
+    p.write_bytes(b'{"label": "\xff"}')
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(p)
+    assert exc.value.messages[0].startswith("/: not valid JSON ('utf-8'")
+
+
+@pytest.mark.parametrize("block,field,literal", [
+    ("tolerances", "default", "NaN"),
+    ("tolerances", "margin", "Infinity"),
+    ("tolerances", "default", "-Infinity"),
+    ("family", "t_max", "1e400"),
+    ("family", "t_min", "-1e400"),
+    ("family", "t_max", "1" + "0" * 400),
+])
+def test_load_refuses_numbers_no_finite_float_holds(tmp_path, block, field,
+                                                    literal):
+    # Python's json reads NaN, Infinity and 1e400 (as inf), and the
+    # schema's bounds pass a NaN, so the parser refuses them all
+    doc = _doc()
+    doc[block][field] = "@"
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(p)
+    assert exc.value.messages == [
+        "/: not valid JSON (%s is not a finite number)" % literal]
+
+
+def test_load_counts_the_cutoffs_before_building_any(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a cutoff grid was built")
+
+    monkeypatch.setattr(testfam, "_geometric_taus", never)
+    doc = _doc()
+    doc["family"].update(t_min=1.0, t_max=2.0, ratio=1.000000001)
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(_write(tmp_path, doc))
+    assert exc.value.messages == [
+        "/family: about 6.93e+08 cutoffs exceed 100000"]
+    # an unbounded override is refused the same way, a NaN one too
+    for tau_max in (math.inf, math.nan):
+        with pytest.raises(SchemaError) as exc:
+            load_scenario(_write(tmp_path, _doc()), tau_max=tau_max)
+        assert exc.value.messages == [
+            "/family: about %r cutoffs exceed 100000" % tau_max]
+
+
+def test_load_takes_a_grid_up_to_100000_cutoffs(tmp_path):
+    # the count is 2 + 99990 steps here, and 2 + 99999 past the cap
+    doc = _doc()
+    doc["family"].update(t_min=1.0, t_max=2.0 ** (99990 / 4096),
+                         ratio=2.0 ** (1 / 4096))
+    fam = load_scenario(_write(tmp_path, doc)).family
+    assert len(fam.taus()) <= testfam.geometric_tau_count(
+        fam.t_min, fam.t_max, fam.ratio) <= 100000
+    doc["family"]["t_max"] = 2.0 ** (99999 / 4096)
+    with pytest.raises(SchemaError, match="exceed 100000"):
+        load_scenario(_write(tmp_path, doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_min=st.floats(1e-3, 1e3), decades=st.floats(0.0, 4.0),
+       ratio=st.floats(1.01, 10.0))
+def test_geometric_tau_count_bounds_the_grid(t_min, decades, ratio):
+    t_max = t_min * 10.0 ** decades
+    n = len(testfam._geometric_taus(t_min, t_max, ratio))
+    count = testfam.geometric_tau_count(t_min, t_max, ratio)
+    assert n <= count <= n + 2
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_geometric_taus_refuse_an_unbounded_grid(t_max):
+    # the loop never reached an infinite end, and its list grew without
+    # bound
+    with pytest.raises(InvalidPotential, match="finite"):
+        testfam._geometric_taus(0.5, t_max, 2.0)
+    with pytest.raises(InvalidPotential):
+        TruncatedLogFamily(t_max=t_max).taus()
 
 
 def test_load_explicit_points_and_zero_majorant(tmp_path):

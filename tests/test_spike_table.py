@@ -1,6 +1,6 @@
 """Spike tables: a family's members as columns, against the members
-built one by one (``family.applied``) and the oracles on them, which
-stay the reference."""
+built one by one from their formulas (planes.member) and the oracles on
+them, which stay the reference."""
 
 import math
 
@@ -21,10 +21,13 @@ from zerocert import (
 from zerocert.criterion import _CORE_ULPS, _band_sums, _prefix_fsums, _sweep_lhs
 
 import oracles
+import planes
 from test_measures import _CORE_CHARGES, _FAMILIES, _TAUS
 
 
 def _assert_rows_are_members(table, members, taus):
+    # the members come from their written-out radii (planes.py), which
+    # share no arithmetic with the table's columns
     assert len(table) == len(members)
     assert table.tau.tolist() == [float(t) for t in taus]
     for i, p in enumerate(members):
@@ -46,7 +49,7 @@ def _assert_rows_are_members(table, members, taus):
 @example(taus=[55.56003412779003, 1.0, 55.56003412779003], eps=0.25)
 def test_family_spikes_are_its_members_column_by_column(taus, eps):
     for fam in (TruncatedLogFamily(), SmoothCappedLogFamily(eps=eps)):
-        members = [fam.applied(t) for t in taus]
+        members = [planes.member(fam, t) for t in taus]
         table = fam.spikes(taus)
         _assert_rows_are_members(table, members, taus)
 
@@ -123,7 +126,7 @@ def _sweep_lhs_by_member(r, m, tests, table):
 ], ids=["truncated", "smooth"])
 def test_sweep_lhs_on_a_family_table_is_the_member_loop(Z, fam):
     taus = fam.taus()
-    members = [fam.applied(t) for t in taus]
+    members = [planes.member(fam, t) for t in taus]
     r, m = Z.radii_up_to(1.05 * max(t.support_radius for t in members))
     table = fam.spikes(taus)
     want, want_rounding = _sweep_lhs_by_member(r, m, members, table)
@@ -149,12 +152,13 @@ def test_integrate_radial_on_a_family_table_is_its_members(charge, fam):
     # every row within the per-spike route's budget of that route on the
     # row's member, which reads the member's own profile
     taus = fam.taus()
-    got, adaptive = charge.integrate_radial(fam.spikes(taus), tol=1e-9)
-    assert adaptive == 0
-    for tau, (val, err) in zip(taus, got):
+    vals, errs, note, adaptive = charge.integrate_radial(fam.spikes(taus),
+                                                         tol=1e-9)
+    assert adaptive == 0 and (note == "").all()
+    for tau, val, err in zip(taus, vals.tolist(), errs.tolist()):
         assert err <= 1e-9
         ref, ref_err = oracles.integrate_radial_reference(
-            charge, fam.applied(tau), tol=1e-9)
+            charge, planes.member(fam, tau), tol=1e-9)
         assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
@@ -166,12 +170,12 @@ def test_integrate_radial_on_family_rows_of_a_mixed_batch(name):
     charge, tol = _CORE_CHARGES[name]
     taus = (0.05,) + _TAUS + (40.0,)
     for fam in _FAMILIES.values():
-        got, adaptive = charge.integrate_radial(fam.spikes(taus), tol=tol)
-        for tau, (val, err) in zip(taus, got):
-            (want,), alone = charge.integrate_radial(fam.spikes([tau]),
-                                                     tol=tol)
+        *got, adaptive = charge.integrate_radial(fam.spikes(taus), tol=tol)
+        for i, tau in enumerate(taus):
+            *want, alone = charge.integrate_radial(fam.spikes([tau]),
+                                                   tol=tol)
             adaptive -= alone
-            assert (val, err) == want
+            assert [col[i] for col in got] == [col[0] for col in want]
         assert adaptive == 0
 
 
@@ -185,11 +189,15 @@ def test_integrate_radial_row_bits_do_not_depend_on_the_batch(fam):
     charge = make_radial_power(1.0, 1.0).riesz - _ATOMS
     taus = fam.taus()[:40]
     assert len(taus) == 40
-    alone = [charge.integrate_radial(fam.spikes([tau]))[0][0] for tau in taus]
+    alone = [charge.integrate_radial(fam.spikes([tau]))[:2] for tau in taus]
+    alone = [(val[0], err[0]) for val, err in alone]
     for n in range(1, 41):
         for start in {0, 40 - n}:
-            got, _ = charge.integrate_radial(fam.spikes(taus[start:start + n]))
-            assert got == alone[start:start + n]
+            val, err, note, _ = charge.integrate_radial(
+                fam.spikes(taus[start:start + n]))
+            assert (note == "").all()
+            assert list(zip(val.tolist(), err.tolist())) == \
+                alone[start:start + n]
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,7 +216,7 @@ def test_spike_table_profile_is_its_members(taus, eps, between):
     for fam in (TruncatedLogFamily(), SmoothCappedLogFamily(eps=eps)):
         table = fam.spikes(taus)
         for i, tau in enumerate(taus):
-            p = fam.applied(tau)
+            p = planes.member(fam, tau)
             d = np.array([0.0, p.log_core, p.support_radius,
                           2.0 * p.support_radius, 1e300,
                           *(x * p.support_radius for x in between)])
@@ -230,13 +238,18 @@ def test_integrate_radial_atom_rows(fam):
     # an atom at the origin, where every spike is infinite, fails every
     # row; atoms elsewhere give each row its member's sum over them
     origin = RieszCharge(atom_points=(0j, 2.0 + 1.0j), atom_masses=(1.0, 2.0))
-    results, _ = origin.integrate_radial(fam.spikes(_TAUS))
-    assert all(isinstance(got, NotSummable) for got in results)
+    val, err, note, _ = origin.integrate_radial(fam.spikes(_TAUS))
+    assert (note == "NotSummable").all()
+    assert np.isnan(val).all() and np.isnan(err).all()
+    with pytest.raises(NotSummable):
+        oracles.integrate_radial_reference(origin,
+                                           planes.member(fam, _TAUS[0]))
     atoms = RieszCharge(atom_points=(0.1j, 1.0, -2.0 + 1.0j, 7.0 - 7.0j, 30.0),
                         atom_masses=(1.0, -2.5, 2.0, 0.5, 3.0))
-    results, adaptive = atoms.integrate_radial(fam.spikes(_TAUS))
-    assert adaptive == 0
-    for tau, (val, err) in zip(_TAUS, results):
-        want, _ = oracles.integrate_radial_reference(atoms, fam.applied(tau))
+    vals, errs, note, adaptive = atoms.integrate_radial(fam.spikes(_TAUS))
+    assert adaptive == 0 and (note == "").all()
+    for tau, val, err in zip(_TAUS, vals.tolist(), errs.tolist()):
+        want, _ = oracles.integrate_radial_reference(atoms,
+                                                     planes.member(fam, tau))
         assert abs(val - want) <= 1e-14 * (1.0 + abs(want))
         assert err == 0.0

@@ -1,4 +1,5 @@
-"""Test potential catalogue: plane members and inversion pullbacks."""
+"""Test potential catalogue: plane members, built apart in planes.py, and
+inversion pullbacks."""
 
 import math
 from fractions import Fraction
@@ -10,17 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from zerocert.criterion import margin_sweep
 from zerocert.majorants import DSubharmonicMajorant, make_radial_power
 from zerocert.measures import ZeroDistribution
-from zerocert import testfam
 from zerocert.testfam import (
     SmoothCappedLogFamily,
     TruncatedLogFamily,
     bump_cdf_integral,
     inversion_pullback,
-    smooth_capped_log,
-    truncated_log_plane,
 )
 
 import oracles
+import planes
+from planes import smooth_capped_log, truncated_log_plane
 
 
 # ---------------------------------------------------------------------------
@@ -104,49 +104,6 @@ def test_truncated_log_eval_and_charge():
     assert abs(flux - 1.0) <= 1e-6
     assert p.zero_radius == 0.5
     assert p.growth_coefficient == 1.0
-
-
-def _members_as_built_apart(t, eps):
-    """Both members' fields by the formulas that _log_plane replaced,
-    each member's written out on its own."""
-    log_radius = 1.0 / t
-    if 1.0 / log_radius > t:
-        log_radius = math.nextafter(log_radius, math.inf)
-    truncated = dict(
-        params={"t": t}, growth_coefficient=1.0, zero_radius=1.0 / t,
-        kink_radii=(1.0 / t,), log_radius=log_radius,
-        log_constant=math.log(t), log_shape=testfam._positive_part,
-        profile=lambda s: np.log(np.maximum(1.0, t * s)))
-    inner, outer = math.exp(-eps) / t, math.exp(eps) / t
-    shape = testfam._capped_shape(eps)
-    smooth = dict(
-        params={"t": t, "eps": eps}, growth_coefficient=1.0,
-        zero_radius=inner, kink_radii=(inner, outer), log_radius=outer,
-        log_constant=math.log(t), log_shape=shape,
-        profile=lambda s: shape(np.log(t * s)))
-    return ((truncated_log_plane(t), truncated),
-            (smooth_capped_log(t, eps), smooth))
-
-
-@settings(max_examples=150, deadline=None)
-@given(t=st.floats(1e-3, 1e6), eps=st.floats(1e-3, 2.0))
-# 1/(1/t) rounds above t: the truncated log radius moves one ulp out
-@example(t=7.378945279999996, eps=0.25)
-@example(t=55.56003412779003, eps=0.25)
-def test_log_plane_matches_the_formulas_it_replaced(t, eps):
-    for p, want in _members_as_built_apart(t, eps):
-        radii = np.concatenate((
-            [0.0, 1.0 / t, math.inf], np.geomspace(1e-3, 1e3, 37) / t,
-            [np.nextafter(k, d) for k in want["kink_radii"]
-             for d in (0.0, math.inf)]))
-        with np.errstate(divide="ignore"):
-            expected = want.pop("profile")(radii)
-        assert p.radial_profile(radii).tobytes() == expected.tobytes()
-        for field, value in want.items():
-            assert getattr(p, field) == value, field
-        # calling a member reads its profile at |w|
-        w = radii[1:] * np.exp(1j * np.linspace(0.0, 6.0, radii.size - 1))
-        assert p(w).tobytes() == p.radial_profile(np.abs(w)).tobytes()
 
 
 def test_truncated_log_membership():
@@ -261,8 +218,8 @@ def test_truncated_family_tau_grid():
     assert fam.kind == "truncated-log"
 
 
-def test_family_applied_is_membership_clean():
+def test_family_member_is_membership_clean():
     fam = SmoothCappedLogFamily(t_min=1.0, t_max=10.0)
-    p = fam.applied(4.0)
+    p = planes.member(fam, 4.0)
     assert oracles.membership_report(p).ok
     assert fam.kind == "smooth-capped-log"
