@@ -26,13 +26,13 @@ _EXPORTS = {
               "PlanePowerProfile", "check_mean_chain", "default_kernel",
               "disk_mean", "hat_radius", "mollified_mean"),
     "jensen": ("CirclePart", "JensenMeasure", "JensenPotential", "PJReport",
-               "green_disk", "log_potential", "poisson_jensen_check",
+               "log_potential", "poisson_jensen_check",
                "potential_to_measure", "uniform_circle"),
     "testfam": ("PulledBackTest", "SmoothCappedLogFamily", "SpikeTable",
                 "TruncatedLogFamily", "inversion_pullback"),
     "criterion": ("Lemma1Constants", "M0Report", "MarginCurve",
-                  "MarginSample", "check_m0", "lemma1_constants",
-                  "m0_dyadic_grid", "margin_sweep"),
+                  "MarginSample", "check_m0", "green_disk",
+                  "lemma1_constants", "m0_dyadic_grid", "margin_sweep"),
     "construct": ("ProductRepresentation", "SufficiencyReport",
                   "build_product", "genus", "verify_sufficiency",
                   "weierstrass_log_abs"),

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .criterion import check_m0, lemma1_constants, m0_dyadic_grid, margin_sweep
+from .criterion import (check_m0, green_disk, lemma1_constants,
+                        m0_dyadic_grid, margin_sweep)
 from .construct import verify_sufficiency
 from .errors import EngineError, PreconditionViolation, SchemaError
 from .majorants import make_log_abs_poly, make_radial_power
@@ -264,7 +265,7 @@ def _selftest_report(name, rows, outdir):
 
 
 def _jensen_selftest(outdir):
-    from .jensen import (green_disk, log_potential, poisson_jensen_check,
+    from .jensen import (log_potential, poisson_jensen_check,
                          potential_to_measure, uniform_circle)
 
     rows = []

@@ -5,7 +5,7 @@ candidate zeros and the majorant's charge and watches the gap; a gap
 that grows like a power of the cutoff rules out any admissible function
 vanishing on the candidate set.  It reads the family's spikes for all
 cutoffs as the columns of one SpikeTable (``family.spikes(taus)``) and
-forms no spike record.  Each spike is exactly c - g ln s in a core
+forms no spike record.  Each spike is exactly c - ln s in a core
 about the origin.  Its zero-side sum sees the zeros only through their
 radii counted with multiplicity (a Gaussian lattice gives one radius per
 norm, not one per point).  It is taken from prefix sums of mult and
@@ -30,10 +30,16 @@ check_m0 probes the regularity of the upper envelope by comparing it to
 its own circle means at profile radii, closed form where the envelope
 declares one, on whole columns of probe points.  lemma1_constants
 extracts the comparison constants of the disk-regime necessity bound
-from a Green function and the majorant's charge: atoms by direct sums,
-and each radial density, concentric with the disk, by a difference of
-its declared log-masses, with no quadrature (_green_term, which also
-gives jensen.poisson_jensen_check its concentric charge term).
+from the Green function of a disk and the majorant's charge: atoms by
+direct sums, and each radial density by a difference of its declared
+log-masses, with no quadrature (_green_term, which also gives
+jensen.poisson_jensen_check its charge term for a pole at the origin).
+The Green function of the disk |w - center| < R with pole a,
+    g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|   (green_disk)
+(w and a taken from the center), is a difference of two log potentials
+of points, so by Jensen's formula its circle means about the centre are
+ln R - ln max(s, |a|), which lemma1 integrates by parts against each
+density's log-mass; quadrature of g stays the test oracle.
 """
 
 from __future__ import annotations
@@ -209,9 +215,8 @@ def _sweep_lhs(r, m, table):
     """sum of m * profile(r) over sorted radii r, for every row of the
     spike table, and the work details.
 
-    Within a row's log_core the profile is
-    log_constant - pole_coefficient * ln d, so that part is
-    c * M(a) - g * L(a) with M and L the prefix sums of mult and
+    Within a row's log_core the profile is log_constant - ln d, so that
+    part is c * M(a) - L(a) with M and L the prefix sums of mult and
     mult * ln r up to the core edge a.  The band out to support_radius
     comes from segment moments (_band_sums), and nothing beyond it
     contributes.  Prefix sums are formed only at the core edges: pairwise
@@ -237,10 +242,10 @@ def _sweep_lhs(r, m, table):
             np.add.reduceat(log_r[:top] * m[:top], starts).tolist()))[at]
     sums, bounds, segments, pairs = _band_sums(log_r, m, table, core, band)
     head = table.log_constant * mass
-    tail = table.pole_coefficient * log_mass
     bounds += np.where(cored, _CORE_ULPS * (np.spacing(np.abs(head))
-                                            + np.spacing(np.abs(tail))), 0.0)
-    lhs = np.where(cored, head - tail, 0.0) + sums
+                                            + np.spacing(np.abs(log_mass))),
+                       0.0)
+    lhs = np.where(cored, head - log_mass, 0.0) + sums
     return lhs, {"band_segments": segments, "band_pairs": pairs,
                  "lhs_rounding": float(bounds.max(initial=0.0))}
 
@@ -433,6 +438,25 @@ class Lemma1Constants(ValueRecord):
     __slots__ = ("c_test", "inf_green", "c_majorant", "parts", "budget")
 
 
+def green_disk(R, z0, center=0j):
+    """Green function of the disk |w - center| < R with pole z0, as a
+    function of w.  The formula is evaluated everywhere, inside the disk
+    and out."""
+    R = float(R)
+    center = complex(center)
+    a = complex(z0) - center
+    if abs(a) >= R:
+        raise DomainError("pole must lie inside the disk")
+
+    def g(z):
+        w = np.asarray(z, dtype=complex) - center
+        with np.errstate(divide="ignore"):
+            return (np.log(np.abs(R ** 2 - np.conj(a) * w))
+                    - np.log(R * np.abs(w - a)))
+
+    return g
+
+
 def _green_floor_on_circle(R, a, c, radius):
     """Minimum of the Green function g of the disk |w| < R with pole a on
     the circle |w - c| = radius inside it, both taken from the disk's
@@ -470,7 +494,6 @@ def _green_term(R, z0, center, charge, atoms, r0):
     val = 0.0
     err = 0.0
     if atoms.any():
-        from .jensen import green_disk
         with np.errstate(all="ignore"):
             gv = np.asarray(green_disk(R, z0, center)(
                 charge.atom_points[atoms]), dtype=float)
@@ -494,9 +517,9 @@ def lemma1_constants(d_tilde, s_region, z0, b, M):
     on the inner boundary; c_majorant collects the Green integral of the
     majorant's charge over the closed ambient disk less the pole, the
     negative charge outside the open inner disk, and the positive part of
-    the majorant at the pole.  Each radial density must be centred on the
-    ambient disk, and a negative one also on the inner disk; every term is
-    closed form (_green_term), with a budget of a few ulps.
+    the majorant at the pole.  Radial densities sit at the origin, where
+    the ambient disk, and for a negative one the inner disk, must be
+    centred; every term is closed form (_green_term), a few ulps of budget.
     """
     if not isinstance(d_tilde, Region):
         raise DomainError("ambient region must be a disk")
@@ -521,12 +544,12 @@ def lemma1_constants(d_tilde, s_region, z0, b, M):
     c_test = b / inf_green
 
     charge = M.charge
-    for dens in charge.radial:
-        if abs(dens.center - d_tilde.center) > 1e-12:
-            raise EngineError("radial density off the ambient disk's center")
-        if dens.sign < 0 and abs(dens.center - s_region.center) > 1e-12:
-            raise EngineError("negative radial density off the inner disk's "
-                              "center")
+    if charge.radial and abs(d_tilde.center) > 1e-12:
+        raise EngineError("radial density off the ambient disk's center")
+    if (any(dens.sign < 0 for dens in charge.radial)
+            and abs(s_region.center) > 1e-12):
+        raise EngineError("negative radial density off the inner disk's "
+                          "center")
     pts = charge.atom_points
     live = (charge.atom_masses != 0) & d_tilde.contains(pts)
     v1, e1 = _green_term(R, z0, center, charge,

@@ -14,26 +14,18 @@ and measuring the pole mass off V's logarithmic pole.  The identity
     integral of u d(mu) - u(pole) = integral of V d(charge of u)
 is checked numerically by two independent routes.  Since the weights sum
 to 1 - pole_mass, V = sum of w_k ln+(r_k / d), a sum of Green functions
-of the disks d < r_k, each with its pole at the centre: against a charge
-whose densities are all centred on the pole, the right side is the sum
-of w_k times lemma1's closed form (criterion._green_term), with no
-quadrature.  Any other charge is integrated through circle means.
+of the disks d < r_k, each with its pole at the centre: with the pole at
+the origin, where every radial density sits, or with no density, the
+right side is the sum of w_k times lemma1's closed form
+(criterion._green_term), with no quadrature.  Otherwise the charge
+integrates V through circle means, in one pass (RieszCharge.integrate).
 
 A JensenMeasure integrates u through its circle means, closed form
 where u declares one (quadrature.circle_mean).
-
-The Green function of the disk |w - center| < R with pole a is
-    g(w) = ln|R^2 - conj(a) w| - ln R - ln|w - a|
-(w and a taken from the center), a difference of two log potentials of
-points, so Jensen's formula gives each of its circle means in closed form.
-About the centre they are ln R - ln max(s, |a|), which lemma1 integrates
-by parts against each concentric density's log-mass; quadrature of g
-stays the test oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +33,7 @@ import numpy as np
 from ._record import Record, ValueRecord, setfield
 from .errors import DomainError, InvalidPotential
 from .criterion import _green_term
-from .measures import Region, RieszCharge
+from .measures import Region
 from .quadrature import circle_mean
 
 
@@ -202,16 +194,6 @@ def potential_to_measure(V, *, tol=1e-9):
 # the representation identity
 
 
-def _truncate_radial(charge, pole, support_radius):
-    radial = []
-    for dens in charge.radial:
-        hi = abs(dens.center - pole) + support_radius
-        if hi < dens.support[1]:
-            dens = dataclasses.replace(dens, support=(dens.support[0], hi))
-        radial.append(dens)
-    return RieszCharge(charge.atom_points, charge.atom_masses, tuple(radial))
-
-
 class PJReport(ValueRecord):
     __slots__ = ("u_pole", "mean_term", "charge_term", "residual", "budget")
 
@@ -228,7 +210,7 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
         raise DomainError("identity needs a finite value at the pole")
     mean_term, e1 = mu.integrate(u, tol=tol)
     charge = u.riesz
-    if all(abs(d.center - mu.pole) <= 1e-12 for d in charge.radial):
+    if not charge.radial or abs(mu.pole) <= 1e-12:
         # every density is centred on the pole (atoms may sit anywhere):
         # each part's ln+(r / d) is the Green function of the disk d < r
         # with its pole at the centre, integrated over the atoms in that
@@ -243,40 +225,10 @@ def poisson_jensen_check(u, mu, *, tol=1e-9):
             charge_term += p.weight * v
             e2 += p.weight * e
     else:
-        # charge components off the pole's axis of symmetry: circle means
-        # of V around each component's own center, truncating radial
-        # supports where V is identically zero
-        V = log_potential(mu)
-        trunc = _truncate_radial(charge, mu.pole, V.support_radius)
-        coarse, _ = trunc.integrate(V, tol=tol)
-        # grazing intersections with the potential's kink circles leave the
-        # panel estimator optimistic; recalibrate against a finer pass
-        charge_term, e2 = trunc.integrate(V, tol=tol / 32.0)
-        e2 = 2.0 * abs(charge_term - coarse) + e2
+        # densities about the origin, off the pole: circle means of V
+        # about the origin, each density cut where V vanishes
+        charge_term, e2 = charge.integrate(log_potential(mu), tol=tol / 32.0)
     residual = (mean_term - u_pole) - charge_term
     return PJReport(u_pole=u_pole, mean_term=mean_term,
                     charge_term=charge_term, residual=residual,
                     budget=e1 + e2)
-
-
-# ---------------------------------------------------------------------------
-# Green function of a disk
-
-
-def green_disk(R, z0, center=0j):
-    """Green function of the disk |w - center| < R with pole z0, as a
-    function of w.  The formula is evaluated everywhere, inside the disk
-    and out."""
-    R = float(R)
-    center = complex(center)
-    a = complex(z0) - center
-    if abs(a) >= R:
-        raise DomainError("pole must lie inside the disk")
-
-    def g(z):
-        w = np.asarray(z, dtype=complex) - center
-        with np.errstate(divide="ignore"):
-            return (np.log(np.abs(R ** 2 - np.conj(a) * w))
-                    - np.log(R * np.abs(w - a)))
-
-    return g

@@ -3,14 +3,14 @@
 Charges follow the potential-theory normalization: the charge of a
 subharmonic function is 1/(2 pi) times its distributional Laplacian, so
 ln|z - a| carries a unit atom at a.  Every charge is point atoms plus
-rotation-invariant densities (sigma |z|^rho, ln(1 + |z|^2), ...), each
-about its own centre.  Every density declares its disk mass
+rotation-invariant densities about the origin (sigma |z|^rho,
+ln(1 + |z|^2), ...).  Every density declares its disk mass
 ``cumulative`` and its log-mass ``log_mass`` in closed form.  A sweep
 family's radial spikes read them for their exact-log cores, all of them
 in one call of ``RieszCharge.integrate_radial`` on the family's
 testfam.SpikeTable, the one spike form it reads; lemma1, and Jensen's
-identity through it, integrate a concentric disk's Green function
-against a density as a difference of log-masses
+identity through it, integrate the Green function of a disk about the
+origin against a density as a difference of log-masses
 (``RadialDensity.log_mass_in``).  Regions are closed disks.
 Zero distributions are explicit point sets or lattices.  Every radial
 question about them (the genus probe, the margin sweep) reads only
@@ -302,11 +302,11 @@ class GaussianIntegers(_Lattice):
 
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
-    """Rotation-invariant absolutely continuous piece around ``center``.
+    """Rotation-invariant absolutely continuous piece about the origin.
 
     ``profile(s) >= 0`` is the radial Laplacian density: the unsigned mass of
-    the centered disk of radius t is the integral of s * profile(s) over
-    [0, t], i.e. d(charge) = profile(|z - center|) dArea / (2 pi).
+    the disk |z| <= t is the integral of s * profile(s) over [0, t], i.e.
+    d(charge) = profile(|z|) dArea / (2 pi).
     ``cumulative`` is that disk mass in closed form, and ``log_mass`` the
     log-mass L(a) = int_0^a cumulative(s) / s ds; both are evaluated
     elementwise on arrays of radii inside the support, and both are
@@ -319,11 +319,10 @@ class RadialDensity:
     cumulative: Callable
     log_mass: Callable
     sign: int = 1
-    center: complex = 0j
     support: tuple = (0.0, math.inf)
 
     def mass_in(self, t):
-        """Unsigned mass of the centred disk of radius t (float or array):
+        """Unsigned mass of the disk |z| <= t (float or array):
         cumulative(t) - cumulative(lo) inside the support, so a support
         cut at an inner edge lo > 0 drops the mass below it."""
         lo, hi = self.support
@@ -360,13 +359,11 @@ def _coerce_points(arr):
 
 
 def _add_cores(dens, table, idx, a, val, err):
-    """Add the core (c - k ln a) mu(a) + k L(a) on the density to each
-    row idx of the spike table, whose core ends at a.  L is the declared
-    log-mass, evaluated once for all the edges."""
-    c = table.log_constant[idx]
-    k = table.pole_coefficient[idx]
-    edge = (c - k * np.log(a)) * dens.mass_in(a)
-    tail = k * np.asarray(dens.log_mass(a), dtype=float)
+    """Add the core (c - ln a) mu(a) + L(a) on the density to each row
+    idx of the spike table, whose core ends at a.  L is log_mass_in,
+    evaluated once for all the edges."""
+    edge = (table.log_constant[idx] - np.log(a)) * dens.mass_in(a)
+    tail = dens.log_mass_in(a)
     val[idx] += dens.sign * (edge + tail)
     # a closed form has no estimate: only a rounding floor
     err[idx] += _CORE_ULPS * (np.spacing(np.abs(edge))
@@ -458,13 +455,13 @@ class RieszCharge(Record):
 
     def total_mass_in(self, region):
         """Signed mass of the charge on a closed disk."""
+        if self.radial and abs(region.center) > 1e-12:
+            raise EngineError(
+                "radial density off the region center; use integrate()")
         val = 0.0
         if self.atom_points.size:
             val += float(np.sum(self.atom_masses[region.contains(self.atom_points)]))
         for dens in self.radial:
-            if abs(dens.center - region.center) > 1e-12:
-                raise EngineError(
-                    "radial density off the region center; use integrate()")
             hi = min(region.radius, dens.support[1])
             if hi > dens.support[0]:
                 val += dens.sign * dens.mass_in(hi)
@@ -479,18 +476,16 @@ class RieszCharge(Record):
         ``table`` is a testfam.SpikeTable.  Each row is a spike at the
         origin with profile g(s) = psi(c - ln s), psi the table's
         ``log_shape`` and c = ``log_constant``; g vanishes beyond
-        ``support_radius`` and has the exact-log core g(s) = c - k ln s
-        for 0 < s <= a, with a = ``log_core`` and k = ``pole_coefficient``.
-        Radial densities must be centred at the origin; atoms may sit
-        anywhere.
+        ``support_radius`` and has the exact-log core g(s) = c - ln s
+        for 0 < s <= a, with a = ``log_core``.  Atoms may sit anywhere.
 
         Each radial density takes the core by parts from its disk mass
         mu(s) = mass_in(s),
 
-            int_lo^a (c - k ln s) dmu = (c - k ln a) mu(a) + k L(a),
+            int_lo^a (c - ln s) dmu = (c - ln a) mu(a) + L(a),
 
-        with L(a) = int_lo^a mu(s)/s ds the density's declared
-        ``log_mass``, in closed form for every row at once.  The band
+        with L(a) = int_lo^a mu(s)/s ds (log_mass_in, from the declared
+        ``log_mass``), in closed form for every row at once.  The band
         from the core, or from the density's inner edge, out to the
         support takes integrate's first panel, a 16- and 32-point Gauss
         pair on the band's own radii, for every row in one call of the
@@ -506,8 +501,8 @@ class RieszCharge(Record):
         number of bands integrated adaptively.  A failed row's note names
         its failure, "NotSummable" (an atom where the spike is infinite)
         or "ToleranceFailure", and its value and budget are NaN; a good
-        row's note is "".  A density off the origin, or a band with no
-        finite end, raises for the whole batch.
+        row's note is "".  A band with no finite end raises for the whole
+        batch.
         """
         n = len(table)
         val = np.zeros(n)
@@ -522,9 +517,6 @@ class RieszCharge(Record):
         pieces = []
         calls = np.zeros(n)
         for dens in self.radial:
-            if abs(dens.center) > 1e-12:
-                raise EngineError("radial density not concentric; "
-                                  "use integrate()")
             lo = dens.support[0]
             hi = np.minimum(dens.support[1], table.support_radius)
             on = hi > lo
@@ -556,11 +548,11 @@ class RieszCharge(Record):
         """Integral of f against the charge; returns (value, error_budget).
 
         Atoms are summed directly.  Within radial densities f enters
-        through its circle means about the density's centre
+        through its circle means about the origin
         (quadrature.circle_mean), whose panels break where f's declared
         singular points and kink circles meet the charge's circles.  Each
-        density is integrated over its whole support, which must be
-        bounded.
+        density is integrated over its support, cut where f vanishes
+        (|pole| + support_radius, each optional), which must be bounded.
         """
         val = 0.0
         err = 0.0
@@ -571,8 +563,11 @@ class RieszCharge(Record):
             if not np.all(np.isfinite(fv)):
                 raise NotSummable("integrand unbounded at an atom")
             val += float(np.sum(self.atom_masses[keep] * fv))
+        # f vanishes beyond its declared support_radius about its pole
+        reach = abs(getattr(f, "pole", 0j)) + getattr(f, "support_radius",
+                                                      math.inf)
         for dens in self.radial:
-            lo, hi = dens.support
+            lo, hi = dens.support[0], min(dens.support[1], reach)
             if hi <= lo:
                 continue
             if not math.isfinite(hi):
@@ -582,7 +577,7 @@ class RieszCharge(Record):
             inner_tol = tol / (4.0 * (1.0 + approx_mass))
             v, e, inner = integrate_circle_means(
                 f, lambda s, m: m * s * np.asarray(dens.profile(s), dtype=float),
-                lo, hi, tol=tol, inner_tol=inner_tol, center=dens.center)
+                lo, hi, tol=tol, inner_tol=inner_tol)
             val += dens.sign * v
             err += e + inner * approx_mass
         return val, err

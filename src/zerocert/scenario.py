@@ -391,13 +391,19 @@ def _is_valid(instance, schema, root):
 
 
 def _named_branch(instance, branches):
-    """The one oneOf branch whose ``kind`` const the instance names, or
-    None."""
-    if not isinstance(instance, dict) or "kind" not in instance:
+    """The one oneOf branch whose ``kind`` const the instance names or,
+    for an instance with no ``kind``, the one branch whose only required
+    key the instance holds; else None."""
+    if not isinstance(instance, dict):
         return None
-    named = [sub for sub in branches
-             if sub.get("properties", {}).get("kind", {}).get("const")
-             == instance["kind"]]
+    if "kind" in instance:
+        named = [sub for sub in branches
+                 if sub.get("properties", {}).get("kind", {}).get("const")
+                 == instance["kind"]]
+    else:
+        named = [sub for sub in branches
+                 if len(sub.get("required", ())) == 1
+                 and sub["required"][0] in instance]
     return named[0] if len(named) == 1 else None
 
 
@@ -409,10 +415,10 @@ def _iter_errors(instance, schema, root, path):
     jsonschema's Draft202012Validator word for word, so both report the
     same errors in the same order.  const and enum values are strings
     here, for which JSON equality is Python's.  One rule is the
-    package's own: when no oneOf branch holds and the instance's ``kind``
-    names one branch, that branch's errors are reported, as jsonschema
-    lists them in the oneOf error's context, in place of the oneOf
-    error, so the message names the field that failed.
+    package's own: when no oneOf branch holds and the instance names one
+    branch (_named_branch), that branch's errors are reported, as
+    jsonschema lists them in the oneOf error's context, in place of the
+    oneOf error, so the message names the field that failed.
     """
     for key, value in schema.items():
         if key == "$ref":
@@ -526,9 +532,17 @@ def load_scenario(path, *, tau_max=None, seed=None):
         low=_make_model(doc["majorant"].get("low")))
     profile = _make_profile(doc.get("profile"))
     family = _make_family(doc.get("family"), tau_max=tau_max)
-    # the cutoffs, counted before any is built; a grid that ends below its
-    # start fails at its stage instead, and a NaN end fails both tests
-    if family is not None and not family.t_max < family.t_min:
+    # a grid that ends below its start, named by where its end came from
+    # (with no family block, the sweep runs the default family)
+    t_min = (TruncatedLogFamily() if family is None else family).t_min
+    if tau_max is not None and tau_max < t_min:
+        raise SchemaError(["--tau-max: %r is less than the family's t_min "
+                           "%r" % (tau_max, t_min)])
+    if family is not None:
+        if family.t_max < t_min:
+            raise SchemaError(["/family: t_max %r is less than t_min %r"
+                               % (family.t_max, t_min)])
+        # the cutoffs, counted before any is built; a NaN end fails here
         count = geometric_tau_count(family.t_min, family.t_max, family.ratio)
         if not count <= 100000:
             raise SchemaError(["/family: about %.3g cutoffs exceed 100000"

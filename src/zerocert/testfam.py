@@ -137,16 +137,16 @@ class SpikeTable:
     margin sweep and RieszCharge.integrate_radial read off them, for all
     the cutoffs at once.
 
-    Every row is a radial spike at the origin.  ``tau`` holds its cutoff,
-    ``log_constant``, ``log_core``, ``support_radius`` and
-    ``pole_coefficient`` its declarations, and ``log_shape`` the family's
+    Every row is a radial spike at the origin, log_constant - ln d in its
+    core.  ``tau`` holds its cutoff, ``log_constant``, ``log_core`` and
+    ``support_radius`` its declarations, and ``log_shape`` the family's
     one psi, which all the rows share.  A row's kinks are the ends of its
     band, ``log_core`` and ``support_radius``, so none lies strictly
     inside it.
     """
 
     __slots__ = ("tau", "log_constant", "log_core", "support_radius",
-                 "pole_coefficient", "log_shape")
+                 "log_shape")
 
     def __init__(self, *columns):
         # one argument for each name in __slots__, in that order
@@ -188,7 +188,7 @@ def _pullbacks(taus, shape):
     # math.log, not np.log: the two differ in the last bit on some cutoffs
     log_constant = np.fromiter(map(math.log, tau.tolist()), float, tau.size)
     return SpikeTable(tau, log_constant, 1.0 / log_radius,
-                      1.0 / (math.exp(e0) / tau), np.ones(tau.size), shape)
+                      1.0 / (math.exp(e0) / tau), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ def integrate_radial_reference(charge, spike, tol=1e-9):
     (value, budget); raises ToleranceFailure, NotSummable or DomainError
     as that route did.
     """
-    from zerocert import DomainError, EngineError, NotSummable, integrate
+    from zerocert import DomainError, NotSummable, integrate
 
     center = complex(spike.pole)
     g = spike.radial_profile
@@ -377,8 +377,6 @@ def integrate_radial_reference(charge, spike, tol=1e-9):
         val += float(np.sum(charge.atom_masses[live] * gv[live]))
     pieces = []
     for dens in charge.radial:
-        if abs(dens.center - center) > 1e-12:
-            raise EngineError("radial density not concentric")
         lo = dens.support[0]
         hi = min(dens.support[1], float(spike.support_radius))
         if hi <= lo:

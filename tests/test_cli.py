@@ -45,6 +45,15 @@ def _pi_scenario():
     }
 
 
+def _low_scenario():
+    # the README's delta-subharmonic example: M = |z| - ln|z - a| with
+    # a = (1 + i) / 2
+    doc = _pi_scenario()
+    doc["majorant"]["low"] = {"kind": "log-abs-poly", "coeffs": [
+        {"re": 1.0}, {"re": -0.5, "im": -0.5}]}
+    return doc
+
+
 def _toy_scenario():
     doc = _pi_scenario()
     doc["zeros"]["generator"]["max_radius"] = 1.0e4
@@ -160,7 +169,8 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
     # numpy.random would add about 6 MB to every run's peak RSS.  np.unique
     # imports numpy.ma on its first call, which costs tens of ms; the
     # smooth-capped-log lattice takes the sweep's band path.  No stage of
-    # ``all`` reads a Jensen measure, so zerocert.jensen stays unimported
+    # ``all`` reads a Jensen measure, so zerocert.jensen stays unimported,
+    # also where lemma1 integrates the Green function over the atom of low
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -172,7 +182,8 @@ def test_all_leaves_numpy_random_unimported(tmp_path):
         "for name in ('numpy.random', 'numpy.ma', 'numpy.polynomial',\n"
         "             'zerocert.jensen'):\n"
         "    assert name not in sys.modules, name + ' imported'\n")
-    for k, doc in enumerate((_pi_scenario(), _smooth_lattice_scenario())):
+    for k, doc in enumerate((_pi_scenario(), _smooth_lattice_scenario(),
+                             _low_scenario())):
         sc = _write(tmp_path, doc, name=f"sc{k}.json")
         out = tmp_path / f"run{k}"
         proc = subprocess.run(
@@ -502,6 +513,53 @@ def test_non_finite_or_non_positive_flags_exit_2_by_name(tmp_path, capsys,
     assert not out.joinpath("report.json").exists()
 
 
+def _reversed_family(doc):
+    doc["family"].update(t_min=100.0, t_max=50.0)
+    return doc
+
+
+def _no_family(doc):
+    del doc["family"]
+    return doc
+
+
+# a grid that ends below its start is refused before any stage runs, by
+# where its end came from; without a family block the default family
+# starts at 0.5
+@pytest.mark.parametrize("edit,flags,message", [
+    (_reversed_family, [], "/family: t_max 50.0 is less than t_min 100.0"),
+    (lambda doc: doc, ["--tau-max", "0.1"],
+     "--tau-max: 0.1 is less than the family's t_min 0.5"),
+    (_no_family, ["--tau-max", "0.1"],
+     "--tau-max: 0.1 is less than the family's t_min 0.5"),
+], ids=["family-block", "flag", "flag-no-family"])
+def test_a_grid_ending_below_its_start_exits_2(tmp_path, capsys, edit, flags,
+                                               message):
+    sc = _write(tmp_path, edit(_toy_scenario()))
+    out = tmp_path / "run"
+    assert main(["check-necessary", "--scenario", sc, "--out", str(out),
+                 *flags]) == 2
+    assert "schema: %s\n" % message in capsys.readouterr().err
+    assert not out.joinpath("report.json").exists()
+
+
+def test_lemma1_off_the_origin_under_a_density_exits_3(tmp_path, capsys):
+    # |z|'s density sits at the origin, so an ambient disk about 0.5 has
+    # no closed form; the stage fails by name
+    doc = _pi_scenario()
+    doc["lemma1"] = {"d_tilde": {"center": {"re": 0.5}, "radius": 1.0},
+                     "s": {"center": {"re": 0.5}, "radius": 0.5},
+                     "z0": {"re": 0.5}, "b": 1.0}
+    out = tmp_path / "run"
+    assert main(["lemma1", "--scenario", _write(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    assert ("stage lemma1 failed: radial density off the ambient disk's "
+            "center") in capsys.readouterr().err
+    info = json.loads((out / "report.json").read_text())["stages"]["lemma1"]
+    assert info["status"] == "failed"
+    assert not out.joinpath("lemma1.csv").exists()
+
+
 def _failing_grid_scenario():
     """The README scenario without its family block, at sigma = 0.3: the
     construction fails on 6 of its 24 grid points."""
@@ -587,12 +645,8 @@ def test_low_block_takes_its_atom_off_each_rhs(tmp_path):
     # the README's delta-subharmonic example: M = |z| - ln|z - a| with
     # a = (1 + i) / 2 keeps both verdicts, and the atom of -low at a
     # lowers each rhs by ln+(tau / |a|)
-    plain = _pi_scenario()
-    low = _pi_scenario()
-    low["majorant"]["low"] = {"kind": "log-abs-poly", "coeffs": [
-        {"re": 1.0}, {"re": -0.5, "im": -0.5}]}
     rows = []
-    for name, doc in (("plain", plain), ("low", low)):
+    for name, doc in (("plain", _pi_scenario()), ("low", _low_scenario())):
         out = tmp_path / name
         sc = _write(tmp_path, doc, name + ".json")
         assert main(["all", "--scenario", sc, "--out", str(out)]) == 0

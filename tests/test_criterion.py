@@ -917,21 +917,27 @@ def test_lemma1_masks_atoms():
     assert abs(c.parts["negative-term"] - want) <= 1e-15
 
 
-# name -> (majorant, ambient disk centre); the inner disk is centred at 0.3
+# name -> (majorant, ambient disk centre, message); the inner disk is
+# centred at 0.3.  Radial densities sit at the origin.
 _OFF_CENTER = {
     "off-ambient-center": (
-        DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)), 0.1 + 0j),
+        DSubharmonicMajorant(up=make_radial_power(1.0, 1.0)), 0.1 + 0j,
+        "radial density off the ambient disk's center"),
     # a negative density must also be centred on the inner disk
     "negative-off-inner-center": (
         DSubharmonicMajorant(up=make_zero_model(), low=make_log_poly_growth()),
-        0j),
+        0j, "negative radial density off the inner disk's center"),
+    "negative-off-both-centers": (
+        DSubharmonicMajorant(up=make_radial_power(2.0, 1.0),
+                             low=make_log_poly_growth()), 0.1 + 0j,
+        "radial density off the ambient disk's center"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_OFF_CENTER))
 def test_lemma1_rejects_a_density_off_its_disk(name):
-    M, center = _OFF_CENTER[name]
-    with pytest.raises(EngineError):
+    M, center, message = _OFF_CENTER[name]
+    with pytest.raises(EngineError, match="^%s$" % message):
         lemma1_constants(Region.disk(center, 2.0), Region.disk(0.3, 0.5),
                          0.3, 1.0, M)
 

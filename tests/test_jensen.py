@@ -19,6 +19,7 @@ from zerocert import (
     green_disk,
     log_potential,
     make_log_abs_poly,
+    make_log_poly_growth,
     make_radial_power,
     poisson_jensen_check,
     potential_to_measure,
@@ -217,6 +218,26 @@ def test_poisson_jensen_radial_model():
     assert abs(rep.mean_term - rep.u_pole - 2.25) <= 1e-9
     assert abs(rep.residual) <= rep.budget
     assert rep.budget <= 1e-6
+
+
+def test_poisson_jensen_off_pole_takes_one_charge_pass(monkeypatch):
+    # ln(1 + |z|^2) has closed-form circle means, so the mean side is exact
+    # and the budget is the one charge pass's own estimate, at tol / 32.
+    # Its density has no outer edge: the pass cuts it where V vanishes,
+    # |pole| + 1.5 from the origin, or it could not run
+    tols = []
+    integrate = RieszCharge.integrate
+
+    def counted(self, f, *, tol):
+        tols.append(tol)
+        return integrate(self, f, tol=tol)
+
+    monkeypatch.setattr(RieszCharge, "integrate", counted)
+    rep = poisson_jensen_check(make_log_poly_growth(),
+                               uniform_circle(0.5 + 0.5j, 1.5), tol=1e-9)
+    assert tols == [1e-9 / 32.0]
+    assert abs(rep.residual) <= rep.budget
+    assert rep.budget <= 1e-9
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0])

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from zerocert import (
     DomainError,
     DSubharmonicMajorant,
+    EngineError,
     Region,
     RieszCharge,
     RadialDensity,
@@ -346,6 +347,17 @@ def test_integrate_radial_density_matches_closed_form():
         assert abs(val - ref) <= ref_err + 1e-14 * (1.0 + abs(ref))
 
 
+def test_total_mass_in_needs_a_region_about_the_origin():
+    # radial densities sit at the origin; atoms alone take any region
+    ch = make_radial_power(1.0, 1.0).riesz
+    assert ch.total_mass_in(Region.disk(0j, 2.0)) == 2.0
+    with pytest.raises(EngineError, match="radial density off the region "
+                                          "center; use integrate"):
+        ch.total_mass_in(Region.disk(0.5, 1.0))
+    atoms = RieszCharge([0.5 + 0j], [2.0])
+    assert atoms.total_mass_in(Region.disk(0.5, 0.1)) == 2.0
+
+
 def test_integrate_radial_requires_support_for_unbounded_density():
     ch = _radial_square_charge()
     table = TruncatedLogFamily().spikes([1.0])
@@ -374,6 +386,11 @@ _CORE_CHARGES = {
         up=make_radial_power(2.0, 1.0), low=make_log_poly_growth()).charge,
         1e-9),
     "support-from-0.3": (RieszCharge(radial=(_ANNULAR,)), 1e-9),
+    # |z| cut at an inner edge: its declared log-mass starts at 0, so the
+    # core needs log_mass_in, which takes off what lies below the edge
+    "radial-power-1-cut-at-0.3": (RieszCharge(radial=(dataclasses.replace(
+        make_radial_power(1.0, 1.0).riesz.radial[0], support=(0.3, 2.0)),)),
+        1e-9),
 }
 
 
@@ -394,6 +411,9 @@ _CORE_CHARGES = {
 @example(name="radial-power-1", smooth=True, tau=4.0, eps=0.2676768089684824)
 # the closed-form log-mass leaves the no-core route's overrun standing alone
 @example(name="radial-power-0.5", smooth=False, tau=1.0, eps=1.0)
+# the raw log-mass of the cut density put the core off by 0.87
+@example(name="radial-power-1-cut-at-0.3", smooth=False, tau=5.0, eps=0.25)
+@example(name="radial-power-1-cut-at-0.3", smooth=True, tau=10.0, eps=0.25)
 def test_integrate_radial_log_core_matches_quadrature(name, smooth, tau, eps):
     charge, tol = _CORE_CHARGES[name]
     fam = SmoothCappedLogFamily(eps=eps) if smooth else TruncatedLogFamily()

@@ -162,6 +162,32 @@ def test_load_counts_the_cutoffs_before_building_any(tmp_path, monkeypatch):
             "/family: about %r cutoffs exceed 100000" % tau_max]
 
 
+def test_load_refuses_a_grid_ending_below_its_start(tmp_path, monkeypatch):
+    # named by where the end came from, before any cutoff is built; the
+    # default family of a scenario with no family block starts at 0.5
+    def never(*args):
+        raise AssertionError("a cutoff grid was built")
+
+    monkeypatch.setattr(testfam, "_geometric_taus", never)
+    doc = _doc()
+    doc["family"].update(t_min=100, t_max=50)
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(_write(tmp_path, doc))
+    assert exc.value.messages == ["/family: t_max 50 is less than t_min 100"]
+    # an override in range stands in for the block's end
+    assert load_scenario(_write(tmp_path, doc), tau_max=200.0).family.t_max \
+        == 200.0
+    no_family = _doc()
+    del no_family["family"]
+    for d in (_doc(), no_family):
+        with pytest.raises(SchemaError) as exc:
+            load_scenario(_write(tmp_path, d), tau_max=0.1)
+        assert exc.value.messages == [
+            "--tau-max: 0.1 is less than the family's t_min 0.5"]
+    assert load_scenario(_write(tmp_path, no_family), tau_max=0.5).family \
+        is None
+
+
 def test_load_takes_a_grid_up_to_100000_cutoffs(tmp_path):
     # the count is 2 + 99990 steps here, and 2 + 99999 past the cap
     doc = _doc()
@@ -371,15 +397,24 @@ def _mutated(draw):
     return doc
 
 
+def _names(sub, instance):
+    """Whether a oneOf branch is named by the instance: by its ``kind``,
+    or, with no ``kind``, by holding the branch's only required key."""
+    if not isinstance(instance, dict):
+        return False
+    if "kind" in instance:
+        return (sub.get("properties", {}).get("kind", {}).get("const")
+                == instance["kind"])
+    required = sub.get("required", [])
+    return len(required) == 1 and required[0] in instance
+
+
 def _kind_errors(errors):
     """jsonschema's errors, each failed oneOf whose instance names one
-    branch's ``kind`` replaced by that branch's errors from its context."""
+    branch (_names) replaced by that branch's errors from its context."""
     for e in errors:
-        kinds = [sub.get("properties", {}).get("kind", {}).get("const")
-                 for sub in e.validator_value] if e.validator == "oneOf" else []
-        named = [i for i, k in enumerate(kinds)
-                 if isinstance(e.instance, dict) and "kind" in e.instance
-                 and k == e.instance["kind"]]
+        named = [i for i, sub in enumerate(e.validator_value)
+                 if _names(sub, e.instance)] if e.validator == "oneOf" else []
         if e.validator == "oneOf" and len(named) == 1 and e.context:
             yield from _kind_errors(sub for sub in e.context
                                     if sub.relative_schema_path[0] == named[0])
@@ -462,8 +497,28 @@ def test_validator_bases_are_valid():
 # a kind that names no branch, or an instance with no kind, does not
 @example(doc=_base(2, profile={"kind": "other", "power": 1.0},
                    majorant={"up": {"rho": 1.0}}))
+# with no kind, the one branch whose only required key the block holds does
+@example(doc=_base(2, zeros={"points": [{"re": 1.0, "mult": 0}]}))
+@example(doc=_base(2, zeros={"generator": {"kind": "other", "step": 0}}))
+@example(doc=_base(2, zeros={"points": [], "generator": {}}))
 def test_validator_matches_jsonschema(doc):
     assert _messages(doc) == _oracle_messages(doc)
+
+
+def test_a_zeros_block_names_its_branch_by_its_key():
+    # zeros have no kind: the one branch whose only required key the block
+    # holds reports its own fields
+    doc = _base(2, zeros={"points": [{"re": 1.0, "mult": 0}]})
+    assert _messages(doc) == [
+        "/zeros/points/0/mult: 0 is less than the minimum of 1"]
+    doc = _base(2, zeros={"generator": {"kind": "real-multiples", "step": 0}})
+    assert _messages(doc) == [
+        "/zeros/generator/step: 0 is less than or equal to the minimum of 0"]
+    # a block that holds both keys names no branch
+    doc = _base(2, zeros={"points": [], "generator": {"kind": "other"}})
+    assert _messages(doc) == [
+        "/zeros: %r is not valid under any of the given schemas"
+        % (doc["zeros"],)]
 
 
 def test_a_failing_kind_branch_names_its_field():

@@ -32,8 +32,7 @@ def _assert_rows_are_members(table, members, taus):
     assert table.tau.tolist() == [float(t) for t in taus]
     for i, p in enumerate(members):
         assert p.pole == 0j
-        for name in ("log_constant", "log_core", "support_radius",
-                     "pole_coefficient"):
+        for name in ("log_constant", "log_core", "support_radius"):
             assert getattr(table, name)[i] == getattr(p, name), name
         # a row's kinks are its band's ends, which the table need not hold
         assert set(p.kink_radii) <= {p.log_core, p.support_radius}
